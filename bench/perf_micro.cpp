@@ -129,7 +129,7 @@ static void BM_CampaignAcquire(benchmark::State& state) {
 BENCHMARK(BM_CampaignAcquire)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // Run a persistent pool at steady state: acquire_chunked reuses the
-// pool's member segment buffer (capacity kept across calls), so after
+// pool's recycled block buffers (capacity kept across calls), so after
 // warm-up the timed loop is allocation-free — it measures per-trace
 // engine cost plus the segment memcpy both engines share, not TraceSet
 // construction churn. This is the fused campaign's production feed.
@@ -158,8 +158,8 @@ static void acquire_engine_bench(benchmark::State& state,
   // once outside the timed loop: the rows differ only in per-trace
   // engine cost, exactly what the CI speedup lines divide.
   qdi::campaign::SimTraceSource src(inst.nl, inst.env, inst.stimulus, opt);
-  // The pool persists across iterations so its scratch slots and chunk
-  // buffer reach steady state: the loop measures per-trace acquisition
+  // The pool persists across iterations so its slots and block buffers
+  // reach steady state: the loop measures per-trace acquisition
   // cost, not pool setup.
   qdi::campaign::WorkerPool pool(src, 1);
   for (auto _ : state) {
@@ -410,7 +410,7 @@ static const qd::TraceSet& cpa_workload() {
         inst.nl.net(c.rails[1]).cap_ff *= 2.0;
     }
     qdi::campaign::SimTraceSource src(inst.nl, inst.env, inst.stimulus, {});
-    return qdi::campaign::acquire_batch(src, 128, 9);
+    return qdi::campaign::WorkerPool(src, 1).acquire(128, 9);
   }();
   return ts;
 }

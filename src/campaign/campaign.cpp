@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "attack_state.hpp"
 #include "qdi/campaign/batch_trace_source.hpp"
@@ -228,6 +230,38 @@ CampaignResult Campaign::run() const {
                     /*force_fused=*/false, t_run);
 }
 
+/// Design flow, prepare hooks, then the countermeasure recipe — the
+/// stages every entry point runs on a freshly built victim, in this
+/// order. Their reports land in `res` when the caller keeps one.
+void Campaign::prepare_victim(TargetInstance& inst,
+                              const xform::Recipe* recipe,
+                              CampaignResult* res) const {
+  if (flow_) {
+    auto flow = core::run_secure_flow(inst.nl, *flow_);
+    if (res != nullptr) res->flow = std::move(flow);
+  }
+  for (const PrepareFn& fn : prepare_) fn(inst.nl);
+  if (recipe != nullptr) {
+    auto xf = recipe->pipeline.run(inst.nl);
+    if (res != nullptr) {
+      res->recipe = recipe->name;
+      res->xform = std::move(xf);
+    }
+  }
+}
+
+/// The source() factory's source, or the default simulator source for
+/// the configured engine.
+std::unique_ptr<TraceSource> Campaign::make_source(
+    const TargetInstance& inst) const {
+  if (source_) return source_(inst, opt_);
+  if (opt_.engine == sim::EngineKind::Batch)
+    return std::make_unique<BatchSimTraceSource>(inst.nl, inst.env,
+                                                 inst.stimulus, opt_);
+  return std::make_unique<SimTraceSource>(inst.nl, inst.env, inst.stimulus,
+                                          opt_);
+}
+
 /// `t_run` is the moment the caller started (before target build), so
 /// total_wall_ms keeps covering the whole campaign including netlist
 /// construction.
@@ -238,16 +272,7 @@ CampaignResult Campaign::run_stages(
   res.target = inst.name;
   res.key = key_;
 
-  // ---- design-flow stage ---------------------------------------------------
-  if (flow_) res.flow = core::run_secure_flow(inst.nl, *flow_);
-  for (const PrepareFn& fn : prepare_) fn(inst.nl);
-
-  // ---- countermeasure stage ------------------------------------------------
-  if (recipe != nullptr) {
-    res.recipe = recipe->name;
-    res.xform = recipe->pipeline.run(inst.nl);
-  }
-
+  prepare_victim(inst, recipe, &res);
   res.criteria = core::evaluate_criterion(inst.nl);
   res.max_da = core::max_dA(res.criteria);
   res.mean_da = core::mean_dA(res.criteria);
@@ -259,17 +284,11 @@ CampaignResult Campaign::run_stages(
 
   // ---- acquisition + analysis ----------------------------------------------
   if (num_traces_ > 0) {
-    std::unique_ptr<TraceSource> owned_src =
-        source_ ? source_(inst, opt_)
-        : opt_.engine == sim::EngineKind::Batch
-            ? std::unique_ptr<TraceSource>(std::make_unique<
-                  BatchSimTraceSource>(inst.nl, inst.env, inst.stimulus, opt_))
-            : std::make_unique<SimTraceSource>(inst.nl, inst.env,
-                                               inst.stimulus, opt_);
+    std::unique_ptr<TraceSource> owned_src = make_source(inst);
     // Worker clones (per-thread simulators + scratch) are campaign
     // state: created once and persistent across every segment the
     // acquisition below runs. A sweep hands in its own PoolState so the
-    // pool (and its scratch slots) persist across variants; the clones
+    // pool (and its buffers) persist across variants; the clones
     // are rebound to this variant's source.
     const auto threads = static_cast<unsigned>(
         std::min<std::size_t>(threads_ == 0 ? 1 : threads_, num_traces_));
@@ -296,45 +315,44 @@ CampaignResult Campaign::run_stages(
       // acquisition.wall_ms and attack->wall_ms partition the fused
       // stage instead of double-counting it.
       StreamingAnalysis analysis(attack_, inst, rank_step_, num_traces_);
-      // acquire_chunked's wall clock covers acquisition + feeds; only
-      // the feed share is subtracted back out. finish() runs after the
+      // The pipeline's wall clock covers acquisition + commits; only the
+      // commit share is subtracted back out. finish() runs after the
       // stage clock stops and is attributed to the attack alone.
       double feed_ms = 0.0;
+      // One pipeline call; the mode picks the blocks and the consumer.
+      // Serial (exact) feed: the commit streams each block into the
+      // accumulators in trace order — the same FP order as the
+      // materialized path — while the other workers keep acquiring.
+      // Block-fold ingest: workers fold their own blocks into pooled
+      // partial accumulators in parallel with acquisition; the commit
+      // merges each partial into the master and fires the rank/MTD
+      // probes at exactly their trace counts (checkpoint prefixes are
+      // block cuts). Either way feed_ms only counts the commit side.
+      std::optional<detail::BlockMerge> blocks;
+      std::size_t block_traces = pool.block_traces(fused_chunk);
+      std::vector<std::size_t> cuts;
+      WorkerPool::ShardedIngest si;
       if (sharded_ingest_ > 0) {
-        // Block-fold ingest: workers fold their own blocks into pooled
-        // partial accumulators in parallel with acquisition; the
-        // serialized ascending-order commit merges each partial into
-        // the master and fires the rank/MTD probes at exactly their
-        // trace counts (checkpoint prefixes are block cuts). feed_ms
-        // only counts the commit side — the per-block folds overlap
-        // acquisition on the worker threads, so they are already part
-        // of (and hidden inside) the acquisition wall clock.
-        detail::BlockMerge blocks(attack_, inst);
+        blocks.emplace(attack_, inst);
         analysis.probe_prefix_zero();
-        WorkerPool::ShardedIngest si;
+        block_traces = sharded_ingest_;
+        cuts = analysis.checkpoint_cuts();
         si.ingest = [&](unsigned, std::size_t block,
                         const dpa::TraceSet& segment, std::size_t) {
-          blocks.ingest(block, segment);
+          blocks->ingest(block, segment);
         };
-        si.commit = [&](std::size_t block, const dpa::TraceSet& segment,
-                        std::size_t first) {
-          const auto t_feed = std::chrono::steady_clock::now();
-          analysis.commit_block(blocks, block, first, segment.size());
-          feed_ms += ms_since(t_feed);
-        };
-        pool.acquire_sharded_range(0, num_traces_, seed_, sharded_ingest_,
-                                   analysis.checkpoint_cuts(), si,
-                                   &res.acquisition);
-      } else {
-        pool.acquire_chunked(
-            num_traces_, seed_, fused_chunk,
-            [&](const dpa::TraceSet& segment, std::size_t first) {
-              const auto t_feed = std::chrono::steady_clock::now();
-              analysis.feed(segment, first);
-              feed_ms += ms_since(t_feed);
-            },
-            &res.acquisition);
       }
+      si.commit = [&](std::size_t block, const dpa::TraceSet& segment,
+                      std::size_t first) {
+        const auto t_feed = std::chrono::steady_clock::now();
+        if (blocks)
+          analysis.commit_block(*blocks, block, first, segment.size());
+        else
+          analysis.feed(segment, first);
+        feed_ms += ms_since(t_feed);
+      };
+      pool.acquire_sharded_range(0, num_traces_, seed_, block_traces, cuts, si,
+                                 &res.acquisition);
       const auto t_finish = std::chrono::steady_clock::now();
       AttackOutcome out = analysis.finish(rank_step_, res.rank_trajectory);
       out.wall_ms = feed_ms + ms_since(t_finish);
@@ -360,7 +378,7 @@ CampaignResult Campaign::run_stages(
       // This variant's netlist dies with this call (moved into the
       // result below); a SimTraceSource points into it, so drop the
       // source and the pool's clones now — the pool keeps only its
-      // netlist-independent scratch slots until the next rebind.
+      // netlist-independent buffers until the next rebind.
       shared->pool->unbind();
       shared->src.reset();
     }
@@ -476,19 +494,10 @@ ShardedResult Campaign::sharded(ShardedOptions opt) const {
   TargetInstance inst = target_.build(key_);
   validate(inst);
 
-  // Same victim-preparation stages as run_stages: the shard runtime
-  // attacks exactly the netlist a fused run() would attack.
-  if (flow_) core::run_secure_flow(inst.nl, *flow_);
-  for (const PrepareFn& fn : prepare_) fn(inst.nl);
-  if (recipe_) recipe_->pipeline.run(inst.nl);
-
-  const std::unique_ptr<TraceSource> src =
-      source_ ? source_(inst, opt_)
-      : opt_.engine == sim::EngineKind::Batch
-          ? std::unique_ptr<TraceSource>(std::make_unique<BatchSimTraceSource>(
-                inst.nl, inst.env, inst.stimulus, opt_))
-          : std::make_unique<SimTraceSource>(inst.nl, inst.env, inst.stimulus,
-                                             opt_);
+  // Same victim preparation as run_stages (minus the criterion): the
+  // shard runtime attacks exactly the netlist a fused run() would attack.
+  prepare_victim(inst, recipe_ ? &*recipe_ : nullptr, nullptr);
+  const std::unique_ptr<TraceSource> src = make_source(inst);
 
   const std::size_t shards =
       plan_shards(num_traces_, opt.shards).size();  // after clamping

@@ -9,11 +9,12 @@ namespace qdi::campaign {
 
 namespace {
 
-/// Wire format of a classified run through AcquiredTrace (the WorkerPool
-/// scratch type): fault_class packs the class in the low nibble and the
-/// stall phase above it; ciphertext carries the faulty output bytes
-/// followed by the golden output bytes. Encoded in FaultTraceSource::
-/// acquire_into, decoded in run_fault_campaign — nowhere else.
+/// Wire format of a classified run through AcquiredTrace (the record
+/// the WorkerPool commits): fault_class packs the class in the low
+/// nibble and the stall phase above it; ciphertext carries the faulty
+/// output bytes followed by the golden output bytes. Encoded in
+/// FaultTraceSource::acquire_into, decoded in run_fault_campaign —
+/// nowhere else.
 int encode_class(FaultClass cls, sim::HandshakePhase phase) noexcept {
   return static_cast<int>(cls) | (static_cast<int>(phase) << 4);
 }
@@ -289,32 +290,39 @@ FaultCampaignResult run_fault_campaign(const TargetInstance& inst,
   const std::size_t out_bytes = (inst.env.outputs.size() + 7) / 8;
   FaultTraceSource src(inst.nl, inst.env, plan, opt);
   WorkerPool pool(src, threads == 0 ? 1 : threads);
-  pool.acquire_each(
-      runs, seed, /*chunk=*/256,
-      [&](std::size_t index, const AcquiredTrace& rec) {
-        const Injection& inj = plan->injections[index / opt.repeats];
-        FaultRecord r;
-        r.net = inj.net;
-        r.kind = inj.kind;
-        r.t_offset_ps = inj.t_offset_ps;
-        r.plaintext = rec.plaintext.empty() ? 0 : rec.plaintext[0];
-        r.faulty = rec.ciphertext[0];
-        r.golden = rec.ciphertext[out_bytes];
-        r.cls = decode_class(rec.fault_class);
-        r.stalled_phase = decode_phase(rec.fault_class);
-        switch (r.cls) {
-          case FaultClass::Deadlock: ++res.summary.deadlock; break;
-          case FaultClass::Masked: ++res.summary.masked; break;
-          case FaultClass::Exploitable:
-            ++res.summary.exploitable;
-            // Multi-byte outputs would need a wider DfaPair; the slice
-            // targets (the DFA-bearing ones) are single-byte.
-            res.pairs.push_back({r.plaintext, r.golden, r.faulty});
-            break;
+  AcquisitionStats st;
+  pool.run_blocks(
+      0, runs, seed, pool.block_traces(/*budget=*/256), {},
+      /*segments=*/false, nullptr,
+      [&](const WorkerPool::Block& blk) {
+        for (std::size_t i = 0; i < blk.count; ++i) {
+          const AcquiredTrace& rec = blk.records[i];
+          const Injection& inj =
+              plan->injections[(blk.first + i) / opt.repeats];
+          FaultRecord r;
+          r.net = inj.net;
+          r.kind = inj.kind;
+          r.t_offset_ps = inj.t_offset_ps;
+          r.plaintext = rec.plaintext.empty() ? 0 : rec.plaintext[0];
+          r.faulty = rec.ciphertext[0];
+          r.golden = rec.ciphertext[out_bytes];
+          r.cls = decode_class(rec.fault_class);
+          r.stalled_phase = decode_phase(rec.fault_class);
+          switch (r.cls) {
+            case FaultClass::Deadlock: ++res.summary.deadlock; break;
+            case FaultClass::Masked: ++res.summary.masked; break;
+            case FaultClass::Exploitable:
+              ++res.summary.exploitable;
+              // Multi-byte outputs would need a wider DfaPair; the slice
+              // targets (the DFA-bearing ones) are single-byte.
+              res.pairs.push_back({r.plaintext, r.golden, r.faulty});
+              break;
+          }
+          ++res.summary.runs;
+          res.records.push_back(r);
         }
-        ++res.summary.runs;
-        res.records.push_back(r);
-      });
+      },
+      st);
 
   if (opt.run_dfa && inst.dfa && inst.num_guesses > 0 && !res.pairs.empty())
     res.dfa = dpa::dfa_attack(inst.dfa, res.pairs, inst.num_guesses);

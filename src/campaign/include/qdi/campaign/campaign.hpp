@@ -181,10 +181,11 @@ class Campaign {
   Campaign& attack(Dpa a) { attack_ = std::move(a); return *this; }
   Campaign& attack(Cpa a) { attack_ = std::move(a); return *this; }
 
-  /// Fused acquire-and-attack: stream acquisition segments of at most
-  /// `chunk_traces` straight into the streaming analysis accumulators
-  /// (dpa::OnlineCpa / dpa::OnlineDpa) and discard the samples. Peak
-  /// memory is O(chunk · samples + guesses · samples), independent of
+  /// Fused acquire-and-attack: stream acquisition blocks straight into
+  /// the streaming analysis accumulators (dpa::OnlineCpa /
+  /// dpa::OnlineDpa) and discard the samples. `chunk_traces` budgets the
+  /// traces in flight across all workers (WorkerPool::block_traces), so
+  /// peak memory is O(chunk · samples + guesses · samples), independent of
   /// the trace budget — attacks on millions of traces without ever
   /// materializing a TraceSet. Attack results, MTD, and the rank
   /// trajectory are bit-identical to the materialized path (both run
@@ -282,6 +283,9 @@ class Campaign {
   struct PoolState;  ///< sweep-shared WorkerPool + live source (campaign.cpp)
 
   void validate(const TargetInstance& inst) const;
+  void prepare_victim(TargetInstance& inst, const xform::Recipe* recipe,
+                      CampaignResult* res) const;
+  std::unique_ptr<TraceSource> make_source(const TargetInstance& inst) const;
   CampaignResult run_stages(
       TargetInstance inst, const xform::Recipe* recipe, PoolState* shared,
       bool force_fused, std::chrono::steady_clock::time_point t_run) const;

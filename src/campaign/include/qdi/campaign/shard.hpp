@@ -79,8 +79,9 @@ struct ShardedOptions {
   /// Required: a sharded campaign without durable state is just a
   /// slower fused() run.
   std::string checkpoint_dir;
-  /// Acquisition chunk within a window (cancel/progress granularity;
-  /// never observable in results).
+  /// Traces in flight within a serial window: the pool cuts the window
+  /// into blocks of WorkerPool::block_traces(chunk_traces) (cancel and
+  /// progress granularity; never observable in results).
   std::size_t chunk_traces = 256;
   /// Thread-sharded window ingest: when > 0, each checkpoint window's
   /// traces are partitioned into blocks of this width (cut at absolute

@@ -122,24 +122,36 @@ struct AcquisitionStats {
   double traces_per_s = 0.0;
   std::size_t transitions = 0;  ///< summed over all traces
   std::size_t glitches = 0;     ///< summed over all traces
-  /// Filled by WorkerPool::acquire/acquire_batch only; the chunked
-  /// streaming path leaves it empty (a per-trace vector would grow with
-  /// the trace budget and break the fused campaign's bounded-memory
-  /// contract).
+  /// Filled by WorkerPool::acquire only; the streaming members leave it
+  /// empty (a per-trace vector would grow with the trace budget and
+  /// break the fused campaign's bounded-memory contract).
   std::vector<std::size_t> per_trace_transitions;
   unsigned threads_used = 1;
 };
 
-/// Persistent acquisition worker set: `threads - 1` clones of a primary
-/// source plus the per-segment scratch slots, created once and reused
-/// across any number of acquire calls. This is what keeps per-thread
-/// simulators (with their compiled netlist, epoch snapshot, and scratch
-/// buffers) warm across batches instead of re-cloning per call — the
-/// campaign layer owns one pool per run, benches own one per timing
-/// loop. Worker threads are still (re)spawned per segment: per-trace
-/// simulation dwarfs thread start-up at campaign batch sizes, and the
-/// in-order barrier between segments is what makes the feed order (and
-/// hence all accumulator results) independent of the thread count.
+struct TargetInstance;
+struct FaultCampaignOptions;
+struct FaultCampaignResult;
+
+/// Persistent acquisition worker set and the one ordered block pipeline
+/// every acquisition runs through. The pool keeps `threads - 1` clones
+/// of a primary source (per-thread simulators with their compiled
+/// netlist, epoch snapshot, and scratch buffers) plus recycled block
+/// buffers alive across any number of calls; the campaign layer owns
+/// one pool per run, benches own one per timing loop.
+///
+/// Each call cuts its trace range into contiguous blocks at absolute
+/// trace indices, starts its worker threads once, and lets every worker
+/// claim the next block, acquire it, and run an optional per-worker
+/// `ingest` on it. A serialized `commit` then sees the blocks in
+/// strictly ascending order, on whichever worker finished the frontier
+/// block. What a consumer observes is fixed by the partition and that
+/// order — never by the thread count or scheduling — so every result is
+/// bit-identical at any thread count. Claims are gated at most
+/// 2·threads + 2 blocks ahead of the commit frontier, which bounds the
+/// traces in flight. The first exception thrown by the source, `ingest`,
+/// or `commit` stops further claims and is rethrown to the caller once
+/// every worker has returned; the pool stays usable.
 class WorkerPool {
  public:
   /// `src` must outlive the pool. `threads` counts `src` itself.
@@ -150,60 +162,46 @@ class WorkerPool {
   }
 
   /// Point the pool at a different source, keeping the thread count and
-  /// the per-slot scratch buffers (their capacity was paid for by the
+  /// the recycled block buffers (their capacity was paid for by the
   /// previous campaign). This is what lets a countermeasure sweep run
   /// every variant on one shared pool: each variant's netlist gets fresh
-  /// per-thread clones, the allocation-heavy result slots persist.
+  /// per-thread clones, the allocation-heavy buffers persist.
   /// `src` must outlive the pool, the next rebind, or an unbind().
   void rebind(TraceSource& src);
 
   /// Drop the source pointer and the per-thread clones but keep the
-  /// scratch slots. A SimTraceSource points into the netlist it was
-  /// built over; when that netlist dies before the pool does (a sweep
+  /// buffers. A SimTraceSource points into the netlist it was built
+  /// over; when that netlist dies before the pool does (a sweep
   /// variant's instance is consumed by its CampaignResult), unbinding
   /// keeps the pool from holding dangling sources between variants.
-  /// acquire/acquire_chunked are invalid until the next rebind().
+  /// Acquisition is invalid until the next rebind().
   void unbind() noexcept;
 
-  /// Batched acquisition into a fresh TraceSet, assembled in index
-  /// order; bit-identical for any thread count (determinism contract).
+  /// Block width that keeps about `budget` traces in flight: the budget
+  /// split over the 3·threads + 2 block buffers a call can hold (one
+  /// acquisition slot set per worker plus the gated claims), rounded
+  /// down to a multiple of the source's batch_width(). Never more than
+  /// `budget`, never 0.
+  std::size_t block_traces(std::size_t budget) const;
+
+  /// Materialized acquisition into a fresh TraceSet: the commit appends
+  /// each block in index order; bit-identical for any thread count
+  /// (determinism contract).
   dpa::TraceSet acquire(std::size_t num_traces, std::uint64_t seed,
                         AcquisitionStats* stats = nullptr);
 
-  /// Chunked streaming acquisition — the O(1)-memory feed of the fused
-  /// campaign. Delivers traces [first, first + segment.size()) per
-  /// consume() call from one reused segment buffer (cleared, capacity
-  /// kept); consumers must copy anything they keep. Trace values are
-  /// bit-identical to acquire() for any thread count and chunk size.
+  /// Chunked streaming acquisition — the O(chunk)-memory feed of the
+  /// fused campaign. consume() is the commit: it receives traces
+  /// [first, first + segment.size()) in ascending, contiguous segments
+  /// of at most `chunk` traces (block_traces(chunk) wide) that cover
+  /// [0, num_traces) exactly once, on one worker at a time. The segment
+  /// is a recycled buffer valid only during the call; consumers must
+  /// copy anything they keep. Trace values are bit-identical to
+  /// acquire() for any thread count and chunk size.
   void acquire_chunked(
       std::size_t num_traces, std::uint64_t seed, std::size_t chunk,
       const std::function<void(const dpa::TraceSet& segment,
                                std::size_t first)>& consume,
-      AcquisitionStats* stats = nullptr);
-
-  /// Ranged form of acquire_chunked: stream traces [first, first + count)
-  /// of campaign `seed` — the feed of one campaign shard, whose range
-  /// does not start at 0. Trace values are bit-identical to acquire()/
-  /// acquire_chunked() on the same indices for any thread count, chunk
-  /// size, or range partition (the determinism contract above).
-  /// acquire_chunked(n, ...) is exactly acquire_chunked_range(0, n, ...).
-  void acquire_chunked_range(
-      std::size_t first_index, std::size_t count, std::uint64_t seed,
-      std::size_t chunk,
-      const std::function<void(const dpa::TraceSet& segment,
-                               std::size_t first)>& consume,
-      AcquisitionStats* stats = nullptr);
-
-  /// Chunked acquisition delivering the raw AcquiredTrace records, in
-  /// index order, without assembling a power-trace matrix — the feed of
-  /// the fault campaign, whose records carry classifications and
-  /// ciphertexts but no interesting power samples. Same determinism
-  /// contract as acquire()/acquire_chunked(): consume(i, rec) sees
-  /// record i bit-identical for any thread count or chunk size.
-  void acquire_each(
-      std::size_t num_traces, std::uint64_t seed, std::size_t chunk,
-      const std::function<void(std::size_t index, const AcquiredTrace& rec)>&
-          consume,
       AcquisitionStats* stats = nullptr);
 
   /// Consumer pair of acquire_sharded_range. `ingest` runs on worker
@@ -214,7 +212,7 @@ class WorkerPool {
   /// frontier block) — this is where results are folded into shared
   /// state. Both see the block's assembled segment and the absolute
   /// index of its first trace; the segment is a recycled buffer, valid
-  /// only for the duration of the call.
+  /// only for the duration of the call. Either may be empty.
   struct ShardedIngest {
     std::function<void(unsigned worker, std::size_t block,
                        const dpa::TraceSet& segment, std::size_t first)>
@@ -224,19 +222,16 @@ class WorkerPool {
         commit;
   };
 
-  /// Thread-sharded streaming acquisition: traces [first_index,
-  /// first_index + count) are partitioned into blocks cut at ABSOLUTE
-  /// multiples of `block_traces` plus the caller's `extra_cuts`
-  /// (absolute trace indices — analysis checkpoint positions land on
-  /// block edges this way). Workers claim blocks in ascending order,
-  /// acquire and `ingest` them concurrently, and `commit` replays every
-  /// block in ascending block-index order. The partition depends only
-  /// on (range, block_traces, extra_cuts) — never on the thread count
-  /// or scheduling — so a consumer that folds per-block partials into
-  /// shared state at commit time produces BIT-IDENTICAL results at any
-  /// thread count, and a killed/resumed range re-derives the identical
-  /// blocks. In-flight blocks are bounded (a few per worker), keeping
-  /// memory O(threads · block) however far the fast workers run ahead.
+  /// Ranged streaming acquisition: traces [first_index, first_index +
+  /// count) are partitioned into blocks cut at ABSOLUTE multiples of
+  /// `block_traces` plus the caller's `extra_cuts` (absolute trace
+  /// indices — analysis checkpoint positions land on block edges this
+  /// way), acquired and ingested concurrently, and committed in
+  /// ascending block order. The partition depends only on (range,
+  /// block_traces, extra_cuts), so a consumer that folds per-block
+  /// partials into shared state at commit time produces BIT-IDENTICAL
+  /// results at any thread count, and a killed/resumed range re-derives
+  /// the identical blocks.
   void acquire_sharded_range(std::size_t first_index, std::size_t count,
                              std::uint64_t seed, std::size_t block_traces,
                              const std::vector<std::size_t>& extra_cuts,
@@ -244,40 +239,47 @@ class WorkerPool {
                              AcquisitionStats* stats = nullptr);
 
  private:
-  void acquire_range(std::size_t lo, std::size_t hi, std::uint64_t seed);
+  /// The fault campaign's commit visits raw records (their fault
+  /// classification travels outside the analysis rows).
+  friend FaultCampaignResult run_fault_campaign(const TargetInstance&,
+                                                std::uint64_t,
+                                                const FaultCampaignOptions&,
+                                                std::uint64_t, unsigned);
+
+  /// One block of a call: traces [first, first + count), number `index`
+  /// of the call's partition. Recycled across blocks and calls.
+  struct Block {
+    std::size_t index = 0;
+    std::size_t first = 0;
+    std::size_t count = 0;
+    /// Record mode: the block's acquired records, records[0 .. count).
+    std::vector<AcquiredTrace> records;
+    /// Segment mode: the block assembled as analysis rows.
+    dpa::TraceSet segment;
+  };
+  using BlockIngest = std::function<void(unsigned worker, const Block&)>;
+  using BlockCommit = std::function<void(const Block&)>;
+
+  /// The pipeline. Segment mode acquires into per-worker slots and
+  /// assembles Block::segment; record mode keeps the records in the
+  /// block itself. Fills `st`'s counters, thread count, and wall clock.
+  void run_blocks(std::size_t first_index, std::size_t count,
+                  std::uint64_t seed, std::size_t block_traces,
+                  const std::vector<std::size_t>& extra_cuts, bool segments,
+                  const BlockIngest& ingest, const BlockCommit& commit,
+                  AcquisitionStats& st);
 
   TraceSource* src_;
   std::size_t worker_clones_ = 0;  ///< clone count restored by rebind()
   std::vector<std::unique_ptr<TraceSource>> clones_;
-  /// Reused result slots: slot buffers (samples, plaintext, ciphertext)
-  /// retain capacity across segments and across acquire calls.
-  std::vector<AcquiredTrace> scratch_;
-  /// Reused chunk segment of acquire_chunked: clear() keeps the matrix
-  /// and arena capacity, so repeated chunked acquisitions (the fused
-  /// campaign's steady state, and every sweep step after the first) run
-  /// without reallocating the segment.
-  dpa::TraceSet chunk_buf_;
-  /// acquire_sharded_range scratch, persistent across calls (the shard
-  /// runtime issues one call per checkpoint window): per-worker
-  /// AcquiredTrace slots plus a free list of recycled block segments.
-  std::vector<std::vector<AcquiredTrace>> sharded_scratch_;
-  std::vector<std::unique_ptr<dpa::TraceSet>> sharded_segments_;
+  /// Segment-mode acquisition slots, one set per worker; slot buffers
+  /// (samples, plaintext, ciphertext) keep their capacity across calls.
+  std::vector<std::vector<AcquiredTrace>> worker_records_;
+  /// Free list of block buffers: clear() keeps the segment's matrix and
+  /// arena capacity, so steady-state calls (the fused campaign, every
+  /// shard window, every sweep step after the first) do not reallocate.
+  std::vector<std::unique_ptr<Block>> free_blocks_;
 };
-
-/// One-shot batched acquisition over a transient WorkerPool. Kept as the
-/// convenience entry point; callers that acquire repeatedly (benches,
-/// multi-batch campaigns) should hold a WorkerPool instead.
-dpa::TraceSet acquire_batch(TraceSource& src, std::size_t num_traces,
-                            std::uint64_t seed, unsigned threads = 1,
-                            AcquisitionStats* stats = nullptr);
-
-/// One-shot chunked acquisition over a transient WorkerPool.
-void acquire_chunked(
-    TraceSource& src, std::size_t num_traces, std::uint64_t seed,
-    unsigned threads, std::size_t chunk,
-    const std::function<void(const dpa::TraceSet& segment, std::size_t first)>&
-        consume,
-    AcquisitionStats* stats = nullptr);
 
 struct SimTraceSourceOptions {
   sim::DelayModel delays{};

@@ -156,6 +156,39 @@ ShardRunner::Outcome ShardRunner::run(std::atomic<std::uint64_t>* progress,
   std::optional<detail::BlockMerge> blocks;
   if (opt_.ingest_block_traces > 0) blocks.emplace(*cfg_.attack, *cfg_.inst);
 
+  // One pipeline call per window; the mode picks the block width and
+  // the ingest. Block-fold: workers fold their blocks into pooled
+  // partials in parallel with acquisition and the commit merges each
+  // partial into the shard accumulator. Serial: the commit feeds each
+  // block into the accumulator in trace order. Either way the commit
+  // chains the stream digest in trace order (bit-identical across
+  // modes), and window boundaries are deterministic, so a resumed
+  // attempt re-partitions the open window identically and stays
+  // bit-identical to an uninterrupted run of its mode.
+  const std::size_t block_traces = blocks
+                                       ? opt_.ingest_block_traces
+                                       : pool.block_traces(opt_.chunk_traces);
+  WorkerPool::ShardedIngest si;
+  if (blocks)
+    si.ingest = [&](unsigned, std::size_t block,
+                    const dpa::TraceSet& segment, std::size_t) {
+      check_cancel();
+      blocks->ingest(block, segment);
+    };
+  si.commit = [&](std::size_t block, const dpa::TraceSet& segment,
+                  std::size_t first) {
+    check_cancel();
+    feed_stream_digest(stream, segment, first);
+    if (blocks)
+      blocks->merge_into(block, acc);
+    else
+      acc.add_rows(segment, 0, segment.size());
+    if (progress != nullptr)
+      progress->fetch_add(segment.size(), std::memory_order_relaxed);
+    if (opt_.on_progress)
+      opt_.on_progress(spec_.shard, first + segment.size());
+  };
+
   while (next < spec_.hi) {
     check_cancel();
     // Window boundaries only decide where commits land; accumulation is
@@ -164,48 +197,10 @@ ShardRunner::Outcome ShardRunner::run(std::atomic<std::uint64_t>* progress,
     // in the sums of its own mode.
     const std::uint64_t window_end =
         std::min<std::uint64_t>(spec_.hi, next + interval);
-    if (blocks) {
-      // Workers fold their blocks into pooled partials in parallel with
-      // acquisition; the serialized ascending-order commit chains the
-      // stream digest (trace-ordered, so bit-identical to the serial
-      // path) and merges each partial into the shard accumulator.
-      // Window boundaries are deterministic, so a resumed attempt
-      // re-partitions the open window identically and stays
-      // bit-identical to an uninterrupted block-fold run.
-      WorkerPool::ShardedIngest si;
-      si.ingest = [&](unsigned, std::size_t block,
-                      const dpa::TraceSet& segment, std::size_t) {
-        check_cancel();
-        blocks->ingest(block, segment);
-      };
-      si.commit = [&](std::size_t block, const dpa::TraceSet& segment,
-                      std::size_t first) {
-        feed_stream_digest(stream, segment, first);
-        blocks->merge_into(block, acc);
-        if (progress != nullptr)
-          progress->fetch_add(segment.size(), std::memory_order_relaxed);
-        if (opt_.on_progress)
-          opt_.on_progress(spec_.shard, first + segment.size());
-      };
-      pool.acquire_sharded_range(
-          static_cast<std::size_t>(next),
-          static_cast<std::size_t>(window_end - next), cfg_.seed,
-          opt_.ingest_block_traces, {}, si);
-    } else {
-      pool.acquire_chunked_range(
-          static_cast<std::size_t>(next),
-          static_cast<std::size_t>(window_end - next), cfg_.seed,
-          opt_.chunk_traces,
-          [&](const dpa::TraceSet& segment, std::size_t first) {
-            check_cancel();
-            feed_stream_digest(stream, segment, first);
-            acc.add_rows(segment, 0, segment.size());
-            if (progress != nullptr)
-              progress->fetch_add(segment.size(), std::memory_order_relaxed);
-            if (opt_.on_progress)
-              opt_.on_progress(spec_.shard, first + segment.size());
-          });
-    }
+    pool.acquire_sharded_range(
+        static_cast<std::size_t>(next),
+        static_cast<std::size_t>(window_end - next), cfg_.seed,
+        block_traces, {}, si);
     next = window_end;
     ShardCheckpoint c;
     c.fingerprint = cfg_.fingerprint;

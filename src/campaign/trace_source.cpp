@@ -1,10 +1,10 @@
 #include "qdi/campaign/trace_source.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -144,15 +144,8 @@ unsigned clamp_threads(unsigned threads, std::size_t num_traces) {
   return threads;
 }
 
-void finish_stats(AcquisitionStats& st, std::size_t num_traces,
-                  std::chrono::steady_clock::time_point t0) {
-  st.wall_ms = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-  st.traces_per_s =
-      st.wall_ms > 0.0 ? 1e3 * static_cast<double>(num_traces) / st.wall_ms
-                       : 0.0;
-}
+/// Traces in flight for acquire(): small next to the n×m matrix it fills.
+constexpr std::size_t kMaterializeBudget = 1024;
 
 }  // namespace
 
@@ -175,166 +168,21 @@ void WorkerPool::unbind() noexcept {
   src_ = nullptr;
 }
 
-/// Acquire requests [lo, hi) into scratch_[0 .. hi-lo), fanned out over
-/// the primary source plus the clones in blocks of the source's
-/// batch_width (1 for scalar sources, 64 for the batch engine; the last
-/// block of a range may be partial). Deterministic in (seed, index) per
-/// the TraceSource contract, whatever the thread count or the block
-/// partition.
-void WorkerPool::acquire_range(std::size_t lo, std::size_t hi,
-                               std::uint64_t seed) {
-  const std::size_t count = hi - lo;
+std::size_t WorkerPool::block_traces(std::size_t budget) const {
+  if (budget == 0) budget = 1;
   const std::size_t width = std::max<std::size_t>(src_->batch_width(), 1);
-  const std::size_t num_blocks = (count + width - 1) / width;
-  if (clones_.empty()) {
-    for (std::size_t b = 0; b < count; b += width)
-      src_->acquire_block(seed, lo + b, std::min(width, count - b),
-                          scratch_.data() + b);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  auto worker = [&](TraceSource& s) {
-    for (;;) {
-      const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-      if (k >= num_blocks) return;
-      const std::size_t b = k * width;
-      try {
-        s.acquire_block(seed, lo + b, std::min(width, count - b),
-                        scratch_.data() + b);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(err_mu);
-        if (!first_error) first_error = std::current_exception();
-        next.store(num_blocks, std::memory_order_relaxed);  // drain
-        return;
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(clones_.size());
-  for (std::unique_ptr<TraceSource>& c : clones_)
-    pool.emplace_back([&worker, &c] { worker(*c); });
-  worker(*src_);
-  for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  const std::size_t share = budget / (3 * std::size_t{threads()} + 2);
+  return share >= width ? share / width * width : std::min(width, budget);
 }
 
-dpa::TraceSet WorkerPool::acquire(std::size_t num_traces, std::uint64_t seed,
-                                  AcquisitionStats* stats) {
-  const auto t0 = std::chrono::steady_clock::now();
-
-  dpa::TraceSet ts;
-  AcquisitionStats st;
-  st.threads_used = clamp_threads(threads(), num_traces);
-  st.per_trace_transitions.reserve(num_traces);
-
-  // Acquire in bounded segments so the transient per-trace PowerTraces
-  // never coexist with the whole SoA matrix — peak memory is one n×m
-  // matrix plus one segment, not two full copies of the samples.
-  constexpr std::size_t kSegment = 1024;
-  if (scratch_.size() < std::min(kSegment, num_traces))
-    scratch_.resize(std::min(kSegment, num_traces));
-  for (std::size_t first = 0; first < num_traces; first += kSegment) {
-    const std::size_t hi = std::min(first + kSegment, num_traces);
-    acquire_range(first, hi, seed);
-    for (std::size_t k = 0; k < hi - first; ++k) {
-      const AcquiredTrace& a = scratch_[k];
-      st.transitions += a.transitions;
-      st.glitches += a.glitches;
-      st.per_trace_transitions.push_back(a.transitions);
-      // Span-based add: copies into the SoA matrix without stealing the
-      // reusable slot buffers.
-      ts.add(power::TraceView(a.trace), a.plaintext, a.ciphertext);
-      if (ts.size() == 1) ts.reserve(num_traces);
-    }
-  }
-  finish_stats(st, num_traces, t0);
-  if (stats) *stats = std::move(st);
-  return ts;
-}
-
-void WorkerPool::acquire_chunked(
-    std::size_t num_traces, std::uint64_t seed, std::size_t chunk,
-    const std::function<void(const dpa::TraceSet& segment, std::size_t first)>&
-        consume,
-    AcquisitionStats* stats) {
-  acquire_chunked_range(0, num_traces, seed, chunk, consume, stats);
-}
-
-void WorkerPool::acquire_chunked_range(
-    std::size_t first_index, std::size_t count, std::uint64_t seed,
-    std::size_t chunk,
-    const std::function<void(const dpa::TraceSet& segment, std::size_t first)>&
-        consume,
-    AcquisitionStats* stats) {
-  const auto t0 = std::chrono::steady_clock::now();
-  if (chunk == 0) chunk = 1;
-  const std::size_t end = first_index + count;
-
-  AcquisitionStats st;
-  st.threads_used = clamp_threads(threads(), count);
-  // No per_trace_transitions here: a per-trace vector would grow with
-  // the trace budget, defeating the O(chunk) memory contract. Aggregate
-  // counters are still exact.
-
-  if (scratch_.size() < std::min(chunk, count))
-    scratch_.resize(std::min(chunk, count));
-  dpa::TraceSet& segment = chunk_buf_;
-  for (std::size_t first = first_index; first < end; first += chunk) {
-    const std::size_t hi = std::min(first + chunk, end);
-    acquire_range(first, hi, seed);
-    segment.clear();
-    for (std::size_t k = 0; k < hi - first; ++k) {
-      const AcquiredTrace& a = scratch_[k];
-      st.transitions += a.transitions;
-      st.glitches += a.glitches;
-      segment.add(power::TraceView(a.trace), a.plaintext, a.ciphertext);
-    }
-    consume(segment, first);
-  }
-  finish_stats(st, count, t0);
-  if (stats) *stats = std::move(st);
-}
-
-void WorkerPool::acquire_each(
-    std::size_t num_traces, std::uint64_t seed, std::size_t chunk,
-    const std::function<void(std::size_t index, const AcquiredTrace& rec)>&
-        consume,
-    AcquisitionStats* stats) {
-  const auto t0 = std::chrono::steady_clock::now();
-  if (chunk == 0) chunk = 1;
-
-  AcquisitionStats st;
-  st.threads_used = clamp_threads(threads(), num_traces);
-
-  if (scratch_.size() < std::min(chunk, num_traces))
-    scratch_.resize(std::min(chunk, num_traces));
-  for (std::size_t first = 0; first < num_traces; first += chunk) {
-    const std::size_t hi = std::min(first + chunk, num_traces);
-    acquire_range(first, hi, seed);
-    for (std::size_t k = 0; k < hi - first; ++k) {
-      const AcquiredTrace& a = scratch_[k];
-      st.transitions += a.transitions;
-      st.glitches += a.glitches;
-      consume(first + k, a);
-    }
-  }
-  finish_stats(st, num_traces, t0);
-  if (stats) *stats = std::move(st);
-}
-
-void WorkerPool::acquire_sharded_range(std::size_t first_index,
-                                       std::size_t count, std::uint64_t seed,
-                                       std::size_t block_traces,
-                                       const std::vector<std::size_t>& extra_cuts,
-                                       const ShardedIngest& consumer,
-                                       AcquisitionStats* stats) {
+void WorkerPool::run_blocks(std::size_t first_index, std::size_t count,
+                            std::uint64_t seed, std::size_t block_traces,
+                            const std::vector<std::size_t>& extra_cuts,
+                            bool segments, const BlockIngest& ingest,
+                            const BlockCommit& commit, AcquisitionStats& st) {
   const auto t0 = std::chrono::steady_clock::now();
   if (block_traces == 0) block_traces = 1;
   const std::size_t end = first_index + count;
-
-  AcquisitionStats st;
   st.threads_used = clamp_threads(threads(), count);
 
   // Blocks are keyed by ABSOLUTE trace index — cut at global multiples
@@ -357,149 +205,194 @@ void WorkerPool::acquire_sharded_range(std::size_t first_index,
     }
   }
 
-  if (sharded_scratch_.size() < threads()) sharded_scratch_.resize(threads());
+  if (worker_records_.size() < threads()) worker_records_.resize(threads());
   const std::size_t width = std::max<std::size_t>(src_->batch_width(), 1);
 
-  // Acquire + assemble + ingest one block on worker `w`.
-  auto run_block = [&](unsigned w, std::size_t k, dpa::TraceSet& seg,
+  // Acquire (+ assemble) + ingest block `k` into `blk` on worker `w`.
+  auto run_block = [&](unsigned w, std::size_t k, Block& blk,
                        std::size_t* transitions, std::size_t* glitches) {
-    const std::size_t lo = blocks[k].first;
-    const std::size_t cnt = blocks[k].second - lo;
-    std::vector<AcquiredTrace>& slots = sharded_scratch_[w];
-    if (slots.size() < cnt) slots.resize(cnt);
+    blk.index = k;
+    blk.first = blocks[k].first;
+    blk.count = blocks[k].second - blk.first;
+    std::vector<AcquiredTrace>& recs =
+        segments ? worker_records_[w] : blk.records;
+    if (recs.size() < blk.count) recs.resize(blk.count);
     TraceSource& s = (w == 0) ? *src_ : *clones_[w - 1];
-    for (std::size_t b = 0; b < cnt; b += width)
-      s.acquire_block(seed, lo + b, std::min(width, cnt - b),
-                      slots.data() + b);
-    seg.clear();
-    for (std::size_t i = 0; i < cnt; ++i) {
-      const AcquiredTrace& a = slots[i];
+    for (std::size_t b = 0; b < blk.count; b += width)
+      s.acquire_block(seed, blk.first + b, std::min(width, blk.count - b),
+                      recs.data() + b);
+    if (segments) blk.segment.clear();
+    for (std::size_t i = 0; i < blk.count; ++i) {
+      const AcquiredTrace& a = recs[i];
       *transitions += a.transitions;
       *glitches += a.glitches;
-      seg.add(power::TraceView(a.trace), a.plaintext, a.ciphertext);
+      if (segments)
+        blk.segment.add(power::TraceView(a.trace), a.plaintext, a.ciphertext);
     }
-    if (consumer.ingest) consumer.ingest(w, k, seg, lo);
+    if (ingest) ingest(w, blk);
   };
 
   if (clones_.empty() || blocks.size() <= 1) {
-    // Single-worker form: same block partition, same ingest-then-commit
-    // calls per block — bit-identical consumer observations, no threads.
-    if (sharded_segments_.empty())
-      sharded_segments_.push_back(std::make_unique<dpa::TraceSet>());
-    dpa::TraceSet& seg = *sharded_segments_.front();
+    // Single-worker form: same partition, same ingest-then-commit calls
+    // per block — bit-identical consumer observations, no threads.
+    if (free_blocks_.empty()) free_blocks_.push_back(std::make_unique<Block>());
+    Block& blk = *free_blocks_.back();
     for (std::size_t k = 0; k < blocks.size(); ++k) {
-      run_block(0, k, seg, &st.transitions, &st.glitches);
-      if (consumer.commit) consumer.commit(k, seg, blocks[k].first);
+      run_block(0, k, blk, &st.transitions, &st.glitches);
+      if (commit) commit(blk);
     }
-    finish_stats(st, count, t0);
-    if (stats) *stats = std::move(st);
-    return;
-  }
+  } else {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t next = 0;      // next unclaimed block
+    std::size_t frontier = 0;  // next block to commit
+    bool committing = false;   // a worker is inside the commit chain
+    std::exception_ptr first_error;
+    std::vector<std::unique_ptr<Block>> done(blocks.size());
+    // Claim gate: fast workers may run at most a few blocks ahead of the
+    // commit frontier, bounding live blocks at O(threads). The frontier
+    // block's owner is never gated (its claim already happened), so the
+    // frontier always advances — no deadlock.
+    const std::size_t max_inflight =
+        2 * static_cast<std::size_t>(threads()) + 2;
 
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t next = 0;      // next unclaimed block
-  std::size_t frontier = 0;  // next block to commit
-  bool committing = false;   // a worker is inside the commit chain
-  std::exception_ptr first_error;
-  std::vector<std::unique_ptr<dpa::TraceSet>> done(blocks.size());
-  // Claim gate: fast workers may run at most a few blocks ahead of the
-  // commit frontier, bounding live segments at O(threads). The frontier
-  // block's owner is never gated (its claim already happened), so the
-  // frontier always advances — no deadlock.
-  const std::size_t max_inflight = 2 * static_cast<std::size_t>(threads()) + 2;
-
-  auto worker = [&](unsigned w) {
-    std::size_t my_transitions = 0;
-    std::size_t my_glitches = 0;
-    for (;;) {
-      std::size_t k = 0;
-      std::unique_ptr<dpa::TraceSet> seg;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] {
-          return first_error != nullptr || next >= blocks.size() ||
-                 next - frontier < max_inflight;
-        });
-        if (first_error != nullptr || next >= blocks.size()) break;
-        k = next++;
-        if (!sharded_segments_.empty()) {
-          seg = std::move(sharded_segments_.back());
-          sharded_segments_.pop_back();
-        }
-      }
-      if (!seg) seg = std::make_unique<dpa::TraceSet>();
-      try {
-        run_block(w, k, *seg, &my_transitions, &my_glitches);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mu);
-        if (!first_error) first_error = std::current_exception();
-        cv.notify_all();
-        break;
-      }
-      std::unique_lock<std::mutex> lock(mu);
-      done[k] = std::move(seg);
-      if (!committing) {
-        // Drain the commit chain: everything contiguous from the
-        // frontier, in ascending block order, outside the lock. The
-        // `committing` flag keeps the chain single-threaded while other
-        // workers keep claiming and ingesting.
-        committing = true;
-        while (first_error == nullptr && frontier < blocks.size() &&
-               done[frontier]) {
-          const std::size_t fk = frontier;
-          std::unique_ptr<dpa::TraceSet> fs = std::move(done[fk]);
-          lock.unlock();
-          try {
-            if (consumer.commit) consumer.commit(fk, *fs, blocks[fk].first);
-          } catch (...) {
-            lock.lock();
-            if (!first_error) first_error = std::current_exception();
-            break;
+    auto worker = [&](unsigned w) {
+      std::size_t my_transitions = 0;
+      std::size_t my_glitches = 0;
+      for (;;) {
+        std::size_t k = 0;
+        std::unique_ptr<Block> blk;
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          cv.wait(lock, [&] {
+            return first_error != nullptr || next >= blocks.size() ||
+                   next - frontier < max_inflight;
+          });
+          if (first_error != nullptr || next >= blocks.size()) break;
+          k = next++;
+          if (!free_blocks_.empty()) {
+            blk = std::move(free_blocks_.back());
+            free_blocks_.pop_back();
           }
-          lock.lock();
-          sharded_segments_.push_back(std::move(fs));
-          ++frontier;
+        }
+        if (!blk) blk = std::make_unique<Block>();
+        try {
+          run_block(w, k, *blk, &my_transitions, &my_glitches);
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(mu);
+          if (!first_error) first_error = std::current_exception();
+          free_blocks_.push_back(std::move(blk));
+          cv.notify_all();
+          break;
+        }
+        std::unique_lock<std::mutex> lock(mu);
+        done[k] = std::move(blk);
+        if (!committing) {
+          // Drain the commit chain: everything contiguous from the
+          // frontier, in ascending block order, outside the lock. The
+          // `committing` flag keeps the chain single-threaded while other
+          // workers keep claiming and ingesting.
+          committing = true;
+          while (first_error == nullptr && frontier < blocks.size() &&
+                 done[frontier]) {
+            std::unique_ptr<Block> fb = std::move(done[frontier]);
+            lock.unlock();
+            try {
+              if (commit) commit(*fb);
+            } catch (...) {
+              lock.lock();
+              if (!first_error) first_error = std::current_exception();
+              free_blocks_.push_back(std::move(fb));
+              break;
+            }
+            lock.lock();
+            free_blocks_.push_back(std::move(fb));
+            ++frontier;
+            cv.notify_all();
+          }
+          committing = false;
           cv.notify_all();
         }
-        committing = false;
-        cv.notify_all();
       }
-    }
-    const std::lock_guard<std::mutex> lock(mu);
-    st.transitions += my_transitions;
-    st.glitches += my_glitches;
-  };
+      const std::lock_guard<std::mutex> lock(mu);
+      st.transitions += my_transitions;
+      st.glitches += my_glitches;
+    };
 
-  std::vector<std::thread> pool;
-  pool.reserve(clones_.size());
-  for (unsigned w = 1; w <= static_cast<unsigned>(clones_.size()); ++w)
-    pool.emplace_back(worker, w);
-  worker(0);
-  for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+    std::vector<std::thread> pool;
+    pool.reserve(clones_.size());
+    for (unsigned w = 1; w <= static_cast<unsigned>(clones_.size()); ++w)
+      pool.emplace_back(worker, w);
+    worker(0);
+    for (std::thread& t : pool) t.join();
+    // Blocks still parked after an error go back to the free list.
+    for (std::unique_ptr<Block>& b : done)
+      if (b) free_blocks_.push_back(std::move(b));
+    if (first_error) std::rethrow_exception(first_error);
+  }
 
-  finish_stats(st, count, t0);
+  st.wall_ms = std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+  st.traces_per_s =
+      st.wall_ms > 0.0 ? 1e3 * static_cast<double>(count) / st.wall_ms : 0.0;
+}
+
+dpa::TraceSet WorkerPool::acquire(std::size_t num_traces, std::uint64_t seed,
+                                  AcquisitionStats* stats) {
+  dpa::TraceSet ts;
+  AcquisitionStats st;
+  st.per_trace_transitions.reserve(num_traces);
+  // Record mode: the commit copies each record straight into the SoA
+  // matrix (span-based add: the recycled slot buffers stay in place),
+  // so peak memory is one n×m matrix plus the blocks in flight.
+  run_blocks(0, num_traces, seed, block_traces(kMaterializeBudget), {},
+             /*segments=*/false, nullptr,
+             [&](const Block& blk) {
+               for (std::size_t i = 0; i < blk.count; ++i) {
+                 const AcquiredTrace& a = blk.records[i];
+                 st.per_trace_transitions.push_back(a.transitions);
+                 ts.add(power::TraceView(a.trace), a.plaintext, a.ciphertext);
+                 if (ts.size() == 1) ts.reserve(num_traces);
+               }
+             },
+             st);
   if (stats) *stats = std::move(st);
+  return ts;
 }
 
-// ---- one-shot wrappers ------------------------------------------------------
-
-dpa::TraceSet acquire_batch(TraceSource& src, std::size_t num_traces,
-                            std::uint64_t seed, unsigned threads,
-                            AcquisitionStats* stats) {
-  WorkerPool pool(src, clamp_threads(threads, num_traces));
-  return pool.acquire(num_traces, seed, stats);
-}
-
-void acquire_chunked(
-    TraceSource& src, std::size_t num_traces, std::uint64_t seed,
-    unsigned threads, std::size_t chunk,
+void WorkerPool::acquire_chunked(
+    std::size_t num_traces, std::uint64_t seed, std::size_t chunk,
     const std::function<void(const dpa::TraceSet& segment, std::size_t first)>&
         consume,
     AcquisitionStats* stats) {
-  WorkerPool pool(src, clamp_threads(threads, num_traces));
-  pool.acquire_chunked(num_traces, seed, chunk, consume, stats);
+  AcquisitionStats st;
+  run_blocks(0, num_traces, seed, block_traces(chunk), {}, /*segments=*/true,
+             nullptr,
+             [&](const Block& blk) { consume(blk.segment, blk.first); }, st);
+  if (stats) *stats = std::move(st);
+}
+
+void WorkerPool::acquire_sharded_range(std::size_t first_index,
+                                       std::size_t count, std::uint64_t seed,
+                                       std::size_t block_traces,
+                                       const std::vector<std::size_t>& extra_cuts,
+                                       const ShardedIngest& consumer,
+                                       AcquisitionStats* stats) {
+  AcquisitionStats st;
+  BlockIngest ingest;
+  if (consumer.ingest)
+    ingest = [&](unsigned w, const Block& blk) {
+      consumer.ingest(w, blk.index, blk.segment, blk.first);
+    };
+  BlockCommit commit;
+  if (consumer.commit)
+    commit = [&](const Block& blk) {
+      consumer.commit(blk.index, blk.segment, blk.first);
+    };
+  run_blocks(first_index, count, seed, block_traces, extra_cuts,
+             /*segments=*/true, ingest, commit, st);
+  if (stats) *stats = std::move(st);
 }
 
 }  // namespace qdi::campaign

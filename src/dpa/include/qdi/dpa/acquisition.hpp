@@ -37,7 +37,7 @@ using StimulusFn = std::function<
 /// back-to-back cycles (no reset between traces), synthesizing the
 /// supply-current trace of each full cycle from the transition log.
 /// Sequential-RNG, single-threaded — the campaign API's
-/// SimTraceSource/acquire_batch is the parallel, per-trace-stream
+/// SimTraceSource + WorkerPool is the parallel, per-trace-stream
 /// replacement; this engine remains for bench-style sweeps that want
 /// the continuous-operation model. (The per-circuit acquire_<circuit>()
 /// wrappers it used to carry are gone — use qdi::campaign targets.)

@@ -14,8 +14,9 @@ enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 void set_log_level(LogLevel level) noexcept;
 LogLevel log_level() noexcept;
 
-/// Emit one line at the given level (thread-unsafe by design: the library
-/// is single-threaded per experiment; experiments parallelize by process).
+/// Emit one line at the given level. Safe to call from any thread: the
+/// level is an atomic, and each line goes out in one stdio call, which
+/// locks the stream, so concurrent lines never interleave.
 void log_line(LogLevel level, const std::string& msg);
 
 namespace detail {

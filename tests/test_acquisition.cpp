@@ -22,7 +22,7 @@ qd::TraceSet acquire(const qc::TargetInstance& inst, std::size_t n,
                      std::uint64_t seed,
                      qc::SimTraceSourceOptions opt = {}) {
   qc::SimTraceSource src(inst.nl, inst.env, inst.stimulus, opt);
-  return qc::acquire_batch(src, n, seed);
+  return qc::WorkerPool(src, 1).acquire(n, seed);
 }
 
 }  // namespace

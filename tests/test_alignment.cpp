@@ -27,7 +27,7 @@ qd::TraceSet acquire(const qc::TargetInstance& inst, double jitter_ps,
   qc::SimTraceSourceOptions opt;
   opt.start_jitter_ps = jitter_ps;
   qc::SimTraceSource src(inst.nl, inst.env, inst.stimulus, opt);
-  return qc::acquire_batch(src, n, 7);
+  return qc::WorkerPool(src, 1).acquire(n, 7);
 }
 }  // namespace
 

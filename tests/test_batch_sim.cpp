@@ -43,7 +43,7 @@ qdi::dpa::TraceSet acquire(const qc::TargetInstance& inst, qs::EngineKind kind,
   else
     src = std::make_unique<qc::SimTraceSource>(inst.nl, inst.env,
                                                inst.stimulus, opt);
-  return qc::acquire_batch(*src, n, /*seed=*/42, threads, stats);
+  return qc::WorkerPool(*src, threads).acquire(n, /*seed=*/42, stats);
 }
 
 void expect_bit_identical(const qdi::dpa::TraceSet& a,

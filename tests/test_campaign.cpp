@@ -3,7 +3,10 @@
 // acquisition equality, and end-to-end key recovery.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "qdi/qdi.hpp"
 
@@ -11,11 +14,11 @@ namespace qc = qdi::campaign;
 namespace qn = qdi::netlist;
 namespace qu = qdi::util;
 
-#if defined(__SANITIZE_ADDRESS__)
-#define QDI_ASAN_ACTIVE 1
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define QDI_SANITIZER_ACTIVE 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define QDI_ASAN_ACTIVE 1
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define QDI_SANITIZER_ACTIVE 1
 #endif
 #endif
 
@@ -243,6 +246,134 @@ TEST(CampaignAcquisition, CiphertextsMatchGoldenModelAndStatsFilled) {
   EXPECT_GT(r.acquisition.traces_per_s, 0.0);
 }
 
+// ---- pipeline failure injection --------------------------------------------
+
+namespace {
+
+constexpr std::size_t kNeverFail = ~std::size_t{0};
+
+struct InjectedFault : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Source decorator that throws from acquire_block for the block holding
+/// trace `*fail_at` (shared by every clone, so a run can be disarmed
+/// without rebuilding the pool). It throws before delegating, so the
+/// wrapped simulator is never left mid-trace.
+class ThrowingSource final : public qc::TraceSource {
+ public:
+  ThrowingSource(std::unique_ptr<qc::TraceSource> inner,
+                 std::shared_ptr<std::atomic<std::size_t>> fail_at)
+      : inner_(std::move(inner)), fail_at_(std::move(fail_at)) {}
+
+  void acquire_into(const qc::TraceRequest& req,
+                    qc::AcquiredTrace& out) override {
+    acquire_block(req.seed, req.index, 1, &out);
+  }
+  std::size_t batch_width() const override { return inner_->batch_width(); }
+  void acquire_block(std::uint64_t seed, std::size_t first, std::size_t count,
+                     qc::AcquiredTrace* out) override {
+    const std::size_t f = fail_at_->load();
+    if (f >= first && f < first + count) throw InjectedFault("source");
+    inner_->acquire_block(seed, first, count, out);
+  }
+  std::unique_ptr<qc::TraceSource> clone() const override {
+    return std::make_unique<ThrowingSource>(inner_->clone(), fail_at_);
+  }
+  std::string name() const override { return "throwing"; }
+
+ private:
+  std::unique_ptr<qc::TraceSource> inner_;
+  std::shared_ptr<std::atomic<std::size_t>> fail_at_;
+};
+
+/// Every trace of [0, n) in commit order, checking the order on the way.
+qdi::dpa::TraceSet collect(qc::WorkerPool& pool, std::size_t n,
+                           std::size_t block) {
+  qdi::dpa::TraceSet out;
+  qc::WorkerPool::ShardedIngest si;
+  si.commit = [&](std::size_t, const qdi::dpa::TraceSet& seg,
+                  std::size_t first) {
+    EXPECT_EQ(first, out.size()) << "commit out of order";
+    for (std::size_t k = 0; k < seg.size(); ++k)
+      out.add(seg.trace(k), seg.plaintext(k), seg.ciphertext(k));
+  };
+  pool.acquire_sharded_range(0, n, /*seed=*/9, block, {}, si);
+  return out;
+}
+
+void expect_same_traces(const qdi::dpa::TraceSet& a,
+                        const qdi::dpa::TraceSet& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.plaintext(i)[0], b.plaintext(i)[0]) << "trace " << i;
+    for (std::size_t j = 0; j < a.num_samples(); ++j)
+      ASSERT_EQ(a.trace(i)[j], b.trace(i)[j])
+          << "trace " << i << " sample " << j;
+  }
+}
+
+}  // namespace
+
+// Throw from the source, from ingest and from commit at a seeded random
+// block, at 1-4 threads and batch widths 1 and 64: the exception must
+// reach the caller (and the call return — a deadlock hangs the test),
+// and the same pool must then complete a clean run bit-identical to a
+// fresh pool's, so no in-flight block leaked or stayed half-written.
+TEST(WorkerPoolPipeline, FailureInjectionSurfacesErrorAndPoolStaysUsable) {
+  const qc::TargetInstance inst = qc::des_sbox_slice().build(0x2b);
+  constexpr std::size_t kTraces = 256;
+  const char* const kStages[] = {"source", "ingest", "commit"};
+  qu::Rng rng = qu::split_stream(0xfa11, 0);
+  for (const qdi::sim::EngineKind kind :
+       {qdi::sim::EngineKind::Compiled, qdi::sim::EngineKind::Batch}) {
+    qc::SimTraceSourceOptions opt;
+    opt.engine = kind;
+    std::unique_ptr<qc::TraceSource> inner;
+    if (kind == qdi::sim::EngineKind::Batch)
+      inner = std::make_unique<qc::BatchSimTraceSource>(inst.nl, inst.env,
+                                                        inst.stimulus, opt);
+    else
+      inner = std::make_unique<qc::SimTraceSource>(inst.nl, inst.env,
+                                                   inst.stimulus, opt);
+    const auto fail_at = std::make_shared<std::atomic<std::size_t>>(kNeverFail);
+    ThrowingSource src(std::move(inner), fail_at);
+    const std::size_t block = src.batch_width() == 1 ? 16 : 64;
+    const std::size_t num_blocks = kTraces / block;
+    for (unsigned threads = 1; threads <= 4; ++threads) {
+      qc::WorkerPool fresh(src, threads);
+      const qdi::dpa::TraceSet reference = collect(fresh, kTraces, block);
+      ASSERT_EQ(reference.size(), kTraces);
+      qc::WorkerPool pool(src, threads);
+      for (const std::string stage : kStages) {
+        const std::size_t bad = rng.below(num_blocks);
+        SCOPED_TRACE(testing::Message()
+                     << "width " << src.batch_width() << ", " << threads
+                     << " threads, " << stage << " throws at block " << bad);
+        fail_at->store(stage == "source" ? bad * block + rng.below(block)
+                                         : kNeverFail);
+        qc::WorkerPool::ShardedIngest si;
+        si.ingest = [&](unsigned, std::size_t b, const qdi::dpa::TraceSet&,
+                        std::size_t) {
+          if (stage == "ingest" && b == bad) throw InjectedFault("ingest");
+        };
+        si.commit = [&](std::size_t b, const qdi::dpa::TraceSet&,
+                        std::size_t) {
+          if (stage == "commit" && b == bad) throw InjectedFault("commit");
+        };
+        try {
+          pool.acquire_sharded_range(0, kTraces, /*seed=*/9, block, {}, si);
+          ADD_FAILURE() << "the injected exception was swallowed";
+        } catch (const InjectedFault& e) {
+          EXPECT_EQ(std::string(e.what()), stage);
+        }
+        fail_at->store(kNeverFail);
+        expect_same_traces(collect(pool, kTraces, block), reference);
+      }
+    }
+  }
+}
+
 // ---- end-to-end key recovery -----------------------------------------------
 
 TEST(CampaignEndToEnd, RecoversDesSubkeyOnUnbalancedSlice) {
@@ -309,7 +440,7 @@ TEST(CampaignEndToEnd, CpaAgreesOnTheSameCampaign) {
 }
 
 TEST(CampaignEndToEnd, AesCoreGoldenPathFusedCpaAndFaultProbe) {
-#ifdef QDI_ASAN_ACTIVE
+#ifdef QDI_SANITIZER_ACTIVE
   GTEST_SKIP() << "25k-cell campaigns are minutes-long under sanitizers";
 #endif
   const std::uint64_t key = 0x2b7e151628aed2a6ull;

@@ -37,7 +37,7 @@ qdi::dpa::TraceSet acquire(const qc::TargetInstance& inst, qs::EngineKind kind,
   opt.start_jitter_ps = jitter_ps;
   opt.power.noise_sigma_ua = noise;
   qc::SimTraceSource src(inst.nl, inst.env, inst.stimulus, opt);
-  return qc::acquire_batch(src, n, /*seed=*/42, threads, stats);
+  return qc::WorkerPool(src, threads).acquire(n, /*seed=*/42, stats);
 }
 
 void expect_bit_identical(const qdi::dpa::TraceSet& a,
@@ -330,15 +330,15 @@ TEST(CompiledKernel, TombstonePurgeBoundsQueueGrowthUnderRetraction) {
 
 // ---- allocation-free steady state ------------------------------------------
 
-#if defined(__SANITIZE_ADDRESS__)
-#define QDI_ASAN_ACTIVE 1
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define QDI_SANITIZER_ACTIVE 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define QDI_ASAN_ACTIVE 1
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define QDI_SANITIZER_ACTIVE 1
 #endif
 #endif
 
-#ifndef QDI_ASAN_ACTIVE
+#ifndef QDI_SANITIZER_ACTIVE
 namespace {
 std::atomic<std::uint64_t> g_new_count{0};
 }  // namespace
@@ -364,7 +364,7 @@ TEST(CompiledKernel, SteadyStateAcquisitionLoopIsAllocationFree) {
   EXPECT_EQ(g_new_count.load(std::memory_order_relaxed) - before, 0u)
       << "the steady-state per-trace loop allocated";
 }
-#endif  // !QDI_ASAN_ACTIVE
+#endif  // !QDI_SANITIZER_ACTIVE
 
 // ---- compiled structure sanity ---------------------------------------------
 

@@ -111,7 +111,7 @@ TEST(Cpa, EndToEndOnUnbalancedSlice) {
       inst.nl.net(c.rails[1]).cap_ff *= 2.0;
   }
   qdi::campaign::SimTraceSource src(inst.nl, inst.env, inst.stimulus, {});
-  const qd::TraceSet ts = qdi::campaign::acquire_batch(src, 400, 5);
+  const qd::TraceSet ts = qdi::campaign::WorkerPool(src, 1).acquire(400, 5);
   const qd::CpaResult r = qd::cpa_attack(ts, qd::aes_sbox_hw_model(0), 256);
   EXPECT_EQ(r.best_guess, key);
   EXPECT_EQ(r.rank_of(key), 0u);

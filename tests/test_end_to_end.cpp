@@ -44,7 +44,7 @@ qd::TraceSet acquire(const qc::TargetInstance& inst, std::size_t n,
   opt.power.noise_sigma_ua = noise;
   opt.delays = delays;
   qc::SimTraceSource src(inst.nl, inst.env, inst.stimulus, opt);
-  return qc::acquire_batch(src, n, 1234);
+  return qc::WorkerPool(src, 1).acquire(n, 1234);
 }
 
 std::vector<qd::SelectionFn> sbox_bits() {

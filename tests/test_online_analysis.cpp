@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "qdi/qdi.hpp"
@@ -335,26 +336,53 @@ TEST(TraceSetSoA, SelfAppendThroughViewsIsSafe) {
 
 // ---- chunked acquisition ---------------------------------------------------
 
+// The acquire_chunked contract Campaign, ShardRunner and the traced
+// benchmark rely on: segments arrive in ascending order, contiguous,
+// each at most `chunk` traces, covering [0, n) exactly once — and every
+// trace bit-identical to the materialized acquisition — at any thread
+// count, for the scalar and the 64-lane batch source alike.
 TEST(AcquireChunked, SegmentsAreBitIdenticalToBatch) {
   const qc::TargetInstance inst = qc::des_sbox_slice().build(0x11);
   qc::SimTraceSource batch_src(inst.nl, inst.env, inst.stimulus, {});
-  const qd::TraceSet batch = qc::acquire_batch(batch_src, 23, 77);
+  const std::size_t n = 23;
+  const std::size_t chunk = 7;
+  const qd::TraceSet batch = qc::WorkerPool(batch_src, 1).acquire(n, 77);
 
-  qc::SimTraceSource chunk_src(inst.nl, inst.env, inst.stimulus, {});
-  std::size_t seen = 0;
-  qc::acquire_chunked(chunk_src, 23, 77, /*threads=*/2, /*chunk=*/7,
-                      [&](const qd::TraceSet& seg, std::size_t first) {
-                        EXPECT_EQ(first, seen);
-                        for (std::size_t k = 0; k < seg.size(); ++k) {
-                          const std::size_t i = first + k;
-                          ASSERT_EQ(seg.plaintext(k)[0], batch.plaintext(i)[0]);
-                          for (std::size_t j = 0; j < seg.num_samples(); ++j)
-                            ASSERT_EQ(seg.trace(k)[j], batch.trace(i)[j])
-                                << "trace " << i << " sample " << j;
-                        }
-                        seen += seg.size();
-                      });
-  EXPECT_EQ(seen, batch.size());
+  for (const qdi::sim::EngineKind kind :
+       {qdi::sim::EngineKind::Compiled, qdi::sim::EngineKind::Batch}) {
+    for (unsigned threads = 1; threads <= 4; ++threads) {
+      SCOPED_TRACE(testing::Message()
+                   << "engine " << static_cast<int>(kind) << ", " << threads
+                   << " threads");
+      qc::SimTraceSourceOptions opt;
+      opt.engine = kind;
+      std::unique_ptr<qc::TraceSource> src;
+      if (kind == qdi::sim::EngineKind::Batch)
+        src = std::make_unique<qc::BatchSimTraceSource>(inst.nl, inst.env,
+                                                        inst.stimulus, opt);
+      else
+        src = std::make_unique<qc::SimTraceSource>(inst.nl, inst.env,
+                                                   inst.stimulus, opt);
+      qc::WorkerPool pool(*src, threads);
+      std::size_t seen = 0;
+      pool.acquire_chunked(
+          n, 77, chunk, [&](const qd::TraceSet& seg, std::size_t first) {
+            EXPECT_EQ(first, seen) << "segments out of order or not contiguous";
+            EXPECT_GE(seg.size(), 1u);
+            EXPECT_LE(seg.size(), chunk);
+            for (std::size_t k = 0; k < seg.size(); ++k) {
+              const std::size_t i = first + k;
+              ASSERT_LT(i, n);
+              ASSERT_EQ(seg.plaintext(k)[0], batch.plaintext(i)[0]);
+              for (std::size_t j = 0; j < seg.num_samples(); ++j)
+                ASSERT_EQ(seg.trace(k)[j], batch.trace(i)[j])
+                    << "trace " << i << " sample " << j;
+            }
+            seen += seg.size();
+          });
+      EXPECT_EQ(seen, n);
+    }
+  }
 }
 
 // ---- fused campaign == materialized campaign -------------------------------
@@ -532,19 +560,20 @@ qc::CampaignResult fused_synthetic(std::size_t traces) {
 
 }  // namespace
 
-#if defined(__SANITIZE_ADDRESS__)
-#define QDI_ASAN_ACTIVE 1
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define QDI_SANITIZER_ACTIVE 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define QDI_ASAN_ACTIVE 1
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define QDI_SANITIZER_ACTIVE 1
 #endif
 #endif
 
 TEST(FusedCampaign, PeakRssIndependentOfTraceCount) {
-#ifdef QDI_ASAN_ACTIVE
-  // ASan's quarantine keeps freed per-trace blocks resident, so peak RSS
-  // tracks total allocation volume, not the live set this test bounds.
-  GTEST_SKIP() << "peak-RSS bound is meaningless under AddressSanitizer";
+#ifdef QDI_SANITIZER_ACTIVE
+  // ASan's quarantine keeps freed per-trace blocks resident and TSan's
+  // shadow memory scales with every address touched, so peak RSS tracks
+  // total allocation volume, not the live set this test bounds.
+  GTEST_SKIP() << "peak-RSS bound is meaningless under ASan/TSan";
 #endif
   // Warm up allocator + accumulators at 10k traces, then run 100k. A
   // materialized 100k×128-sample TraceSet alone would add ~100 MB; the

@@ -456,7 +456,7 @@ TEST_P(FuzzBatch, BatchMatchesWheelAndHeapAtAwkwardBatchSizes) {
                                                       opt);
     else
       src = std::make_unique<qc::SimTraceSource>(hw.nl, hw.spec, stimulus, opt);
-    return qc::acquire_batch(*src, n, /*seed=*/GetParam() + 1, 1, nullptr);
+    return qc::WorkerPool(*src, 1).acquire(n, /*seed=*/GetParam() + 1);
   };
 
   for (const std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},

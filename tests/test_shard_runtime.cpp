@@ -19,11 +19,11 @@
 
 #include "qdi/qdi.hpp"
 
-#if defined(__SANITIZE_ADDRESS__)
-#define QDI_ASAN_ACTIVE 1
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define QDI_SANITIZER_ACTIVE 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define QDI_ASAN_ACTIVE 1
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define QDI_SANITIZER_ACTIVE 1
 #endif
 #endif
 
@@ -559,7 +559,7 @@ TEST(ShardedStall, WatchdogCancelsWedgedShardAndRedispatches) {
   // The timeout must sit well above one healthy chunk's acquisition
   // time (progress only ticks at chunk boundaries) and well below the
   // injected wedge. Sanitizer builds simulate ~10x slower, so scale up.
-#ifdef QDI_ASAN_ACTIVE
+#ifdef QDI_SANITIZER_ACTIVE
   const unsigned timeout_ms = 2000;
 #else
   const unsigned timeout_ms = 400;
@@ -681,7 +681,7 @@ TEST(ShardedFuzz, KillResumeIsBitIdenticalAcrossTargetsEnginesThreads) {
       {"des_round", qs::EngineKind::Compiled, 1, 48, 0x0123456789abULL},
       {"des_round", qs::EngineKind::Batch, 3, 48, 0x0123456789abULL},
   };
-#ifdef QDI_ASAN_ACTIVE
+#ifdef QDI_SANITIZER_ACTIVE
   // Sanitizer job: keep the crash/resume coverage but halve the sweep
   // (instrumented simulation is ~10x slower).
   configs.resize(4);

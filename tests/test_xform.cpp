@@ -15,11 +15,11 @@ namespace qc = qdi::campaign;
 namespace qn = qdi::netlist;
 namespace qx = qdi::xform;
 
-#if defined(__SANITIZE_ADDRESS__)
-#define QDI_ASAN_ACTIVE 1
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define QDI_SANITIZER_ACTIVE 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define QDI_ASAN_ACTIVE 1
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define QDI_SANITIZER_ACTIVE 1
 #endif
 #endif
 
@@ -234,7 +234,7 @@ TEST(XformGolden, EveryPassIsIdempotent) {
 
 TEST(XformDeterminism, PipelineIsByteIdenticalOnEveryRegistryTarget) {
   for (const std::string& name : qc::list_targets()) {
-#ifdef QDI_ASAN_ACTIVE
+#ifdef QDI_SANITIZER_ACTIVE
     // aes_core's tens of thousands of cells make the cone-balance scans
     // minutes-long under sanitizers; the structural determinism it
     // would exercise is identical to des_round's.
@@ -264,7 +264,7 @@ TEST(XformDeterminism, ConeBalanceParallelMatchesSerialAtAnyThreadCount) {
   // byte-identical netlist of the single-threaded pass at every thread
   // count, on every registry target.
   for (const std::string& name : qc::list_targets()) {
-#ifdef QDI_ASAN_ACTIVE
+#ifdef QDI_SANITIZER_ACTIVE
     if (name == "aes_core") continue;  // minutes-long cone scans
 #endif
     const qc::CircuitTarget target = qc::find_target(name);
@@ -296,7 +296,7 @@ TEST(XformDeterminism, ConeBalanceParallelMatchesSerialAtAnyThreadCount) {
 
 TEST(XformDeterminism, TransformedTracesAreBitIdenticalBothSchedulers) {
   for (const std::string& name : qc::list_targets()) {
-#ifdef QDI_ASAN_ACTIVE
+#ifdef QDI_SANITIZER_ACTIVE
     if (name == "aes_core") continue;  // minutes-long cone scans
 #endif
     const qc::CircuitTarget base = qc::find_target(name);
