@@ -2,12 +2,12 @@
 // campaign runtime.
 //
 // One checkpoint file holds everything a killed shard needs to resume
-// bit-identically: the serialized OnlineCpa/OnlineDpa running sums, the
-// first unacquired trace index, and the mid-state of the shard's
-// running SHA-256 trace-stream digest, all under a config fingerprint
-// that ties the record to one (target, key, seed, budget, geometry)
-// campaign. The record is versioned, length-prefixed, and sealed by the
-// SHA-256 of its payload:
+// bit-identically: the serialized OnlineCpa/OnlineDpa state (shared
+// per-sample sums and per-class sums), the first unacquired trace
+// index, and the mid-state of the shard's running SHA-256 trace-stream
+// digest, all under a config fingerprint that ties the record to one
+// (target, key, seed, budget, geometry) campaign. The record is
+// versioned, length-prefixed, and sealed by the SHA-256 of its payload:
 //
 //   u32 magic 'QDSK' | u32 version | u64 payload_len |
 //   payload[payload_len] | sha256(payload)[32]
@@ -56,7 +56,9 @@ class CheckpointError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b534451u;  // "QDSK"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// Version 2: accumulator snapshots hold per-class sums (version 1 held
+/// per-guess sums and is rejected as version-mismatch).
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// The decoded checkpoint payload.
 struct ShardCheckpoint {

@@ -408,9 +408,12 @@ ShardedResult Coordinator::run() {
     const std::uint64_t contributed = rep.committed - rep.lo;
     if (contributed > 0) {
       res.covered += static_cast<std::size_t>(contributed);
-      res.rank_trajectory.push_back({res.covered, merged.rank_now()});
-      if (merged.mtd_enabled())
-        mtd.probe(merged.mtd_success_now(), res.covered);
+      // Boundary probes read a copy: a read folds the pending class
+      // sums (dpa/online.hpp), and the verdict must be the single fold
+      // of all merged shard sums, however many shards report on the way.
+      const detail::AttackState view = merged;
+      res.rank_trajectory.push_back({res.covered, view.rank_now()});
+      if (view.mtd_enabled()) mtd.probe(view.mtd_success_now(), res.covered);
     }
     res.shards.push_back(std::move(rep));
   }

@@ -1,23 +1,25 @@
 // Runtime-dispatched SIMD kernels for the streaming analysis engine.
 //
-// The ingest hot loops of dpa::OnlineCpa / dpa::OnlineDpa (per-sample
-// moments, the guesses x m rank update, the DPA partitioned sums) and
-// the finalize-side covariance scans are factored into this table of
-// function pointers with portable, SSE2, and AVX2 arms. The arm is
-// picked ONCE at load via util::cpu_features() — the same pattern as
-// util::Sha256's SHA-NI compressor — and QDI_FORCE_PORTABLE pins the
-// portable arm everywhere.
+// The hot loops of dpa::OnlineCpa / dpa::OnlineDpa — per-trace ingest
+// (the shared per-sample moments and the one vector add into the
+// trace's class sum), the read-time fold of class sums into the
+// guesses x m matrix, and the finalize-side covariance scans — are
+// factored into this table of function pointers with portable, SSE2,
+// and AVX2 arms. The arm is picked ONCE at load via
+// util::cpu_features() — the same pattern as util::Sha256's SHA-NI
+// compressor — and QDI_FORCE_PORTABLE pins the portable arm everywhere.
 //
 // Determinism contract (why the arms are interchangeable): every
 // kernel vectorizes over the SAMPLE axis j only. Each accumulator cell
-// (g, j) still receives its contributions in strict trace order, one
-// rounding per add and one per multiply (mul-then-add, never FMA —
-// the arms exclude "fma" from their target sets so the compiler cannot
-// contract), and the scalar tail performs the identical operations on
-// the identical values. There is no reassociation anywhere, so the
-// SSE2 and AVX2 arms are BIT-IDENTICAL to the portable arm — a
-// property tests/test_dpa_kernels.cpp asserts on awkward geometries
-// rather than assumes.
+// still receives its contributions in the caller's order (traces for
+// the moments and class sums, classes for the fold), one rounding per
+// add and one per multiply (mul-then-add, never FMA — the arms exclude
+// "fma" from their target sets so the compiler cannot contract), and
+// the scalar tail performs the identical operations on the identical
+// values. There is no reassociation anywhere, so the SSE2 and AVX2
+// arms are BIT-IDENTICAL to the portable arm — a property
+// tests/test_dpa_kernels.cpp asserts on awkward geometries rather than
+// assumes.
 #pragma once
 
 #include <cstddef>
@@ -35,24 +37,19 @@ struct KernelTable {
                       const double* const* rows, std::size_t cnt,
                       std::size_t m);
 
-  /// CPA rank update: for each guess g, dst = sum_hs + g*m; for each
-  /// trace c in order: h = hyp[c][g]; if h == 0.0 the trace is skipped
-  /// (identical skip decision in every arm); else dst[j] += h * s[j].
+  /// The read-time fold, a rank-cnt update: for each hypothesis column
+  /// g, dst = sum_hs + g*m; for each class sum c in order: h =
+  /// hyp[c][g]; if h == 0.0 the class is skipped (identical skip
+  /// decision in every arm); else dst[j] += h * s[j]. CPA folds its
+  /// hypothesis rows through it; DPA folds {0.0, 1.0} decision rows,
+  /// for which it adds a class sum exactly (1.0 * x == x) or skips it.
   void (*cpa_rank_update)(double* sum_hs, const double* const* rows,
                           const double* const* hyp, std::size_t cnt,
                           unsigned guesses, std::size_t m);
 
-  /// dst[j] += src[j] (the DPA shared per-sample sum, one trace row).
+  /// dst[j] += src[j]: the per-trace add into a class sum (and the DPA
+  /// shared per-sample sum), and the class-sum merge.
   void (*row_add)(double* dst, const double* src, std::size_t m);
-
-  /// DPA partitioned sum, branch-free: for each trace c in order,
-  /// dst[j] += mask[c] * rows[c][j], with mask[c] in {0.0, 1.0}.
-  /// Bit-identical to the historical "if (d) dst[j] += s[j]" loop:
-  /// 1.0*x == x exactly, and adding the resulting +/-0.0 of a masked-
-  /// out trace never changes a finite accumulator (an accumulator
-  /// seeded with +0.0 can never become -0.0 under round-to-nearest).
-  void (*masked_sum)(double* dst, const double* const* rows,
-                     const double* mask, std::size_t cnt, std::size_t m);
 
   /// var[j] = sum_s2[j] - sum_s[j] * (sum_s[j] / nn) is NOT what we
   /// compute — the scan keeps the engine's historical expression

@@ -3,41 +3,61 @@
 // Mangard-style incremental correlation: a Pearson correlation (and a
 // difference-of-means bias) is a function of a handful of running sums,
 // so an attack over ANY trace-count prefix can be emitted at ANY point
-// of one linear pass over the acquisitions. The accumulators below hold
+// of one linear pass over the acquisitions.
 //
-//   shared across all guesses:  n, sum_s[j], sum_s2[j]
-//   per guess (CPA):            sum_h[g], sum_h2[g], sum_hs[g][j]
-//   per guess+bit (DPA):        n1[b][g], sum1[b][g][j]
+// Every hypothesis row h[g] (CPA) or decision row d[b][g] (DPA) is a
+// function of the trace's plaintext only, and traces that share a row
+// share every per-guess contribution. The accumulators therefore group
+// traces into plaintext CLASSES — one per distinct row, at most 256 —
+// and hold
 //
-// and update them per added trace with a blocked, GEMM-like rank-B
-// kernel over the contiguous SoA trace matrix. The per-sample sums are
-// computed ONCE instead of once per guess (the batch path re-derived
-// them 256 times), and the classic byte-indexed leakage models become a
-// 256-entry-per-guess hypothesis LUT — no std::function call ever runs
-// on the per-trace hot path. Models/selections built from plain lambdas
-// still work: they take a scalar evaluation per (trace, guess), but the
-// shared sums stay hoisted.
+//   shared across all guesses:  n, sum_s[j], sum_s2[j] (CPA)
+//   per class:                  count[c], sum_c[j] (samples added
+//                               since the last read)
 //
-// finalize()/recover() read the running sums without disturbing them,
-// so measurements-to-disclosure curves and key-rank trajectories are
-// byproducts of one pass: add traces up to each probe point, emit, and
-// keep going — O(n·m·guesses) total instead of O(prefixes·n·m·guesses).
-// Accumulation order is trace order regardless of blocking, so add()
-// one-at-a-time, add_prefix() in bulk, and the fused campaign's chunked
-// feed all produce bit-identical results.
+// Ingesting a trace updates the shared sums, bumps its class count and
+// adds its samples into its class sum: one vector add, no loop over
+// guesses or bits. Byte-indexed models are tabulated at construction
+// into a 256-entry byte -> class map (LUT rows deduplicated and ordered
+// by row content); models and selections built from plain lambdas are
+// evaluated per trace and keyed by the evaluated row, in the same
+// content order, so both paths produce bit-identical results.
 //
-// The hot loops themselves live in qdi/dpa/kernels.hpp: a table of
-// portable / SSE2 / AVX2 implementations picked once at load. Every
-// arm vectorizes over the sample axis only — each accumulator cell
-// receives contributions in trace order with no reassociation and no
-// FMA contraction — so the dispatch choice (and QDI_FORCE_PORTABLE)
-// never changes a single result bit.
+// The per-guess state is derived at READ time (finalize(), recover(),
+// bias(), correlation_trace()):
+//
+//   sum_hs[g][j] (CPA) / sum1[b][g][j] (DPA):  folded matrix += the
+//       rank update of the classes touched since the previous read, in
+//       class content order, through kernels::cpa_rank_update (DPA's
+//       {0, 1} decisions go through the same kernel);
+//   sum_h[g], sum_h2[g] (CPA) / n1[b][g] (DPA):  sums of count·row over
+//       all classes — exact for integer-valued models.
+//
+// The folded matrix is allocated on the first read, so block-fold
+// partials and shard accumulators, which are only merged and
+// serialized, hold class sums alone. A campaign without probes pays the
+// guesses × classes × samples fold once, at the end; a probe never costs
+// more than the per-trace rank update it replaces over the same traces.
+//
+// Determinism: results are a function of the trace order and the read
+// points (a campaign's probe grid is fixed by its configuration, just as
+// the block-fold partition is). Thread count, chunking, add() versus
+// add_prefix(), kernel arm, serialize/restore and kill/resume never
+// change a bit; two reads with no ingest in between return identical
+// results.
+//
+// The hot loops live in qdi/dpa/kernels.hpp: a table of portable / SSE2
+// / AVX2 implementations picked once at load. Every arm vectorizes over
+// the sample axis only — each accumulator cell receives contributions
+// in a fixed order with no reassociation and no FMA contraction — so
+// the dispatch choice (and QDI_FORCE_PORTABLE) never changes a result.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qdi/dpa/cpa.hpp"
@@ -51,17 +71,18 @@ namespace qdi::dpa {
 /// Named failure of OnlineCpa/OnlineDpa::restore_state — the hardened
 /// deserialization contract the crash-safe shard runtime depends on.
 /// Every malformed buffer (truncated at any byte, trailing garbage, a
-/// foreign magic, or a snapshot taken under different guess/bit/sample
-/// geometry) is rejected with the matching kind, and the accumulator is
-/// left exactly as it was (restore parses into temporaries and commits
-/// only after every check passed).
+/// foreign magic, a snapshot taken under different guess/bit/sample
+/// geometry or another model's class table, or class counts that do not
+/// add up to the trace count) is rejected with the matching kind, and
+/// the accumulator is left exactly as it was (restore parses into
+/// temporaries and commits only after every check passed).
 class StateError : public std::runtime_error {
  public:
   enum class Kind {
     Truncated,  ///< buffer ends before the declared fields
     Oversized,  ///< trailing bytes after the last field
     BadMagic,   ///< not a snapshot of this accumulator type
-    Geometry,   ///< guess / selection-bit / sample-count mismatch
+    Geometry,   ///< guess / bit / sample / class geometry mismatch
   };
 
   StateError(Kind kind, const std::string& what)
@@ -91,24 +112,112 @@ class MtdScan {
   std::size_t candidate_ = 0;
 };
 
+namespace detail {
+
+class SnapshotReader;
+
+/// The per-class core shared by OnlineCpa and OnlineDpa (see the file
+/// comment). A class is one distinct hypothesis row of `width` doubles
+/// (guesses for CPA, bits × guesses for DPA). The table holds at most
+/// kMaxClasses rows: a byte-indexed model never needs more, and a
+/// generic model that produces a new row when the table is full folds
+/// every class and starts a fresh table, so memory stays bounded by
+/// kMaxClasses × samples whatever the model.
+class ClassSums {
+ public:
+  static constexpr std::size_t kMaxClasses = 256;
+
+  explicit ClassSums(std::size_t width)
+      : width_(width), base_sum_(width, 0.0), base_sq_(width, 0.0) {}
+
+  /// Fixed table of a byte-indexed model: `rows` holds 256 rows of
+  /// `width`, row v for plaintext byte value v. Duplicates collapse
+  /// into one class.
+  void tabulate(const std::vector<double>& rows);
+  bool fixed() const noexcept { return !byte_class_.empty(); }
+  /// Class of plaintext byte value `v` (fixed tables only).
+  std::uint32_t byte_class(std::uint8_t v) const noexcept {
+    return byte_class_[v];
+  }
+  /// Class of an evaluated row, added if new (generic tables).
+  std::uint32_t class_of(const double* row, const kernels::KernelTable& k);
+
+  void set_samples(std::size_t m) noexcept { m_ = m; }
+  /// One trace of class `c`: ++count[c], sum_c += samples.
+  void add(std::uint32_t c, const double* samples,
+           const kernels::KernelTable& k);
+
+  /// Fold the classes touched since the last fold into the folded
+  /// matrix (width × m, allocated here on first use) and return it.
+  const std::vector<double>& fold(const kernels::KernelTable& k);
+  /// sum[r] = Σ count·row[r] (and, if asked, sum_sq[r] = Σ count·row[r]²)
+  /// over every class ever added, in content order.
+  void column_sums(std::vector<double>& sum,
+                   std::vector<double>* sum_sq) const;
+
+  void merge(const ClassSums& other, const kernels::KernelTable& k);
+  void reset() noexcept;
+
+  void save(std::vector<std::uint8_t>& out) const;
+  /// Parse a save() image into a table of this one's configuration;
+  /// throws StateError (Geometry when the rows are not this model's or
+  /// the counts do not add up to `n`).
+  ClassSums load(SnapshotReader& r, std::size_t m, std::uint64_t n) const;
+
+ private:
+  const double* row(std::uint32_t c) const noexcept {
+    return rows_.data() + c * width_;
+  }
+  /// Start or extend class c's pending sum with one row of samples.
+  void accumulate(std::uint32_t c, const double* samples,
+                  const kernels::KernelTable& k);
+  /// Position of `row` in content order, and whether it is present.
+  std::pair<std::size_t, bool> find(const double* row) const;
+  std::uint32_t insert(const double* row, std::size_t pos);
+  void add_columns(std::vector<double>& sum, std::vector<double>* sum_sq) const;
+  /// Fold everything and restart with an empty table (generic only).
+  void flush(const kernels::KernelTable& k);
+
+  std::size_t width_;
+  std::size_t m_ = 0;
+  std::vector<std::uint32_t> byte_class_;  ///< 256 entries, fixed tables
+  std::vector<double> rows_;               ///< class rows, K × width
+  std::vector<std::uint32_t> order_;       ///< class ids in content order
+  std::vector<std::uint64_t> counts_;      ///< traces per class
+  /// Samples added per class since the last fold, valid while the class
+  /// is touched: a class's row is allocated when it is first touched and
+  /// overwritten (not zeroed and added to) when next touched after a
+  /// fold, so untouched classes cost no memory and no clearing.
+  std::vector<std::vector<double>> pending_;
+  std::vector<std::uint8_t> touched_;      ///< class has pending samples
+  std::size_t num_touched_ = 0;
+  std::vector<double> folded_;             ///< width × m once read
+  /// Column sums and trace count of classes retired by flush().
+  std::vector<double> base_sum_, base_sq_;
+  std::uint64_t base_n_ = 0;
+};
+
+}  // namespace detail
+
 /// All-guess streaming CPA accumulator.
 class OnlineCpa {
  public:
-  /// The hypothesis LUT (byte-indexed models) is tabulated here, once.
+  /// A byte-indexed model is tabulated into its class table here, once.
   OnlineCpa(LeakageModel model, unsigned num_guesses);
 
   /// Feed one acquisition. Sample geometry is fixed by the first trace.
   void add(std::span<const std::uint8_t> plaintext,
            std::span<const double> samples);
-  /// Feed rows [lo, hi) of a trace set through the blocked kernel.
+  /// Feed rows [lo, hi) of a trace set (same result as add() per row).
   void add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi);
 
   std::size_t count() const noexcept { return n_; }
   unsigned num_guesses() const noexcept { return guesses_; }
 
   /// Emit the CPA result for the traces fed so far (optionally windowed
-  /// to samples [window_lo, window_hi)). Non-destructive: keep adding
-  /// traces afterwards for the next prefix probe.
+  /// to samples [window_lo, window_hi)). Keep adding traces afterwards
+  /// for the next prefix probe; a read folds the pending class sums
+  /// (see the file comment), it never discards traces.
   CpaResult finalize(std::size_t window_lo = 0,
                      std::size_t window_hi = 0) const;
 
@@ -127,22 +236,22 @@ class OnlineCpa {
   /// here. Throws std::invalid_argument on mismatched geometry.
   void merge(const OnlineCpa& other);
 
-  /// Compact byte snapshot of the accumulator state (counts + running
-  /// sums; the model is NOT serialized — it is code, not data).
-  /// restore_state() requires an accumulator constructed with the same
-  /// model and num_guesses, and replaces its state wholesale. Round-trip
-  /// is exact: serialize/restore reproduces bit-identical results. A
-  /// truncated, oversized, foreign, or geometry-mismatched buffer throws
-  /// StateError with the matching kind and leaves this accumulator
-  /// untouched (tests/test_online_merge.cpp fuzzes every truncation
-  /// length).
+  /// Compact byte snapshot of the accumulator state (shared sums plus
+  /// the class table; the model is NOT serialized — it is code, not
+  /// data). restore_state() requires an accumulator constructed with the
+  /// same model and num_guesses, and replaces its state wholesale.
+  /// Round-trip is exact: serialize/restore reproduces bit-identical
+  /// results. A truncated, oversized, foreign, or geometry-mismatched
+  /// buffer throws StateError with the matching kind and leaves this
+  /// accumulator untouched (tests/test_online_merge.cpp fuzzes every
+  /// truncation length).
   std::vector<std::uint8_t> serialize_state() const;
   void restore_state(std::span<const std::uint8_t> bytes);
 
-  /// Drop all accumulated traces but keep the model, LUT, and (once
-  /// fixed) the sample geometry and capacity — lets the thread-sharded
-  /// campaign feed recycle one accumulator per block with zero
-  /// steady-state allocation.
+  /// Drop all accumulated traces but keep the model, class table, and
+  /// (once fixed) the sample geometry and capacity — lets the
+  /// thread-sharded campaign feed recycle one accumulator per block
+  /// with zero steady-state allocation.
   void reset() noexcept;
 
   /// Pin a specific kernel arm (differential-testing seam; production
@@ -156,34 +265,31 @@ class OnlineCpa {
 
  private:
   void ensure_geometry(std::size_t m);
-  /// Hypothesis row h[g] for one trace: a LUT row (byte-indexed) or the
-  /// freshly evaluated scratch row (generic).
-  const double* hyp_row(std::span<const std::uint8_t> plaintext);
-  void ingest(const double* const* rows, const double* const* hyp,
-              std::size_t cnt);
-  /// The cached per-sample variance scan shared by finalize() and
-  /// correlation_trace(); recomputed only after ingest/merge/restore
-  /// invalidated it, so repeated prefix probes in MTD scans pay it once.
-  const std::vector<double>& var_s_cache() const;
+  void ingest(std::span<const std::uint8_t> plaintext, const double* samples);
+  /// Fold the pending class sums and refresh the derived per-guess and
+  /// per-sample statistics; every read starts here. Returns sum_hs.
+  const double* read() const;
 
   LeakageModel model_;
   unsigned guesses_;
   const kernels::KernelTable* kernels_ = &kernels::active();
   std::size_t m_ = 0;
   std::size_t n_ = 0;
-  std::vector<double> lut_;       ///< hyp[v*guesses + g], byte-indexed models
-  std::vector<double> scratch_;   ///< one hypothesis row, generic models
+  std::vector<double> scratch_;  ///< one evaluated row, generic models
   std::vector<double> sum_s_, sum_s2_;  ///< per sample, shared by all guesses
-  std::vector<double> sum_h_, sum_h2_;  ///< per guess
-  std::vector<double> sum_hs_;          ///< guesses × m
+  /// Reads fold into the class table, so it is mutable like the caches.
+  mutable detail::ClassSums classes_;
+  mutable std::vector<double> sum_h_, sum_h2_;  ///< per guess, at n_
   mutable std::vector<double> var_cache_;  ///< per-sample variances at n_
   mutable std::vector<double> rho_scratch_;  ///< finalize() scan buffer
-  mutable bool var_valid_ = false;
+  mutable bool var_valid_ = false;  ///< var_cache_, sum_h_, sum_h2_ current
 };
 
 /// All-guess, multi-bit streaming difference-of-means DPA accumulator.
 class OnlineDpa {
  public:
+  /// Selection bits that are all byte-indexed on the same plaintext
+  /// byte are tabulated into the class table here, once.
   OnlineDpa(std::vector<SelectionFn> bits, unsigned num_guesses);
 
   void add(std::span<const std::uint8_t> plaintext,
@@ -220,7 +326,7 @@ class OnlineDpa {
   std::vector<std::uint8_t> serialize_state() const;
   void restore_state(std::span<const std::uint8_t> bytes);
 
-  /// Drop accumulated traces, keep selections/LUT/geometry; see
+  /// Drop accumulated traces, keep selections/class table/geometry; see
   /// OnlineCpa::reset().
   void reset() noexcept;
 
@@ -230,21 +336,22 @@ class OnlineDpa {
 
  private:
   void ensure_geometry(std::size_t m);
-  void ingest(const double* const* rows, const std::uint8_t* const* pts,
-              std::size_t cnt);
-  double peak_of(unsigned guess, std::size_t bit, SampleWindow window) const;
+  void ingest(std::span<const std::uint8_t> plaintext, const double* samples);
+  /// Fold the pending class sums and refresh n1_; returns sum1 (bits ×
+  /// guesses × m).
+  const double* read() const;
+  double peak_of(const double* sum1, unsigned guess, std::size_t bit,
+                 SampleWindow window) const;
 
   std::vector<SelectionFn> bits_;
   unsigned guesses_;
   const kernels::KernelTable* kernels_ = &kernels::active();
   std::size_t m_ = 0;
   std::size_t n_ = 0;
-  bool lut_ok_ = false;          ///< all selection bits byte-indexed
-  std::vector<double> lut_;      ///< d[(b*256 + v)*guesses + g] in {0.0, 1.0}
-  std::vector<double> scratch_;  ///< one decision row, generic selections
-  std::vector<double> sum_s_;       ///< per sample, shared
-  std::vector<std::uint32_t> n1_;   ///< bits × guesses
-  std::vector<double> sum1_;        ///< bits × guesses × m
+  std::vector<double> scratch_;  ///< one evaluated decision row, generic
+  std::vector<double> sum_s_;    ///< per sample, shared
+  mutable detail::ClassSums classes_;  ///< see OnlineCpa::classes_
+  mutable std::vector<double> n1_;  ///< bits × guesses, at the last read
 };
 
 }  // namespace qdi::dpa

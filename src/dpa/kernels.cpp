@@ -54,15 +54,6 @@ void row_add_portable(double* dst, const double* src, std::size_t m) {
   for (std::size_t j = 0; j < m; ++j) dst[j] += src[j];
 }
 
-void masked_sum_portable(double* dst, const double* const* rows,
-                         const double* mask, std::size_t cnt, std::size_t m) {
-  for (std::size_t c = 0; c < cnt; ++c) {
-    const double w = mask[c];
-    const double* s = rows[c];
-    for (std::size_t j = 0; j < m; ++j) dst[j] += w * s[j];
-  }
-}
-
 void variance_portable(double* var, const double* sum_s, const double* sum_s2,
                        double nn, std::size_t m) {
   for (std::size_t j = 0; j < m; ++j)
@@ -83,9 +74,8 @@ void corr_scan_portable(double* rho, const double* hs, const double* sum_s,
 }
 
 constexpr KernelTable kPortable = {
-    "portable",          &cpa_moments_portable, &cpa_rank_update_portable,
-    &row_add_portable,   &masked_sum_portable,  &variance_portable,
-    &corr_scan_portable,
+    "portable",        &cpa_moments_portable, &cpa_rank_update_portable,
+    &row_add_portable, &variance_portable,    &corr_scan_portable,
 };
 
 #ifdef QDI_KERNELS_X86
@@ -141,21 +131,6 @@ void row_add_sse2(double* dst, const double* src, std::size_t m) {
   for (; j < m; ++j) dst[j] += src[j];
 }
 
-void masked_sum_sse2(double* dst, const double* const* rows,
-                     const double* mask, std::size_t cnt, std::size_t m) {
-  for (std::size_t c = 0; c < cnt; ++c) {
-    const double w = mask[c];
-    const double* s = rows[c];
-    const __m128d wv = _mm_set1_pd(w);
-    std::size_t j = 0;
-    for (; j + 2 <= m; j += 2) {
-      const __m128d prod = _mm_mul_pd(wv, _mm_loadu_pd(s + j));
-      _mm_storeu_pd(dst + j, _mm_add_pd(_mm_loadu_pd(dst + j), prod));
-    }
-    for (; j < m; ++j) dst[j] += w * s[j];
-  }
-}
-
 void variance_sse2(double* var, const double* sum_s, const double* sum_s2,
                    double nn, std::size_t m) {
   const __m128d nv = _mm_set1_pd(nn);
@@ -197,9 +172,8 @@ void corr_scan_sse2(double* rho, const double* hs, const double* sum_s,
 }
 
 constexpr KernelTable kSse2 = {
-    "sse2",          &cpa_moments_sse2, &cpa_rank_update_sse2,
-    &row_add_sse2,   &masked_sum_sse2,  &variance_sse2,
-    &corr_scan_sse2,
+    "sse2",        &cpa_moments_sse2, &cpa_rank_update_sse2,
+    &row_add_sse2, &variance_sse2,    &corr_scan_sse2,
 };
 
 // ------------------------------------------------------------------- avx2
@@ -226,13 +200,13 @@ __attribute__((target("avx2"))) void cpa_moments_avx2(
   }
 }
 
-// The hot loop of the whole analysis engine: guesses x m accumulator
-// rows, every trace. Guesses are walked in pairs so one s[j] vector
-// load feeds two accumulator rows (the trace row is the only stream
-// the unpaired form reloads per guess). Pairing never reorders a
-// cell's contributions — both rows still see traces in ascending c —
-// and a pair member with h == 0.0 falls back to the single-row form,
-// preserving the portable arm's exact skip decisions.
+// The read-time fold: guesses x m accumulator rows, every touched
+// class. Guesses are walked in pairs so one s[j] vector load feeds two
+// accumulator rows (the class sum is the only stream the unpaired form
+// reloads per guess). Pairing never reorders a cell's contributions —
+// both rows still see class sums in ascending c — and a pair member
+// with h == 0.0 falls back to the single-row form, preserving the
+// portable arm's exact skip decisions.
 __attribute__((target("avx2"))) void rank_row_avx2(double* dst, double h,
                                                    const double* s,
                                                    std::size_t m) {
@@ -300,23 +274,6 @@ __attribute__((target("avx2"))) void row_add_avx2(double* dst,
   for (; j < m; ++j) dst[j] += src[j];
 }
 
-__attribute__((target("avx2"))) void masked_sum_avx2(
-    double* dst, const double* const* rows, const double* mask,
-    std::size_t cnt, std::size_t m) {
-  for (std::size_t c = 0; c < cnt; ++c) {
-    const double w = mask[c];
-    const double* s = rows[c];
-    const __m256d wv = _mm256_set1_pd(w);
-    std::size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-      const __m256d prod = _mm256_mul_pd(wv, _mm256_loadu_pd(s + j));
-      _mm256_storeu_pd(dst + j,
-                       _mm256_add_pd(_mm256_loadu_pd(dst + j), prod));
-    }
-    for (; j < m; ++j) dst[j] += w * s[j];
-  }
-}
-
 __attribute__((target("avx2"))) void variance_avx2(double* var,
                                                    const double* sum_s,
                                                    const double* sum_s2,
@@ -361,9 +318,8 @@ __attribute__((target("avx2"))) void corr_scan_avx2(
 }
 
 constexpr KernelTable kAvx2 = {
-    "avx2",          &cpa_moments_avx2, &cpa_rank_update_avx2,
-    &row_add_avx2,   &masked_sum_avx2,  &variance_avx2,
-    &corr_scan_avx2,
+    "avx2",        &cpa_moments_avx2, &cpa_rank_update_avx2,
+    &row_add_avx2, &variance_avx2,    &corr_scan_avx2,
 };
 
 #endif  // QDI_KERNELS_X86

@@ -1,6 +1,7 @@
 #include "qdi/dpa/online.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -10,8 +11,8 @@ namespace qdi::dpa {
 
 namespace {
 
-/// Traces per rank-B kernel invocation. Small enough that a block of
-/// sample rows stays cache-resident while every guess sweeps it.
+/// Classes per rank-B kernel invocation of a fold. Small enough that a
+/// block of class sums stays cache-resident while every guess sweeps it.
 constexpr std::size_t kBlock = 16;
 
 void window_stats(BiasResult& r, SampleWindow window) {
@@ -40,22 +41,353 @@ void rank_finalize(KeyRecoveryResult& r, unsigned num_guesses) {
       r.second_peak = std::max(r.second_peak, r.guess_peak[g]);
 }
 
+/// IEEE-754 totalOrder as an unsigned key: numeric order for every
+/// non-NaN value, -0.0 before +0.0, and one key per bit pattern, so two
+/// rows compare equal exactly when they are bitwise equal.
+std::uint64_t order_key(double x) {
+  const auto u = std::bit_cast<std::uint64_t>(x);
+  return (u >> 63) != 0 ? ~u : u | (std::uint64_t{1} << 63);
+}
+
+/// The class content order: lexicographic over order_key.
+bool row_less(const double* a, const double* b, std::size_t width) {
+  for (std::size_t r = 0; r < width; ++r) {
+    const std::uint64_t ka = order_key(a[r]);
+    const std::uint64_t kb = order_key(b[r]);
+    if (ka != kb) return ka < kb;
+  }
+  return false;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+void add_into(std::vector<double>& dst, const std::vector<double>& src) {
+  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
+}
+
+// Tiny little-endian byte codec for the accumulator snapshots. The
+// format is an implementation detail shared by serialize_state and
+// restore_state only — not a stable interchange format.
+constexpr std::uint32_t kCpaMagic = 0x71647043;  // "qdpC"
+constexpr std::uint32_t kDpaMagic = 0x71647044;  // "qdpD"
+
+void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+template <typename T>
+void put_array(std::vector<std::uint8_t>& out, const std::vector<T>& v) {
+  put_u64(out, v.size());
+  const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+  out.insert(out.end(), p, p + v.size() * sizeof(T));
+}
+
+[[noreturn]] void geometry_error(const std::string& what) {
+  throw StateError(StateError::Kind::Geometry, what);
+}
+
 }  // namespace
+
+namespace detail {
+
+class SnapshotReader {
+ public:
+  explicit SnapshotReader(std::span<const std::uint8_t> bytes)
+      : bytes_(bytes) {}
+
+  std::uint64_t u64() {
+    if (bytes_.size() - pos_ < 8) truncated();
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+      v |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
+    pos_ += 8;
+    return v;
+  }
+
+  // The element counts are length-prefixed and attacker-controlled, so
+  // the bound check divides instead of multiplying — `n * sizeof(T)` on
+  // a hostile n would wrap around std::uint64_t and pass a `pos + n *
+  // size > total` comparison that the buffer cannot actually satisfy.
+  template <typename T>
+  void array(std::vector<T>& out) {
+    const std::uint64_t n = u64();
+    if (n > (bytes_.size() - pos_) / sizeof(T)) truncated();
+    out.resize(n);
+    if (n > 0) std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(T));
+    pos_ += n * sizeof(T);
+  }
+
+  void expect_end() const {
+    if (pos_ != bytes_.size())
+      throw StateError(StateError::Kind::Oversized,
+                       "Online accumulator: state snapshot has trailing "
+                       "bytes past the last field");
+  }
+
+ private:
+  [[noreturn]] static void truncated() {
+    throw StateError(StateError::Kind::Truncated,
+                     "Online accumulator: state snapshot ends before the "
+                     "declared fields");
+  }
+
+  std::span<const std::uint8_t> bytes_;
+  std::size_t pos_ = 0;
+};
+
+// ---- ClassSums -------------------------------------------------------------
+
+std::pair<std::size_t, bool> ClassSums::find(const double* r) const {
+  const auto it = std::lower_bound(
+      order_.begin(), order_.end(), r,
+      [this](std::uint32_t c, const double* key) {
+        return row_less(row(c), key, width_);
+      });
+  const auto pos = static_cast<std::size_t>(it - order_.begin());
+  return {pos, it != order_.end() && !row_less(r, row(*it), width_)};
+}
+
+std::uint32_t ClassSums::insert(const double* r, std::size_t pos) {
+  const auto c = static_cast<std::uint32_t>(counts_.size());
+  rows_.insert(rows_.end(), r, r + width_);
+  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(pos), c);
+  counts_.push_back(0);
+  touched_.push_back(0);
+  // A generic table that restarts after flush() reuses the rows.
+  if (pending_.size() == c) pending_.emplace_back();
+  return c;
+}
+
+void ClassSums::tabulate(const std::vector<double>& rows) {
+  assert(rows.size() == 256 * width_ && counts_.empty());
+  byte_class_.assign(256, 0);
+  for (std::size_t v = 0; v < 256; ++v) {
+    const double* r = rows.data() + v * width_;
+    const auto [pos, found] = find(r);
+    byte_class_[v] = found ? order_[pos] : insert(r, pos);
+  }
+}
+
+std::uint32_t ClassSums::class_of(const double* r,
+                                  const kernels::KernelTable& k) {
+  auto [pos, found] = find(r);
+  if (found) return order_[pos];
+  if (counts_.size() == kMaxClasses) {
+    flush(k);
+    pos = 0;
+  }
+  return insert(r, pos);
+}
+
+void ClassSums::accumulate(std::uint32_t c, const double* samples,
+                           const kernels::KernelTable& k) {
+  if (touched_[c] != 0) {
+    k.row_add(pending_[c].data(), samples, m_);
+    return;
+  }
+  // The first row after a fold is copied, not added to zeros: the same
+  // sum except for the sign of an exact zero, which no fold can see (a
+  // folded cell is never -0.0, and adding ±0.0 to it changes nothing).
+  pending_[c].assign(samples, samples + m_);
+  touched_[c] = 1;
+  ++num_touched_;
+}
+
+void ClassSums::add(std::uint32_t c, const double* samples,
+                    const kernels::KernelTable& k) {
+  accumulate(c, samples, k);
+  ++counts_[c];
+}
+
+const std::vector<double>& ClassSums::fold(const kernels::KernelTable& k) {
+  if (folded_.empty()) folded_.assign(width_ * m_, 0.0);
+  if (num_touched_ == 0) return folded_;
+  // Rank-kBlock updates over the touched class sums in content order:
+  // every folded cell receives its class contributions in that order,
+  // whatever the arm, the trace order within a class having been fixed
+  // when the class sums were added up.
+  const double* sums[kBlock];
+  const double* hyp[kBlock];
+  std::size_t cnt = 0;
+  const auto width = static_cast<unsigned>(width_);
+  for (const std::uint32_t c : order_) {
+    if (touched_[c] == 0) continue;
+    sums[cnt] = pending_[c].data();
+    hyp[cnt] = row(c);
+    if (++cnt == kBlock) {
+      k.cpa_rank_update(folded_.data(), sums, hyp, cnt, width, m_);
+      cnt = 0;
+    }
+  }
+  if (cnt > 0) k.cpa_rank_update(folded_.data(), sums, hyp, cnt, width, m_);
+  std::fill(touched_.begin(), touched_.end(), std::uint8_t{0});
+  num_touched_ = 0;
+  return folded_;
+}
+
+void ClassSums::add_columns(std::vector<double>& sum,
+                            std::vector<double>* sum_sq) const {
+  for (const std::uint32_t c : order_) {
+    if (counts_[c] == 0) continue;
+    const double w = static_cast<double>(counts_[c]);
+    const double* h = row(c);
+    for (std::size_t r = 0; r < width_; ++r) {
+      sum[r] += w * h[r];
+      if (sum_sq != nullptr) (*sum_sq)[r] += w * (h[r] * h[r]);
+    }
+  }
+}
+
+void ClassSums::column_sums(std::vector<double>& sum,
+                            std::vector<double>* sum_sq) const {
+  sum = base_sum_;
+  if (sum_sq != nullptr) *sum_sq = base_sq_;
+  add_columns(sum, sum_sq);
+}
+
+void ClassSums::flush(const kernels::KernelTable& k) {
+  assert(!fixed());
+  fold(k);
+  add_columns(base_sum_, &base_sq_);
+  for (const std::uint64_t c : counts_) base_n_ += c;
+  rows_.clear();
+  order_.clear();
+  counts_.clear();
+  touched_.clear();
+}
+
+void ClassSums::merge(const ClassSums& other, const kernels::KernelTable& k) {
+  // A fixed table is the model's: the other side must carry the same
+  // one, class for class (checked before anything is touched).
+  if (fixed() && (!other.fixed() || !same_bits(rows_, other.rows_)))
+    throw std::invalid_argument(
+        "Online accumulator merge: the class tables of the two sides "
+        "differ (different models)");
+  if (!other.folded_.empty()) {
+    if (folded_.empty()) folded_.assign(width_ * m_, 0.0);
+    add_into(folded_, other.folded_);
+  }
+  add_into(base_sum_, other.base_sum_);
+  add_into(base_sq_, other.base_sq_);
+  base_n_ += other.base_n_;
+  for (const std::uint32_t oc : other.order_) {
+    if (other.counts_[oc] == 0 && other.touched_[oc] == 0) continue;
+    const std::uint32_t c = fixed() ? oc : class_of(other.row(oc), k);
+    counts_[c] += other.counts_[oc];
+    if (other.touched_[oc] != 0) accumulate(c, other.pending_[oc].data(), k);
+  }
+}
+
+void ClassSums::reset() noexcept {
+  if (fixed()) {
+    std::fill(touched_.begin(), touched_.end(), std::uint8_t{0});
+    std::fill(counts_.begin(), counts_.end(), std::uint64_t{0});
+  } else {
+    rows_.clear();
+    order_.clear();
+    counts_.clear();
+    touched_.clear();
+  }
+  num_touched_ = 0;
+  folded_.clear();  // keeps the capacity; reallocated zeroed on a read
+  std::fill(base_sum_.begin(), base_sum_.end(), 0.0);
+  std::fill(base_sq_.begin(), base_sq_.end(), 0.0);
+  base_n_ = 0;
+}
+
+void ClassSums::save(std::vector<std::uint8_t>& out) const {
+  put_array(out, rows_);
+  put_array(out, counts_);
+  put_array(out, touched_);
+  // The pending sums of the touched classes, in class order.
+  std::vector<double> pending;
+  pending.reserve(num_touched_ * m_);
+  for (std::uint32_t c = 0; c < touched_.size(); ++c)
+    if (touched_[c] != 0)
+      pending.insert(pending.end(), pending_[c].begin(), pending_[c].end());
+  put_array(out, pending);
+  put_array(out, folded_);
+  put_array(out, base_sum_);
+  put_array(out, base_sq_);
+  put_u64(out, base_n_);
+}
+
+ClassSums ClassSums::load(SnapshotReader& r, std::size_t m,
+                          std::uint64_t n) const {
+  ClassSums t(width_);
+  t.m_ = m;
+  std::vector<double> pending;
+  r.array(t.rows_);
+  r.array(t.counts_);
+  r.array(t.touched_);
+  r.array(pending);
+  r.array(t.folded_);
+  r.array(t.base_sum_);
+  r.array(t.base_sq_);
+  t.base_n_ = r.u64();
+  const std::size_t classes = t.counts_.size();
+  for (const std::uint8_t f : t.touched_) t.num_touched_ += f;
+  if (classes > kMaxClasses || t.rows_.size() != classes * width_ ||
+      t.touched_.size() != classes ||
+      std::any_of(t.touched_.begin(), t.touched_.end(),
+                  [](std::uint8_t f) { return f > 1; }) ||
+      pending.size() != t.num_touched_ * m ||
+      (!t.folded_.empty() && t.folded_.size() != width_ * m) ||
+      t.base_sum_.size() != width_ || t.base_sq_.size() != width_)
+    geometry_error("Online accumulator: inconsistent class-table geometry");
+  t.pending_.resize(classes);
+  const double* p = pending.data();
+  for (std::uint32_t c = 0; c < classes; ++c) {
+    if (t.touched_[c] == 0) continue;
+    t.pending_[c].assign(p, p + m);
+    p += m;
+  }
+  if (fixed()) {
+    if (!same_bits(t.rows_, rows_))
+      geometry_error(
+          "Online accumulator: snapshot was taken with a different model");
+    t.byte_class_ = byte_class_;
+    t.order_ = order_;
+  } else {
+    for (std::uint32_t c = 0; c < classes; ++c) {
+      const auto [pos, found] = t.find(t.row(c));
+      if (found) geometry_error("Online accumulator: duplicate class rows");
+      t.order_.insert(t.order_.begin() + static_cast<std::ptrdiff_t>(pos), c);
+    }
+  }
+  // Subtract instead of adding up, so hostile counts cannot wrap around.
+  std::uint64_t rest = n;
+  bool fits = true;
+  for (const std::uint64_t c : t.counts_) {
+    fits = fits && c <= rest;
+    if (fits) rest -= c;
+  }
+  if (!fits || rest != t.base_n_)
+    geometry_error(
+        "Online accumulator: class counts do not add up to the trace count");
+  return t;
+}
+
+}  // namespace detail
 
 // ---- OnlineCpa -------------------------------------------------------------
 
 OnlineCpa::OnlineCpa(LeakageModel model, unsigned num_guesses)
-    : model_(std::move(model)), guesses_(num_guesses) {
+    : model_(std::move(model)), guesses_(num_guesses), classes_(num_guesses) {
   assert(model_);
   assert(guesses_ > 0);
-  sum_h_.assign(guesses_, 0.0);
-  sum_h2_.assign(guesses_, 0.0);
   if (model_.is_byte_indexed()) {
-    lut_.resize(256 * static_cast<std::size_t>(guesses_));
+    std::vector<double> lut(256 * static_cast<std::size_t>(guesses_));
     for (unsigned v = 0; v < 256; ++v)
       for (unsigned g = 0; g < guesses_; ++g)
-        lut_[v * guesses_ + g] =
+        lut[v * guesses_ + g] =
             model_.eval_byte(static_cast<std::uint8_t>(v), g);
+    classes_.tabulate(lut);
   } else {
     scratch_.resize(guesses_);
   }
@@ -71,81 +403,55 @@ void OnlineCpa::ensure_geometry(std::size_t m) {
   m_ = m;
   sum_s_.assign(m_, 0.0);
   sum_s2_.assign(m_, 0.0);
-  sum_hs_.assign(static_cast<std::size_t>(guesses_) * m_, 0.0);
+  classes_.set_samples(m_);
 }
 
-void OnlineCpa::ingest(const double* const* rows, const double* const* hyp,
-                       std::size_t cnt) {
-  // Shared per-sample moments (trace order — identical whatever the
-  // caller's blocking), then the per-guess moments, then the rank-cnt
-  // update of the guesses × m products matrix. The sample-axis loops
-  // run through the dispatched kernel table; per (g, j) cell the adds
-  // happen in trace order in every arm, so neither blocking nor the
-  // dispatch choice changes the floating-point result.
-  kernels_->cpa_moments(sum_s_.data(), sum_s2_.data(), rows, cnt, m_);
-  for (std::size_t c = 0; c < cnt; ++c) {
-    const double* h = hyp[c];
-    for (unsigned g = 0; g < guesses_; ++g) {
-      sum_h_[g] += h[g];
-      sum_h2_[g] += h[g] * h[g];
-    }
+void OnlineCpa::ingest(std::span<const std::uint8_t> plaintext,
+                       const double* samples) {
+  // Shared per-sample moments, then the trace's class: a byte lookup
+  // for byte-indexed models; generic models are evaluated and keyed by
+  // the row they produce.
+  kernels_->cpa_moments(sum_s_.data(), sum_s2_.data(), &samples, 1, m_);
+  std::uint32_t c;
+  if (classes_.fixed()) {
+    c = classes_.byte_class(
+        plaintext[static_cast<std::size_t>(model_.byte())]);
+  } else {
+    for (unsigned g = 0; g < guesses_; ++g) scratch_[g] = model_(plaintext, g);
+    c = classes_.class_of(scratch_.data(), *kernels_);
   }
-  kernels_->cpa_rank_update(sum_hs_.data(), rows, hyp, cnt, guesses_, m_);
-  n_ += cnt;
+  classes_.add(c, samples, *kernels_);
+  ++n_;
   var_valid_ = false;
-}
-
-const double* OnlineCpa::hyp_row(std::span<const std::uint8_t> plaintext) {
-  // Byte-indexed models: a LUT row, zero copies. Generic models: one
-  // std::function evaluation per guess into scratch (the scalar
-  // fallback; the shared per-sample sums stay hoisted either way).
-  if (model_.is_byte_indexed()) {
-    const auto v = plaintext[static_cast<std::size_t>(model_.byte())];
-    return lut_.data() + static_cast<std::size_t>(v) * guesses_;
-  }
-  for (unsigned g = 0; g < guesses_; ++g) scratch_[g] = model_(plaintext, g);
-  return scratch_.data();
 }
 
 void OnlineCpa::add(std::span<const std::uint8_t> plaintext,
                     std::span<const double> samples) {
   ensure_geometry(samples.size());
-  const double* row = samples.data();
-  const double* hyp = hyp_row(plaintext);
-  ingest(&row, &hyp, 1);
+  ingest(plaintext, samples.data());
 }
 
 void OnlineCpa::add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi) {
   hi = std::min(hi, ts.size());
   if (lo >= hi) return;
   ensure_geometry(ts.num_samples());
-  // Generic models share the one scratch hypothesis row, so they feed
-  // one trace per ingest; byte-indexed models block up rank-kBlock
-  // updates of LUT rows.
-  const std::size_t block = model_.is_byte_indexed() ? kBlock : 1;
-  for (std::size_t t0 = lo; t0 < hi; t0 += block) {
-    const std::size_t cnt = std::min(block, hi - t0);
-    const double* rows[kBlock];
-    const double* hyp[kBlock];
-    for (std::size_t c = 0; c < cnt; ++c) {
-      rows[c] = ts.matrix().row(t0 + c).data();
-      hyp[c] = hyp_row(ts.plaintext(t0 + c));
-    }
-    ingest(rows, hyp, cnt);
-  }
+  for (std::size_t i = lo; i < hi; ++i)
+    ingest(ts.plaintext(i), ts.matrix().row(i).data());
 }
 
-const std::vector<double>& OnlineCpa::var_s_cache() const {
-  // Shared by finalize() and correlation_trace(): repeated prefix
-  // probes of an MTD scan hit the cache until the next ingest (or
-  // merge/restore) invalidates it.
+const double* OnlineCpa::read() const {
+  // The per-sample variances and per-guess hypothesis sums only change
+  // with the trace count, so repeated reads at one prefix (an MTD probe
+  // followed by the final emission) pay them once.
+  const double* hs = classes_.fold(*kernels_).data();
   if (!var_valid_) {
     var_cache_.resize(m_);
     kernels_->variance(var_cache_.data(), sum_s_.data(), sum_s2_.data(),
                        static_cast<double>(n_), m_);
+    classes_.column_sums(sum_h_, &sum_h2_);
     var_valid_ = true;
   }
-  return var_cache_;
+  return hs;
 }
 
 CpaResult OnlineCpa::finalize(std::size_t window_lo,
@@ -156,7 +462,7 @@ CpaResult OnlineCpa::finalize(std::size_t window_lo,
   const std::size_t hi = (window_hi == 0) ? m_ : std::min(window_hi, m_);
   const std::size_t span = hi > window_lo ? hi - window_lo : 0;
   const double nn = static_cast<double>(n_);
-  const std::vector<double>& var_s = var_s_cache();
+  const double* sum_hs = read();
   rho_scratch_.resize(m_);
 
   for (unsigned g = 0; g < guesses_; ++g) {
@@ -164,13 +470,13 @@ CpaResult OnlineCpa::finalize(std::size_t window_lo,
     double best = 0.0;
     std::size_t best_j = window_lo;
     if (var_h > 0.0 && span > 0) {
-      const double* hs = sum_hs_.data() + static_cast<std::size_t>(g) * m_;
+      const double* hs = sum_hs + static_cast<std::size_t>(g) * m_;
       double* rho = rho_scratch_.data();
       // Zero-variance samples scan as rho == 0.0, which can never win
       // the strict max below — the same candidates as the historical
       // "skip non-positive variance" loop, peak values bit-identical.
       kernels_->corr_scan(rho, hs + window_lo, sum_s_.data() + window_lo,
-                          var_s.data() + window_lo, sum_h_[g], var_h, nn,
+                          var_cache_.data() + window_lo, sum_h_[g], var_h, nn,
                           span);
       for (std::size_t j = 0; j < span; ++j) {
         const double a = std::fabs(rho[j]);
@@ -198,12 +504,12 @@ std::vector<double> OnlineCpa::correlation_trace(unsigned guess) const {
   assert(guess < guesses_);
   std::vector<double> rho(m_, 0.0);
   if (n_ == 0) return rho;
+  const double* sum_hs = read();
   const double nn = static_cast<double>(n_);
   const double var_h = sum_h2_[guess] - sum_h_[guess] * sum_h_[guess] / nn;
   if (var_h <= 0.0) return rho;
-  const std::vector<double>& var_s = var_s_cache();
-  const double* hs = sum_hs_.data() + static_cast<std::size_t>(guess) * m_;
-  kernels_->corr_scan(rho.data(), hs, sum_s_.data(), var_s.data(),
+  const double* hs = sum_hs + static_cast<std::size_t>(guess) * m_;
+  kernels_->corr_scan(rho.data(), hs, sum_s_.data(), var_cache_.data(),
                       sum_h_[guess], var_h, nn, m_);
   return rho;
 }
@@ -212,36 +518,95 @@ void OnlineCpa::reset() noexcept {
   n_ = 0;
   std::fill(sum_s_.begin(), sum_s_.end(), 0.0);
   std::fill(sum_s2_.begin(), sum_s2_.end(), 0.0);
-  std::fill(sum_h_.begin(), sum_h_.end(), 0.0);
-  std::fill(sum_h2_.begin(), sum_h2_.end(), 0.0);
-  std::fill(sum_hs_.begin(), sum_hs_.end(), 0.0);
+  classes_.reset();
+  var_valid_ = false;
+}
+
+void OnlineCpa::merge(const OnlineCpa& other) {
+  if (other.guesses_ != guesses_)
+    throw std::invalid_argument("OnlineCpa::merge: num_guesses differ");
+  if (other.n_ == 0) return;
+  if (n_ == 0) {
+    ensure_geometry(other.m_);
+  } else if (other.m_ != m_) {
+    throw std::invalid_argument(
+        "OnlineCpa::merge: sample geometry differs");
+  }
+  classes_.merge(other.classes_, *kernels_);
+  add_into(sum_s_, other.sum_s_);
+  add_into(sum_s2_, other.sum_s2_);
+  n_ += other.n_;
+  var_valid_ = false;
+}
+
+std::vector<std::uint8_t> OnlineCpa::serialize_state() const {
+  std::vector<std::uint8_t> out;
+  put_u64(out, kCpaMagic);
+  put_u64(out, guesses_);
+  put_u64(out, m_);
+  put_u64(out, n_);
+  put_array(out, sum_s_);
+  put_array(out, sum_s2_);
+  classes_.save(out);
+  return out;
+}
+
+void OnlineCpa::restore_state(std::span<const std::uint8_t> bytes) {
+  // Parse into temporaries and commit only after every check passed:
+  // a rejected snapshot (StateError of any kind) must leave this
+  // accumulator exactly as it was, or a shard that falls back to an
+  // older checkpoint after a corrupt one would start from garbage.
+  detail::SnapshotReader r(bytes);
+  if (r.u64() != kCpaMagic)
+    throw StateError(StateError::Kind::BadMagic,
+                     "OnlineCpa::restore_state: not an OnlineCpa snapshot");
+  if (r.u64() != guesses_)
+    geometry_error(
+        "OnlineCpa::restore_state: snapshot was taken with a different "
+        "num_guesses");
+  const std::uint64_t m = r.u64();
+  const std::uint64_t n = r.u64();
+  std::vector<double> s, s2;
+  r.array(s);
+  r.array(s2);
+  if (s.size() != m || s2.size() != m)
+    geometry_error("OnlineCpa::restore_state: inconsistent snapshot geometry");
+  detail::ClassSums classes = classes_.load(r, s.size(), n);
+  r.expect_end();
+  sum_s_ = std::move(s);
+  sum_s2_ = std::move(s2);
+  classes_ = std::move(classes);
+  m_ = sum_s_.size();
+  n_ = n;
   var_valid_ = false;
 }
 
 // ---- OnlineDpa -------------------------------------------------------------
 
 OnlineDpa::OnlineDpa(std::vector<SelectionFn> bits, unsigned num_guesses)
-    : bits_(std::move(bits)), guesses_(num_guesses) {
+    : bits_(std::move(bits)),
+      guesses_(num_guesses),
+      classes_(bits_.size() * static_cast<std::size_t>(num_guesses)) {
   assert(!bits_.empty());
   assert(guesses_ > 0);
-  n1_.assign(bits_.size() * static_cast<std::size_t>(guesses_), 0);
-  lut_ok_ = std::all_of(bits_.begin(), bits_.end(),
-                        [](const SelectionFn& d) { return d.is_byte_indexed(); });
-  if (lut_ok_) {
-    // Decisions are stored as {0.0, 1.0} doubles: the ingest kernel
-    // turns them into a mask row and accumulates every set-1 trace
-    // branch-free (dst[j] += mask * s[j]).
-    lut_.resize(bits_.size() * 256 * static_cast<std::size_t>(guesses_));
-    for (std::size_t b = 0; b < bits_.size(); ++b)
-      for (unsigned v = 0; v < 256; ++v)
+  const std::size_t width = bits_.size() * static_cast<std::size_t>(guesses_);
+  const bool one_byte =
+      std::all_of(bits_.begin(), bits_.end(), [&](const SelectionFn& d) {
+        return d.is_byte_indexed() && d.byte() == bits_.front().byte();
+      });
+  if (one_byte) {
+    // Decision rows of {0.0, 1.0} doubles: the fold's rank update adds
+    // a class sum exactly (1.0 * s == s) or skips it (0.0).
+    std::vector<double> lut(256 * width);
+    for (unsigned v = 0; v < 256; ++v)
+      for (std::size_t b = 0; b < bits_.size(); ++b)
         for (unsigned g = 0; g < guesses_; ++g)
-          lut_[(b * 256 + v) * guesses_ + g] =
+          lut[v * width + b * guesses_ + g] =
               bits_[b].eval_byte(static_cast<std::uint8_t>(v), g) != 0 ? 1.0
                                                                        : 0.0;
+    classes_.tabulate(lut);
   } else {
-    // One decision row (bits × guesses): generic selections are fed one
-    // trace per ingest, never blocked.
-    scratch_.resize(bits_.size() * static_cast<std::size_t>(guesses_));
+    scratch_.resize(width);
   }
 }
 
@@ -254,90 +619,59 @@ void OnlineDpa::ensure_geometry(std::size_t m) {
   }
   m_ = m;
   sum_s_.assign(m_, 0.0);
-  sum1_.assign(bits_.size() * static_cast<std::size_t>(guesses_) * m_, 0.0);
+  classes_.set_samples(m_);
 }
 
-void OnlineDpa::ingest(const double* const* rows,
-                       const std::uint8_t* const* pts, std::size_t cnt) {
-  assert(lut_ok_ || cnt == 1);  // generic selections share one scratch row
-  const std::size_t nbits = bits_.size();
-  for (std::size_t c = 0; c < cnt; ++c)
-    kernels_->row_add(sum_s_.data(), rows[c], m_);
-  // Branch-free partitioned sums: per (bit, guess) the {0.0, 1.0} LUT
-  // decisions become a mask over the trace block and the kernel runs
-  // dst[j] += mask[c] * s[j] with no data-dependent branch in the
-  // sample loop. A masked-out trace adds a signed zero, which cannot
-  // change any accumulator bit (see kernels.hpp), so this is
-  // bit-identical to the historical "if (d) skip" loop.
-  double mask[kBlock];
-  for (std::size_t b = 0; b < nbits; ++b) {
-    const auto byte =
-        lut_ok_ ? static_cast<std::size_t>(bits_[b].byte()) : std::size_t{0};
-    for (unsigned g = 0; g < guesses_; ++g) {
-      double* dst = sum1_.data() +
-                    (b * static_cast<std::size_t>(guesses_) + g) * m_;
-      std::uint32_t ones = 0;
-      for (std::size_t c = 0; c < cnt; ++c) {
-        const double d = lut_ok_
-                             ? lut_[(b * 256 + pts[c][byte]) * guesses_ + g]
-                             : scratch_[b * guesses_ + g];
-        mask[c] = d;
-        ones += static_cast<std::uint32_t>(d);
-      }
-      n1_[b * guesses_ + g] += ones;
-      kernels_->masked_sum(dst, rows, mask, cnt, m_);
-    }
+void OnlineDpa::ingest(std::span<const std::uint8_t> plaintext,
+                       const double* samples) {
+  kernels_->row_add(sum_s_.data(), samples, m_);
+  std::uint32_t c;
+  if (classes_.fixed()) {
+    c = classes_.byte_class(
+        plaintext[static_cast<std::size_t>(bits_.front().byte())]);
+  } else {
+    for (std::size_t b = 0; b < bits_.size(); ++b)
+      for (unsigned g = 0; g < guesses_; ++g)
+        scratch_[b * guesses_ + g] = bits_[b](plaintext, g) != 0 ? 1.0 : 0.0;
+    c = classes_.class_of(scratch_.data(), *kernels_);
   }
-  n_ += cnt;
+  classes_.add(c, samples, *kernels_);
+  ++n_;
 }
 
 void OnlineDpa::add(std::span<const std::uint8_t> plaintext,
                     std::span<const double> samples) {
   ensure_geometry(samples.size());
-  if (!lut_ok_) {
-    double* dst = scratch_.data();
-    for (std::size_t b = 0; b < bits_.size(); ++b)
-      for (unsigned g = 0; g < guesses_; ++g)
-        dst[b * guesses_ + g] = bits_[b](plaintext, g) != 0 ? 1.0 : 0.0;
-  }
-  const double* row = samples.data();
-  const std::uint8_t* pt = plaintext.data();
-  ingest(&row, &pt, 1);
+  ingest(plaintext, samples.data());
 }
 
 void OnlineDpa::add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi) {
   hi = std::min(hi, ts.size());
   if (lo >= hi) return;
   ensure_geometry(ts.num_samples());
-  if (!lut_ok_) {
-    for (std::size_t i = lo; i < hi; ++i)
-      add(ts.plaintext(i), ts.matrix().row(i));
-    return;
-  }
-  for (std::size_t t0 = lo; t0 < hi; t0 += kBlock) {
-    const std::size_t cnt = std::min(kBlock, hi - t0);
-    const double* rows[kBlock];
-    const std::uint8_t* pts[kBlock];
-    for (std::size_t c = 0; c < cnt; ++c) {
-      rows[c] = ts.matrix().row(t0 + c).data();
-      pts[c] = ts.plaintext(t0 + c).data();
-    }
-    ingest(rows, pts, cnt);
-  }
+  for (std::size_t i = lo; i < hi; ++i)
+    ingest(ts.plaintext(i), ts.matrix().row(i).data());
+}
+
+const double* OnlineDpa::read() const {
+  const double* sum1 = classes_.fold(*kernels_).data();
+  classes_.column_sums(n1_, nullptr);
+  return sum1;
 }
 
 BiasResult OnlineDpa::bias(unsigned guess, std::size_t bit,
                            SampleWindow window) const {
   assert(guess < guesses_ && bit < bits_.size());
+  const double* sum1 = read();
   BiasResult r;
   const std::size_t idx = bit * static_cast<std::size_t>(guesses_) + guess;
-  r.n1 = n1_[idx];
+  r.n1 = static_cast<std::size_t>(n1_[idx]);
   r.n0 = n_ - r.n1;
   if (r.n0 == 0 || r.n1 == 0) {
     r.bias.assign(m_, 0.0);
     return r;
   }
-  const double* s1 = sum1_.data() + idx * m_;
+  const double* s1 = sum1 + idx * m_;
   const double inv0 = 1.0 / static_cast<double>(r.n0);
   const double inv1 = 1.0 / static_cast<double>(r.n1);
   r.bias.resize(m_);
@@ -347,13 +681,13 @@ BiasResult OnlineDpa::bias(unsigned guess, std::size_t bit,
   return r;
 }
 
-double OnlineDpa::peak_of(unsigned guess, std::size_t bit,
+double OnlineDpa::peak_of(const double* sum1, unsigned guess, std::size_t bit,
                           SampleWindow window) const {
   const std::size_t idx = bit * static_cast<std::size_t>(guesses_) + guess;
-  const std::size_t c1 = n1_[idx];
+  const auto c1 = static_cast<std::size_t>(n1_[idx]);
   const std::size_t c0 = n_ - c1;
   if (c0 == 0 || c1 == 0) return 0.0;
-  const double* s1 = sum1_.data() + idx * m_;
+  const double* s1 = sum1 + idx * m_;
   const double inv0 = 1.0 / static_cast<double>(c0);
   const double inv1 = 1.0 / static_cast<double>(c1);
   double peak = 0.0;
@@ -366,173 +700,35 @@ double OnlineDpa::peak_of(unsigned guess, std::size_t bit,
 }
 
 KeyRecoveryResult OnlineDpa::recover(SampleWindow window) const {
+  const double* sum1 = read();
   KeyRecoveryResult r;
   r.guess_peak.assign(guesses_, 0.0);
   for (unsigned g = 0; g < guesses_; ++g) {
     double sum = 0.0;
     for (std::size_t b = 0; b < bits_.size(); ++b)
-      sum += peak_of(g, b, window);
+      sum += peak_of(sum1, g, b, window);
     r.guess_peak[g] = sum;
   }
   rank_finalize(r, guesses_);
   return r;
 }
 
-// ---- merge + state serialization -------------------------------------------
-
-namespace {
-
-// Tiny little-endian byte codec for the accumulator snapshots. The
-// format is an implementation detail shared by serialize_state and
-// restore_state only — not a stable interchange format.
-constexpr std::uint32_t kCpaMagic = 0x71647043;  // "qdpC"
-constexpr std::uint32_t kDpaMagic = 0x71647044;  // "qdpD"
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+KeyRecoveryResult OnlineDpa::recover_single(std::size_t bit,
+                                            SampleWindow window) const {
+  assert(bit < bits_.size());
+  const double* sum1 = read();
+  KeyRecoveryResult r;
+  r.guess_peak.assign(guesses_, 0.0);
+  for (unsigned g = 0; g < guesses_; ++g)
+    r.guess_peak[g] = peak_of(sum1, g, bit, window);
+  rank_finalize(r, guesses_);
+  return r;
 }
 
-void put_doubles(std::vector<std::uint8_t>& out,
-                 const std::vector<double>& v) {
-  put_u64(out, v.size());
-  const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-  out.insert(out.end(), p, p + v.size() * sizeof(double));
-}
-
-void put_u32s(std::vector<std::uint8_t>& out,
-              const std::vector<std::uint32_t>& v) {
-  put_u64(out, v.size());
-  const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-  out.insert(out.end(), p, p + v.size() * sizeof(std::uint32_t));
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint64_t u64() {
-    if (bytes_.size() - pos_ < 8) truncated();
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-
-  // The element counts are length-prefixed and attacker-controlled, so
-  // the bound checks divide instead of multiplying — `n * sizeof(T)`
-  // on a hostile n would wrap around std::uint64_t and pass a `pos + n
-  // * size > total` comparison that the buffer cannot actually satisfy.
-  void doubles(std::vector<double>& out) {
-    const std::uint64_t n = u64();
-    if (n > (bytes_.size() - pos_) / sizeof(double)) truncated();
-    out.resize(n);
-    std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(double));
-    pos_ += n * sizeof(double);
-  }
-
-  void u32s(std::vector<std::uint32_t>& out) {
-    const std::uint64_t n = u64();
-    if (n > (bytes_.size() - pos_) / sizeof(std::uint32_t)) truncated();
-    out.resize(n);
-    std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(std::uint32_t));
-    pos_ += n * sizeof(std::uint32_t);
-  }
-
-  void expect_end() const {
-    if (pos_ != bytes_.size())
-      throw StateError(StateError::Kind::Oversized,
-                       "Online accumulator: state snapshot has trailing "
-                       "bytes past the last field");
-  }
-
- private:
-  [[noreturn]] static void truncated() {
-    throw StateError(StateError::Kind::Truncated,
-                     "Online accumulator: state snapshot ends before the "
-                     "declared fields");
-  }
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-void add_into(std::vector<double>& dst, const std::vector<double>& src) {
-  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
-}
-
-}  // namespace
-
-void OnlineCpa::merge(const OnlineCpa& other) {
-  if (other.guesses_ != guesses_)
-    throw std::invalid_argument("OnlineCpa::merge: num_guesses differ");
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    ensure_geometry(other.m_);
-  } else if (other.m_ != m_) {
-    throw std::invalid_argument(
-        "OnlineCpa::merge: sample geometry differs");
-  }
-  add_into(sum_s_, other.sum_s_);
-  add_into(sum_s2_, other.sum_s2_);
-  add_into(sum_h_, other.sum_h_);
-  add_into(sum_h2_, other.sum_h2_);
-  add_into(sum_hs_, other.sum_hs_);
-  n_ += other.n_;
-  var_valid_ = false;
-}
-
-std::vector<std::uint8_t> OnlineCpa::serialize_state() const {
-  std::vector<std::uint8_t> out;
-  put_u64(out, kCpaMagic);
-  put_u64(out, guesses_);
-  put_u64(out, m_);
-  put_u64(out, n_);
-  put_doubles(out, sum_s_);
-  put_doubles(out, sum_s2_);
-  put_doubles(out, sum_h_);
-  put_doubles(out, sum_h2_);
-  put_doubles(out, sum_hs_);
-  return out;
-}
-
-void OnlineCpa::restore_state(std::span<const std::uint8_t> bytes) {
-  // Parse into temporaries and commit only after every check passed:
-  // a rejected snapshot (StateError of any kind) must leave this
-  // accumulator exactly as it was, or a shard that falls back to an
-  // older checkpoint after a corrupt one would start from garbage.
-  Reader r(bytes);
-  if (r.u64() != kCpaMagic)
-    throw StateError(StateError::Kind::BadMagic,
-                     "OnlineCpa::restore_state: not an OnlineCpa snapshot");
-  if (r.u64() != guesses_)
-    throw StateError(StateError::Kind::Geometry,
-                     "OnlineCpa::restore_state: snapshot was taken with a "
-                     "different num_guesses");
-  const std::uint64_t m = r.u64();
-  const std::uint64_t n = r.u64();
-  std::vector<double> s, s2, h, h2, hs;
-  r.doubles(s);
-  r.doubles(s2);
-  r.doubles(h);
-  r.doubles(h2);
-  r.doubles(hs);
-  r.expect_end();
-  if (s.size() != m || s2.size() != m || h.size() != guesses_ ||
-      h2.size() != guesses_ ||
-      hs.size() != static_cast<std::size_t>(guesses_) * m)
-    throw StateError(StateError::Kind::Geometry,
-                     "OnlineCpa::restore_state: inconsistent snapshot "
-                     "geometry");
-  sum_s_ = std::move(s);
-  sum_s2_ = std::move(s2);
-  sum_h_ = std::move(h);
-  sum_h2_ = std::move(h2);
-  sum_hs_ = std::move(hs);
-  m_ = m;
-  n_ = n;
-  var_valid_ = false;
+void OnlineDpa::reset() noexcept {
+  n_ = 0;
+  std::fill(sum_s_.begin(), sum_s_.end(), 0.0);
+  classes_.reset();
 }
 
 void OnlineDpa::merge(const OnlineDpa& other) {
@@ -546,9 +742,8 @@ void OnlineDpa::merge(const OnlineDpa& other) {
     throw std::invalid_argument(
         "OnlineDpa::merge: sample geometry differs");
   }
+  classes_.merge(other.classes_, *kernels_);
   add_into(sum_s_, other.sum_s_);
-  for (std::size_t i = 0; i < n1_.size(); ++i) n1_[i] += other.n1_[i];
-  add_into(sum1_, other.sum1_);
   n_ += other.n_;
 }
 
@@ -559,58 +754,33 @@ std::vector<std::uint8_t> OnlineDpa::serialize_state() const {
   put_u64(out, bits_.size());
   put_u64(out, m_);
   put_u64(out, n_);
-  put_doubles(out, sum_s_);
-  put_u32s(out, n1_);
-  put_doubles(out, sum1_);
+  put_array(out, sum_s_);
+  classes_.save(out);
   return out;
 }
 
 void OnlineDpa::restore_state(std::span<const std::uint8_t> bytes) {
   // Same parse-then-commit discipline as OnlineCpa::restore_state.
-  Reader r(bytes);
+  detail::SnapshotReader r(bytes);
   if (r.u64() != kDpaMagic)
     throw StateError(StateError::Kind::BadMagic,
                      "OnlineDpa::restore_state: not an OnlineDpa snapshot");
   if (r.u64() != guesses_ || r.u64() != bits_.size())
-    throw StateError(StateError::Kind::Geometry,
-                     "OnlineDpa::restore_state: snapshot was taken with a "
-                     "different guess/selection-bit configuration");
+    geometry_error(
+        "OnlineDpa::restore_state: snapshot was taken with a different "
+        "guess/selection-bit configuration");
   const std::uint64_t m = r.u64();
   const std::uint64_t n = r.u64();
-  std::vector<double> s, s1;
-  std::vector<std::uint32_t> counts;
-  r.doubles(s);
-  r.u32s(counts);
-  r.doubles(s1);
+  std::vector<double> s;
+  r.array(s);
+  if (s.size() != m)
+    geometry_error("OnlineDpa::restore_state: inconsistent snapshot geometry");
+  detail::ClassSums classes = classes_.load(r, s.size(), n);
   r.expect_end();
-  if (s.size() != m || counts.size() != bits_.size() * guesses_ ||
-      s1.size() != bits_.size() * static_cast<std::size_t>(guesses_) * m)
-    throw StateError(StateError::Kind::Geometry,
-                     "OnlineDpa::restore_state: inconsistent snapshot "
-                     "geometry");
   sum_s_ = std::move(s);
-  n1_ = std::move(counts);
-  sum1_ = std::move(s1);
-  m_ = m;
+  classes_ = std::move(classes);
+  m_ = sum_s_.size();
   n_ = n;
-}
-
-KeyRecoveryResult OnlineDpa::recover_single(std::size_t bit,
-                                            SampleWindow window) const {
-  assert(bit < bits_.size());
-  KeyRecoveryResult r;
-  r.guess_peak.assign(guesses_, 0.0);
-  for (unsigned g = 0; g < guesses_; ++g)
-    r.guess_peak[g] = peak_of(g, bit, window);
-  rank_finalize(r, guesses_);
-  return r;
-}
-
-void OnlineDpa::reset() noexcept {
-  n_ = 0;
-  std::fill(sum_s_.begin(), sum_s_.end(), 0.0);
-  std::fill(n1_.begin(), n1_.end(), 0u);
-  std::fill(sum1_.begin(), sum1_.end(), 0.0);
 }
 
 }  // namespace qdi::dpa

@@ -3,9 +3,10 @@
 //  * every SIMD arm the host supports (SSE2, AVX2) is fuzzed against
 //    the portable arm over awkward geometries — odd sample counts,
 //    vector-width±1 tails, 1/5/256 guesses, byte-indexed and generic
-//    models — and must leave BIT-identical accumulator state and emit
-//    bit-identical finalize()/correlation_trace() results (the
-//    determinism contract of qdi/dpa/kernels.hpp);
+//    models, a mid-stream read — and must leave BIT-identical
+//    accumulator state (class sums before a read, the folded matrix
+//    after it) and emit bit-identical finalize()/correlation_trace()
+//    results (the determinism contract of qdi/dpa/kernels.hpp);
 //  * the cached per-sample variance scan is invalidated by
 //    ingest/merge/restore (a stale cache would poison every prefix
 //    probe after the first);
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "qdi/dpa/kernels.hpp"
@@ -49,7 +51,9 @@ qd::TraceSet random_traces(std::size_t n, std::size_t m, qu::Rng& rng) {
 }
 
 /// Feed `ts` through `acc` in deliberately awkward chunkings: single
-/// add()s at the front, then add_prefix() chunks of co-prime widths.
+/// add()s at the front, then add_prefix() chunks of co-prime widths,
+/// with one read after the first 17 traces so the read-time fold runs
+/// twice (once mid-stream, once at the caller's read).
 template <typename Acc>
 void feed_awkward(Acc& acc, const qd::TraceSet& ts) {
   std::size_t i = 0;
@@ -57,11 +61,19 @@ void feed_awkward(Acc& acc, const qd::TraceSet& ts) {
     acc.add(ts.plaintext(i), ts.trace(i).samples());
   const std::size_t widths[] = {5, 1, 7, 13};
   std::size_t w = 0;
+  bool read = false;
   while (i < ts.size()) {
     const std::size_t hi = std::min(ts.size(), i + widths[w % 4]);
     acc.add_prefix(ts, i, hi);
     i = hi;
     ++w;
+    if (!read && i >= 17) {
+      if constexpr (std::is_same_v<Acc, qd::OnlineCpa>)
+        (void)acc.finalize();
+      else
+        (void)acc.recover();
+      read = true;
+    }
   }
 }
 
@@ -119,17 +131,22 @@ TEST(KernelArms, CpaStateBitIdenticalAcrossArms) {
         feed_awkward(ref, ts);
         const std::vector<std::uint8_t> ref_state = ref.serialize_state();
         const qd::CpaResult ref_fin = ref.finalize(1, m > 2 ? m - 1 : m);
+        const std::vector<std::uint8_t> ref_folded = ref.serialize_state();
         const std::vector<double> ref_rho = ref.correlation_trace(0);
         for (const qk::Kind kind : kSimdKinds) {
           if (!qk::supported(kind)) continue;
           qd::OnlineCpa acc(model, guesses);
           acc.set_kernels(*qk::table(kind));
           feed_awkward(acc, ts);
-          // The whole running-sum state, byte for byte: no tolerance.
+          // The whole state, byte for byte: no tolerance — the class
+          // sums with the mid-stream fold, then the fold at finalize().
           EXPECT_EQ(acc.serialize_state(), ref_state)
               << qk::table(kind)->name << " m=" << m << " guesses=" << guesses
               << " byte_indexed=" << byte_indexed;
           const qd::CpaResult fin = acc.finalize(1, m > 2 ? m - 1 : m);
+          EXPECT_EQ(acc.serialize_state(), ref_folded)
+              << qk::table(kind)->name << " m=" << m << " guesses=" << guesses
+              << " byte_indexed=" << byte_indexed;
           EXPECT_EQ(fin.best_guess, ref_fin.best_guess);
           EXPECT_EQ(fin.best_sample, ref_fin.best_sample);
           for (unsigned g = 0; g < guesses; ++g)
@@ -166,6 +183,7 @@ TEST(KernelArms, DpaStateBitIdenticalAcrossArms) {
         feed_awkward(ref, ts);
         const std::vector<std::uint8_t> ref_state = ref.serialize_state();
         const qd::KeyRecoveryResult ref_rec = ref.recover();
+        const std::vector<std::uint8_t> ref_folded = ref.serialize_state();
         for (const qk::Kind kind : kSimdKinds) {
           if (!qk::supported(kind)) continue;
           qd::OnlineDpa acc(bits, guesses);
@@ -175,6 +193,9 @@ TEST(KernelArms, DpaStateBitIdenticalAcrossArms) {
               << qk::table(kind)->name << " m=" << m << " guesses=" << guesses
               << " byte_indexed=" << byte_indexed;
           const qd::KeyRecoveryResult rec = acc.recover();
+          EXPECT_EQ(acc.serialize_state(), ref_folded)
+              << qk::table(kind)->name << " m=" << m << " guesses=" << guesses
+              << " byte_indexed=" << byte_indexed;
           EXPECT_EQ(rec.best_guess, ref_rec.best_guess);
           for (unsigned g = 0; g < guesses; ++g)
             EXPECT_EQ(rec.guess_peak[g], ref_rec.guess_peak[g]);
@@ -191,19 +212,26 @@ TEST(KernelArms, VarianceCacheInvalidatedByIngestMergeRestore) {
   const qd::TraceSet ts = random_traces(60, 19, rng);
   const qd::LeakageModel model = qd::aes_sbox_hw_model(0);
 
-  // finalize – ingest – finalize must equal a fresh single-shot feed
-  // (a stale variance cache from the first finalize would poison the
-  // second).
+  // finalize – ingest – finalize must equal the same state read with no
+  // cache at all: a twin restored from a snapshot taken after the
+  // second ingest (a stale variance cache from the first finalize would
+  // poison the second). The read at n=30 folds the class sums there,
+  // so against a single-shot feed the result is only 1e-12 close.
   qd::OnlineCpa probed(model, 16);
   probed.add_prefix(ts, 0, 30);
   (void)probed.finalize();           // populates the cache at n=30
   probed.add_prefix(ts, 30, 60);     // must invalidate it
+  qd::OnlineCpa uncached(model, 16);
+  uncached.restore_state(probed.serialize_state());
   qd::OnlineCpa fresh(model, 16);
   fresh.add_prefix(ts, 0, 60);
   const qd::CpaResult a = probed.finalize();
   const qd::CpaResult b = fresh.finalize();
-  for (unsigned g = 0; g < 16; ++g)
-    EXPECT_EQ(a.correlation[g], b.correlation[g]) << "g=" << g;
+  const qd::CpaResult a_ref = uncached.finalize();
+  for (unsigned g = 0; g < 16; ++g) {
+    EXPECT_EQ(a.correlation[g], a_ref.correlation[g]) << "g=" << g;
+    EXPECT_NEAR(a.correlation[g], b.correlation[g], 1e-12) << "g=" << g;
+  }
 
   // Same rule through merge() ...
   qd::OnlineCpa left(model, 16), right(model, 16);

@@ -5,12 +5,19 @@
 //    online results vs the legacy batch formulas re-derived naively
 //    here, to 1e-12;
 //  * byte-indexed LUT path vs generic std::function path, bit-identical;
+//  * the per-class engine at random read points: naive formulas to
+//    1e-12 (deduplicated LUT rows, guess counts unlike the class count,
+//    generic twins, DPA bits on two bytes, a generic model with more
+//    rows than the class table holds); add() / add_prefix() / random
+//    chunkings read at the same points are bit-identical; two reads
+//    with no ingest in between are identical;
 //  * CpaResult/KeyRecoveryResult tie handling (ties rank below);
 //  * fused-campaign results == materialized-TraceSet results on two
 //    registry targets, including MTD and the rank trajectory;
 //  * fused-campaign peak RSS independent of the trace count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -126,10 +133,17 @@ TEST(OnlineCpa, MatchesNaiveFormulasOnRandomInputs) {
         EXPECT_NEAR(r.correlation[g], peak, 1e-12)
             << "trial " << trial << " prefix " << prefix << " guess " << g;
       }
-      // The batch wrapper is the same engine: exact agreement.
+      // The batch wrapper is the same engine: exact agreement with an
+      // accumulator read at the same points (one read, at `prefix`),
+      // and 1e-12 with this one, which also folded at earlier prefixes.
       const qd::CpaResult batch = qd::cpa_attack(ts, model, guesses, prefix);
-      for (unsigned g = 0; g < guesses; ++g)
-        EXPECT_DOUBLE_EQ(r.correlation[g], batch.correlation[g]);
+      qd::OnlineCpa once(model, guesses);
+      once.add_prefix(ts, 0, prefix);
+      const qd::CpaResult one_read = once.finalize();
+      for (unsigned g = 0; g < guesses; ++g) {
+        EXPECT_EQ(one_read.correlation[g], batch.correlation[g]);
+        EXPECT_NEAR(r.correlation[g], batch.correlation[g], 1e-12);
+      }
       EXPECT_EQ(r.best_guess, batch.best_guess);
     }
   }
@@ -157,12 +171,18 @@ TEST(OnlineDpa, MatchesNaiveFormulasOnRandomInputs) {
           EXPECT_NEAR(b.bias[j], ref[j], 1e-12)
               << "trial " << trial << " guess " << g << " sample " << j;
       }
-      // Wrapper agreement (same engine, same order): exact.
+      // Wrapper agreement (same engine, same order, same read points):
+      // exact; 1e-12 with the accumulator read at every guess above.
       const qd::KeyRecoveryResult batch =
           qd::recover_key(ts, d, guesses, prefix);
+      qd::OnlineDpa once({d}, guesses);
+      once.add_prefix(ts, 0, prefix);
+      const qd::KeyRecoveryResult one_read = once.recover();
       const qd::KeyRecoveryResult online = acc.recover();
-      for (unsigned g = 0; g < guesses; ++g)
-        EXPECT_DOUBLE_EQ(online.guess_peak[g], batch.guess_peak[g]);
+      for (unsigned g = 0; g < guesses; ++g) {
+        EXPECT_EQ(one_read.guess_peak[g], batch.guess_peak[g]);
+        EXPECT_NEAR(online.guess_peak[g], batch.guess_peak[g], 1e-12);
+      }
     }
   }
 }
@@ -215,6 +235,285 @@ TEST(OnlineCpa, SingleAddAgreesWithBulkAddPrefix) {
   const qd::CpaResult b = bulk.finalize();
   for (unsigned g = 0; g < 16; ++g)
     EXPECT_DOUBLE_EQ(a.correlation[g], b.correlation[g]);
+}
+
+// ---- per-class engine: read points ------------------------------------------
+
+namespace {
+
+/// 1-4 distinct read points in [1, n], ascending; always ends at n.
+std::vector<std::size_t> random_reads(std::size_t n, qu::Rng& rng) {
+  std::vector<std::size_t> reads{n};
+  for (std::size_t k = rng.below(4); k > 0; --k)
+    reads.push_back(1 + rng.below(n));
+  std::sort(reads.begin(), reads.end());
+  reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
+  return reads;
+}
+
+/// The models of the read-point tests: duplicate LUT rows (des: the
+/// row depends on 6 of the 8 bits, so 256 byte values share 64 rows),
+/// guess counts that differ from the class count, and the generic
+/// (lambda) twin of each.
+std::vector<qd::LeakageModel> class_models() {
+  std::vector<qd::LeakageModel> out = {qd::des_sbox_hw_model(0),
+                                       qd::aes_xor_hw_model(1),
+                                       qd::aes_sbox_hw_model(0)};
+  for (std::size_t i = 0; i < 3; ++i)
+    out.push_back(qd::LeakageModel(
+        [fast = out[i]](std::span<const std::uint8_t> pt, unsigned g) {
+          return fast(pt, g);
+        }));
+  return out;
+}
+
+std::vector<qd::SelectionFn> class_selections() {
+  std::vector<qd::SelectionFn> out = {qd::des_sbox_selection(0, 2),
+                                      qd::aes_sbox_selection(1, 4)};
+  for (std::size_t i = 0; i < 2; ++i)
+    out.push_back(qd::SelectionFn(
+        [fast = out[i]](std::span<const std::uint8_t> pt, unsigned g) {
+          return fast(pt, g);
+        }));
+  return out;
+}
+
+}  // namespace
+
+TEST(OnlineClasses, CpaMatchesNaiveFormulasAtRandomReadPoints) {
+  qu::Rng rng(0xc1a5);
+  const std::vector<qd::LeakageModel> models = class_models();
+  for (int trial = 0; trial < 18; ++trial) {
+    const qd::LeakageModel& model = models[trial % models.size()];
+    const std::size_t n = 4 + rng.below(120);
+    const std::size_t m = 1 + rng.below(20);
+    const unsigned guesses = 1 + static_cast<unsigned>(rng.below(40));
+    const qd::TraceSet ts = random_traces(n, m, rng);
+    qd::OnlineCpa acc(model, guesses);
+    for (const std::size_t prefix : random_reads(n, rng)) {
+      acc.add_prefix(ts, acc.count(), prefix);
+      const qd::CpaResult r = acc.finalize();
+      const unsigned traced = static_cast<unsigned>(rng.below(guesses));
+      const std::vector<double> trace = acc.correlation_trace(traced);
+      for (unsigned g = 0; g < guesses; ++g) {
+        const std::vector<double> rho = naive_correlation(ts, model, g, prefix);
+        double peak = 0.0;
+        for (double v : rho) peak = std::max(peak, std::fabs(v));
+        EXPECT_NEAR(r.correlation[g], peak, 1e-12)
+            << "trial " << trial << " prefix " << prefix << " guess " << g;
+        if (g != traced) continue;
+        for (std::size_t j = 0; j < m; ++j)
+          EXPECT_NEAR(trace[j], rho[j], 1e-12) << "trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(OnlineClasses, DpaMatchesNaiveFormulasAtRandomReadPoints) {
+  qu::Rng rng(0xd1a5);
+  const std::vector<qd::SelectionFn> sels = class_selections();
+  for (int trial = 0; trial < 16; ++trial) {
+    const std::size_t n = 4 + rng.below(120);
+    const std::size_t m = 1 + rng.below(20);
+    const unsigned guesses = 1 + static_cast<unsigned>(rng.below(40));
+    const qd::TraceSet ts = random_traces(n, m, rng);
+    // Two bits on one byte (the class table), on two bytes, generic, and
+    // byte-indexed next to generic (the last three key evaluated rows of
+    // bits × guesses).
+    const std::vector<qd::SelectionFn> pairs[] = {
+        {sels[0], qd::des_sbox_selection(0, 3)},
+        {sels[0], sels[1]},
+        {sels[2], sels[3]},
+        {sels[1], sels[3]}};
+    const std::vector<qd::SelectionFn>& bits = pairs[trial % 4];
+    qd::OnlineDpa acc(bits, guesses);
+    for (const std::size_t prefix : random_reads(n, rng)) {
+      acc.add_prefix(ts, acc.count(), prefix);
+      const qd::KeyRecoveryResult rec = acc.recover();
+      for (unsigned g = 0; g < guesses; ++g) {
+        double summed = 0.0;
+        for (std::size_t b = 0; b < bits.size(); ++b) {
+          const std::vector<double> ref = naive_bias(ts, bits[b], g, prefix);
+          const qd::BiasResult got = acc.bias(g, b);
+          ASSERT_EQ(got.bias.size(), ref.size());
+          double peak = 0.0;
+          for (std::size_t j = 0; j < ref.size(); ++j) {
+            EXPECT_NEAR(got.bias[j], ref[j], 1e-12)
+                << "trial " << trial << " guess " << g << " bit " << b;
+            peak = std::max(peak, std::fabs(ref[j]));
+          }
+          summed += peak;
+        }
+        EXPECT_NEAR(rec.guess_peak[g], summed, 1e-12) << "trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(OnlineClasses, FeedShapeNeverChangesABitAtTheSameReadPoints) {
+  // add() per trace, add_prefix() in one call per read interval, and
+  // add_prefix() in random chunks, all read at the same points: the
+  // class sums see every trace in the same order, so results and state
+  // are bit-identical — and the generic twin of the model folds the
+  // same classes in the same content order, so its results are too.
+  qu::Rng rng(0xfeed);
+  const std::vector<qd::LeakageModel> models = class_models();
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t n = 2 + rng.below(150);
+    const std::size_t m = 1 + rng.below(17);
+    const unsigned guesses = 1 + static_cast<unsigned>(rng.below(64));
+    const qd::TraceSet ts = random_traces(n, m, rng);
+    const std::size_t which = trial % 3;
+    qd::OnlineCpa single(models[which], guesses);
+    qd::OnlineCpa bulk(models[which], guesses);
+    qd::OnlineCpa chunked(models[which], guesses);
+    qd::OnlineCpa generic(models[which + 3], guesses);
+    for (const std::size_t prefix : random_reads(n, rng)) {
+      for (std::size_t i = single.count(); i < prefix; ++i)
+        single.add(ts.plaintext(i), ts.trace(i).samples());
+      bulk.add_prefix(ts, bulk.count(), prefix);
+      while (chunked.count() < prefix) {
+        const std::size_t lo = chunked.count();
+        chunked.add_prefix(ts, lo, std::min(prefix, lo + 1 + rng.below(9)));
+      }
+      generic.add_prefix(ts, generic.count(), prefix);
+      const qd::CpaResult a = single.finalize();
+      const qd::CpaResult b = bulk.finalize();
+      const qd::CpaResult c = chunked.finalize();
+      const qd::CpaResult d = generic.finalize();
+      for (unsigned g = 0; g < guesses; ++g) {
+        EXPECT_EQ(a.correlation[g], b.correlation[g]) << "trial " << trial;
+        EXPECT_EQ(a.correlation[g], c.correlation[g]) << "trial " << trial;
+        EXPECT_EQ(a.correlation[g], d.correlation[g]) << "trial " << trial;
+      }
+      EXPECT_EQ(a.best_sample, d.best_sample);
+      EXPECT_EQ(single.serialize_state(), bulk.serialize_state());
+      EXPECT_EQ(single.serialize_state(), chunked.serialize_state());
+    }
+  }
+
+  const std::vector<qd::SelectionFn> sels = class_selections();
+  for (int trial = 0; trial < 8; ++trial) {
+    const std::size_t n = 2 + rng.below(150);
+    const std::size_t m = 1 + rng.below(17);
+    const unsigned guesses = 1 + static_cast<unsigned>(rng.below(64));
+    const qd::TraceSet ts = random_traces(n, m, rng);
+    const std::size_t which = trial % 2;
+    qd::OnlineDpa single({sels[which]}, guesses);
+    qd::OnlineDpa chunked({sels[which]}, guesses);
+    qd::OnlineDpa generic({sels[which + 2]}, guesses);
+    for (const std::size_t prefix : random_reads(n, rng)) {
+      for (std::size_t i = single.count(); i < prefix; ++i)
+        single.add(ts.plaintext(i), ts.trace(i).samples());
+      while (chunked.count() < prefix) {
+        const std::size_t lo = chunked.count();
+        chunked.add_prefix(ts, lo, std::min(prefix, lo + 1 + rng.below(9)));
+      }
+      generic.add_prefix(ts, generic.count(), prefix);
+      const qd::KeyRecoveryResult a = single.recover();
+      const qd::KeyRecoveryResult b = chunked.recover();
+      const qd::KeyRecoveryResult c = generic.recover();
+      for (unsigned g = 0; g < guesses; ++g) {
+        EXPECT_EQ(a.guess_peak[g], b.guess_peak[g]) << "trial " << trial;
+        EXPECT_EQ(a.guess_peak[g], c.guess_peak[g]) << "trial " << trial;
+      }
+      EXPECT_EQ(single.serialize_state(), chunked.serialize_state());
+    }
+  }
+}
+
+TEST(OnlineClasses, MoreThan256DistinctRowsFoldAndStartAFreshTable) {
+  // A generic model over two plaintext bytes has up to 65536 distinct
+  // rows; the class table holds 256, folds and starts over whenever a
+  // new row does not fit. Results stay exact to 1e-12, survive a
+  // mid-stream snapshot bit for bit, and merge like any other state.
+  const qd::LeakageModel two_bytes(
+      [](std::span<const std::uint8_t> pt, unsigned g) {
+        return 0.5 * pt[0] + static_cast<double>((g + 1) * pt[1]);
+      });
+  qu::Rng rng(0x2b17e5);
+  const std::size_t n = 700;
+  const qd::TraceSet ts = random_traces(n, 9, rng);
+  const unsigned guesses = 6;
+
+  qd::OnlineCpa acc(two_bytes, guesses);
+  qd::OnlineCpa resumed(two_bytes, guesses);
+  for (const std::size_t prefix : {std::size_t{200}, std::size_t{450}, n}) {
+    acc.add_prefix(ts, acc.count(), prefix);
+    if (prefix == 450) resumed.restore_state(acc.serialize_state());
+    const qd::CpaResult r = acc.finalize();
+    for (unsigned g = 0; g < guesses; ++g) {
+      const std::vector<double> rho =
+          naive_correlation(ts, two_bytes, g, prefix);
+      double peak = 0.0;
+      for (double v : rho) peak = std::max(peak, std::fabs(v));
+      EXPECT_NEAR(r.correlation[g], peak, 1e-12) << "prefix " << prefix;
+    }
+  }
+  (void)resumed.finalize();  // the same read points as `acc` from 450 on
+  resumed.add_prefix(ts, 450, n);
+  EXPECT_EQ(resumed.finalize().correlation, acc.finalize().correlation);
+
+  qd::OnlineCpa left(two_bytes, guesses), right(two_bytes, guesses);
+  left.add_prefix(ts, 0, 333);
+  right.add_prefix(ts, 333, n);
+  left.merge(right);
+  const qd::CpaResult merged = left.finalize();
+  const qd::CpaResult whole = acc.finalize();
+  for (unsigned g = 0; g < guesses; ++g)
+    EXPECT_NEAR(merged.correlation[g], whole.correlation[g], 1e-12);
+
+  // DPA bits on two different bytes key rows of both decisions.
+  const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 1),
+                                             qd::aes_sbox_selection(1, 6)};
+  qd::OnlineDpa dacc(bits, 64);
+  dacc.add_prefix(ts, 0, 300);
+  (void)dacc.recover();
+  dacc.add_prefix(ts, 300, n);
+  for (unsigned g = 0; g < 64; g += 9)
+    for (std::size_t b = 0; b < bits.size(); ++b) {
+      const qd::BiasResult got = dacc.bias(g, b);
+      const std::vector<double> ref = naive_bias(ts, bits[b], g, n);
+      for (std::size_t j = 0; j < ref.size(); ++j)
+        EXPECT_NEAR(got.bias[j], ref[j], 1e-12)
+            << "guess " << g << " bit " << b;
+    }
+}
+
+TEST(OnlineClasses, RepeatedReadsWithoutIngestAreIdentical) {
+  qu::Rng rng(0x2ead);
+  const qd::TraceSet ts = random_traces(90, 13, rng);
+  for (const qd::LeakageModel& model : class_models()) {
+    qd::OnlineCpa acc(model, 20);
+    acc.add_prefix(ts, 0, 40);
+    (void)acc.finalize();
+    acc.add_prefix(ts, 40, 90);
+    const qd::CpaResult a = acc.finalize();
+    const std::vector<std::uint8_t> state = acc.serialize_state();
+    const std::vector<double> rho_a = acc.correlation_trace(3);
+    const qd::CpaResult b = acc.finalize(2, 11);
+    const qd::CpaResult c = acc.finalize();
+    EXPECT_EQ(acc.serialize_state(), state);
+    EXPECT_EQ(acc.correlation_trace(3), rho_a);
+    EXPECT_EQ(a.correlation, c.correlation);
+    EXPECT_EQ(a.best_sample, c.best_sample);
+    EXPECT_LE(b.best_rho, a.best_rho);
+  }
+  for (const qd::SelectionFn& d : class_selections()) {
+    qd::OnlineDpa acc({d, qd::des_sbox_selection(0, 3)}, 20);
+    acc.add_prefix(ts, 0, 50);
+    (void)acc.recover();
+    acc.add_prefix(ts, 50, 90);
+    const qd::KeyRecoveryResult a = acc.recover();
+    const std::vector<std::uint8_t> state = acc.serialize_state();
+    const qd::BiasResult bias = acc.bias(7, 1);
+    const qd::KeyRecoveryResult b = acc.recover();
+    EXPECT_EQ(acc.serialize_state(), state);
+    EXPECT_EQ(a.guess_peak, b.guess_peak);
+    EXPECT_EQ(acc.bias(7, 1).bias, bias.bias);
+    EXPECT_EQ(acc.recover_single(1).guess_peak,
+              acc.recover_single(1).guess_peak);
+  }
 }
 
 // ---- tie handling ----------------------------------------------------------

@@ -6,7 +6,10 @@
 // split + merge must agree with one single-pass accumulator over the
 // whole stream up to floating-point re-association (1e-12), and the
 // integer statistics (counts, DPA partition sizes) must agree exactly.
-// serialize_state()/restore_state() round-trips are bit-exact.
+// serialize_state()/restore_state() round-trips are bit-exact; every
+// truncation of a snapshot (pending class sums and a folded matrix
+// alike), class counts that miss the trace count, and another model's
+// class table are rejected without touching the receiver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -263,52 +266,130 @@ TEST(OnlineMerge, MalformedOrMismatchedSnapshotThrowsNamedErrors) {
   EXPECT_EQ(restore_kind(dpa, cpa_snap), qd::StateError::Kind::BadMagic);
 }
 
+namespace {
+
+/// Every proper prefix of `snap` must be rejected, and a failed restore
+/// must leave `victim` bit-identical; the whole snapshot then lands.
+template <typename Acc>
+void expect_every_truncation_rejected(Acc& victim,
+                                      const std::vector<std::uint8_t>& snap,
+                                      std::size_t count, const char* what) {
+  const std::vector<std::uint8_t> before = victim.serialize_state();
+  for (std::size_t len = 0; len < snap.size(); ++len) {
+    const std::vector<std::uint8_t> cut(snap.begin(),
+                                        snap.begin() + static_cast<long>(len));
+    EXPECT_THROW(victim.restore_state(cut), qd::StateError)
+        << what << " snapshot truncated to " << len << " bytes";
+    EXPECT_EQ(victim.serialize_state(), before)
+        << "failed restore disturbed the accumulator (" << what << ", len "
+        << len << ")";
+  }
+  victim.restore_state(snap);  // the untruncated snapshot still lands
+  EXPECT_EQ(victim.count(), count);
+  EXPECT_EQ(victim.serialize_state(), snap);
+}
+
+/// Generic (lambda) twin of a model: its class table is keyed by the
+/// evaluated rows, so its snapshots carry them.
+qd::LeakageModel generic_of(const qd::LeakageModel& fast) {
+  return qd::LeakageModel(
+      [fast](std::span<const std::uint8_t> pt, unsigned g) {
+        return fast(pt, g);
+      });
+}
+
+}  // namespace
+
 TEST(OnlineMerge, EveryTruncationLengthIsRejectedAndLeavesStateUntouched) {
-  // Tiny geometry so every truncation length is cheap to fuzz: the
-  // snapshot must be rejected at EVERY proper prefix, and a failed
-  // restore must leave the receiving accumulator bit-identical.
+  // Tiny geometry so every truncation length is cheap to fuzz. Each
+  // snapshot is taken with class sums still pending AND a folded matrix
+  // (a read happened mid-stream), so every field of the class table —
+  // rows, counts, flags, pending and folded sums, the retired-class
+  // sums — is cut through.
   qu::Rng rng(0x58);
   const qd::TraceSet ts = random_traces(12, 5, rng);
   const qd::LeakageModel model = qd::aes_xor_hw_model(0);
 
-  {
-    qd::OnlineCpa acc(model, 4);
-    acc.add_prefix(ts, 0, 12);
-    const std::vector<std::uint8_t> snap = acc.serialize_state();
-
-    qd::OnlineCpa victim(model, 4);
+  for (const qd::LeakageModel& m : {model, generic_of(model)}) {
+    qd::OnlineCpa acc(m, 4);
+    acc.add_prefix(ts, 0, 8);
+    (void)acc.finalize();
+    acc.add_prefix(ts, 8, 12);
+    qd::OnlineCpa victim(m, 4);
     victim.add_prefix(ts, 0, 7);
-    const std::vector<std::uint8_t> before = victim.serialize_state();
-    for (std::size_t len = 0; len < snap.size(); ++len) {
-      const std::vector<std::uint8_t> cut(snap.begin(),
-                                          snap.begin() + static_cast<long>(len));
-      EXPECT_THROW(victim.restore_state(cut), qd::StateError)
-          << "CPA snapshot truncated to " << len << " bytes";
-      EXPECT_EQ(victim.serialize_state(), before)
-          << "failed restore disturbed the accumulator (len " << len << ")";
-    }
-    victim.restore_state(snap);  // the untruncated snapshot still lands
-    EXPECT_EQ(victim.count(), acc.count());
+    expect_every_truncation_rejected(victim, acc.serialize_state(),
+                                     acc.count(), "CPA");
   }
 
   {
     const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 0)};
     qd::OnlineDpa acc(bits, 4);
-    acc.add_prefix(ts, 0, 12);
-    const std::vector<std::uint8_t> snap = acc.serialize_state();
-
+    acc.add_prefix(ts, 0, 6);
+    (void)acc.recover();
+    acc.add_prefix(ts, 6, 12);
     qd::OnlineDpa victim(bits, 4);
     victim.add_prefix(ts, 0, 7);
-    const std::vector<std::uint8_t> before = victim.serialize_state();
-    for (std::size_t len = 0; len < snap.size(); ++len) {
-      const std::vector<std::uint8_t> cut(snap.begin(),
-                                          snap.begin() + static_cast<long>(len));
-      EXPECT_THROW(victim.restore_state(cut), qd::StateError)
-          << "DPA snapshot truncated to " << len << " bytes";
-      EXPECT_EQ(victim.serialize_state(), before)
-          << "failed restore disturbed the accumulator (len " << len << ")";
-    }
-    victim.restore_state(snap);
-    EXPECT_EQ(victim.count(), acc.count());
+    expect_every_truncation_rejected(victim, acc.serialize_state(),
+                                     acc.count(), "DPA");
   }
+}
+
+TEST(OnlineMerge, SnapshotWhoseClassCountsMissTheTraceCountIsGeometry) {
+  qu::Rng rng(0x59);
+  const qd::TraceSet ts = random_traces(20, 6, rng);
+  const qd::LeakageModel model = qd::aes_xor_hw_model(0);
+  // The trace count n is the 4th u64 of a CPA snapshot (magic, guesses,
+  // m, n) and the 5th of a DPA one (magic, guesses, bits, m, n): move it
+  // off the class counts' total in both directions.
+  const auto with_n = [](std::vector<std::uint8_t> snap, std::size_t field,
+                         std::uint64_t n) {
+    for (int i = 0; i < 8; ++i)
+      snap[8 * field + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(n >> (8 * i));
+    return snap;
+  };
+
+  qd::OnlineCpa acc(model, 16);
+  acc.add_prefix(ts, 0, 20);
+  const std::vector<std::uint8_t> snap = acc.serialize_state();
+  for (const std::uint64_t n : {std::uint64_t{19}, std::uint64_t{21},
+                                ~std::uint64_t{0}}) {
+    qd::OnlineCpa victim(model, 16);
+    EXPECT_EQ(restore_kind(victim, with_n(snap, 3, n)),
+              qd::StateError::Kind::Geometry)
+        << "n=" << n;
+    EXPECT_EQ(victim.count(), 0u);
+  }
+  // The same holds for the generic table, whose rows come from the
+  // snapshot itself.
+  qd::OnlineCpa gacc(generic_of(model), 16);
+  gacc.add_prefix(ts, 0, 20);
+  qd::OnlineCpa gvictim(generic_of(model), 16);
+  EXPECT_EQ(restore_kind(gvictim, with_n(gacc.serialize_state(), 3, 7)),
+            qd::StateError::Kind::Geometry);
+
+  const std::vector<qd::SelectionFn> bits = {qd::aes_sbox_selection(0, 2)};
+  qd::OnlineDpa dacc(bits, 16);
+  dacc.add_prefix(ts, 0, 20);
+  qd::OnlineDpa dvictim(bits, 16);
+  EXPECT_EQ(restore_kind(dvictim, with_n(dacc.serialize_state(), 4, 22)),
+            qd::StateError::Kind::Geometry);
+  EXPECT_EQ(dvictim.count(), 0u);
+}
+
+TEST(OnlineMerge, SnapshotOfAnotherModelsClassTableIsGeometry) {
+  // Same guesses, same samples, different byte-indexed model: the class
+  // rows in the snapshot are not this accumulator's.
+  qu::Rng rng(0x5a);
+  const qd::TraceSet ts = random_traces(20, 6, rng);
+  qd::OnlineCpa xor_acc(qd::aes_xor_hw_model(0), 16);
+  xor_acc.add_prefix(ts, 0, 20);
+  qd::OnlineCpa sbox(qd::aes_sbox_hw_model(0), 16);
+  EXPECT_EQ(restore_kind(sbox, xor_acc.serialize_state()),
+            qd::StateError::Kind::Geometry);
+  // merge() refuses the same mismatch up front.
+  qd::OnlineCpa sbox_acc(qd::aes_sbox_hw_model(0), 16);
+  sbox_acc.add_prefix(ts, 0, 20);
+  EXPECT_THROW(xor_acc.merge(sbox_acc), std::invalid_argument);
+  EXPECT_EQ(xor_acc.count(), 20u);
 }

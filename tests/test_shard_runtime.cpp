@@ -228,6 +228,14 @@ TEST(CheckpointCodec, CorruptionVersionAndGeometryAreNamed) {
     bad[4] = static_cast<std::uint8_t>(qc::kCheckpointVersion + 1);
     EXPECT_EQ(decode_kind(bad), qc::CheckpointError::Kind::VersionMismatch);
   }
+  // A version-1 record (per-guess accumulator sums) is not adopted: its
+  // snapshot layout predates the per-class sums.
+  {
+    ASSERT_GT(qc::kCheckpointVersion, 1u);
+    std::vector<std::uint8_t> old = bytes;
+    old[4] = 1;
+    EXPECT_EQ(decode_kind(old), qc::CheckpointError::Kind::VersionMismatch);
+  }
   // Identity mismatches are geometry errors.
   const auto geometry_kind = [&](std::uint64_t fp, std::uint64_t shard,
                                  std::uint64_t lo, std::uint64_t hi) {
