@@ -333,11 +333,11 @@ BENCHMARK(BM_SchedulerHeap)->Unit(benchmark::kMillisecond);
 // four-phase handshake of the whole core (compiled engine, persistent
 // worker — the production feed of a fused full-core CPA campaign). The
 // cone-balance row runs ConeBalancePass to its fixpoint on a pristine
-// copy of the core netlist: the PR's scaling target (plan-then-commit
-// with incremental cross-round invalidation; single thread, verify
-// scans off so the row measures the transform, not the symmetry
-// audit). The CI bench job prints their informational ratio — the
-// designer-side balancing cost in units of 64-trace acquisitions.
+// copy of the core netlist: the serial visit-and-edit sweep with
+// footprint-based cross-round invalidation, verify scans off (they are
+// the pass's only threaded code) so the row measures the transform, not
+// the symmetry audit. The CI bench job prints their informational ratio
+// — the designer-side balancing cost in units of 64-trace acquisitions.
 static const qdi::campaign::TargetInstance& aes_core_workload() {
   static const qdi::campaign::TargetInstance inst =
       qdi::campaign::aes_core().build(0x2b);

@@ -40,10 +40,6 @@ std::string_view name(CellKind kind) noexcept { return info(kind).name; }
 
 bool is_muller(CellKind kind) noexcept { return info(kind).state_holding; }
 
-bool is_pseudo(CellKind kind) noexcept {
-  return kind == CellKind::Input || kind == CellKind::Output;
-}
-
 namespace {
 bool all(std::span<const bool> v) noexcept {
   for (bool b : v)

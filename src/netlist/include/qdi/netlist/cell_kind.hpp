@@ -70,7 +70,10 @@ bool evaluate(CellKind kind, std::span<const bool> inputs, bool prev_output) noe
 /// True for the Muller (C-element) family.
 bool is_muller(CellKind kind) noexcept;
 
-/// True for Input/Output pseudo-cells.
-bool is_pseudo(CellKind kind) noexcept;
+/// True for Input/Output pseudo-cells. Inline: graph walks call it once
+/// per visited cell.
+inline constexpr bool is_pseudo(CellKind kind) noexcept {
+  return kind == CellKind::Input || kind == CellKind::Output;
+}
 
 }  // namespace qdi::netlist

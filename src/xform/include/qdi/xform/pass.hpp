@@ -38,7 +38,8 @@ struct PassReport {
   /// Channels the pass modified / declined. A declined channel keeps a
   /// note in `notes`; a channel can count in both when the pass changed
   /// it but could not finish (clone budget exhausted, no further valid
-  /// site).
+  /// site). `notes` may also hold pass-level notes that name no channel
+  /// (e.g. a missed fixpoint).
   std::size_t channels_touched = 0;
   std::size_t channels_skipped = 0;
   /// Added silicon cost where the pass pads capacitances.

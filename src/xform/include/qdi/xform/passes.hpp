@@ -20,7 +20,8 @@ namespace qdi::xform {
 struct ConeBalanceOptions {
   /// Whole-netlist sweeps until no channel changes (fixes the coupling
   /// between channels that share logic, e.g. the per-layer group
-  /// channels of an S-Box merge tree).
+  /// channels of an S-Box merge tree). When the last allowed round still
+  /// adds clones, the report carries a "fixpoint not reached" note.
   int max_rounds = 8;
   /// Per-channel safety valve on inserted duplicate cells.
   std::size_t max_clones_per_channel = 512;
@@ -28,11 +29,10 @@ struct ConeBalanceOptions {
   /// after the transform and count the asymmetric channels before/after
   /// (metric_before / metric_after). Costs one full symmetry scan.
   bool verify = true;
-  /// Worker threads for the per-channel plan phase and the verify scans.
-  /// 0 = one per hardware thread. The committed netlist is byte-identical
-  /// for every thread count: planning fans out over a frozen netlist,
-  /// commits apply serially in channel-id order, and any plan invalidated
-  /// by an earlier commit is re-planned at its serial position.
+  /// Worker threads for the two verify scans
+  /// (netlist::count_asymmetric_channels); 0 = one per hardware thread.
+  /// The balancing itself is one serial sweep per round, so the netlist
+  /// does not depend on this value.
   unsigned threads = 0;
 };
 

@@ -5,6 +5,9 @@
 // asymmetric registry channels symmetric, re-checked post-transform.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -207,6 +210,32 @@ TEST(ConeBalance, PreservesFunction) {
   }
 }
 
+TEST(ConeBalance, ReportsAMissedFixpoint) {
+  // aes_byte_slice needs more than the default 8 rounds to converge: the
+  // capped run must say so in a pass-level note that is not a skipped
+  // channel; a run with enough rounds reaches the fixpoint and does not.
+  const auto fixpoint_notes = [](const qx::PassReport& rep) {
+    std::size_t n = 0;
+    for (const std::string& note : rep.notes)
+      n += note.find("fixpoint not reached") != std::string::npos ? 1 : 0;
+    return n;
+  };
+  qc::TargetInstance capped = qc::aes_byte_slice().build(0x2b);
+  const qx::PassReport rc = qx::ConeBalancePass{{.verify = false}}.run(capped.nl);
+  EXPECT_EQ(fixpoint_notes(rc), 1u);
+  EXPECT_EQ(rc.channels_skipped + 1, rc.notes.size());
+
+  qc::TargetInstance full = qc::aes_byte_slice().build(0x2b);
+  const qx::PassReport rf =
+      qx::ConeBalancePass{{.max_rounds = 16, .verify = false}}.run(full.nl);
+  EXPECT_EQ(fixpoint_notes(rf), 0u);
+  EXPECT_EQ(rf.channels_skipped, rf.notes.size());
+  EXPECT_GT(rf.cells_added, rc.cells_added);
+  // At the fixpoint another run adds nothing.
+  const qx::ConeBalancePass again({.max_rounds = 16, .verify = false});
+  EXPECT_EQ(again.run(full.nl).cells_added, 0u);
+}
+
 // ---- golden idempotence ----------------------------------------------------
 
 TEST(XformGolden, EveryPassIsIdempotent) {
@@ -227,6 +256,50 @@ TEST(XformGolden, EveryPassIsIdempotent) {
     EXPECT_EQ(golden, fingerprint(inst.nl))
         << pass->name() << " must be idempotent (first run changed="
         << first.changed << ")";
+  }
+}
+
+// ---- golden cone-balance output on every registry target -------------------
+
+TEST(XformGolden, ConeBalanceFingerprintsArePinned) {
+  // SHA-256 of fingerprint() after an 8-round (the default) cone-balance
+  // pass with verify off: any change to which cells are cloned, their
+  // names, or the order of pins in sink and input lists moves a digest.
+  // aes_core runs a single round to stay in seconds.
+  const std::map<std::string, std::string> golden = {
+      {"aes_byte_slice",
+       "e57f521b6affb2eec172c07daf07ef71cf49f33ee5789997e032f0c006a011eb"},
+      {"des_sbox_slice",
+       "d74beade33130df1a0bd39c8981c858274f91133bc40d737e2a343877eaaeab1"},
+      {"des_sbox_sync",
+       "51c65b05f16b5bbeadf47416308bc55fc3eea858fcf3fb93985024f2f33d292b"},
+      {"xor_stage",
+       "53910b447682f010f6746ed5596816eca9953d9277d19ffb7fb708d87c413acf"},
+      {"des_round",
+       "7920904a5a032884eca4d785b7a2de0a3e4c66a646ff7e86edb8aa5a853dc128"},
+      {"dual_rail_pair",
+       "f5f039ed33cac06330b7ff20c7c28b9369f1401e6a7ed9d056bfc8ce749d864e"},
+      {"one_of_four",
+       "9816d2024977decfc94f50e4bc5f2dcd1dcd82d3d2883541496b179518a8af17"},
+      {"aes_core",
+       "6d05e3d61bddbec43cced3c82fbaa879c1ec621cd8521aeed2209fee808db119"},
+  };
+  for (const std::string& name : qc::list_targets()) {
+#ifdef QDI_SANITIZER_ACTIVE
+    if (name == "aes_core") continue;  // minutes-long cone scans
+#endif
+    const auto it = golden.find(name);
+    ASSERT_NE(it, golden.end()) << "no golden digest for target " << name;
+    qc::TargetInstance inst = qc::find_target(name).build(0x2b);
+    qx::ConeBalancePass{{.max_rounds = name == "aes_core" ? 1 : 8,
+                         .verify = false}}
+        .run(inst.nl);
+    const std::string fp = fingerprint(inst.nl);
+    EXPECT_EQ(it->second,
+              qdi::util::Sha256::hex_of(std::span<const std::uint8_t>(
+                  reinterpret_cast<const std::uint8_t*>(fp.data()),
+                  fp.size())))
+        << name;
   }
 }
 
@@ -260,9 +333,9 @@ TEST(XformDeterminism, PipelineIsByteIdenticalOnEveryRegistryTarget) {
 }
 
 TEST(XformDeterminism, ConeBalanceParallelMatchesSerialAtAnyThreadCount) {
-  // The pass's own contract: plan-parallel + serial-commit produces the
-  // byte-identical netlist of the single-threaded pass at every thread
-  // count, on every registry target.
+  // The pass's own contract: the netlist and report are identical at
+  // every thread count, on every registry target. The balancing itself
+  // is serial; `threads` drives the verify scans, covered below.
   for (const std::string& name : qc::list_targets()) {
 #ifdef QDI_SANITIZER_ACTIVE
     if (name == "aes_core") continue;  // minutes-long cone scans
@@ -290,6 +363,29 @@ TEST(XformDeterminism, ConeBalanceParallelMatchesSerialAtAnyThreadCount) {
       EXPECT_EQ(rs.cells_added, rp.cells_added) << name;
       EXPECT_EQ(rs.channels_touched, rp.channels_touched) << name;
       EXPECT_EQ(rs.channels_skipped, rp.channels_skipped) << name;
+    }
+
+    // The threaded verify scans (netlist::count_asymmetric_channels)
+    // must count the same channels at every thread count. aes_core stops
+    // at the structure: its two full symmetry scans would add seconds
+    // per thread count.
+    if (name == "aes_core") continue;
+    qc::TargetInstance vref = target.build(0x2b);
+    const qx::PassReport vs =
+        qx::ConeBalancePass{{.max_rounds = rounds, .threads = 1}}.run(vref.nl);
+    ASSERT_TRUE(vs.verified) << name;
+    EXPECT_EQ(golden, fingerprint(vref.nl)) << name;
+    for (const unsigned threads : {2u, 4u}) {
+      qc::TargetInstance vpar = target.build(0x2b);
+      const qx::PassReport vp =
+          qx::ConeBalancePass{{.max_rounds = rounds, .threads = threads}}.run(
+              vpar.nl);
+      EXPECT_TRUE(vp.verified) << name;
+      EXPECT_EQ(vs.metric_before, vp.metric_before)
+          << name << " threads=" << threads;
+      EXPECT_EQ(vs.metric_after, vp.metric_after)
+          << name << " threads=" << threads;
+      EXPECT_EQ(golden, fingerprint(vpar.nl)) << name;
     }
   }
 }
