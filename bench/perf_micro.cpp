@@ -239,8 +239,8 @@ static void BM_BatchAcquireAes(benchmark::State& state) {
 BENCHMARK(BM_BatchAcquireAes)->Unit(benchmark::kMillisecond);
 
 static void BM_BatchAcquire(benchmark::State& state) {
-  // des_round: the heaviest simulatable target (same host as the
-  // scheduler rows), one full 64-lane block per iteration.
+  // des_round: the heaviest simulatable target (same host as
+  // BM_CompiledAcquireDes), one full 64-lane block per iteration.
   static const qdi::campaign::TargetInstance inst =
       qdi::campaign::des_round().build(0x2b);
   batch_acquire_bench(state, inst, 64);
@@ -285,48 +285,6 @@ static void BM_CompiledDpaEndToEnd(benchmark::State& state) {
   dpa_end_to_end_bench(state, qdi::sim::EngineKind::Compiled);
 }
 BENCHMARK(BM_CompiledDpaEndToEnd)->Unit(benchmark::kMillisecond);
-
-// Scheduler A/B rows: identical acquisition batches from one prebuilt
-// victim, differing only in the compiled kernel's event queue (time
-// wheel vs binary heap; traces are bit-identical — see
-// tests/test_compiled_sim.cpp and the FuzzScheduler suite). The host is
-// the DES Feistel round — the simulatable registry target with the
-// widest event wavefront relative to its size, where queue pressure is
-// real. (The full aes_core has its own acquisition row below,
-// BM_AesCoreAcquire, now that it carries a four-phase environment.)
-// The CI bench job prints the BM_SchedulerHeap / BM_SchedulerWheel
-// speedup and guards it against regression.
-static const qdi::campaign::TargetInstance& scheduler_workload() {
-  static const qdi::campaign::TargetInstance inst =
-      qdi::campaign::des_round().build(0x2b);
-  return inst;
-}
-
-static void scheduler_bench(benchmark::State& state,
-                            qdi::sim::SchedulerKind kind) {
-  const qdi::campaign::TargetInstance& inst = scheduler_workload();
-  qdi::campaign::SimTraceSourceOptions opt;
-  opt.scheduler = kind;
-  qdi::campaign::SimTraceSource src(inst.nl, inst.env, inst.stimulus, opt);
-  // Persistent workers: source, compiled netlist, epoch snapshot, and
-  // scratch all live across the timed iterations, so the rows measure
-  // the per-trace loop — exactly where the schedulers differ.
-  qdi::campaign::WorkerPool pool(src, 1);
-  for (auto _ : state) {
-    steady_state_acquire(pool, 32);
-  }
-  state.SetItemsProcessed(state.iterations() * 32);
-}
-
-static void BM_SchedulerWheel(benchmark::State& state) {
-  scheduler_bench(state, qdi::sim::SchedulerKind::Wheel);
-}
-BENCHMARK(BM_SchedulerWheel)->Unit(benchmark::kMillisecond);
-
-static void BM_SchedulerHeap(benchmark::State& state) {
-  scheduler_bench(state, qdi::sim::SchedulerKind::Heap);
-}
-BENCHMARK(BM_SchedulerHeap)->Unit(benchmark::kMillisecond);
 
 // Full-core rows: the fig. 8 ~25k-cell aes_core, end to end. The
 // acquisition row measures steady-state per-trace cost of one complete

@@ -392,7 +392,6 @@ CampaignResult Campaign::run_stages(
     FaultCampaignOptions fo = *faults_;
     fo.delays = opt_.delays;
     fo.engine = opt_.engine;
-    fo.scheduler = opt_.scheduler;
     res.faults =
         run_fault_campaign(inst, key_, fo, seed_, threads_ == 0 ? 1 : threads_);
   }
@@ -406,11 +405,11 @@ namespace {
 
 /// Campaign-configuration fingerprint: ties a shard checkpoint to one
 /// (target, key, seed, budget, shard geometry, attack, trace physics)
-/// tuple. Engine, scheduler, thread count, and checkpoint interval are
-/// deliberately excluded — none of them changes a single trace value
-/// (the determinism contract of trace_source.hpp), so a campaign may
-/// resume on a different engine or commit cadence; the shard stream
-/// digest remains the arbiter of trace identity.
+/// tuple. Engine, thread count, and checkpoint interval are deliberately
+/// excluded — none of them changes a single trace value (the
+/// determinism contract of trace_source.hpp), so a campaign may resume
+/// on a different engine or commit cadence; the shard stream digest
+/// remains the arbiter of trace identity.
 /// `ingest_block` is ShardedOptions::ingest_block_traces. It enters the
 /// fingerprint ONLY when non-zero: the block-fold changes the
 /// accumulator's FP reduction order, so its checkpoints must never be

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "scalar_engine.hpp"
+
 namespace qdi::campaign {
 
 namespace {
@@ -80,8 +82,7 @@ class FaultTraceSource final : public TraceSource {
                                          : sim::compile(nl, opt.delays))
                       : nullptr),
         delays_(opt.delays),
-        scheduler_(opt.scheduler),
-        sim_(make_engine()),
+        sim_(detail::make_scalar_engine(compiled_, nl, delays_)),
         csim_(compiled_ ? static_cast<sim::CompiledSimulator*>(sim_.get())
                         : nullptr),
         env_(*sim_, spec_) {
@@ -108,18 +109,11 @@ class FaultTraceSource final : public TraceSource {
         plan_(other.plan_),
         compiled_(other.compiled_),
         delays_(other.delays_),
-        scheduler_(other.scheduler_),
-        sim_(make_engine()),
+        sim_(detail::make_scalar_engine(compiled_, *nl_, delays_)),
         csim_(compiled_ ? static_cast<sim::CompiledSimulator*>(sim_.get())
                         : nullptr),
         env_(*sim_, spec_) {
     sim_->set_log_enabled(false);
-  }
-
-  std::unique_ptr<sim::SimEngine> make_engine() const {
-    if (compiled_)
-      return std::make_unique<sim::CompiledSimulator>(compiled_, scheduler_);
-    return std::make_unique<sim::Simulator>(*nl_, delays_);
   }
 
   /// Return to the post-reset state. The epoch fast path is invalid
@@ -141,7 +135,6 @@ class FaultTraceSource final : public TraceSource {
   std::shared_ptr<const FaultPlan> plan_;
   std::shared_ptr<const sim::CompiledNetlist> compiled_;
   sim::DelayModel delays_;
-  sim::SchedulerKind scheduler_;
   std::unique_ptr<sim::SimEngine> sim_;
   sim::CompiledSimulator* csim_ = nullptr;
   sim::FourPhaseEnv env_;

@@ -30,7 +30,6 @@ namespace qdi::campaign {
 /// batch-compiled (non-levelizable combinational cone — see
 /// BatchNetlist) and std::invalid_argument via BatchFourPhaseEnv when
 /// the environment is not strict. Options: `engine` must be Batch;
-/// `scheduler` is ignored (the batch kernel has its own merged queue);
 /// `precompiled` is reused when provided.
 class BatchSimTraceSource final : public TraceSource {
  public:

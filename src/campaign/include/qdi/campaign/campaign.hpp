@@ -170,14 +170,6 @@ class Campaign {
     return *this;
   }
 
-  /// Event-queue implementation of the compiled kernel: the time wheel
-  /// (default) or the binary heap. Results are bit-identical; the heap
-  /// is kept for differential testing and A/B benchmarking.
-  Campaign& scheduler(sim::SchedulerKind k) {
-    opt_.scheduler = k;
-    return *this;
-  }
-
   Campaign& attack(Dpa a) { attack_ = std::move(a); return *this; }
   Campaign& attack(Cpa a) { attack_ = std::move(a); return *this; }
 
@@ -225,8 +217,8 @@ class Campaign {
   /// (site x kind x time) fault injections over the as-attacked netlist
   /// (post-flow, post-prepare, post-recipe) and classify every run as
   /// deadlock / masked / exploitable (see fault_campaign.hpp). The probe
-  /// inherits the campaign's delay model, engine, and scheduler so it
-  /// exercises exactly the simulated victim; results land in
+  /// inherits the campaign's delay model and engine so it exercises
+  /// exactly the simulated victim; results land in
   /// CampaignResult::faults and in the sweep comparison table.
   /// Incompatible with source(): the probe injects into the simulated
   /// netlist, which a custom source bypasses — validate() throws.

@@ -21,7 +21,7 @@
 // from the domain-tagged stream split_stream(seed, i, kFaultDomain)
 // (disjoint from acquisition's streams at the same seed), every run
 // starts from the post-reset epoch, and classification i is
-// bit-identical for any thread count, engine, or scheduler.
+// bit-identical for any thread count or engine.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +79,6 @@ struct FaultCampaignOptions {
   /// Compiled or Reference; the batch kernel cannot inject forces, so
   /// EngineKind::Batch is rejected by run_fault_campaign.
   sim::EngineKind engine = sim::EngineKind::Compiled;
-  sim::SchedulerKind scheduler = sim::SchedulerKind::Wheel;
   /// Reuse an existing compiled form of the (post-flow) target netlist
   /// instead of flattening it once per sweep — what lets benches hoist
   /// compilation out of their timed loops. Must match the instance's
@@ -184,10 +183,6 @@ class FaultCampaign {
   FaultCampaign& dfa(bool enabled) { opt_.run_dfa = enabled; return *this; }
   FaultCampaign& delays(sim::DelayModel d) { opt_.delays = d; return *this; }
   FaultCampaign& engine(sim::EngineKind k) { opt_.engine = k; return *this; }
-  FaultCampaign& scheduler(sim::SchedulerKind k) {
-    opt_.scheduler = k;
-    return *this;
-  }
 
   const FaultCampaignOptions& options() const noexcept { return opt_; }
 

@@ -303,10 +303,6 @@ struct SimTraceSourceOptions {
   /// SAME delay model — the source trusts it. Ignored by the reference
   /// engine.
   std::shared_ptr<const sim::CompiledNetlist> precompiled;
-  /// Event-queue implementation of the compiled kernel (ignored by the
-  /// reference engine). Wheel and Heap are bit-identical; the heap is
-  /// kept for differential testing.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::Wheel;
 };
 
 /// TraceSource backed by the event-driven simulator and the four-phase

@@ -28,7 +28,7 @@ std::string digest_hex(const util::Sha256::State& s) {
 
 /// 64-bit mix of a trace's raw sample bits. Pure integer arithmetic on
 /// the IEEE-754 bit patterns, so it is bit-exact wherever the samples
-/// are — any engine, scheduler, or thread count that produces the same
+/// are — any engine or thread count that produces the same
 /// doubles produces the same fingerprint. Four independent lanes keep
 /// the multiply chains out of each other's latency shadow; this has to
 /// run per trace, next to ~100 us of simulation, so it is sized to

@@ -10,19 +10,9 @@
 #include <thread>
 #include <utility>
 
+#include "scalar_engine.hpp"
+
 namespace qdi::campaign {
-
-namespace {
-
-std::unique_ptr<sim::SimEngine> make_engine(
-    const std::shared_ptr<const sim::CompiledNetlist>& compiled,
-    const netlist::Netlist& nl, const SimTraceSourceOptions& opt) {
-  if (compiled)
-    return std::make_unique<sim::CompiledSimulator>(compiled, opt.scheduler);
-  return std::make_unique<sim::Simulator>(nl, opt.delays);
-}
-
-}  // namespace
 
 namespace {
 
@@ -47,7 +37,7 @@ SimTraceSource::SimTraceSource(const netlist::Netlist& nl, sim::EnvSpec env,
                     ? (opt_.precompiled ? opt_.precompiled
                                         : sim::compile(nl, opt_.delays))
                     : nullptr),
-      sim_(make_engine(compiled_, nl, opt_)),
+      sim_(detail::make_scalar_engine(compiled_, nl, opt_.delays)),
       csim_(compiled_ ? static_cast<sim::CompiledSimulator*>(sim_.get())
                       : nullptr),
       env_(*sim_, spec_),
@@ -62,7 +52,7 @@ SimTraceSource::SimTraceSource(const SimTraceSource& other, WorkerCloneTag)
       stimulus_(other.stimulus_),
       opt_(other.opt_),
       compiled_(other.compiled_),  // the compiled form is shared read-only
-      sim_(make_engine(compiled_, *nl_, opt_)),
+      sim_(detail::make_scalar_engine(compiled_, *nl_, opt_.delays)),
       csim_(compiled_ ? static_cast<sim::CompiledSimulator*>(sim_.get())
                       : nullptr),
       env_(*sim_, spec_),

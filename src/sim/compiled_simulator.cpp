@@ -48,9 +48,8 @@ std::uint64_t next_epoch_id() noexcept {
 
 }  // namespace
 
-CompiledSimulator::CompiledSimulator(std::shared_ptr<const CompiledNetlist> cn,
-                                     SchedulerKind scheduler)
-    : cn_(std::move(cn)), sched_(scheduler) {
+CompiledSimulator::CompiledSimulator(std::shared_ptr<const CompiledNetlist> cn)
+    : cn_(std::move(cn)) {
   const std::uint32_t nn = cn_->num_nets();
   values_.resize(nn);
   pending_seq_.resize(nn);
@@ -58,41 +57,35 @@ CompiledSimulator::CompiledSimulator(std::shared_ptr<const CompiledNetlist> cn,
   pending_slew_.resize(nn);
   dirty_mark_.resize(nn);
 
-  if (sched_ == SchedulerKind::Wheel) {
-    // Bucket width = 4x the smallest gate delay — measured sweet spot:
-    // coarser ticks batch more events per refill (fewer scans and
-    // sorts), and events a commit schedules into the tick currently
-    // being served (delay < width — common at this width) are handled
-    // exactly by the sorted ready-batch insertion in push_event. Size
-    // the wheel to cover the delay range (how far ahead of `now` gate
-    // activity can reach) so the overflow far-list only sees the
-    // environment's phase-gap and period-alignment jumps.
-    double width = 4.0 * cn_->min_delay_ps();
-    if (!(width > 0.0)) width = 1.0;
-    inv_bucket_width_ = 1.0 / width;
-    const auto span = static_cast<std::uint64_t>(
-        cn_->max_delay_ps() * inv_bucket_width_) + 2;
-    num_buckets_ = std::clamp<std::uint64_t>(next_power_of_two(span), 64, 4096);
-    bucket_mask_ = num_buckets_ - 1;
-    buckets_.resize(num_buckets_);
-    occupied_.resize(num_buckets_ / 64);
-  }
+  // Bucket width = 4x the smallest gate delay — measured sweet spot:
+  // coarser ticks batch more events per refill (fewer scans and
+  // sorts), and events a commit schedules into the tick currently
+  // being served (delay < width — common at this width) are handled
+  // exactly by the sorted ready-batch insertion in push_event. Size
+  // the wheel to cover the delay range (how far ahead of `now` gate
+  // activity can reach) so the overflow far-list only sees the
+  // environment's phase-gap and period-alignment jumps.
+  double width = 4.0 * cn_->min_delay_ps();
+  if (!(width > 0.0)) width = 1.0;
+  inv_bucket_width_ = 1.0 / width;
+  const auto span = static_cast<std::uint64_t>(
+      cn_->max_delay_ps() * inv_bucket_width_) + 2;
+  num_buckets_ = std::clamp<std::uint64_t>(next_power_of_two(span), 64, 4096);
+  bucket_mask_ = num_buckets_ - 1;
+  buckets_.resize(num_buckets_);
+  occupied_.resize(num_buckets_ / 64);
   reset_state();
 }
 
 void CompiledSimulator::clear_queue() {
-  if (sched_ == SchedulerKind::Heap) {
-    heap_.clear();
-  } else {
-    if (wheel_count_ > 0)
-      for (std::vector<Event>& b : buckets_) b.clear();
-    std::fill(occupied_.begin(), occupied_.end(), std::uint64_t{0});
-    wheel_count_ = 0;
-    ready_.clear();
-    ready_pos_ = 0;
-    overflow_.clear();
-    cur_tick_ = 0;
-  }
+  if (wheel_count_ > 0)
+    for (std::vector<Event>& b : buckets_) b.clear();
+  std::fill(occupied_.begin(), occupied_.end(), std::uint64_t{0});
+  wheel_count_ = 0;
+  ready_.clear();
+  ready_pos_ = 0;
+  overflow_.clear();
+  cur_tick_ = 0;
   queue_size_ = 0;
   tombstones_ = 0;
 }
@@ -244,11 +237,6 @@ void CompiledSimulator::handle_force_marker(const Event& ev) {
 
 void CompiledSimulator::push_event(const Event& ev) {
   ++queue_size_;
-  if (sched_ == SchedulerKind::Heap) {
-    heap_.push_back(ev);
-    std::push_heap(heap_.begin(), heap_.end(), later<Event>);
-    return;
-  }
   const std::uint64_t tick = tick_of(ev.t_ps);
   if (queue_size_ == 1) {
     // Queue was empty: re-anchor the wheel on this event.
@@ -418,12 +406,6 @@ void CompiledSimulator::refill_ready() {
 
 CompiledSimulator::Event CompiledSimulator::pop_event() {
   --queue_size_;
-  if (sched_ == SchedulerKind::Heap) {
-    std::pop_heap(heap_.begin(), heap_.end(), later<Event>);
-    const Event ev = heap_.back();
-    heap_.pop_back();
-    return ev;
-  }
   if (ready_pos_ >= ready_.size()) refill_ready();
   return ready_[ready_pos_++];
 }
@@ -438,35 +420,28 @@ void CompiledSimulator::purge_tombstones() {
     return (ev.seq & kForceMarkerFlag) == 0 && pending_seq_[ev.net] != ev.seq;
   };
   std::size_t removed = 0;
-  if (sched_ == SchedulerKind::Heap) {
-    const auto it = std::remove_if(heap_.begin(), heap_.end(), stale);
-    removed = static_cast<std::size_t>(heap_.end() - it);
-    heap_.erase(it, heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), later<Event>);
-  } else {
-    for (std::uint64_t bi = 0; bi < num_buckets_; ++bi) {
-      std::vector<Event>& b = buckets_[bi];
-      if (b.empty()) continue;
-      const auto it = std::remove_if(b.begin(), b.end(), stale);
-      const auto n = static_cast<std::size_t>(b.end() - it);
-      b.erase(it, b.end());
-      removed += n;
-      wheel_count_ -= n;
-      if (b.empty()) clear_occupied(bi);
-    }
-    {
-      const auto it = std::remove_if(overflow_.begin(), overflow_.end(), stale);
-      removed += static_cast<std::size_t>(overflow_.end() - it);
-      overflow_.erase(it, overflow_.end());
-      std::make_heap(overflow_.begin(), overflow_.end(), later<Event>);
-    }
-    // The unserved ready remainder is already sorted; remove_if keeps order.
-    const auto it = std::remove_if(
-        ready_.begin() + static_cast<std::ptrdiff_t>(ready_pos_), ready_.end(),
-        stale);
-    removed += static_cast<std::size_t>(ready_.end() - it);
-    ready_.erase(it, ready_.end());
+  for (std::uint64_t bi = 0; bi < num_buckets_; ++bi) {
+    std::vector<Event>& b = buckets_[bi];
+    if (b.empty()) continue;
+    const auto it = std::remove_if(b.begin(), b.end(), stale);
+    const auto n = static_cast<std::size_t>(b.end() - it);
+    b.erase(it, b.end());
+    removed += n;
+    wheel_count_ -= n;
+    if (b.empty()) clear_occupied(bi);
   }
+  {
+    const auto it = std::remove_if(overflow_.begin(), overflow_.end(), stale);
+    removed += static_cast<std::size_t>(overflow_.end() - it);
+    overflow_.erase(it, overflow_.end());
+    std::make_heap(overflow_.begin(), overflow_.end(), later<Event>);
+  }
+  // The unserved ready remainder is already sorted; remove_if keeps order.
+  const auto it = std::remove_if(
+      ready_.begin() + static_cast<std::ptrdiff_t>(ready_pos_), ready_.end(),
+      stale);
+  removed += static_cast<std::size_t>(ready_.end() - it);
+  ready_.erase(it, ready_.end());
   queue_size_ -= removed;
   tombstones_ = 0;
 }

@@ -18,7 +18,7 @@
 // the scalar pop order of that lane's events — commit times, values,
 // glitch (retraction) counts, transition counts, and the floating-point
 // accumulation order of every power sample are bit-identical to the
-// wheel/heap CompiledSimulator and the reference interpreter
+// CompiledSimulator and the reference interpreter
 // (tests/test_batch_sim.cpp, tests/test_property_fuzz.cpp).
 //
 // Scope: acquisition only. Forces/fault injection and transition logs

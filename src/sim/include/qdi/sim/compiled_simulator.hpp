@@ -11,24 +11,24 @@
 //     switch instead of chasing per-cell vectors through cross-TU calls;
 //   * per-cell delay and slew come from arrays precomputed at compile
 //     time (they depend only on the static output load);
-//   * the event queue is a two-level time wheel (calendar queue) by
-//     default: events bucket by floor(t_ps / width) with the width
-//     derived from the compiled netlist's delay range (4x the minimum
-//     gate delay), so push/pop are O(1) amortized instead of the binary
-//     heap's O(log n). Fanout scheduled into the tick currently being
-//     served (delay < width) is inserted into the sorted ready batch;
-//     events whose tick falls beyond one wheel rotation spill into a
-//     far-list (a small min-heap) and migrate back as the wheel turns.
-//     Pop order is the exact (t_ps, net, seq) total order either way; the
-//     heap stays selectable through SchedulerKind for differential
-//     testing.
+//   * the event queue is a two-level time wheel (calendar queue):
+//     events bucket by floor(t_ps / width) with the width derived from
+//     the compiled netlist's delay range (4x the minimum gate delay), so
+//     push/pop are O(1) amortized instead of a binary heap's O(log n).
+//     Fanout scheduled into the tick currently being served
+//     (delay < width) is inserted into the sorted ready batch; events
+//     whose tick falls beyond one wheel rotation spill into a far-list
+//     (a small min-heap) and migrate back as the wheel turns. Pop order
+//     is the exact (t_ps, net, seq) total order of the reference
+//     engine's priority queue, which is the oracle it is checked
+//     against (tests/test_compiled_sim.cpp, the FuzzEpochs suite).
 //   * the transition log is OFF by default — acquisition streams power
 //     samples through a PowerSink at commit time instead;
 //   * reset_state() is a capacity-retaining memset, and save_epoch() /
 //     restore_epoch() snapshot the post-reset state. Restoring tracks a
 //     dirty set: only nets committed since the last save/restore are
 //     reverted, so a steady-state trace epoch costs O(activity), not
-//     O(num_nets), and performs zero allocations (all scheduler and
+//     O(num_nets), and performs zero allocations (all queue and
 //     dirty-set scratch retains capacity).
 //
 // Lazily cancelled (inertial-filtered) events stay in the queue as
@@ -50,14 +50,12 @@ namespace qdi::sim {
 
 class CompiledSimulator final : public SimEngine {
  public:
-  explicit CompiledSimulator(std::shared_ptr<const CompiledNetlist> cn,
-                             SchedulerKind scheduler = SchedulerKind::Wheel);
+  explicit CompiledSimulator(std::shared_ptr<const CompiledNetlist> cn);
 
   const CompiledNetlist& compiled() const noexcept { return *cn_; }
   const netlist::Netlist& netlist() const noexcept override {
     return cn_->source();
   }
-  SchedulerKind scheduler() const noexcept { return sched_; }
 
   void reset_state() override;
   void initialize() override;
@@ -175,7 +173,6 @@ class CompiledSimulator final : public SimEngine {
   void clear_dirty();
 
   std::shared_ptr<const CompiledNetlist> cn_;
-  SchedulerKind sched_;
 
   std::vector<char> values_;
   std::vector<std::uint64_t> pending_seq_;  // live pending event per net (0 = none)
@@ -184,11 +181,7 @@ class CompiledSimulator final : public SimEngine {
   std::uint64_t next_seq_ = 1;
   ForceSet forces_;
 
-  // Heap scheduler: binary min-heap on (t_ps, net, seq); clear() keeps
-  // capacity.
-  std::vector<Event> heap_;
-
-  // Wheel scheduler. buckets_[tick & mask] holds the events of absolute
+  // Time wheel. buckets_[tick & mask] holds the events of absolute
   // tick `tick` (and, after the cold backward re-anchor, possibly of
   // later laps — extraction checks the exact tick and swaps the whole
   // bucket in the common single-lap case). ready_ is the sorted batch of

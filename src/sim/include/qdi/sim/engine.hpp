@@ -5,10 +5,12 @@
 //   * `Simulator` — the reference engine, interpreting the
 //     construction-oriented `netlist::Netlist` directly;
 //   * `CompiledSimulator` — the execution kernel, running against the
-//     flattened SoA `CompiledNetlist`.
+//     flattened SoA `CompiledNetlist` with a time-wheel event queue.
 //
-// Both produce bit-identical event sequences (asserted over every
-// registry target in tests/test_compiled_sim.cpp). The virtual calls
+// `Simulator` is the oracle: the kernel produces bit-identical event
+// sequences (asserted over every registry target in
+// tests/test_compiled_sim.cpp, and across epoch rewinds by the
+// FuzzEpochs suite in tests/test_property_fuzz.cpp). The virtual calls
 // here sit on the environment side (a handful per handshake phase); the
 // hot event loop inside each engine is non-virtual.
 #pragma once
@@ -32,16 +34,6 @@ enum class EngineKind {
   /// (fault injection, non-levelizable netlists) throw instead of
   /// silently falling back to a scalar engine.
   Batch,
-};
-
-/// Event-queue implementation of the compiled kernel. Both schedulers
-/// pop events in the exact (t_ps, net, seq) total order, so every trace,
-/// power sample, and campaign result is bit-identical between them —
-/// the heap stays selectable for differential testing
-/// (tests/test_compiled_sim.cpp, tests/test_property_fuzz.cpp).
-enum class SchedulerKind {
-  Wheel,  ///< two-level time wheel (calendar queue), O(1) amortized (default)
-  Heap,   ///< binary min-heap, O(log n) per push/pop
 };
 
 class SimEngine {

@@ -20,7 +20,7 @@
 // handling is identical in both engines, the (t_ps, net, seq) event
 // stream — and hence every transition, power sample, and classification
 // — stays bit-identical between the reference interpreter and the
-// compiled kernel (wheel or heap) under the same armed fault. (Markers
+// compiled kernel under the same armed fault. (Markers
 // sort after normal events of the *same net* at the same timestamp;
 // across nets the net id decides, consistently in every engine.)
 #pragma once

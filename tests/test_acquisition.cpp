@@ -1,17 +1,14 @@
-// Acquisition-layer tests against the campaign trace source (the
-// replacement for the removed per-circuit dpa::acquire_* wrappers) plus
-// the retained generic dpa::acquire engine.
+// Acquisition-layer tests against the campaign trace source, the one
+// acquisition path: every trace starts from the post-reset state. Back-to-
+// back cycles on one simulator are covered by tests/test_environment.cpp.
 #include <gtest/gtest.h>
 
 #include "qdi/campaign/target.hpp"
 #include "qdi/crypto/aes.hpp"
 #include "qdi/crypto/des.hpp"
-#include "qdi/dpa/acquisition.hpp"
-#include "qdi/gates/testbench.hpp"
 
 namespace qc = qdi::campaign;
 namespace qd = qdi::dpa;
-namespace qg = qdi::gates;
 namespace qy = qdi::crypto;
 
 namespace {
@@ -105,28 +102,4 @@ TEST(Acquisition, BalancedSliceShowsNoKeyDependentCharge) {
   const double q0 = ts.trace(0).total_charge_fc();
   for (std::size_t i = 1; i < ts.size(); ++i)
     EXPECT_NEAR(ts.trace(i).total_charge_fc(), q0, q0 * 1e-9);
-}
-
-TEST(Acquisition, GenericEngineRunsBackToBackCycles) {
-  // The retained low-level engine: one shared sequential RNG, cycles
-  // run continuously without a reset in between.
-  qg::XorStage x = qg::build_xor_stage();
-  qdi::sim::Simulator sim(x.nl);
-  qdi::sim::FourPhaseEnv env(sim, x.env);
-  qd::Acquisition cfg;
-  cfg.num_traces = 12;
-  const qd::TraceSet ts = qd::acquire(
-      sim, env,
-      [](qdi::util::Rng& rng) {
-        const int a = static_cast<int>(rng.below(2));
-        const int b = static_cast<int>(rng.below(2));
-        return std::make_pair(std::vector<int>{a, b},
-                              std::vector<std::uint8_t>{
-                                  static_cast<std::uint8_t>(a),
-                                  static_cast<std::uint8_t>(b)});
-      },
-      cfg);
-  ASSERT_EQ(ts.size(), 12u);
-  for (std::size_t i = 0; i < ts.size(); ++i)
-    EXPECT_EQ(ts.ciphertext(i)[0], ts.plaintext(i)[0] ^ ts.plaintext(i)[1]);
 }

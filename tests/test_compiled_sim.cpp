@@ -29,11 +29,9 @@ namespace {
 qdi::dpa::TraceSet acquire(const qc::TargetInstance& inst, qs::EngineKind kind,
                            unsigned threads, qc::AcquisitionStats* stats,
                            std::size_t n = 8, double jitter_ps = 0.0,
-                           double noise = 0.0,
-                           qs::SchedulerKind sched = qs::SchedulerKind::Wheel) {
+                           double noise = 0.0) {
   qc::SimTraceSourceOptions opt;
   opt.engine = kind;
-  opt.scheduler = sched;
   opt.start_jitter_ps = jitter_ps;
   opt.power.noise_sigma_ua = noise;
   qc::SimTraceSource src(inst.nl, inst.env, inst.stimulus, opt);
@@ -70,20 +68,15 @@ TEST(CompiledEquivalence, AllRegistryTargetsBitIdenticalAnyThreadCount) {
     const qdi::dpa::TraceSet ref =
         acquire(inst, qs::EngineKind::Reference, 1, &ref_stats);
 
-    for (qs::SchedulerKind sched :
-         {qs::SchedulerKind::Wheel, qs::SchedulerKind::Heap}) {
-      SCOPED_TRACE(sched == qs::SchedulerKind::Wheel ? "wheel" : "heap");
-      for (unsigned threads : {1u, 3u}) {
-        SCOPED_TRACE(threads);
-        qc::AcquisitionStats stats;
-        const qdi::dpa::TraceSet compiled = acquire(
-            inst, qs::EngineKind::Compiled, threads, &stats, 8, 0.0, 0.0,
-            sched);
-        expect_bit_identical(ref, compiled);
-        EXPECT_EQ(stats.transitions, ref_stats.transitions);
-        EXPECT_EQ(stats.glitches, ref_stats.glitches);
-        EXPECT_EQ(stats.per_trace_transitions, ref_stats.per_trace_transitions);
-      }
+    for (unsigned threads : {1u, 3u}) {
+      SCOPED_TRACE(threads);
+      qc::AcquisitionStats stats;
+      const qdi::dpa::TraceSet compiled =
+          acquire(inst, qs::EngineKind::Compiled, threads, &stats);
+      expect_bit_identical(ref, compiled);
+      EXPECT_EQ(stats.transitions, ref_stats.transitions);
+      EXPECT_EQ(stats.glitches, ref_stats.glitches);
+      EXPECT_EQ(stats.per_trace_transitions, ref_stats.per_trace_transitions);
     }
   }
 }
@@ -184,45 +177,45 @@ TEST(CompiledKernel, EpochRestoreReplaysIdenticalCycles) {
   }
 }
 
-TEST(CompiledKernel, WheelAndHeapSchedulersPopIdenticalSequences) {
-  // Per-transition differential check of the two queue implementations
-  // across all four codewords of the XOR stage, including epoch reuse.
+TEST(CompiledKernel, EpochRestoreMatchesResetPerCodewordReference) {
+  // Per-transition check of the kernel's epoch reuse against the oracle:
+  // the kernel restores its post-reset snapshot before each of the XOR
+  // stage's four codewords, the reference re-simulates reset each time.
   const qdi::gates::XorStage x = qdi::gates::build_xor_stage();
-  const auto cn = qs::compile(x.nl);
 
-  qs::CompiledSimulator wheel(cn, qs::SchedulerKind::Wheel);
-  wheel.set_log_enabled(true);
-  qs::FourPhaseEnv wheel_env(wheel, x.env);
-  wheel_env.apply_reset();
-  const auto wheel_epoch = wheel.save_epoch();
+  qs::CompiledSimulator sim(qs::compile(x.nl));
+  sim.set_log_enabled(true);
+  qs::FourPhaseEnv env(sim, x.env);
+  env.apply_reset();
+  const auto epoch = sim.save_epoch();
 
-  qs::CompiledSimulator heap(cn, qs::SchedulerKind::Heap);
-  heap.set_log_enabled(true);
-  qs::FourPhaseEnv heap_env(heap, x.env);
-  heap_env.apply_reset();
-  const auto heap_epoch = heap.save_epoch();
+  qs::Simulator ref(x.nl);
+  qs::FourPhaseEnv ref_env(ref, x.env);
 
   for (int v = 0; v < 4; ++v) {
     SCOPED_TRACE(v);
-    wheel.restore_epoch(wheel_epoch);
-    heap.restore_epoch(heap_epoch);
+    sim.restore_epoch(epoch);
+    ref.reset_state();
+    ref_env.apply_reset();
+    ref.clear_log();
     const std::vector<int> values{v & 1, (v >> 1) & 1};
-    const auto wc = wheel_env.send(values);
-    const auto hc = heap_env.send(values);
-    ASSERT_TRUE(wc.ok);
-    ASSERT_TRUE(hc.ok);
-    EXPECT_EQ(wc.outputs, hc.outputs);
-    ASSERT_EQ(wheel.log().size(), heap.log().size());
-    for (std::size_t i = 0; i < wheel.log().size(); ++i) {
-      EXPECT_EQ(wheel.log()[i].t_ps, heap.log()[i].t_ps) << "transition " << i;
-      EXPECT_EQ(wheel.log()[i].net, heap.log()[i].net) << "transition " << i;
-      EXPECT_EQ(wheel.log()[i].rising, heap.log()[i].rising)
+    const auto cc = env.send(values);
+    const auto rc = ref_env.send(values);
+    ASSERT_TRUE(cc.ok);
+    ASSERT_TRUE(rc.ok);
+    EXPECT_EQ(cc.outputs, rc.outputs);
+    ASSERT_EQ(sim.log().size(), ref.log().size());
+    for (std::size_t i = 0; i < sim.log().size(); ++i) {
+      EXPECT_EQ(sim.log()[i].t_ps, ref.log()[i].t_ps) << "transition " << i;
+      EXPECT_EQ(sim.log()[i].net, ref.log()[i].net) << "transition " << i;
+      EXPECT_EQ(sim.log()[i].rising, ref.log()[i].rising)
+          << "transition " << i;
+      EXPECT_EQ(sim.log()[i].slew_ps, ref.log()[i].slew_ps)
           << "transition " << i;
     }
-    EXPECT_EQ(wheel.transition_count(), heap.transition_count());
-    EXPECT_EQ(wheel.glitch_count(), heap.glitch_count());
-    EXPECT_EQ(wheel.queue_size(), 0u);
-    EXPECT_EQ(heap.queue_size(), 0u);
+    EXPECT_EQ(sim.transition_count(), ref.transition_count());
+    EXPECT_EQ(sim.glitch_count(), ref.glitch_count());
+    EXPECT_EQ(sim.queue_size(), 0u);
   }
 }
 
@@ -299,33 +292,28 @@ TEST(CompiledKernel, TombstonePurgeBoundsQueueGrowthUnderRetraction) {
   // inertial commit, so every second drive cancels the pending event and
   // leaves a tombstone. Without the purge the queue grows by one stale
   // event per cancelled pair; with it, stale events never exceed live
-  // events (+ purge hysteresis) for both schedulers.
+  // events (+ purge hysteresis).
   const qdi::gates::XorStage x = qdi::gates::build_xor_stage();
-  const auto cn = qs::compile(x.nl);
   const qn::NetId in0 = x.nl.channel(x.env.inputs[0]).rails[1];
-  for (qs::SchedulerKind sched :
-       {qs::SchedulerKind::Wheel, qs::SchedulerKind::Heap}) {
-    SCOPED_TRACE(sched == qs::SchedulerKind::Wheel ? "wheel" : "heap");
-    qs::CompiledSimulator sim(cn, sched);
-    qs::FourPhaseEnv env(sim, x.env);
-    env.apply_reset();
-    const double t0 = sim.now();
-    std::size_t max_queue = 0;
-    for (int i = 0; i < 4096; ++i) {
-      // Alternating far-future drives: each pair schedules then cancels.
-      sim.drive(in0, (i & 1) == 0, t0 + 1e6 + i);
-      max_queue = std::max(max_queue, sim.queue_size());
-      // The purge fires once the queue passes its 64-event hysteresis;
-      // below that tombstones may transiently dominate.
-      EXPECT_LE(sim.tombstone_count(),
-                std::max<std::size_t>(sim.queue_size() / 2 + 1, 64))
-          << "tombstones exceeded half the queue at drive " << i;
-    }
-    EXPECT_LT(max_queue, 128u) << "queue grew unboundedly under retraction";
-    sim.run_until_stable();
-    EXPECT_EQ(sim.queue_size(), 0u);
-    EXPECT_EQ(sim.tombstone_count(), 0u);
+  qs::CompiledSimulator sim(qs::compile(x.nl));
+  qs::FourPhaseEnv env(sim, x.env);
+  env.apply_reset();
+  const double t0 = sim.now();
+  std::size_t max_queue = 0;
+  for (int i = 0; i < 4096; ++i) {
+    // Alternating far-future drives: each pair schedules then cancels.
+    sim.drive(in0, (i & 1) == 0, t0 + 1e6 + i);
+    max_queue = std::max(max_queue, sim.queue_size());
+    // The purge fires once the queue passes its 64-event hysteresis;
+    // below that tombstones may transiently dominate.
+    EXPECT_LE(sim.tombstone_count(),
+              std::max<std::size_t>(sim.queue_size() / 2 + 1, 64))
+        << "tombstones exceeded half the queue at drive " << i;
   }
+  EXPECT_LT(max_queue, 128u) << "queue grew unboundedly under retraction";
+  sim.run_until_stable();
+  EXPECT_EQ(sim.queue_size(), 0u);
+  EXPECT_EQ(sim.tombstone_count(), 0u);
 }
 
 // ---- allocation-free steady state ------------------------------------------

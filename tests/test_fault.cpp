@@ -1,5 +1,5 @@
 // Fault-injection subsystem tests: forced-value semantics in both
-// engines, engine/scheduler equivalence under an armed fault, the
+// engines, engine equivalence under an armed fault, the
 // HandshakeOutcome deadlock primitive, fault-campaign classification and
 // its determinism contract, DFA key recovery, the golden-path
 // equivalence of every simulatable registry target, and the
@@ -40,23 +40,20 @@ struct InvChain {
 };
 
 std::unique_ptr<qs::SimEngine> make_engine(const qn::Netlist& nl,
-                                           qs::EngineKind kind,
-                                           qs::SchedulerKind sched) {
+                                           qs::EngineKind kind) {
   if (kind == qs::EngineKind::Reference)
     return std::make_unique<qs::Simulator>(nl);
-  return std::make_unique<qs::CompiledSimulator>(qs::compile(nl), sched);
+  return std::make_unique<qs::CompiledSimulator>(qs::compile(nl));
 }
 
 struct EngineCase {
   const char* label;
   qs::EngineKind kind;
-  qs::SchedulerKind sched;
 };
 
 constexpr EngineCase kEngines[] = {
-    {"reference", qs::EngineKind::Reference, qs::SchedulerKind::Wheel},
-    {"compiled-wheel", qs::EngineKind::Compiled, qs::SchedulerKind::Wheel},
-    {"compiled-heap", qs::EngineKind::Compiled, qs::SchedulerKind::Heap},
+    {"reference", qs::EngineKind::Reference},
+    {"compiled", qs::EngineKind::Compiled},
 };
 
 }  // namespace
@@ -67,7 +64,7 @@ TEST(ForceSemantics, StuckAtPinsNetAgainstDriver) {
   for (const EngineCase& ec : kEngines) {
     SCOPED_TRACE(ec.label);
     InvChain f;
-    auto sim = make_engine(f.nl, ec.kind, ec.sched);
+    auto sim = make_engine(f.nl, ec.kind);
     sim->initialize();
     sim->run_until_stable();
     ASSERT_TRUE(sim->value(f.b));  // inv(0)
@@ -91,7 +88,7 @@ TEST(ForceSemantics, GlitchReleasesAndGateRecovers) {
   for (const EngineCase& ec : kEngines) {
     SCOPED_TRACE(ec.label);
     InvChain f;
-    auto sim = make_engine(f.nl, ec.kind, ec.sched);
+    auto sim = make_engine(f.nl, ec.kind);
     sim->initialize();
     sim->run_until_stable();
     ASSERT_TRUE(sim->value(f.b));
@@ -111,7 +108,7 @@ TEST(ForceSemantics, InputForceReplaysShadowedDrive) {
   for (const EngineCase& ec : kEngines) {
     SCOPED_TRACE(ec.label);
     InvChain f;
-    auto sim = make_engine(f.nl, ec.kind, ec.sched);
+    auto sim = make_engine(f.nl, ec.kind);
     sim->initialize();
     sim->run_until_stable();
 
@@ -134,7 +131,7 @@ TEST(ForceSemantics, ArmValidation) {
   for (const EngineCase& ec : kEngines) {
     SCOPED_TRACE(ec.label);
     InvChain f;
-    auto sim = make_engine(f.nl, ec.kind, ec.sched);
+    auto sim = make_engine(f.nl, ec.kind);
     sim->initialize();
     sim->run_until_stable();
     const double t = sim->now();
@@ -152,14 +149,14 @@ TEST(ForceSemantics, ArmValidation) {
 
 TEST(ForceSemantics, CompiledSnapshotWithArmedForceThrows) {
   InvChain f;
-  qs::CompiledSimulator sim(qs::compile(f.nl), qs::SchedulerKind::Wheel);
+  qs::CompiledSimulator sim(qs::compile(f.nl));
   sim.initialize();
   sim.run_until_stable();
   sim.arm_force(f.b, true, sim.now() + 10.0, kInf);
   EXPECT_THROW((void)sim.save_epoch(), std::logic_error);
 }
 
-// ---- engine/scheduler equivalence under a fault ----------------------------
+// ---- engine equivalence under a fault -------------------------------------
 
 TEST(ForceEquivalence, EnginesBitIdenticalUnderArmedFault) {
   const qc::TargetInstance inst = qc::des_sbox_slice().build(0x2b);
@@ -171,7 +168,7 @@ TEST(ForceEquivalence, EnginesBitIdenticalUnderArmedFault) {
 
   const auto faulted_log = [&](const EngineCase& ec, qn::NetId site,
                                qs::FaultKind kind) {
-    auto sim = make_engine(inst.nl, ec.kind, ec.sched);
+    auto sim = make_engine(inst.nl, ec.kind);
     qs::FourPhaseEnv env(*sim, spec);
     sim->reset_state();
     env.apply_reset();
@@ -194,16 +191,13 @@ TEST(ForceEquivalence, EnginesBitIdenticalUnderArmedFault) {
       const std::vector<qs::Transition> ref =
           faulted_log(kEngines[0], sites[i], kind);
       ASSERT_FALSE(ref.empty());
-      for (int e : {1, 2}) {
-        SCOPED_TRACE(kEngines[e].label);
-        const std::vector<qs::Transition> got =
-            faulted_log(kEngines[e], sites[i], kind);
-        ASSERT_EQ(got.size(), ref.size());
-        for (std::size_t k = 0; k < ref.size(); ++k) {
-          EXPECT_EQ(got[k].net, ref[k].net) << "transition " << k;
-          EXPECT_EQ(got[k].rising, ref[k].rising) << "transition " << k;
-          EXPECT_DOUBLE_EQ(got[k].t_ps, ref[k].t_ps) << "transition " << k;
-        }
+      const std::vector<qs::Transition> got =
+          faulted_log(kEngines[1], sites[i], kind);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t k = 0; k < ref.size(); ++k) {
+        EXPECT_EQ(got[k].net, ref[k].net) << "transition " << k;
+        EXPECT_EQ(got[k].rising, ref[k].rising) << "transition " << k;
+        EXPECT_DOUBLE_EQ(got[k].t_ps, ref[k].t_ps) << "transition " << k;
       }
     }
   }
@@ -253,36 +247,32 @@ TEST(HandshakeOutcome, StuckOutputRailStallsDataValidWithChannel) {
 
 // ---- fault campaign: classification and determinism ------------------------
 
-TEST(FaultCampaign, ClassificationDeterministicAcrossThreadsAndSchedulers) {
-  const auto sweep = [](unsigned threads, qs::SchedulerKind sched) {
+TEST(FaultCampaign, ClassificationDeterministicAcrossThreads) {
+  const auto sweep = [](unsigned threads) {
     return qc::FaultCampaign()
         .target(qc::des_sbox_slice())
         .key(0x2b)
         .seed(99)
         .max_sites(10)
         .repeats(3)
-        .scheduler(sched)
         .threads(threads)
         .run();
   };
-  const qc::FaultCampaignResult ref = sweep(1, qs::SchedulerKind::Wheel);
+  const qc::FaultCampaignResult ref = sweep(1);
   EXPECT_EQ(ref.summary.runs, ref.records.size());
   EXPECT_EQ(ref.summary.runs,
             ref.summary.deadlock + ref.summary.masked + ref.summary.exploitable)
       << "every injection must land in exactly one class";
   for (unsigned threads : {2u, 3u}) {
-    for (qs::SchedulerKind sched :
-         {qs::SchedulerKind::Wheel, qs::SchedulerKind::Heap}) {
-      SCOPED_TRACE(threads);
-      const qc::FaultCampaignResult got = sweep(threads, sched);
-      ASSERT_EQ(got.records.size(), ref.records.size());
-      for (std::size_t i = 0; i < ref.records.size(); ++i) {
-        EXPECT_EQ(got.records[i].net, ref.records[i].net) << "run " << i;
-        EXPECT_EQ(got.records[i].cls, ref.records[i].cls) << "run " << i;
-        EXPECT_EQ(got.records[i].plaintext, ref.records[i].plaintext)
-            << "run " << i;
-        EXPECT_EQ(got.records[i].golden, ref.records[i].golden) << "run " << i;
-      }
+    SCOPED_TRACE(threads);
+    const qc::FaultCampaignResult got = sweep(threads);
+    ASSERT_EQ(got.records.size(), ref.records.size());
+    for (std::size_t i = 0; i < ref.records.size(); ++i) {
+      EXPECT_EQ(got.records[i].net, ref.records[i].net) << "run " << i;
+      EXPECT_EQ(got.records[i].cls, ref.records[i].cls) << "run " << i;
+      EXPECT_EQ(got.records[i].plaintext, ref.records[i].plaintext)
+          << "run " << i;
+      EXPECT_EQ(got.records[i].golden, ref.records[i].golden) << "run " << i;
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "qdi/campaign/batch_trace_source.hpp"
@@ -190,34 +191,66 @@ TEST_P(FuzzSymmetry, RegisteredChannelsHaveValidRails) {
 INSTANTIATE_TEST_SUITE_P(RandomDags, FuzzSymmetry,
                          ::testing::Range<std::uint64_t>(0, 10));
 
-// ---- scheduler differential fuzz -------------------------------------------
+// ---- epoch-rewind differential fuzz ----------------------------------------
 //
-// The time-wheel and heap schedulers of the compiled kernel must produce
-// identical transition logs on ANY netlist, delay model, stimulus
-// sequence, and epoch save/restore pattern — the (t_ps, net, seq) total order
-// is scheduler-independent by construction, and this fuzz pass pins it
-// across random instances of all four dimensions (plus the reference
-// interpreter as a third witness).
+// The compiled kernel must match the reference interpreter transition for
+// transition on ANY netlist, delay model, stimulus sequence, and epoch
+// save/restore pattern. The reference engine has no epochs: on every
+// rewind it is rebuilt from scratch and replays the input prefix the
+// restored epoch was reached with, so it stays on the compiled kernel's
+// absolute timeline through all 24 cycles.
+//
+// A complete four-phase cycle returns every net to its post-reset value,
+// so a rewind between clean cycles reverts nothing. Some rewinds
+// therefore follow a cycle with a random fault armed (the fault
+// campaign's golden/faulty pattern): a stalled or corrupted cycle leaves
+// nets away from the epoch's values, and only a correct dirty-set revert
+// puts the kernel back on the reference's timeline.
 
 namespace {
 
-struct SchedulerRun {
-  qs::CompiledSimulator sim;
+/// Reference engine driven from reset through `prefix`, one cycle each.
+struct ReferenceRun {
+  qs::Simulator sim;
   qs::FourPhaseEnv env;
-  std::vector<qs::CompiledSimulator::Epoch> epochs;
 
-  SchedulerRun(const std::shared_ptr<const qs::CompiledNetlist>& cn,
-               const qs::EnvSpec& spec, qs::SchedulerKind kind)
-      : sim(cn, kind), env(sim, spec) {
-    sim.set_log_enabled(true);
+  ReferenceRun(const qn::Netlist& nl, const qs::DelayModel& dm,
+               const qs::EnvSpec& spec,
+               const std::vector<std::vector<int>>& prefix)
+      : sim(nl, dm), env(sim, spec) {
     env.apply_reset();
-    epochs.push_back(sim.save_epoch());
+    for (const std::vector<int>& values : prefix)
+      if (!env.send(values).ok)
+        throw std::runtime_error("reference replay: protocol failure");
   }
 };
 
-void expect_logs_equal(const qs::CompiledSimulator& a,
-                       const qs::CompiledSimulator& b, std::uint64_t seed,
-                       int cycle) {
+struct FaultedCycle {
+  bool threw = false;
+  std::vector<int> outputs;
+};
+
+/// One cycle with `fs` armed, from the engine's current state; the log is
+/// left in the engine.
+FaultedCycle send_faulted(qs::SimEngine& sim, const qs::EnvSpec& spec,
+                          const qs::FaultSpec& fs,
+                          const std::vector<int>& values) {
+  qs::FourPhaseEnv env(sim, spec);
+  sim.clear_log();
+  qs::FaultInjector inj(sim);
+  inj.arm(fs, env.next_cycle_start());
+  FaultedCycle r;
+  try {
+    r.outputs = env.send(values).outputs;
+  } catch (const std::runtime_error&) {
+    r.threw = true;
+  }
+  inj.disarm();
+  return r;
+}
+
+void expect_logs_equal(const qs::SimEngine& a, const qs::SimEngine& b,
+                       std::uint64_t seed, int cycle) {
   ASSERT_EQ(a.log().size(), b.log().size())
       << "seed " << seed << " cycle " << cycle;
   for (std::size_t i = 0; i < a.log().size(); ++i) {
@@ -234,9 +267,9 @@ void expect_logs_equal(const qs::CompiledSimulator& a,
 
 }  // namespace
 
-class FuzzScheduler : public ::testing::TestWithParam<std::uint64_t> {};
+class FuzzEpochs : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(FuzzScheduler, WheelMatchesHeapOnRandomNetlistsDelaysAndEpochs) {
+TEST_P(FuzzEpochs, CompiledMatchesReferenceAcrossRewinds) {
   qu::Rng rng(GetParam() + 7000);
   const int num_inputs = 2 + static_cast<int>(rng.below(3));  // 2..4
   const int num_nodes = 3 + static_cast<int>(rng.below(10));  // 3..12
@@ -253,72 +286,95 @@ TEST_P(FuzzScheduler, WheelMatchesHeapOnRandomNetlistsDelaysAndEpochs) {
   dm.per_ff_ps = rng.uniform(0.0, 12.0);
   dm.slew_base_ps = 1.0 + rng.uniform(0.0, 20.0);
   dm.slew_per_ff_ps = rng.uniform(0.0, 8.0);
-  const auto cn = qs::compile(hw.nl, dm);
 
-  // Reference interpreter as a third witness on the same delay model.
-  qs::Simulator ref(hw.nl, dm);
-  qs::FourPhaseEnv ref_env(ref, hw.spec);
-  ref_env.apply_reset();
+  qs::CompiledSimulator sim(qs::compile(hw.nl, dm));
+  qs::FourPhaseEnv env(sim, hw.spec);
+  sim.set_log_enabled(true);
+  env.apply_reset();
 
-  SchedulerRun wheel(cn, hw.spec, qs::SchedulerKind::Wheel);
-  SchedulerRun heap(cn, hw.spec, qs::SchedulerKind::Heap);
+  // Faulted cycles stall by design; they run under a tolerant environment.
+  qs::EnvSpec tolerant = hw.spec;
+  tolerant.strict = false;
+  const std::vector<qn::NetId> sites = qs::fault_sites(hw.nl);
+  ASSERT_FALSE(sites.empty());
 
-  bool ref_in_sync = true;  // until the first rewind diverges the timeline
+  // Each saved epoch with the inputs sent since reset to reach it.
+  std::vector<qs::CompiledSimulator::Epoch> epochs{sim.save_epoch()};
+  std::vector<std::vector<std::vector<int>>> prefixes(1);
+  std::vector<std::vector<int>> history;
+  auto ref = std::make_unique<ReferenceRun>(hw.nl, dm, hw.spec, history);
+
   for (int cycle = 0; cycle < 24; ++cycle) {
     // Random epoch action: occasionally snapshot the quiescent state or
-    // rewind to a random earlier snapshot (both runs in lockstep).
+    // rewind to a random earlier snapshot (the reference replays to it),
+    // sometimes right after a faulted cycle.
     const std::uint64_t action = rng.below(8);
     if (action == 0) {
-      wheel.epochs.push_back(wheel.sim.save_epoch());
-      heap.epochs.push_back(heap.sim.save_epoch());
-    } else if (action == 1) {
-      const std::size_t k = rng.below(wheel.epochs.size());
-      wheel.sim.restore_epoch(wheel.epochs[k]);
-      heap.sim.restore_epoch(heap.epochs[k]);
-      ref_in_sync = false;
+      epochs.push_back(sim.save_epoch());
+      prefixes.push_back(history);
+    } else if (action == 1 || action == 2) {
+      if (action == 2) {
+        qs::FaultSpec fs;
+        fs.net = sites[rng.below(sites.size())];
+        fs.kind = static_cast<qs::FaultKind>(rng.below(4));
+        fs.t_offset_ps = rng.uniform(0.0, tolerant.period_ps * 0.5);
+        fs.duration_ps = 50.0 + rng.uniform(0.0, 500.0);
+        std::vector<int> values(static_cast<std::size_t>(num_inputs));
+        for (int i = 0; i < num_inputs; ++i)
+          values[static_cast<std::size_t>(i)] = static_cast<int>(rng.below(2));
+        const FaultedCycle got = send_faulted(sim, tolerant, fs, values);
+        const FaultedCycle want = send_faulted(ref->sim, tolerant, fs, values);
+        ASSERT_EQ(got.threw, want.threw)
+            << "seed " << GetParam() << " cycle " << cycle;
+        ASSERT_EQ(got.outputs, want.outputs)
+            << "seed " << GetParam() << " cycle " << cycle;
+        expect_logs_equal(sim, ref->sim, GetParam(), cycle);
+        // An oscillation abort leaves events queued; only a full reset
+        // drains them (the fault campaign's re-initialization path).
+        if (got.threw) {
+          sim.reset_state();
+          env.apply_reset();
+        }
+      }
+      const std::size_t k = rng.below(epochs.size());
+      sim.restore_epoch(epochs[k]);
+      history = prefixes[k];
+      ref = std::make_unique<ReferenceRun>(hw.nl, dm, hw.spec, history);
     }
 
     std::vector<int> values(static_cast<std::size_t>(num_inputs));
     for (int i = 0; i < num_inputs; ++i)
       values[static_cast<std::size_t>(i)] = static_cast<int>(rng.below(2));
+    history.push_back(values);
 
-    wheel.sim.clear_log();
-    heap.sim.clear_log();
-    const auto wc = wheel.env.send(values);
-    const auto hc = heap.env.send(values);
-    ASSERT_TRUE(wc.ok) << "seed " << GetParam() << " cycle " << cycle;
-    ASSERT_TRUE(hc.ok) << "seed " << GetParam() << " cycle " << cycle;
-    ASSERT_EQ(wc.outputs, hc.outputs);
-    ASSERT_EQ(wc.transitions, hc.transitions);
-    expect_logs_equal(wheel.sim, heap.sim, GetParam(), cycle);
-    ASSERT_EQ(wheel.sim.glitch_count(), heap.sim.glitch_count());
-
-    // The reference engine never rewinds; compare against it only while
-    // no restore has diverged the absolute timeline.
-    if (ref_in_sync) {
-      ref.clear_log();
-      const auto rc = ref_env.send(values);
-      ASSERT_TRUE(rc.ok);
-      ASSERT_EQ(rc.outputs, wc.outputs);
-      ASSERT_EQ(ref.log().size(), wheel.sim.log().size());
-      for (std::size_t i = 0; i < ref.log().size(); ++i) {
-        ASSERT_EQ(ref.log()[i].t_ps, wheel.sim.log()[i].t_ps);
-        ASSERT_EQ(ref.log()[i].net, wheel.sim.log()[i].net);
-      }
-    }
+    sim.clear_log();
+    ref->sim.clear_log();
+    const auto cc = env.send(values);
+    const auto rc = ref->env.send(values);
+    ASSERT_TRUE(cc.ok) << "seed " << GetParam() << " cycle " << cycle;
+    ASSERT_TRUE(rc.ok) << "seed " << GetParam() << " cycle " << cycle;
+    ASSERT_EQ(cc.outputs, rc.outputs)
+        << "seed " << GetParam() << " cycle " << cycle;
+    ASSERT_EQ(cc.transitions, rc.transitions)
+        << "seed " << GetParam() << " cycle " << cycle;
+    expect_logs_equal(sim, ref->sim, GetParam(), cycle);
+    ASSERT_EQ(sim.glitch_count(), ref->sim.glitch_count())
+        << "seed " << GetParam() << " cycle " << cycle;
+    ASSERT_EQ(sim.transition_count(), ref->sim.transition_count())
+        << "seed " << GetParam() << " cycle " << cycle;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomDags, FuzzScheduler,
+INSTANTIATE_TEST_SUITE_P(RandomDags, FuzzEpochs,
                          ::testing::Range<std::uint64_t>(0, 20));
 
 // ---- fault-injection differential fuzz -------------------------------------
 //
 // With a randomly armed fault (site, kind, offset, width all fuzzed) the
-// three engines must still agree transition for transition: the marker
-// events and forced-value suppression are part of the deterministic
-// (t_ps, net, seq) order, whether the faulted cycle completes, stalls, or
-// aborts.
+// compiled kernel must still agree with the reference transition for
+// transition: the marker events and forced-value suppression are part of
+// the deterministic (t_ps, net, seq) order, whether the faulted cycle
+// completes, stalls, or aborts.
 
 class FuzzFaultInjection : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -374,28 +430,24 @@ TEST_P(FuzzFaultInjection, EnginesAgreeUnderRandomFaults) {
       values[static_cast<std::size_t>(i)] = static_cast<int>(rng.below(2));
 
     qs::Simulator ref_sim(hw.nl);
-    qs::CompiledSimulator wheel(cn, qs::SchedulerKind::Wheel);
-    qs::CompiledSimulator heap(cn, qs::SchedulerKind::Heap);
+    qs::CompiledSimulator compiled(cn);
     const Run ref = faulted_cycle(ref_sim, fs, values);
-    for (qs::SimEngine* sim : {static_cast<qs::SimEngine*>(&wheel),
-                               static_cast<qs::SimEngine*>(&heap)}) {
-      const Run got = faulted_cycle(*sim, fs, values);
-      ASSERT_EQ(got.threw, ref.threw)
-          << "seed " << GetParam() << " round " << round;
-      ASSERT_EQ(got.completed, ref.completed)
-          << "seed " << GetParam() << " round " << round;
-      ASSERT_EQ(got.outputs, ref.outputs)
-          << "seed " << GetParam() << " round " << round;
-      ASSERT_EQ(got.log.size(), ref.log.size())
-          << "seed " << GetParam() << " round " << round;
-      for (std::size_t i = 0; i < ref.log.size(); ++i) {
-        ASSERT_EQ(got.log[i].t_ps, ref.log[i].t_ps)
-            << "seed " << GetParam() << " round " << round << " tr " << i;
-        ASSERT_EQ(got.log[i].net, ref.log[i].net)
-            << "seed " << GetParam() << " round " << round << " tr " << i;
-        ASSERT_EQ(got.log[i].rising, ref.log[i].rising)
-            << "seed " << GetParam() << " round " << round << " tr " << i;
-      }
+    const Run got = faulted_cycle(compiled, fs, values);
+    ASSERT_EQ(got.threw, ref.threw)
+        << "seed " << GetParam() << " round " << round;
+    ASSERT_EQ(got.completed, ref.completed)
+        << "seed " << GetParam() << " round " << round;
+    ASSERT_EQ(got.outputs, ref.outputs)
+        << "seed " << GetParam() << " round " << round;
+    ASSERT_EQ(got.log.size(), ref.log.size())
+        << "seed " << GetParam() << " round " << round;
+    for (std::size_t i = 0; i < ref.log.size(); ++i) {
+      ASSERT_EQ(got.log[i].t_ps, ref.log[i].t_ps)
+          << "seed " << GetParam() << " round " << round << " tr " << i;
+      ASSERT_EQ(got.log[i].net, ref.log[i].net)
+          << "seed " << GetParam() << " round " << round << " tr " << i;
+      ASSERT_EQ(got.log[i].rising, ref.log[i].rising)
+          << "seed " << GetParam() << " round " << round << " tr " << i;
     }
   }
 }
@@ -408,13 +460,13 @@ INSTANTIATE_TEST_SUITE_P(RandomDags, FuzzFaultInjection,
 // Three-way witness for the 64-lane batch kernel: on random DAGs, random
 // delay models, and random stimuli, acquisition through the batch engine
 // must be bit-identical (samples, ciphertexts, transition and glitch
-// counts) to BOTH scalar schedulers — at batch sizes that hit a single
-// lane, a partial block, exactly one full block, and a full block plus a
-// 1-lane tail.
+// counts) to BOTH scalar engines, the reference interpreter and the
+// compiled kernel — at batch sizes that hit a single lane, a partial
+// block, exactly one full block, and a full block plus a 1-lane tail.
 
 class FuzzBatch : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(FuzzBatch, BatchMatchesWheelAndHeapAtAwkwardBatchSizes) {
+TEST_P(FuzzBatch, BatchMatchesReferenceAndCompiledAtAwkwardBatchSizes) {
   namespace qc = qdi::campaign;
   qu::Rng rng(GetParam() + 11000);
   const int num_inputs = 2 + static_cast<int>(rng.below(3));  // 2..4
@@ -444,11 +496,9 @@ TEST_P(FuzzBatch, BatchMatchesWheelAndHeapAtAwkwardBatchSizes) {
     }
   };
 
-  const auto acquire = [&](qs::EngineKind kind, qs::SchedulerKind sched,
-                           std::size_t n) {
+  const auto acquire = [&](qs::EngineKind kind, std::size_t n) {
     qc::SimTraceSourceOptions opt;
     opt.engine = kind;
-    opt.scheduler = sched;
     opt.delays = dm;
     std::unique_ptr<qc::TraceSource> src;
     if (kind == qs::EngineKind::Batch)
@@ -461,29 +511,30 @@ TEST_P(FuzzBatch, BatchMatchesWheelAndHeapAtAwkwardBatchSizes) {
 
   for (const std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
                               std::size_t{65}}) {
-    const qdi::dpa::TraceSet wheel =
-        acquire(qs::EngineKind::Compiled, qs::SchedulerKind::Wheel, n);
-    const qdi::dpa::TraceSet heap =
-        acquire(qs::EngineKind::Compiled, qs::SchedulerKind::Heap, n);
-    const qdi::dpa::TraceSet batch =
-        acquire(qs::EngineKind::Batch, qs::SchedulerKind::Wheel, n);
-    ASSERT_EQ(wheel.size(), n);
+    const qdi::dpa::TraceSet ref = acquire(qs::EngineKind::Reference, n);
+    const qdi::dpa::TraceSet compiled = acquire(qs::EngineKind::Compiled, n);
+    const qdi::dpa::TraceSet batch = acquire(qs::EngineKind::Batch, n);
+    ASSERT_EQ(ref.size(), n);
+    ASSERT_EQ(compiled.size(), n);
     ASSERT_EQ(batch.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto pt = wheel.plaintext(i);
+      const auto pt = ref.plaintext(i);
       ASSERT_TRUE(std::equal(pt.begin(), pt.end(), batch.plaintext(i).begin(),
                              batch.plaintext(i).end()))
           << "seed " << GetParam() << " n " << n << " trace " << i;
-      const auto ct = wheel.ciphertext(i);
-      ASSERT_TRUE(std::equal(ct.begin(), ct.end(), heap.ciphertext(i).begin(),
-                             heap.ciphertext(i).end()));
+      const auto ct = ref.ciphertext(i);
+      ASSERT_TRUE(std::equal(ct.begin(), ct.end(),
+                             compiled.ciphertext(i).begin(),
+                             compiled.ciphertext(i).end()))
+          << "seed " << GetParam() << " n " << n << " trace " << i;
       ASSERT_TRUE(std::equal(ct.begin(), ct.end(), batch.ciphertext(i).begin(),
                              batch.ciphertext(i).end()))
           << "seed " << GetParam() << " n " << n << " trace " << i;
-      for (std::size_t j = 0; j < wheel.num_samples(); ++j) {
-        ASSERT_EQ(wheel.trace(i)[j], heap.trace(i)[j])
-            << "seed " << GetParam() << " n " << n << " trace " << i;
-        ASSERT_EQ(wheel.trace(i)[j], batch.trace(i)[j])
+      for (std::size_t j = 0; j < ref.num_samples(); ++j) {
+        ASSERT_EQ(ref.trace(i)[j], compiled.trace(i)[j])
+            << "seed " << GetParam() << " n " << n << " trace " << i
+            << " sample " << j;
+        ASSERT_EQ(ref.trace(i)[j], batch.trace(i)[j])
             << "seed " << GetParam() << " n " << n << " trace " << i
             << " sample " << j;
       }

@@ -1,7 +1,7 @@
 // Countermeasure transform pipeline: per-pass golden idempotence,
 // pipeline determinism (byte-identical netlists, bit-identical traces on
-// every registry target and both schedulers), and the paper's headline
-// structural result — the cone-balancing pass turning previously
+// every registry target and on both scalar engines), and the paper's
+// headline structural result — the cone-balancing pass turning previously
 // asymmetric registry channels symmetric, re-checked post-transform.
 #include <gtest/gtest.h>
 
@@ -390,7 +390,7 @@ TEST(XformDeterminism, ConeBalanceParallelMatchesSerialAtAnyThreadCount) {
   }
 }
 
-TEST(XformDeterminism, TransformedTracesAreBitIdenticalBothSchedulers) {
+TEST(XformDeterminism, TransformedTracesAreBitIdenticalAcrossRuns) {
   for (const std::string& name : qc::list_targets()) {
 #ifdef QDI_SANITIZER_ACTIVE
     if (name == "aes_core") continue;  // minutes-long cone scans
@@ -401,55 +401,51 @@ TEST(XformDeterminism, TransformedTracesAreBitIdenticalBothSchedulers) {
     // One balancing round bounds the aes_core case to seconds (the
     // repeat-run determinism under test is round-count independent).
     const int rounds = name == "aes_core" ? 1 : 4;
-    for (const qdi::sim::SchedulerKind sched :
-         {qdi::sim::SchedulerKind::Wheel, qdi::sim::SchedulerKind::Heap}) {
-      auto run = [&] {
-        return qc::Campaign()
-            .target(base)
-            .key(0x2b)
-            .seed(41)
-            .traces(3)
-            .scheduler(sched)
-            .recipe(qx::hardened({.max_rounds = rounds, .verify = false}, {},
-                                 {.seed = 11, .max_jitter_ps = 20.0}))
-            .run();
-      };
-      const qc::CampaignResult r1 = run();
-      const qc::CampaignResult r2 = run();
-      ASSERT_EQ(r1.traces.size(), r2.traces.size()) << name;
-      for (std::size_t i = 0; i < r1.traces.size(); ++i) {
-        const auto s1 = r1.traces.trace(i).samples();
-        const auto s2 = r2.traces.trace(i).samples();
-        ASSERT_EQ(s1.size(), s2.size()) << name;
-        for (std::size_t j = 0; j < s1.size(); ++j)
-          ASSERT_EQ(s1[j], s2[j]) << name << " trace " << i << " sample " << j;
-      }
-      EXPECT_EQ(fingerprint(r1.nl), fingerprint(r2.nl)) << name;
+    auto run = [&] {
+      return qc::Campaign()
+          .target(base)
+          .key(0x2b)
+          .seed(41)
+          .traces(3)
+          .recipe(qx::hardened({.max_rounds = rounds, .verify = false}, {},
+                               {.seed = 11, .max_jitter_ps = 20.0}))
+          .run();
+    };
+    const qc::CampaignResult r1 = run();
+    const qc::CampaignResult r2 = run();
+    ASSERT_EQ(r1.traces.size(), r2.traces.size()) << name;
+    for (std::size_t i = 0; i < r1.traces.size(); ++i) {
+      const auto s1 = r1.traces.trace(i).samples();
+      const auto s2 = r2.traces.trace(i).samples();
+      ASSERT_EQ(s1.size(), s2.size()) << name;
+      for (std::size_t j = 0; j < s1.size(); ++j)
+        ASSERT_EQ(s1[j], s2[j]) << name << " trace " << i << " sample " << j;
     }
+    EXPECT_EQ(fingerprint(r1.nl), fingerprint(r2.nl)) << name;
   }
 }
 
-TEST(XformDeterminism, SchedulersAgreeOnTransformedNetlists) {
-  // The wheel/heap equivalence must survive jittered per-cell delays
+TEST(XformDeterminism, ReferenceAgreesWithCompiledOnTransformedNetlists) {
+  // Reference/compiled equivalence must survive jittered per-cell delays
   // (jitter feeds the wheel's bucket geometry through min/max delay).
-  auto run = [&](qdi::sim::SchedulerKind sched) {
+  auto run = [&](qdi::sim::EngineKind engine) {
     return qc::Campaign()
         .target(qc::des_sbox_slice())
         .key(0x2b)
         .seed(17)
         .traces(4)
-        .scheduler(sched)
+        .engine(engine)
         .recipe(qx::jittered({.seed = 5, .max_jitter_ps = 35.0}))
         .run();
   };
-  const qc::CampaignResult wheel = run(qdi::sim::SchedulerKind::Wheel);
-  const qc::CampaignResult heap = run(qdi::sim::SchedulerKind::Heap);
-  ASSERT_EQ(wheel.traces.size(), heap.traces.size());
-  for (std::size_t i = 0; i < wheel.traces.size(); ++i) {
-    const auto sw = wheel.traces.trace(i).samples();
-    const auto sh = heap.traces.trace(i).samples();
-    ASSERT_EQ(sw.size(), sh.size());
-    for (std::size_t j = 0; j < sw.size(); ++j) ASSERT_EQ(sw[j], sh[j]);
+  const qc::CampaignResult ref = run(qdi::sim::EngineKind::Reference);
+  const qc::CampaignResult compiled = run(qdi::sim::EngineKind::Compiled);
+  ASSERT_EQ(ref.traces.size(), compiled.traces.size());
+  for (std::size_t i = 0; i < ref.traces.size(); ++i) {
+    const auto sr = ref.traces.trace(i).samples();
+    const auto sc = compiled.traces.trace(i).samples();
+    ASSERT_EQ(sr.size(), sc.size());
+    for (std::size_t j = 0; j < sr.size(); ++j) ASSERT_EQ(sr[j], sc[j]);
   }
 }
 
