@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
   opt.checkpoint_interval = 32;
   opt.chunk_traces = 16;
   opt.checkpoint_dir = "sharded_ckpt_demo";
-  opt.concurrency = 2;
 
   // ---- run 1: the campaign that dies --------------------------------------
   std::printf("run 1: %zu traces over %zu shards, killed mid-flight...\n",

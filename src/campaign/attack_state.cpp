@@ -23,7 +23,7 @@ std::vector<dpa::SelectionFn> resolve_bits(const Dpa& cfg,
 }
 
 AttackState::AttackState(const AttackConfig& attack, const TargetInstance& inst)
-    : inst_(&inst), cfg_(attack) {
+    : inst_(&inst) {
   if (const Dpa* cfg = std::get_if<Dpa>(&attack)) {
     dpa_cfg_ = *cfg;
     dpa_.emplace(resolve_bits(*cfg, inst), inst.num_guesses);
@@ -111,15 +111,6 @@ void AttackState::restore(std::span<const std::uint8_t> bytes) {
     cpa_->restore_state(bytes);
 }
 
-void AttackState::merge_serialized(std::span<const std::uint8_t> bytes) {
-  AttackState twin(cfg_, *inst_);
-  twin.restore(bytes);
-  if (dpa_)
-    dpa_->merge(*twin.dpa_);
-  else
-    cpa_->merge(*twin.cpa_);
-}
-
 void AttackState::merge(const AttackState& other) {
   if (dpa_)
     dpa_->merge(*other.dpa_);
@@ -134,7 +125,7 @@ void AttackState::reset() noexcept {
     cpa_->reset();
 }
 
-void BlockMerge::ingest(std::size_t block, const dpa::TraceSet& segment) {
+void BlockMerge::ingest(std::size_t first, const dpa::TraceSet& segment) {
   std::unique_ptr<AttackState> st;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -147,20 +138,31 @@ void BlockMerge::ingest(std::size_t block, const dpa::TraceSet& segment) {
   st->reset();
   st->add_rows(segment, 0, segment.size());
   std::lock_guard<std::mutex> lock(mu_);
-  partials_[block] = std::move(st);
+  partials_[first] = std::move(st);
 }
 
-void BlockMerge::merge_into(std::size_t block, AttackState& into) {
+void BlockMerge::merge_into(std::size_t first, AttackState& into) {
   std::unique_ptr<AttackState> st;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = partials_.find(block);
+    const auto it = partials_.find(first);
     st = std::move(it->second);
     partials_.erase(it);
   }
   into.merge(*st);
   std::lock_guard<std::mutex> lock(mu_);
   free_.push_back(std::move(st));
+}
+
+std::size_t BlockMerge::parked() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return partials_.size();
+}
+
+void BlockMerge::drop_parked() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [first, st] : partials_) free_.push_back(std::move(st));
+  partials_.clear();
 }
 
 }  // namespace qdi::campaign::detail

@@ -1,8 +1,8 @@
 // Private campaign-internal header (not installed): the attack
 // accumulator pair behind both the fused in-process analysis driver
 // (campaign.cpp's StreamingAnalysis) and the sharded runtime's
-// ShardRunner/Coordinator (shard.cpp). Keeping probe rules (true-key
-// rank, the single-bit MTD success test, outcome emission) in ONE place
+// Coordinator (shard.cpp). Keeping probe rules (true-key rank, the
+// single-bit MTD success test, outcome emission) in ONE place
 // is what guarantees a sharded campaign and a fused campaign cannot
 // drift in how they read the same running sums.
 #pragma once
@@ -63,13 +63,8 @@ class AttackState {
   std::vector<std::uint8_t> serialize() const;
   void restore(std::span<const std::uint8_t> bytes);
 
-  /// Fold a serialized partial state into this one: restore into a twin
-  /// accumulator (same config + instance), then merge. Throws
-  /// dpa::StateError on a bad buffer without disturbing this state.
-  void merge_serialized(std::span<const std::uint8_t> bytes);
-
-  /// Fold another live accumulator into this one (the thread-sharded
-  /// ingest path — no serialization round-trip per block).
+  /// Fold another accumulator into this one (block partials into a
+  /// shard, shards into the verdict).
   void merge(const AttackState& other);
 
   /// Drop accumulated traces, keep config/LUT/geometry — lets the
@@ -78,7 +73,6 @@ class AttackState {
 
  private:
   const TargetInstance* inst_;
-  AttackConfig cfg_;  ///< kept for building merge twins
   std::optional<Dpa> dpa_cfg_;
   std::optional<Cpa> cpa_cfg_;
   std::optional<dpa::OnlineDpa> dpa_;
@@ -101,17 +95,25 @@ class BlockMerge {
       : attack_(&attack), inst_(&inst) {}
 
   /// Worker side (any thread): fold all of `segment` into a pooled
-  /// accumulator and file it under `block`.
-  void ingest(std::size_t block, const dpa::TraceSet& segment);
+  /// accumulator and file it under the block's absolute first trace
+  /// index (never a call-local block number, which a later call reuses).
+  void ingest(std::size_t first, const dpa::TraceSet& segment);
 
   /// Commit side (ascending block order, serialized by the caller):
-  /// merge block's partial into `into`, recycle the accumulator.
-  void merge_into(std::size_t block, AttackState& into);
+  /// merge block `first`'s partial into `into`, recycle the accumulator.
+  void merge_into(std::size_t first, AttackState& into);
+
+  /// Partials filed but not yet merged: after an aborted pipeline call,
+  /// the blocks that never committed.
+  std::size_t parked() const;
+  /// Recycle every parked partial (the next call re-acquires those
+  /// blocks).
+  void drop_parked();
 
  private:
   const AttackConfig* attack_;
   const TargetInstance* inst_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::vector<std::unique_ptr<AttackState>> free_;
   std::unordered_map<std::size_t, std::unique_ptr<AttackState>> partials_;
 };

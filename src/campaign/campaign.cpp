@@ -103,13 +103,13 @@ class StreamingAnalysis {
     }
   }
 
-  /// Block-fold variant of feed(): merge block `block` (covering traces
-  /// [first, first + count)) into the master accumulator and fire every
+  /// Block-fold variant of feed(): merge the block covering traces
+  /// [first, first + count) into the master accumulator and fire every
   /// checkpoint falling at its end. Must be called in ascending block
   /// order — acquire_sharded_range's commit contract.
-  void commit_block(detail::BlockMerge& blocks, std::size_t block,
-                    std::size_t first, std::size_t count) {
-    blocks.merge_into(block, state_);
+  void commit_block(detail::BlockMerge& blocks, std::size_t first,
+                    std::size_t count) {
+    blocks.merge_into(first, state_);
     while (next_cp_ < checkpoints_.size() &&
            checkpoints_[next_cp_].n <= first + count) {
       probe(checkpoints_[next_cp_]);
@@ -337,16 +337,14 @@ CampaignResult Campaign::run_stages(
         analysis.probe_prefix_zero();
         block_traces = sharded_ingest_;
         cuts = analysis.checkpoint_cuts();
-        si.ingest = [&](unsigned, std::size_t block,
-                        const dpa::TraceSet& segment, std::size_t) {
-          blocks->ingest(block, segment);
-        };
+        si.ingest = [&](unsigned, std::size_t, const dpa::TraceSet& segment,
+                        std::size_t first) { blocks->ingest(first, segment); };
       }
-      si.commit = [&](std::size_t block, const dpa::TraceSet& segment,
+      si.commit = [&](std::size_t, const dpa::TraceSet& segment,
                       std::size_t first) {
         const auto t_feed = std::chrono::steady_clock::now();
         if (blocks)
-          analysis.commit_block(*blocks, block, first, segment.size());
+          analysis.commit_block(*blocks, first, segment.size());
         else
           analysis.feed(segment, first);
         feed_ms += ms_since(t_feed);

@@ -285,7 +285,7 @@ FaultCampaignResult run_fault_campaign(const TargetInstance& inst,
   WorkerPool pool(src, threads == 0 ? 1 : threads);
   AcquisitionStats st;
   pool.run_blocks(
-      0, runs, seed, pool.block_traces(/*budget=*/256), {},
+      {{0, runs}}, seed, pool.block_traces(/*budget=*/256), {},
       /*segments=*/false, nullptr,
       [&](const WorkerPool::Block& blk) {
         for (std::size_t i = 0; i < blk.count; ++i) {

@@ -1,12 +1,12 @@
 // Crash-safe sharded campaign runtime.
 //
 // A sharded campaign partitions the trace budget [0, N) into contiguous
-// per-shard index ranges and runs the fused acquire-and-attack loop of
-// each shard independently over the persistent WorkerPool machinery.
-// Because every trace's randomness is keyed by (seed, trace index) —
-// the determinism contract of trace_source.hpp — the partition is a
-// scheduling choice, never an observable one: shard k acquires exactly
-// the traces a monolithic run would have fed at indices [lo_k, hi_k).
+// per-shard index ranges, each with its own accumulator, stream digest
+// and durable checkpoints. Because every trace's randomness is keyed by
+// (seed, trace index) — the determinism contract of trace_source.hpp —
+// the partition is a scheduling choice, never an observable one: shard
+// k acquires exactly the traces a monolithic run would have fed at
+// indices [lo_k, hi_k).
 //
 // Crash safety comes from durable checkpoints (checkpoint.hpp): each
 // shard commits its accumulator state, committed trace index, and
@@ -17,18 +17,20 @@
 // uninterrupted run of the same sharded configuration (asserted in
 // tests/test_shard_runtime.cpp).
 //
-// The Coordinator dispatches shards over a bounded worker set,
-// re-dispatches failed shards with exponential backoff, watches
-// per-shard progress counters for stalls (a wedged shard is cancelled
-// and re-dispatched, its report carrying the PR 6 handshake-phase
-// diagnostics when the stall named one), and finally merges the
-// surviving shard states in shard order into one attack outcome. A
-// degraded run — some shard exhausted its attempts — still merges every
-// durable partial sum and reports per-shard coverage honestly instead
-// of throwing.
+// The Coordinator runs every shard's remaining range through one
+// WorkerPool pipeline call in ascending trace order: the workers are
+// shared by all shards, and a checkpoint is an event on the pipeline's
+// commit chain, sealed and published while the workers keep acquiring.
+// A failed block is charged to its shard, which alone is retried with
+// exponential backoff from its durable state, on freshly cloned
+// sources; a stall watchdog cancels the shard holding up the commit
+// frontier (its report carrying the four-phase handshake diagnostics
+// when the stall named one). After the last call, the shard states
+// merge in shard order into one attack outcome. A degraded run — some
+// shard exhausted its attempts — still merges every durable partial
+// sum and reports per-shard coverage honestly instead of throwing.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -68,27 +70,25 @@ struct ShardedOptions {
   std::size_t shards = 4;
   /// Traces between durable commits. Window boundaries sit at
   /// lo + k·interval — deterministic, so a resumed shard redoes exactly
-  /// the open window. The default is sized so that sealing and
-  /// publishing a multi-megabyte accumulator snapshot (a des_round DPA
-  /// state is ~6 MB, ~20 ms to snapshot + seal + publish) stays a
-  /// couple percent of the acquisition work it protects; shrink it
-  /// only if losing more than a few seconds of re-acquisition on a
-  /// crash actually hurts.
+  /// the open window. A commit snapshots, seals and publishes the
+  /// shard's accumulator on the pipeline's commit chain (a des_round CPA
+  /// state is 1.6 MB, ~5 ms on a 4-CPU x86 box) while the workers keep
+  /// acquiring; shrink the interval only if losing more than a few
+  /// seconds of re-acquisition on a crash actually hurts.
   std::size_t checkpoint_interval = 8192;
   /// Directory for the per-shard checkpoint files (created if missing).
   /// Required: a sharded campaign without durable state is just a
   /// slower fused() run.
   std::string checkpoint_dir;
-  /// Traces in flight within a serial window: the pool cuts the window
-  /// into blocks of WorkerPool::block_traces(chunk_traces) (cancel and
+  /// Traces in flight with serial ingest: the pool cuts the ranges into
+  /// blocks of WorkerPool::block_traces(chunk_traces) (cancel and
   /// progress granularity; never observable in results).
   std::size_t chunk_traces = 256;
-  /// Thread-sharded window ingest: when > 0, each checkpoint window's
-  /// traces are partitioned into blocks of this width (cut at absolute
-  /// multiples of the trace index), folded into pooled partial
-  /// accumulators on the acquiring workers, and merged into the shard
-  /// accumulator in ascending block order
-  /// (WorkerPool::acquire_sharded_range). The stream digest is fed
+  /// Thread-sharded ingest: when > 0, the traces are partitioned into
+  /// blocks of this width (cut at absolute multiples of the trace
+  /// index, at window ends and at shard ends), folded into pooled
+  /// partial accumulators on the acquiring workers, and merged into the
+  /// shard accumulator in ascending block order. The stream digest is fed
   /// trace by trace at commit time, so it stays bit-identical to the
   /// serial path; the accumulator's FP reduction order changes (merge()
   /// adds block sums where the serial feed adds traces, ~1e-12 apart),
@@ -98,18 +98,16 @@ struct ShardedOptions {
   /// the thread count either way. 0 = serial in-order feeding (the
   /// default).
   std::size_t ingest_block_traces = 0;
-  /// Shards in flight at once. Each running shard drives its own
-  /// WorkerPool of `threads` workers.
-  unsigned concurrency = 1;
   /// Dispatch attempts per shard (>= 1) before the coordinator gives up
   /// and falls back to the shard's last durable checkpoint.
   unsigned max_attempts = 3;
   /// Exponential re-dispatch backoff: attempt k sleeps
   /// backoff_ms · 2^(k-2) first (0 = immediate retry).
   unsigned backoff_ms = 10;
-  /// Stall watchdog: a running shard whose progress counter does not
-  /// advance for this long is cancelled (it aborts with ShardStall at
-  /// the next chunk boundary) and re-dispatched. 0 = watchdog off.
+  /// Stall watchdog: when the commit frontier does not advance for this
+  /// long, the shard owning the frontier block is cancelled (it aborts
+  /// with ShardStall at its next block) and re-dispatched. 0 = watchdog
+  /// off.
   unsigned stall_timeout_ms = 0;
   unsigned watchdog_poll_ms = 5;
   /// Commit durability. Every commit is always SHA-sealed and
@@ -122,9 +120,10 @@ struct ShardedOptions {
   /// checkpoint_interval.
   bool fsync_commits = false;
   /// Fault-injection hooks (crash/stall test harness; both optional).
-  /// on_progress fires after every consumed chunk, on_commit after
-  /// every durable checkpoint. Either may throw to simulate a crash at
-  /// exactly that point; the exception aborts the attempt, not the run.
+  /// Both run on the commit chain: on_progress after every committed
+  /// block, on_commit after every durable checkpoint. Either may throw
+  /// to simulate a crash at exactly that point; the exception aborts
+  /// the shard's attempt, not the run.
   std::function<void(std::size_t shard, std::uint64_t next)> on_progress;
   std::function<void(std::size_t shard, std::uint64_t next)> on_commit;
 };
@@ -183,15 +182,15 @@ struct ShardedResult {
 struct CoordinatorConfig {
   const TargetInstance* inst = nullptr;
   const AttackConfig* attack = nullptr;
-  /// Cloned once per shard attempt (plus per-worker clones inside each
-  /// attempt's pool).
+  /// Cloned once per worker, and again for every worker after a failed
+  /// pipeline call (a source that threw may be left unusable).
   const TraceSource* primary = nullptr;
   /// Identity of (target, key, seed, budget, geometry, attack, engine):
   /// ties checkpoints to this configuration.
   std::uint64_t fingerprint = 0;
   std::uint64_t seed = 1;
   std::size_t num_traces = 0;
-  /// Acquisition threads per running shard.
+  /// Acquisition threads, shared by every shard.
   unsigned threads = 1;
 };
 
@@ -206,42 +205,17 @@ struct ShardSpec {
 /// contiguous ranges (first `num_traces % shards` ranges one longer).
 std::vector<ShardSpec> plan_shards(std::size_t num_traces, std::size_t shards);
 
-/// One shard attempt: recover from the newest valid checkpoint, then
-/// run the fused acquire-digest-accumulate loop window by window,
-/// committing durably at every window boundary.
-class ShardRunner {
- public:
-  struct Outcome {
-    ShardCheckpoint final_state;  ///< next == hi; acc_state at full range
-    std::string resumed_from;     ///< adopted checkpoint file ("" = fresh)
-    std::string recovery_notes;   ///< named rejections from the recovery scan
-  };
-
-  ShardRunner(const CoordinatorConfig& cfg, const ShardedOptions& opt,
-              ShardSpec spec);
-
-  /// Run to completion (or throw). `progress` is advanced by every
-  /// consumed chunk (the watchdog's observable); `cancel`, when set,
-  /// aborts the attempt with ShardStall at the next chunk boundary.
-  /// Both may be null.
-  Outcome run(std::atomic<std::uint64_t>* progress,
-              const std::atomic<bool>* cancel);
-
- private:
-  const CoordinatorConfig& cfg_;
-  const ShardedOptions& opt_;
-  ShardSpec spec_;
-};
-
-/// Dispatch, supervision, and merge. One-shot: construct, run(), read.
+/// Recovery, the one-pipeline run, supervision, and merge. One-shot:
+/// construct, run(), read.
 class Coordinator {
  public:
   Coordinator(CoordinatorConfig cfg, ShardedOptions opt);
 
-  /// Run every shard (recovering from any checkpoints already on disk),
-  /// then merge. Throws std::invalid_argument on an inconsistent
-  /// configuration; shard failures degrade the result instead of
-  /// throwing.
+  /// Recover every shard from the checkpoints already on disk, run all
+  /// remaining ranges through one pipeline call (another call per
+  /// failure, for the ranges still open), and merge. Throws
+  /// std::invalid_argument on an inconsistent configuration; shard
+  /// failures degrade the result instead of throwing.
   ShardedResult run();
 
  private:

@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qdi/dpa/trace_set.hpp"
@@ -132,6 +133,7 @@ struct AcquisitionStats {
 struct TargetInstance;
 struct FaultCampaignOptions;
 struct FaultCampaignResult;
+class Coordinator;
 
 /// Persistent acquisition worker set and the one ordered block pipeline
 /// every acquisition runs through. The pool keeps `threads - 1` clones
@@ -140,18 +142,19 @@ struct FaultCampaignResult;
 /// buffers alive across any number of calls; the campaign layer owns
 /// one pool per run, benches own one per timing loop.
 ///
-/// Each call cuts its trace range into contiguous blocks at absolute
-/// trace indices, starts its worker threads once, and lets every worker
-/// claim the next block, acquire it, and run an optional per-worker
-/// `ingest` on it. A serialized `commit` then sees the blocks in
-/// strictly ascending order, on whichever worker finished the frontier
-/// block. What a consumer observes is fixed by the partition and that
-/// order — never by the thread count or scheduling — so every result is
-/// bit-identical at any thread count. Claims are gated at most
-/// 2·threads + 2 blocks ahead of the commit frontier, which bounds the
-/// traces in flight. The first exception thrown by the source, `ingest`,
-/// or `commit` stops further claims and is rethrown to the caller once
-/// every worker has returned; the pool stays usable.
+/// Each call cuts its trace range (a sharded run: every open shard
+/// range) into contiguous blocks at absolute trace indices, starts its
+/// worker threads once, and lets every worker claim the next block,
+/// acquire it, and run an optional per-worker `ingest` on it. A
+/// serialized `commit` then sees the blocks in strictly ascending order,
+/// on whichever worker finished the frontier block. What a consumer
+/// observes is fixed by the partition and that order — never by the
+/// thread count or scheduling — so every result is bit-identical at any
+/// thread count. Claims are gated at most 2·threads + 2 blocks ahead of
+/// the commit frontier, which bounds the traces in flight. The first
+/// exception thrown by the source, `ingest`, or `commit` stops further
+/// claims and is rethrown to the caller once every worker has returned;
+/// the pool stays usable (the source that threw may not: rebind()).
 class WorkerPool {
  public:
   /// `src` must outlive the pool. `threads` counts `src` itself.
@@ -245,6 +248,12 @@ class WorkerPool {
                                                 std::uint64_t,
                                                 const FaultCampaignOptions&,
                                                 std::uint64_t, unsigned);
+  /// The shard runtime runs every shard's remaining range in one call
+  /// and attributes a failure to the shard owning the failed block.
+  friend class Coordinator;
+
+  /// Trace range [first, end) of a call.
+  using Range = std::pair<std::size_t, std::size_t>;
 
   /// One block of a call: traces [first, first + count), number `index`
   /// of the call's partition. Recycled across blocks and calls.
@@ -260,14 +269,19 @@ class WorkerPool {
   using BlockIngest = std::function<void(unsigned worker, const Block&)>;
   using BlockCommit = std::function<void(const Block&)>;
 
-  /// The pipeline. Segment mode acquires into per-worker slots and
-  /// assembles Block::segment; record mode keeps the records in the
+  /// The pipeline over disjoint `ranges` in ascending order: blocks
+  /// never straddle a range end, and their numbering and commit order
+  /// run across the ranges. Segment mode acquires into per-worker slots
+  /// and assembles Block::segment; record mode keeps the records in the
   /// block itself. Fills `st`'s counters, thread count, and wall clock.
-  void run_blocks(std::size_t first_index, std::size_t count,
-                  std::uint64_t seed, std::size_t block_traces,
-                  const std::vector<std::size_t>& extra_cuts, bool segments,
-                  const BlockIngest& ingest, const BlockCommit& commit,
-                  AcquisitionStats& st);
+  /// When a call throws, `*error_first` (if given) receives the first
+  /// trace index of the block whose exception is rethrown.
+  void run_blocks(const std::vector<Range>& ranges, std::uint64_t seed,
+                  std::size_t block_traces,
+                  const std::vector<std::size_t>& extra_cuts,
+                  bool segments, const BlockIngest& ingest,
+                  const BlockCommit& commit, AcquisitionStats& st,
+                  std::size_t* error_first = nullptr);
 
   TraceSource* src_;
   std::size_t worker_clones_ = 0;  ///< clone count restored by rebind()
@@ -276,8 +290,9 @@ class WorkerPool {
   /// (samples, plaintext, ciphertext) keep their capacity across calls.
   std::vector<std::vector<AcquiredTrace>> worker_records_;
   /// Free list of block buffers: clear() keeps the segment's matrix and
-  /// arena capacity, so steady-state calls (the fused campaign, every
-  /// shard window, every sweep step after the first) do not reallocate.
+  /// arena capacity, so steady-state calls (the fused campaign, a
+  /// sharded run's retries, every sweep step after the first) do not
+  /// reallocate.
   std::vector<std::unique_ptr<Block>> free_blocks_;
 };
 

@@ -1,11 +1,18 @@
 #include "qdi/campaign/shard.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "attack_state.hpp"
 #include "qdi/util/sha256.hpp"
@@ -18,12 +25,6 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-std::string digest_hex(const util::Sha256::State& s) {
-  util::Sha256 h;
-  h.restore(s);
-  return h.hex();
 }
 
 /// 64-bit mix of a trace's raw sample bits. Pure integer arithmetic on
@@ -64,14 +65,16 @@ std::uint64_t sample_fingerprint(std::span<const double> s) noexcept {
 /// Fold traces [first, first + segment.size()) into the stream digest:
 /// global index, plaintext, and ciphertext enter the SHA-256 stream
 /// verbatim (length-prefixed); the bulky sample vector enters as its
-/// 64-bit fingerprint. The chain stays SHA-256, so two runs with equal
+/// 64-bit fingerprint, hashed on the acquiring worker (`fingerprints`,
+/// one per row). The chain stays SHA-256, so two runs with equal
 /// digests replayed the same index/stimulus sequence exactly and the
 /// same sample data up to the fingerprint's 2^-64 per-trace accidental
 /// collision odds — ample for its job of catching nondeterministic or
 /// diverging replays (checkpoint RECORD integrity is separate and
 /// stays a full SHA-256 seal of the payload).
 void feed_stream_digest(util::Sha256& d, const dpa::TraceSet& segment,
-                        std::uint64_t first) {
+                        std::uint64_t first,
+                        const std::vector<std::uint64_t>& fingerprints) {
   for (std::size_t i = 0; i < segment.size(); ++i) {
     d.update_u64(first + i);
     const std::span<const std::uint8_t> pt = segment.plaintext(i);
@@ -80,9 +83,8 @@ void feed_stream_digest(util::Sha256& d, const dpa::TraceSet& segment,
     const std::span<const std::uint8_t> ct = segment.ciphertext(i);
     d.update_u64(ct.size());
     d.update(ct);
-    const std::span<const double> s = segment.trace(i).samples();
-    d.update_u64(s.size());
-    d.update_u64(sample_fingerprint(s));
+    d.update_u64(segment.num_samples());
+    d.update_u64(fingerprints[i]);
   }
 }
 
@@ -105,135 +107,24 @@ std::vector<ShardSpec> plan_shards(std::size_t num_traces,
   return out;
 }
 
-// ---- ShardRunner ------------------------------------------------------------
-
-ShardRunner::ShardRunner(const CoordinatorConfig& cfg,
-                         const ShardedOptions& opt, ShardSpec spec)
-    : cfg_(cfg), opt_(opt), spec_(spec) {}
-
-ShardRunner::Outcome ShardRunner::run(std::atomic<std::uint64_t>* progress,
-                                      const std::atomic<bool>* cancel) {
-  detail::AttackState acc(*cfg_.attack, *cfg_.inst);
-  util::Sha256 stream;
-  std::uint64_t next = spec_.lo;
-  Outcome out;
-
-  // Adopt the newest durable checkpoint that decodes, matches this
-  // campaign's identity, and restores cleanly. The restore is
-  // parse-then-commit (dpa::StateError vetoes the generation without
-  // touching `acc`), so a corrupt-but-well-framed record falls through
-  // to the previous generation instead of poisoning the attempt.
-  const auto recovered = recover_checkpoint(
-      opt_.checkpoint_dir, spec_.shard, cfg_.fingerprint, spec_.lo, spec_.hi,
-      [&](const ShardCheckpoint& c) {
-        acc.restore(c.acc_state);
-        stream.restore(c.digest);
-      },
-      &out.recovery_notes);
-  if (recovered) {
-    next = recovered->ckpt.next;
-    out.resumed_from = recovered->file;
-    if (next >= spec_.hi) {  // fully committed by an earlier run
-      out.final_state = recovered->ckpt;
-      return out;
-    }
-  }
-
-  const std::unique_ptr<TraceSource> src = cfg_.primary->clone();
-  WorkerPool pool(*src, cfg_.threads == 0 ? 1 : cfg_.threads);
-  const std::size_t interval =
-      opt_.checkpoint_interval == 0 ? 1 : opt_.checkpoint_interval;
-
-  const auto check_cancel = [&] {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed))
-      throw ShardStall("shard " + std::to_string(spec_.shard) +
-                       ": stall watchdog cancelled the attempt");
-  };
-
-  // Block-fold ingest (opt-in): pooled partial accumulators shared
-  // across every window of this attempt, so steady state allocates
-  // nothing per block.
-  std::optional<detail::BlockMerge> blocks;
-  if (opt_.ingest_block_traces > 0) blocks.emplace(*cfg_.attack, *cfg_.inst);
-
-  // One pipeline call per window; the mode picks the block width and
-  // the ingest. Block-fold: workers fold their blocks into pooled
-  // partials in parallel with acquisition and the commit merges each
-  // partial into the shard accumulator. Serial: the commit feeds each
-  // block into the accumulator in trace order. Either way the commit
-  // chains the stream digest in trace order (bit-identical across
-  // modes), and window boundaries are deterministic, so a resumed
-  // attempt re-partitions the open window identically and stays
-  // bit-identical to an uninterrupted run of its mode.
-  const std::size_t block_traces = blocks
-                                       ? opt_.ingest_block_traces
-                                       : pool.block_traces(opt_.chunk_traces);
-  WorkerPool::ShardedIngest si;
-  if (blocks)
-    si.ingest = [&](unsigned, std::size_t block,
-                    const dpa::TraceSet& segment, std::size_t) {
-      check_cancel();
-      blocks->ingest(block, segment);
-    };
-  si.commit = [&](std::size_t block, const dpa::TraceSet& segment,
-                  std::size_t first) {
-    check_cancel();
-    feed_stream_digest(stream, segment, first);
-    if (blocks)
-      blocks->merge_into(block, acc);
-    else
-      acc.add_rows(segment, 0, segment.size());
-    if (progress != nullptr)
-      progress->fetch_add(segment.size(), std::memory_order_relaxed);
-    if (opt_.on_progress)
-      opt_.on_progress(spec_.shard, first + segment.size());
-  };
-
-  while (next < spec_.hi) {
-    check_cancel();
-    // Window boundaries only decide where commits land; accumulation is
-    // strictly index-ordered either way (serial feed, or block commits
-    // in ascending index order), so the partition is never observable
-    // in the sums of its own mode.
-    const std::uint64_t window_end =
-        std::min<std::uint64_t>(spec_.hi, next + interval);
-    pool.acquire_sharded_range(
-        static_cast<std::size_t>(next),
-        static_cast<std::size_t>(window_end - next), cfg_.seed,
-        block_traces, {}, si);
-    next = window_end;
-    ShardCheckpoint c;
-    c.fingerprint = cfg_.fingerprint;
-    c.shard = spec_.shard;
-    c.lo = spec_.lo;
-    c.hi = spec_.hi;
-    c.next = next;
-    c.digest = stream.save();
-    c.acc_state = acc.serialize();
-    commit_checkpoint(opt_.checkpoint_dir, c,
-                      opt_.fsync_commits ? util::Durability::Fsync
-                                         : util::Durability::RenameOnly);
-    // The hook fires after the durable commit: a throw here models a
-    // crash between commit and the next window — the resumed attempt
-    // must pick up at exactly `next`.
-    if (opt_.on_commit) opt_.on_commit(spec_.shard, next);
-    if (next == spec_.hi) out.final_state = std::move(c);
-  }
-  return out;
-}
-
 // ---- Coordinator ------------------------------------------------------------
 
 namespace {
 
-/// Mutable supervision state of one dispatched shard.
+/// One shard's state for the whole run.
 struct Slot {
   ShardSpec spec;
-  std::atomic<std::uint64_t> progress{0};
+  /// Sums over [lo, next).
+  std::optional<detail::AttackState> acc;
+  util::Sha256 stream;
+  std::uint64_t next = 0;
+  /// Set by the watchdog; the shard's next ingest or commit throws.
   std::atomic<bool> cancel{false};
-  std::atomic<bool> running{false};
+  std::atomic<bool> wedged{false};
+  /// Out of attempts: back at its last durable checkpoint, no longer
+  /// dispatched.
+  bool exhausted = false;
   ShardReport report;
-  std::optional<ShardRunner::Outcome> outcome;
 };
 
 }  // namespace
@@ -259,167 +150,279 @@ ShardedResult Coordinator::run() {
   if (opt_.max_attempts == 0) opt_.max_attempts = 1;
   if (opt_.chunk_traces == 0) opt_.chunk_traces = 1;
   ensure_checkpoint_dir(opt_.checkpoint_dir);
+  const std::uint64_t interval =
+      opt_.checkpoint_interval == 0 ? 1 : opt_.checkpoint_interval;
 
   const std::vector<ShardSpec> specs =
       plan_shards(cfg_.num_traces, opt_.shards);
-  std::vector<std::unique_ptr<Slot>> slots;
-  slots.reserve(specs.size());
-  for (const ShardSpec& s : specs) {
-    auto slot = std::make_unique<Slot>();
-    slot->spec = s;
-    slots.push_back(std::move(slot));
-  }
+  std::vector<Slot> slots(specs.size());
+  // Shard owning absolute trace `index` (blocks never straddle shards).
+  const auto owner = [&](std::uint64_t index) -> Slot& {
+    const auto it = std::upper_bound(
+        specs.begin(), specs.end(), index,
+        [](std::uint64_t i, const ShardSpec& s) { return i < s.lo; });
+    return slots[static_cast<std::size_t>(it - specs.begin()) - 1];
+  };
 
-  // ---- dispatch -------------------------------------------------------------
-  std::atomic<std::size_t> queue{0};
-  std::atomic<std::size_t> finished{0};
-  const auto work = [&] {
-    for (;;) {
-      const std::size_t idx = queue.fetch_add(1, std::memory_order_relaxed);
-      if (idx >= slots.size()) return;
-      Slot& slot = *slots[idx];
-      for (unsigned attempt = 1; attempt <= opt_.max_attempts; ++attempt) {
-        slot.report.attempts = attempt;
-        if (attempt > 1 && opt_.backoff_ms > 0) {
-          const unsigned shift = std::min(attempt - 2, 10u);
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(opt_.backoff_ms << shift));
-        }
-        slot.cancel.store(false, std::memory_order_relaxed);
-        // Artificial progress tick: a fresh attempt must restart the
-        // watchdog's stall clock even if the previous one died wedged.
-        slot.progress.fetch_add(1, std::memory_order_relaxed);
-        ShardRunner runner(cfg_, opt_, slot.spec);
-        slot.running.store(true, std::memory_order_release);
-        try {
-          ShardRunner::Outcome out = runner.run(&slot.progress, &slot.cancel);
-          slot.running.store(false, std::memory_order_release);
-          slot.outcome = std::move(out);
-          slot.report.done = true;
-          slot.report.error.clear();
-          break;
-        } catch (const ShardStall& e) {
-          slot.running.store(false, std::memory_order_release);
-          std::string msg = std::string("stall (phase ") +
-                            sim::name(e.phase());
-          if (!e.channel().empty()) msg += " on " + e.channel();
-          msg += "): ";
-          msg += e.what();
-          slot.report.error = std::move(msg);
-        } catch (const std::exception& e) {
-          slot.running.store(false, std::memory_order_release);
-          slot.report.error = e.what();
-        }
-      }
-      finished.fetch_add(1, std::memory_order_release);
+  // Adopt the newest durable checkpoint that decodes, matches this
+  // campaign's identity, and restores cleanly. The restore is
+  // parse-then-commit (dpa::StateError vetoes the generation without
+  // touching the accumulator), so a corrupt-but-well-framed record falls
+  // through to the previous generation.
+  const auto recover = [&](Slot& s) {
+    s.acc.emplace(*cfg_.attack, *cfg_.inst);
+    s.stream = util::Sha256();
+    s.next = s.spec.lo;
+    s.report.recovery.clear();
+    const auto rec = recover_checkpoint(
+        opt_.checkpoint_dir, s.spec.shard, cfg_.fingerprint, s.spec.lo,
+        s.spec.hi,
+        [&](const ShardCheckpoint& c) {
+          s.acc->restore(c.acc_state);
+          s.stream.restore(c.digest);
+        },
+        &s.report.recovery);
+    s.report.resumed_from = rec ? rec->file : std::string();
+    if (rec) s.next = rec->ckpt.next;
+    if (s.next >= s.spec.hi && !s.exhausted) {
+      s.report.done = true;
+      s.report.error.clear();
     }
   };
 
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    slots[i].spec = specs[i];
+    slots[i].report.attempts = 1;
+    recover(slots[i]);
+  }
+
+  // ---- the pipeline ---------------------------------------------------------
+  // Every open shard range runs through ONE WorkerPool call in ascending
+  // trace order, cut at absolute multiples of the block width, at every
+  // window end lo + k·interval and at every shard end: the same blocks
+  // whichever shards share a call, so a resumed shard re-partitions its
+  // open window identically. The commit chain routes each block to its
+  // shard and, at a window end, seals and publishes the checkpoint while
+  // the other workers keep acquiring under the pool's claim gate.
+  //
+  // Every worker, worker 0 included, runs on a clone, so `primary`
+  // stays pristine: a source that threw mid-trace may be left unusable
+  // (a simulator with events still queued), and a failed call rebinds
+  // every worker to fresh clones of it.
+  std::unique_ptr<TraceSource> src = cfg_.primary->clone();
+  WorkerPool pool(*src, cfg_.threads == 0 ? 1 : cfg_.threads);
+  std::optional<detail::BlockMerge> blocks;
+  if (opt_.ingest_block_traces > 0) blocks.emplace(*cfg_.attack, *cfg_.inst);
+  const std::size_t block_traces = blocks
+                                       ? opt_.ingest_block_traces
+                                       : pool.block_traces(opt_.chunk_traces);
+  std::vector<WorkerPool::Range> ranges;
+
+  // Watchdog observables: commits advance `progress`; `frontier` is the
+  // first trace of the next block to commit.
+  std::atomic<std::uint64_t> progress{0};
+  std::atomic<std::uint64_t> frontier{0};
+  std::atomic<bool> running{false};
+  const auto check_cancel = [&](const Slot& s) {
+    if (s.cancel.load(std::memory_order_relaxed))
+      throw ShardStall("shard " + std::to_string(s.spec.shard) +
+                       ": stall watchdog cancelled the attempt");
+  };
+
+  // Sample fingerprints, hashed on the workers and parked under their
+  // block's first trace until its commit feeds the stream digest.
+  std::mutex fp_mu;
+  std::unordered_map<std::size_t, std::vector<std::uint64_t>> fingerprints;
+
+  const auto ingest = [&](unsigned, const WorkerPool::Block& blk) {
+    check_cancel(owner(blk.first));
+    std::vector<std::uint64_t> fp(blk.count);
+    for (std::size_t i = 0; i < blk.count; ++i)
+      fp[i] = sample_fingerprint(blk.segment.trace(i).samples());
+    if (blocks) blocks->ingest(blk.first, blk.segment);
+    const std::lock_guard<std::mutex> lock(fp_mu);
+    fingerprints[blk.first] = std::move(fp);
+  };
+
+  const auto commit = [&](const WorkerPool::Block& blk) {
+    Slot& s = owner(blk.first);
+    check_cancel(s);
+    std::unique_lock<std::mutex> lock(fp_mu);
+    const auto fp = fingerprints.extract(blk.first);
+    lock.unlock();
+    feed_stream_digest(s.stream, blk.segment, blk.first, fp.mapped());
+    if (blocks)
+      blocks->merge_into(blk.first, *s.acc);
+    else
+      s.acc->add_rows(blk.segment, 0, blk.count);
+    s.next = blk.first + blk.count;
+    progress.fetch_add(blk.count, std::memory_order_relaxed);
+    if (opt_.on_progress) opt_.on_progress(s.spec.shard, s.next);
+    if ((s.next - s.spec.lo) % interval == 0 || s.next == s.spec.hi) {
+      const ShardCheckpoint c{cfg_.fingerprint, s.spec.shard, s.spec.lo,
+                              s.spec.hi,        s.next,       s.stream.save(),
+                              s.acc->serialize()};
+      commit_checkpoint(opt_.checkpoint_dir, c,
+                        opt_.fsync_commits ? util::Durability::Fsync
+                                           : util::Durability::RenameOnly);
+      // The hook fires after the durable commit: a throw here models a
+      // crash between commit and the next window — the retried shard
+      // must pick up at exactly `next`.
+      if (opt_.on_commit) opt_.on_commit(s.spec.shard, s.next);
+      if (s.next == s.spec.hi) {
+        s.report.done = true;
+        s.report.error.clear();
+      }
+    }
+    // Advanced last, so a stall inside this commit's hooks is charged
+    // to this block's shard.
+    const auto up = std::find_if(
+        ranges.begin(), ranges.end(),
+        [&](const WorkerPool::Range& r) { return s.next < r.second; });
+    if (up != ranges.end())
+      frontier.store(std::max<std::uint64_t>(s.next, up->first),
+                     std::memory_order_relaxed);
+  };
+
   // ---- stall watchdog -------------------------------------------------------
-  std::thread watchdog;
+  // A commit frontier that does not move for stall_timeout_ms cancels
+  // the shard owning the frontier block.
+  std::jthread watchdog;
   if (opt_.stall_timeout_ms > 0) {
-    watchdog = std::thread([&] {
-      std::vector<std::uint64_t> last(slots.size(), 0);
-      std::vector<std::chrono::steady_clock::time_point> since(
-          slots.size(), std::chrono::steady_clock::now());
+    watchdog = std::jthread([&](const std::stop_token& stop) {
+      std::uint64_t last = 0;
+      auto since = std::chrono::steady_clock::now();
       const auto poll = std::chrono::milliseconds(
           opt_.watchdog_poll_ms == 0 ? 1 : opt_.watchdog_poll_ms);
-      while (finished.load(std::memory_order_acquire) < slots.size()) {
+      while (!stop.stop_requested()) {
         std::this_thread::sleep_for(poll);
         const auto now = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-          Slot& slot = *slots[i];
-          const std::uint64_t p =
-              slot.progress.load(std::memory_order_relaxed);
-          if (!slot.running.load(std::memory_order_acquire) || p != last[i]) {
-            last[i] = p;
-            since[i] = now;
-            continue;
-          }
-          if (!slot.cancel.load(std::memory_order_relaxed) &&
-              now - since[i] >
-                  std::chrono::milliseconds(opt_.stall_timeout_ms)) {
-            slot.report.wedged = true;
-            slot.cancel.store(true, std::memory_order_relaxed);
-          }
+        const std::uint64_t p = progress.load(std::memory_order_relaxed);
+        if (!running.load(std::memory_order_acquire) || p != last) {
+          last = p;
+          since = now;
+        } else if (now - since >
+                   std::chrono::milliseconds(opt_.stall_timeout_ms)) {
+          Slot& s = owner(frontier.load(std::memory_order_relaxed));
+          if (!s.cancel.exchange(true, std::memory_order_relaxed))
+            s.wedged.store(true, std::memory_order_relaxed);
         }
       }
     });
   }
 
-  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-      opt_.concurrency == 0 ? 1 : opt_.concurrency, slots.size()));
-  std::vector<std::thread> crew;
-  crew.reserve(workers > 0 ? workers - 1 : 0);
-  for (unsigned w = 1; w < workers; ++w) crew.emplace_back(work);
-  work();
-  for (std::thread& t : crew) t.join();
-  if (watchdog.joinable()) watchdog.join();
+  // ---- dispatch -------------------------------------------------------------
+  // A failed call is charged to the shard owning the failed block: only
+  // that shard spends an attempt, backs off, and re-recovers from disk.
+  // The others keep their in-memory state, exact at block granularity,
+  // and the next call resumes every open range where it stopped.
+  std::vector<std::size_t> cuts;
+  for (;;) {
+    ranges.clear();
+    cuts.clear();
+    for (Slot& s : slots) {
+      if (s.report.done || s.exhausted) continue;
+      ranges.emplace_back(s.next, s.spec.hi);
+      for (std::uint64_t w = s.next - (s.next - s.spec.lo) % interval + interval;
+           w < s.spec.hi; w += interval)
+        cuts.push_back(static_cast<std::size_t>(w));
+      s.cancel.store(false, std::memory_order_relaxed);
+    }
+    if (ranges.empty()) break;
+    // A call starts with nothing parked: each partial and fingerprint
+    // set is consumed by its own block's commit, and an aborted call's
+    // leftovers are dropped below.
+    if (!fingerprints.empty() || (blocks && blocks->parked() != 0))
+      throw std::logic_error(
+          "Coordinator: block partials or fingerprints parked across calls");
+    frontier.store(ranges.front().first, std::memory_order_relaxed);
+    // A new call restarts the stall clock even if the last one died
+    // wedged.
+    progress.fetch_add(1, std::memory_order_relaxed);
+    running.store(true, std::memory_order_release);
+    constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
+    std::size_t failed_at = kNoBlock;
+    std::string error;
+    try {
+      AcquisitionStats st;
+      pool.run_blocks(ranges, cfg_.seed, block_traces, cuts,
+                      /*segments=*/true, ingest, commit, st, &failed_at);
+    } catch (const std::exception& e) {
+      if (failed_at == kNoBlock) throw;  // not a shard's failure
+      if (const auto* stall = dynamic_cast<const ShardStall*>(&e)) {
+        error = std::string("stall (phase ") + sim::name(stall->phase());
+        if (!stall->channel().empty()) error += " on " + stall->channel();
+        error += "): ";
+      }
+      error += e.what();
+    }
+    running.store(false, std::memory_order_release);
+    if (failed_at == kNoBlock) break;  // every open range ran to its end
+    // Blocks ingested but never committed: the next call re-acquires
+    // them, on fresh sources.
+    fingerprints.clear();
+    if (blocks) blocks->drop_parked();
+    std::unique_ptr<TraceSource> fresh = cfg_.primary->clone();
+    pool.rebind(*fresh);
+    src = std::move(fresh);
+    Slot& s = owner(failed_at);
+    s.report.error = std::move(error);
+    // An exhausted shard falls back to its last durable checkpoint, so
+    // the partial sums it DID commit still count — the result reports
+    // honest partial coverage instead of discarding paid-for traces.
+    if (s.report.attempts >= opt_.max_attempts) {
+      s.exhausted = true;
+    } else {
+      ++s.report.attempts;
+      if (opt_.backoff_ms > 0) {
+        const unsigned shift = std::min(s.report.attempts - 2, 10u);
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(opt_.backoff_ms << shift));
+      }
+    }
+    recover(s);
+  }
 
-  // ---- merge ----------------------------------------------------------------
-  // Shard states fold together in shard-id order — a deterministic
-  // order, so the merged sums (and the boundary-granularity rank/MTD
-  // trajectories probed along the way) are reproducible run to run.
+  // ---- verdict --------------------------------------------------------------
+  // Shard sums fold into the verdict in shard-id order, so the merged
+  // sums and the boundary-granularity rank/MTD trajectory are
+  // reproducible run to run. A boundary probe reads a copy: a read folds
+  // the pending class sums (dpa/online.hpp), and the verdict must be the
+  // single fold of all merged shard sums. The last point is read from
+  // the final outcome() instead.
   const auto t_merge = std::chrono::steady_clock::now();
   ShardedResult res;
   res.target = cfg_.inst->name;
   res.total_traces = cfg_.num_traces;
-  detail::AttackState merged(*cfg_.attack, *cfg_.inst);
+  detail::AttackState verdict(*cfg_.attack, *cfg_.inst);
   dpa::MtdScan mtd;
-  for (const std::unique_ptr<Slot>& sp : slots) {
-    Slot& slot = *sp;
-    ShardReport rep = slot.report;
-    rep.shard = slot.spec.shard;
-    rep.lo = slot.spec.lo;
-    rep.hi = slot.spec.hi;
-    rep.committed = slot.spec.lo;
-    if (slot.outcome) {
-      const ShardRunner::Outcome& out = *slot.outcome;
-      rep.resumed_from = out.resumed_from;
-      rep.recovery = out.recovery_notes;
-      rep.committed = out.final_state.next;
-      rep.digest_hex = digest_hex(out.final_state.digest);
-      merged.merge_serialized(out.final_state.acc_state);
-    } else {
-      // Degraded shard: every attempt failed. Fall back to its last
-      // durable checkpoint so the partial sums it DID commit still
-      // count — the result reports honest partial coverage instead of
-      // discarding paid-for traces.
-      std::string notes;
-      const auto rec = recover_checkpoint(
-          opt_.checkpoint_dir, slot.spec.shard, cfg_.fingerprint,
-          slot.spec.lo, slot.spec.hi,
-          [&](const ShardCheckpoint& c) {
-            // Veto un-restorable states with a twin; `merged` stays
-            // untouched until the record is known good.
-            detail::AttackState probe(*cfg_.attack, *cfg_.inst);
-            probe.restore(c.acc_state);
-          },
-          &notes);
-      rep.recovery = notes;
-      if (rec) {
-        rep.resumed_from = rec->file;
-        rep.committed = rec->ckpt.next;
-        rep.digest_hex = digest_hex(rec->ckpt.digest);
-        if (rec->ckpt.next > slot.spec.lo)
-          merged.merge_serialized(rec->ckpt.acc_state);
+  for (Slot& s : slots) {
+    ShardReport rep = std::move(s.report);
+    rep.shard = s.spec.shard;
+    rep.lo = s.spec.lo;
+    rep.hi = s.spec.hi;
+    rep.committed = s.next;
+    rep.wedged = s.wedged.load(std::memory_order_relaxed);
+    if (s.next > s.spec.lo) {
+      rep.digest_hex = s.stream.hex();
+      if (res.covered > 0) {
+        const detail::AttackState view = verdict;
+        res.rank_trajectory.push_back({res.covered, view.rank_now()});
+        if (view.mtd_enabled()) mtd.probe(view.mtd_success_now(), res.covered);
       }
-    }
-    const std::uint64_t contributed = rep.committed - rep.lo;
-    if (contributed > 0) {
-      res.covered += static_cast<std::size_t>(contributed);
-      // Boundary probes read a copy: a read folds the pending class
-      // sums (dpa/online.hpp), and the verdict must be the single fold
-      // of all merged shard sums, however many shards report on the way.
-      const detail::AttackState view = merged;
-      res.rank_trajectory.push_back({res.covered, view.rank_now()});
-      if (view.mtd_enabled()) mtd.probe(view.mtd_success_now(), res.covered);
+      verdict.merge(*s.acc);
+      res.covered += static_cast<std::size_t>(s.next - s.spec.lo);
     }
     res.shards.push_back(std::move(rep));
   }
   if (res.covered > 0) {
-    AttackOutcome out = merged.outcome();
-    if (merged.mtd_enabled() && out.true_key_rank == 0) out.mtd = mtd.value();
+    AttackOutcome out = verdict.outcome();
+    // The last trajectory point reads the outcome's own fold.
+    res.rank_trajectory.push_back({res.covered, out.true_key_rank});
+    if (verdict.mtd_enabled()) {
+      mtd.probe(verdict.mtd_success_now(), res.covered);
+      if (out.true_key_rank == 0) out.mtd = mtd.value();
+    }
     out.wall_ms = ms_since(t_merge);
     res.attack = std::move(out);
   }

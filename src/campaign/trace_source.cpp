@@ -165,35 +165,38 @@ std::size_t WorkerPool::block_traces(std::size_t budget) const {
   return share >= width ? share / width * width : std::min(width, budget);
 }
 
-void WorkerPool::run_blocks(std::size_t first_index, std::size_t count,
+void WorkerPool::run_blocks(const std::vector<Range>& ranges,
                             std::uint64_t seed, std::size_t block_traces,
                             const std::vector<std::size_t>& extra_cuts,
                             bool segments, const BlockIngest& ingest,
-                            const BlockCommit& commit, AcquisitionStats& st) {
+                            const BlockCommit& commit, AcquisitionStats& st,
+                            std::size_t* error_first) {
   const auto t0 = std::chrono::steady_clock::now();
   if (block_traces == 0) block_traces = 1;
-  const std::size_t end = first_index + count;
-  st.threads_used = clamp_threads(threads(), count);
 
   // Blocks are keyed by ABSOLUTE trace index — cut at global multiples
-  // of block_traces plus the caller's extra cuts — so the partition
-  // depends only on (range, width, cuts). A re-threaded or resumed run
-  // re-derives the identical block set, which is what makes the
-  // commit-side fold independent of the thread count.
+  // of block_traces, the caller's extra cuts and every range end — so
+  // the partition depends only on (ranges, width, cuts). A re-threaded
+  // or resumed run re-derives the identical block set, which is what
+  // makes the commit-side fold independent of the thread count.
   std::vector<std::size_t> cuts(extra_cuts);
   std::sort(cuts.begin(), cuts.end());
-  std::vector<std::pair<std::size_t, std::size_t>> blocks;
+  std::vector<Range> blocks;
+  std::size_t count = 0;
   {
-    std::size_t lo = first_index;
     std::size_t ci = 0;
-    while (lo < end) {
-      std::size_t hi = std::min(end, (lo / block_traces + 1) * block_traces);
-      while (ci < cuts.size() && cuts[ci] <= lo) ++ci;
-      if (ci < cuts.size() && cuts[ci] < hi) hi = cuts[ci];
-      blocks.emplace_back(lo, hi);
-      lo = hi;
+    for (const auto& [first, end] : ranges) {
+      count += end - first;
+      for (std::size_t lo = first; lo < end;) {
+        std::size_t hi = std::min(end, (lo / block_traces + 1) * block_traces);
+        while (ci < cuts.size() && cuts[ci] <= lo) ++ci;
+        if (ci < cuts.size() && cuts[ci] < hi) hi = cuts[ci];
+        blocks.emplace_back(lo, hi);
+        lo = hi;
+      }
     }
   }
+  st.threads_used = clamp_threads(threads(), count);
 
   if (worker_records_.size() < threads()) worker_records_.resize(threads());
   const std::size_t width = std::max<std::size_t>(src_->batch_width(), 1);
@@ -222,103 +225,105 @@ void WorkerPool::run_blocks(std::size_t first_index, std::size_t count,
     if (ingest) ingest(w, blk);
   };
 
-  if (clones_.empty() || blocks.size() <= 1) {
-    // Single-worker form: same partition, same ingest-then-commit calls
-    // per block — bit-identical consumer observations, no threads.
-    if (free_blocks_.empty()) free_blocks_.push_back(std::make_unique<Block>());
-    Block& blk = *free_blocks_.back();
-    for (std::size_t k = 0; k < blocks.size(); ++k) {
-      run_block(0, k, blk, &st.transitions, &st.glitches);
-      if (commit) commit(blk);
-    }
-  } else {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t next = 0;      // next unclaimed block
-    std::size_t frontier = 0;  // next block to commit
-    bool committing = false;   // a worker is inside the commit chain
-    std::exception_ptr first_error;
-    std::vector<std::unique_ptr<Block>> done(blocks.size());
-    // Claim gate: fast workers may run at most a few blocks ahead of the
-    // commit frontier, bounding live blocks at O(threads). The frontier
-    // block's owner is never gated (its claim already happened), so the
-    // frontier always advances — no deadlock.
-    const std::size_t max_inflight =
-        2 * static_cast<std::size_t>(threads()) + 2;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t next = 0;      // next unclaimed block
+  std::size_t frontier = 0;  // next block to commit
+  bool committing = false;   // a worker is inside the commit chain
+  std::exception_ptr first_error;
+  std::size_t first_error_at = 0;  // first trace of first_error's block
+  // Inside a handler, with `mu` held: keep the call's first exception.
+  const auto record_error = [&](std::size_t first) {
+    if (first_error) return;
+    first_error = std::current_exception();
+    first_error_at = first;
+  };
+  std::vector<std::unique_ptr<Block>> done(blocks.size());
+  // Claim gate: fast workers may run at most a few blocks ahead of the
+  // commit frontier, bounding live blocks at O(threads). The frontier
+  // block's owner is never gated (its claim already happened), so the
+  // frontier always advances — no deadlock.
+  const std::size_t max_inflight =
+      2 * static_cast<std::size_t>(threads()) + 2;
 
-    auto worker = [&](unsigned w) {
-      std::size_t my_transitions = 0;
-      std::size_t my_glitches = 0;
-      for (;;) {
-        std::size_t k = 0;
-        std::unique_ptr<Block> blk;
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&] {
-            return first_error != nullptr || next >= blocks.size() ||
-                   next - frontier < max_inflight;
-          });
-          if (first_error != nullptr || next >= blocks.size()) break;
-          k = next++;
-          if (!free_blocks_.empty()) {
-            blk = std::move(free_blocks_.back());
-            free_blocks_.pop_back();
-          }
-        }
-        if (!blk) blk = std::make_unique<Block>();
-        try {
-          run_block(w, k, *blk, &my_transitions, &my_glitches);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(mu);
-          if (!first_error) first_error = std::current_exception();
-          free_blocks_.push_back(std::move(blk));
-          cv.notify_all();
-          break;
-        }
+  auto worker = [&](unsigned w) {
+    std::size_t my_transitions = 0;
+    std::size_t my_glitches = 0;
+    for (;;) {
+      std::size_t k = 0;
+      std::unique_ptr<Block> blk;
+      {
         std::unique_lock<std::mutex> lock(mu);
-        done[k] = std::move(blk);
-        if (!committing) {
-          // Drain the commit chain: everything contiguous from the
-          // frontier, in ascending block order, outside the lock. The
-          // `committing` flag keeps the chain single-threaded while other
-          // workers keep claiming and ingesting.
-          committing = true;
-          while (first_error == nullptr && frontier < blocks.size() &&
-                 done[frontier]) {
-            std::unique_ptr<Block> fb = std::move(done[frontier]);
-            lock.unlock();
-            try {
-              if (commit) commit(*fb);
-            } catch (...) {
-              lock.lock();
-              if (!first_error) first_error = std::current_exception();
-              free_blocks_.push_back(std::move(fb));
-              break;
-            }
-            lock.lock();
-            free_blocks_.push_back(std::move(fb));
-            ++frontier;
-            cv.notify_all();
-          }
-          committing = false;
-          cv.notify_all();
+        cv.wait(lock, [&] {
+          return first_error != nullptr || next >= blocks.size() ||
+                 next - frontier < max_inflight;
+        });
+        if (first_error != nullptr || next >= blocks.size()) break;
+        k = next++;
+        if (!free_blocks_.empty()) {
+          blk = std::move(free_blocks_.back());
+          free_blocks_.pop_back();
         }
       }
-      const std::lock_guard<std::mutex> lock(mu);
-      st.transitions += my_transitions;
-      st.glitches += my_glitches;
-    };
+      if (!blk) blk = std::make_unique<Block>();
+      try {
+        run_block(w, k, *blk, &my_transitions, &my_glitches);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(mu);
+        record_error(blocks[k].first);
+        free_blocks_.push_back(std::move(blk));
+        cv.notify_all();
+        break;
+      }
+      std::unique_lock<std::mutex> lock(mu);
+      done[k] = std::move(blk);
+      if (!committing) {
+        // Drain the commit chain: everything contiguous from the
+        // frontier, in ascending block order, outside the lock. The
+        // `committing` flag keeps the chain single-threaded while other
+        // workers keep claiming and ingesting.
+        committing = true;
+        while (first_error == nullptr && frontier < blocks.size() &&
+               done[frontier]) {
+          std::unique_ptr<Block> fb = std::move(done[frontier]);
+          lock.unlock();
+          try {
+            if (commit) commit(*fb);
+          } catch (...) {
+            lock.lock();
+            record_error(fb->first);
+            free_blocks_.push_back(std::move(fb));
+            break;
+          }
+          lock.lock();
+          free_blocks_.push_back(std::move(fb));
+          ++frontier;
+          cv.notify_all();
+        }
+        committing = false;
+        cv.notify_all();
+      }
+    }
+    const std::lock_guard<std::mutex> lock(mu);
+    st.transitions += my_transitions;
+    st.glitches += my_glitches;
+  };
 
-    std::vector<std::thread> pool;
-    pool.reserve(clones_.size());
-    for (unsigned w = 1; w <= static_cast<unsigned>(clones_.size()); ++w)
-      pool.emplace_back(worker, w);
-    worker(0);
-    for (std::thread& t : pool) t.join();
-    // Blocks still parked after an error go back to the free list.
-    for (std::unique_ptr<Block>& b : done)
-      if (b) free_blocks_.push_back(std::move(b));
-    if (first_error) std::rethrow_exception(first_error);
+  // The calling thread is worker 0; a call of one block (or a pool of
+  // one) starts no threads.
+  const std::size_t helpers =
+      std::min(clones_.size(), blocks.empty() ? 0 : blocks.size() - 1);
+  std::vector<std::thread> pool;
+  pool.reserve(helpers);
+  for (unsigned w = 1; w <= helpers; ++w) pool.emplace_back(worker, w);
+  worker(0);
+  for (std::thread& t : pool) t.join();
+  // Blocks still parked after an error go back to the free list.
+  for (std::unique_ptr<Block>& b : done)
+    if (b) free_blocks_.push_back(std::move(b));
+  if (first_error) {
+    if (error_first != nullptr) *error_first = first_error_at;
+    std::rethrow_exception(first_error);
   }
 
   st.wall_ms = std::chrono::duration<double, std::milli>(
@@ -336,7 +341,7 @@ dpa::TraceSet WorkerPool::acquire(std::size_t num_traces, std::uint64_t seed,
   // Record mode: the commit copies each record straight into the SoA
   // matrix (span-based add: the recycled slot buffers stay in place),
   // so peak memory is one n×m matrix plus the blocks in flight.
-  run_blocks(0, num_traces, seed, block_traces(kMaterializeBudget), {},
+  run_blocks({{0, num_traces}}, seed, block_traces(kMaterializeBudget), {},
              /*segments=*/false, nullptr,
              [&](const Block& blk) {
                for (std::size_t i = 0; i < blk.count; ++i) {
@@ -357,8 +362,8 @@ void WorkerPool::acquire_chunked(
         consume,
     AcquisitionStats* stats) {
   AcquisitionStats st;
-  run_blocks(0, num_traces, seed, block_traces(chunk), {}, /*segments=*/true,
-             nullptr,
+  run_blocks({{0, num_traces}}, seed, block_traces(chunk), {},
+             /*segments=*/true, nullptr,
              [&](const Block& blk) { consume(blk.segment, blk.first); }, st);
   if (stats) *stats = std::move(st);
 }
@@ -380,8 +385,8 @@ void WorkerPool::acquire_sharded_range(std::size_t first_index,
     commit = [&](const Block& blk) {
       consumer.commit(blk.index, blk.segment, blk.first);
     };
-  run_blocks(first_index, count, seed, block_traces, extra_cuts,
-             /*segments=*/true, ingest, commit, st);
+  run_blocks({{first_index, first_index + count}}, seed, block_traces,
+             extra_cuts, /*segments=*/true, ingest, commit, st);
   if (stats) *stats = std::move(st);
 }
 

@@ -635,7 +635,7 @@ TEST(TraceSetSoA, SelfAppendThroughViewsIsSafe) {
 
 // ---- chunked acquisition ---------------------------------------------------
 
-// The acquire_chunked contract Campaign, ShardRunner and the traced
+// The acquire_chunked contract Campaign and the traced
 // benchmark rely on: segments arrive in ascending order, contiguous,
 // each at most `chunk` traces, covering [0, n) exactly once — and every
 // trace bit-identical to the materialized acquisition — at any thread

@@ -1,8 +1,10 @@
 // Crash-safe sharded campaign runtime: checkpoint codec named-error
-// coverage, atomic commit rotation and recovery fallback, kill/resume
-// bit-identity (within a run, across runs, and fuzzed over registry
-// targets × engines × thread counts), stall-watchdog re-dispatch, and
-// honest degraded-coverage reporting.
+// coverage, atomic commit rotation and recovery fallback, the reduction
+// structure against a layer-call rebuild, kill/resume bit-identity
+// (within a run, across runs, and fuzzed over registry targets ×
+// engines × thread counts × ingest modes), failure attribution,
+// stall-watchdog re-dispatch (fuzzed over cancel points), and honest
+// degraded-coverage reporting.
 //
 // Checkpoint directories live under the test working directory (the
 // build tree), one per test, wiped at the start of each test.
@@ -13,6 +15,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -404,6 +409,82 @@ TEST(ShardedRun, RepeatRunsAreBitIdenticalAndResumeFromCompleteCheckpoints) {
     EXPECT_FALSE(s.resumed_from.empty());
 }
 
+// The reduction structure perfbench's layer-call rebuild of the sharded
+// campaign (perfbench/campaign_bench.cpp, run_rebuilt_sharded) relies
+// on: one OnlineCpa per shard, checkpoint windows cut at
+// lo + k·interval, block partials merged into the shard in ascending
+// block order, and shard sums merged in shard-id order. Sharing one
+// pipeline across shards and windows must not move a bit of it.
+TEST(ShardedRun, ReductionMatchesLayerCallRebuild) {
+  constexpr std::uint64_t kKey = 0x0123456789abULL;
+  constexpr std::uint64_t kSeed = 5;
+  constexpr std::size_t kTraces = 2048;
+  qc::ShardedOptions opt;
+  opt.shards = 4;
+  opt.checkpoint_interval = 256;
+  opt.ingest_block_traces = 64;
+
+  const qc::TargetInstance inst = qc::des_round().build(kKey);
+  qc::SimTraceSourceOptions so;
+  so.engine = qs::EngineKind::Batch;
+  qc::BatchSimTraceSource src(inst.nl, inst.env, inst.stimulus, so);
+
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    qc::WorkerPool pool(src, threads);
+    std::mutex mu;
+    std::map<std::size_t, std::unique_ptr<qd::OnlineCpa>> partial;
+    qd::OnlineCpa merged(inst.leakage, inst.num_guesses);
+    for (const qc::ShardSpec& spec : qc::plan_shards(kTraces, opt.shards)) {
+      qd::OnlineCpa acc(inst.leakage, inst.num_guesses);
+      for (std::uint64_t next = spec.lo; next < spec.hi;) {
+        const std::uint64_t end =
+            std::min<std::uint64_t>(spec.hi, next + opt.checkpoint_interval);
+        qc::WorkerPool::ShardedIngest si;
+        si.ingest = [&](unsigned, std::size_t block, const qd::TraceSet& seg,
+                        std::size_t) {
+          auto p = std::make_unique<qd::OnlineCpa>(inst.leakage,
+                                                   inst.num_guesses);
+          p->add_prefix(seg, 0, seg.size());
+          const std::lock_guard<std::mutex> lock(mu);
+          partial[block] = std::move(p);
+        };
+        si.commit = [&](std::size_t block, const qd::TraceSet&, std::size_t) {
+          std::unique_ptr<qd::OnlineCpa> p;
+          {
+            const std::lock_guard<std::mutex> lock(mu);
+            p = std::move(partial.at(block));
+            partial.erase(block);
+          }
+          acc.merge(*p);
+        };
+        pool.acquire_sharded_range(static_cast<std::size_t>(next),
+                                   static_cast<std::size_t>(end - next), kSeed,
+                                   opt.ingest_block_traces, {}, si);
+        next = end;
+      }
+      merged.merge(acc);
+    }
+    const qd::CpaResult rebuilt = merged.finalize();
+
+    opt.checkpoint_dir = fresh_dir("rebuild_t" + std::to_string(threads));
+    const qc::ShardedResult res = qc::Campaign()
+                                      .target(qc::des_round())
+                                      .key(kKey)
+                                      .seed(kSeed)
+                                      .traces(kTraces)
+                                      .threads(threads)
+                                      .engine(qs::EngineKind::Batch)
+                                      .attack(qc::Cpa{})
+                                      .sharded(opt);
+    ASSERT_TRUE(res.complete());
+    ASSERT_TRUE(res.attack.has_value());
+    EXPECT_EQ(res.attack->guess_scores, rebuilt.correlation);  // bit-exact
+    EXPECT_EQ(res.attack->best_guess, rebuilt.best_guess);
+    EXPECT_EQ(res.attack->true_key_rank, rebuilt.rank_of(inst.true_guess));
+  }
+}
+
 // ---- crash injection: resume bit-identity ----------------------------------
 
 TEST(ShardedCrash, CommitCrashIsRetriedWithinTheRun) {
@@ -422,6 +503,150 @@ TEST(ShardedCrash, CommitCrashIsRetriedWithinTheRun) {
   EXPECT_EQ(res.shards[1].attempts, 2u);
   EXPECT_FALSE(res.shards[1].resumed_from.empty());
   expect_identical(ref, res);
+}
+
+namespace {
+
+/// Delegating source that throws once, on the first acquisition of
+/// trace `at`; until then, acquiring trace `hold` sleeps, which parks
+/// the commit frontier there while the other workers run ahead (the
+/// flag is shared across worker clones).
+class ThrowOnceSource final : public qc::TraceSource {
+ public:
+  ThrowOnceSource(std::unique_ptr<qc::TraceSource> inner,
+                  std::shared_ptr<std::atomic<bool>> armed, std::size_t at,
+                  std::size_t hold)
+      : inner_(std::move(inner)), armed_(std::move(armed)), at_(at),
+        hold_(hold) {}
+
+  void acquire_into(const qc::TraceRequest& req,
+                    qc::AcquiredTrace& out) override {
+    if (req.index == hold_ && armed_->load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    if (req.index == at_ && armed_->exchange(false))
+      throw std::runtime_error("injected source fault");
+    inner_->acquire_into(req, out);
+  }
+  std::unique_ptr<qc::TraceSource> clone() const override {
+    return std::make_unique<ThrowOnceSource>(inner_->clone(), armed_, at_,
+                                             hold_);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<qc::TraceSource> inner_;
+  std::shared_ptr<std::atomic<bool>> armed_;
+  std::size_t at_;
+  std::size_t hold_;
+};
+
+}  // namespace
+
+TEST(ShardedCrash, SourceExceptionIsChargedToItsShard) {
+  // Shard 2 is [64, 96); its second window is [80, 96). A source fault
+  // there, raised on whichever worker acquires trace 90 while a slow
+  // trace 60 holds the commit frontier in shard 1, must be charged to
+  // shard 2 alone (the failed block's shard, not the frontier's): it
+  // retries from its durable state, every other shard finishes on its
+  // first attempt, and the result is bit-identical to an uninterrupted
+  // run. 4-trace blocks at 4 threads let claims run 40 traces ahead of
+  // the frontier.
+  const auto campaign = [](std::shared_ptr<std::atomic<bool>> armed) {
+    return base_campaign(qs::EngineKind::Compiled, 4)
+        .source([armed](const qc::TargetInstance& inst,
+                        const qc::SimTraceSourceOptions& o)
+                    -> std::unique_ptr<qc::TraceSource> {
+          return std::make_unique<ThrowOnceSource>(
+              std::make_unique<qc::SimTraceSource>(inst.nl, inst.env,
+                                                   inst.stimulus, o),
+              armed, 90, 60);
+        });
+  };
+  const auto options = [](const std::string& dir) {
+    qc::ShardedOptions opt = base_opts(dir);
+    opt.chunk_traces = 64;  // block_traces(64) = 4 at 4 threads
+    return opt;
+  };
+  const qc::ShardedResult ref =
+      campaign(std::make_shared<std::atomic<bool>>(false))
+          .sharded(options(fresh_dir("source_fault_ref")));
+
+  const auto armed = std::make_shared<std::atomic<bool>>(true);
+  const qc::ShardedResult res =
+      campaign(armed).sharded(options(fresh_dir("source_fault")));
+  EXPECT_FALSE(armed->load());  // the fault fired
+  EXPECT_TRUE(res.complete());
+  ASSERT_EQ(res.shards.size(), 3u);
+  EXPECT_EQ(res.shards[0].attempts, 1u);
+  EXPECT_EQ(res.shards[1].attempts, 1u);
+  EXPECT_EQ(res.shards[2].attempts, 2u);
+  expect_identical(ref, res);
+}
+
+namespace {
+
+/// Delegating source that throws on the first acquisition of trace `at`
+/// (the flag is shared across clones) and stays broken: every later
+/// call on the instance that threw throws too, as a simulator left with
+/// events queued would. Its clones start healthy.
+class BreakOnceSource final : public qc::TraceSource {
+ public:
+  BreakOnceSource(std::unique_ptr<qc::TraceSource> inner,
+                  std::shared_ptr<std::atomic<bool>> armed, std::size_t at)
+      : inner_(std::move(inner)), armed_(std::move(armed)), at_(at) {}
+
+  void acquire_into(const qc::TraceRequest& req,
+                    qc::AcquiredTrace& out) override {
+    if (broken_ || (req.index == at_ && armed_->exchange(false))) {
+      broken_ = true;
+      throw std::runtime_error("injected source fault; source left broken");
+    }
+    inner_->acquire_into(req, out);
+  }
+  std::unique_ptr<qc::TraceSource> clone() const override {
+    return std::make_unique<BreakOnceSource>(inner_->clone(), armed_, at_);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<qc::TraceSource> inner_;
+  std::shared_ptr<std::atomic<bool>> armed_;
+  std::size_t at_;
+  bool broken_ = false;
+};
+
+}  // namespace
+
+TEST(ShardedCrash, SourceBrokenByItsOwnFaultIsReplaced) {
+  // A fault at trace 10 (shard 0's first window) leaves the source
+  // instance that raised it unusable. The failed call's sources are
+  // rebuilt from the pristine primary, so shard 0 alone retries and the
+  // other shards finish on their first attempt, at 1 and 4 threads.
+  const qc::ShardedResult ref =
+      base_campaign().sharded(base_opts(fresh_dir("broken_source_ref")));
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const auto armed = std::make_shared<std::atomic<bool>>(true);
+    const qc::ShardedResult res =
+        base_campaign(qs::EngineKind::Compiled, threads)
+            .source([armed](const qc::TargetInstance& inst,
+                            const qc::SimTraceSourceOptions& o)
+                        -> std::unique_ptr<qc::TraceSource> {
+              return std::make_unique<BreakOnceSource>(
+                  std::make_unique<qc::SimTraceSource>(inst.nl, inst.env,
+                                                       inst.stimulus, o),
+                  armed, 10);
+            })
+            .sharded(base_opts(
+                fresh_dir("broken_source_" + std::to_string(threads))));
+    EXPECT_FALSE(armed->load());  // the fault fired
+    EXPECT_TRUE(res.complete());
+    ASSERT_EQ(res.shards.size(), 3u);
+    EXPECT_EQ(res.shards[0].attempts, 2u);
+    EXPECT_EQ(res.shards[1].attempts, 1u);
+    EXPECT_EQ(res.shards[2].attempts, 1u);
+    expect_identical(ref, res);
+  }
 }
 
 TEST(ShardedCrash, KilledRunResumesBitIdenticalAcrossInvocations) {
@@ -610,6 +835,72 @@ TEST(ShardedStall, InjectedStallCarriesHandshakePhaseDiagnostics) {
   EXPECT_NE(res.shards[0].error.find("S0.out"), std::string::npos);
 }
 
+TEST(ShardedStall, CancelMidWindowFuzzIsBitIdentical) {
+  // The watchdog cancels a random block of a random window, at 1-4
+  // threads, with serial and block-fold ingest: an on_progress hook
+  // wedges the commit chain there until the watchdog has fired. The run
+  // must finish (no deadlock), the Coordinator must find no block
+  // partial or fingerprint left parked across the aborted call (it
+  // throws std::logic_error otherwise), and the re-dispatched result must be
+  // bit-identical to an uninterrupted run.
+#ifdef QDI_SANITIZER_ACTIVE
+  const unsigned timeout_ms = 250;
+  const int trials = 6;
+#else
+  const unsigned timeout_ms = 40;
+  const int trials = 12;
+#endif
+  const auto options = [](const std::string& dir, std::size_t block) {
+    qc::ShardedOptions opt = base_opts(dir);
+    opt.checkpoint_interval = 8;
+    opt.chunk_traces = 4;
+    opt.ingest_block_traces = block;
+    return opt;
+  };
+  const qc::ShardedResult ref_serial =
+      base_campaign().sharded(options(fresh_dir("cancel_ref_s"), 0));
+  const qc::ShardedResult ref_fold =
+      base_campaign().sharded(options(fresh_dir("cancel_ref_f"), 4));
+
+  qu::Rng rng(0xCA11);
+  bool redispatched = false;
+  for (int trial = 0; trial < trials; ++trial) {
+    const unsigned threads = 1 + static_cast<unsigned>(rng.below(4));
+    const std::size_t block = trial % 2 == 0 ? 0 : 4;
+    const std::size_t shard = rng.below(3);
+    const std::uint64_t lo = 32 * shard;  // base_campaign: 96 = 3 × 32
+    const std::uint64_t stall_after = lo + rng.below(32);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": t" +
+                 std::to_string(threads) + " block " + std::to_string(block) +
+                 " shard " + std::to_string(shard) + " past " +
+                 std::to_string(stall_after));
+    qc::ShardedOptions opt =
+        options(fresh_dir("cancel_" + std::to_string(trial)), block);
+    opt.stall_timeout_ms = timeout_ms;
+    opt.watchdog_poll_ms = 5;
+    opt.max_attempts = 8;
+    std::atomic<bool> wedge{true};
+    opt.on_progress = [&](std::size_t s, std::uint64_t next) {
+      if (s == shard && next > stall_after && wedge.exchange(false))
+        std::this_thread::sleep_for(std::chrono::milliseconds(4 * timeout_ms));
+    };
+    const auto t0 = std::chrono::steady_clock::now();
+    qc::ShardedResult res;
+    ASSERT_NO_THROW(res = base_campaign(qs::EngineKind::Compiled, threads)
+                              .sharded(opt));
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    EXPECT_LT(wall_s, 60.0);
+    EXPECT_FALSE(wedge.load());
+    EXPECT_TRUE(res.complete());
+    EXPECT_TRUE(res.shards[shard].wedged);
+    redispatched |= res.shards[shard].attempts > 1;
+    expect_identical(block == 0 ? ref_serial : ref_fold, res);
+  }
+  EXPECT_TRUE(redispatched);
+}
+
 // ---- degraded runs ---------------------------------------------------------
 
 TEST(ShardedDegraded, PartialCoverageIsReportedHonestly) {
@@ -654,6 +945,7 @@ struct FuzzConfig {
   unsigned threads;
   std::size_t traces;
   std::uint64_t key;
+  std::size_t ingest_block = 0;  ///< ShardedOptions::ingest_block_traces
 };
 
 qc::Campaign fuzz_campaign(const FuzzConfig& cfg) {
@@ -675,10 +967,11 @@ qc::Campaign fuzz_campaign(const FuzzConfig& cfg) {
 
 TEST(ShardedFuzz, KillResumeIsBitIdenticalAcrossTargetsEnginesThreads) {
   // Every simulatable attackable registry target, both engines, 1 and 3
-  // acquisition threads. Each configuration runs an uninterrupted
-  // baseline, then a sequence of killed-and-resumed invocations
-  // (max_attempts = 1: a thrown hook IS a process death) until the
-  // store completes — and the end state must be bit-identical.
+  // acquisition threads with serial ingest, plus a block-fold arm at 4
+  // threads. Each configuration runs an uninterrupted baseline, then a
+  // sequence of killed-and-resumed invocations (max_attempts = 1: a
+  // thrown hook IS a process death) until the store completes — and the
+  // end state must be bit-identical.
   std::vector<FuzzConfig> configs = {
       {"des_sbox_slice", qs::EngineKind::Compiled, 1, 96, 0x15},
       {"des_sbox_slice", qs::EngineKind::Batch, 3, 96, 0x15},
@@ -688,27 +981,31 @@ TEST(ShardedFuzz, KillResumeIsBitIdenticalAcrossTargetsEnginesThreads) {
       {"des_sbox_sync", qs::EngineKind::Batch, 1, 64, 0x19},
       {"des_round", qs::EngineKind::Compiled, 1, 48, 0x0123456789abULL},
       {"des_round", qs::EngineKind::Batch, 3, 48, 0x0123456789abULL},
+      {"des_sbox_slice", qs::EngineKind::Batch, 4, 96, 0x15, 8},
+      {"aes_byte_slice", qs::EngineKind::Compiled, 4, 64, 0x2b, 8},
   };
 #ifdef QDI_SANITIZER_ACTIVE
-  // Sanitizer job: keep the crash/resume coverage but halve the sweep
-  // (instrumented simulation is ~10x slower).
-  configs.resize(4);
+  // Sanitizer job: keep the crash/resume coverage of both ingest modes
+  // but halve the sweep (instrumented simulation is ~10x slower).
+  configs.erase(configs.begin() + 4, configs.end() - 1);
 #endif
 
   qu::Rng rng(0xC0FFEE);
   for (const FuzzConfig& cfg : configs) {
     SCOPED_TRACE(std::string(cfg.target) +
                  (cfg.engine == qs::EngineKind::Batch ? "/batch" : "/compiled") +
-                 "/t" + std::to_string(cfg.threads));
+                 "/t" + std::to_string(cfg.threads) + "/block" +
+                 std::to_string(cfg.ingest_block));
     const std::string tag = std::string("fuzz_") + cfg.target + "_" +
                             (cfg.engine == qs::EngineKind::Batch ? "b" : "c") +
-                            std::to_string(cfg.threads);
+                            std::to_string(cfg.threads) + "_" +
+                            std::to_string(cfg.ingest_block);
     qc::ShardedOptions opt;
     opt.shards = 3;
     opt.checkpoint_interval = 8;
     opt.chunk_traces = 4;
+    opt.ingest_block_traces = cfg.ingest_block;
     opt.backoff_ms = 0;
-    opt.concurrency = cfg.threads > 1 ? 2 : 1;
 
     opt.checkpoint_dir = fresh_dir(tag + "_ref");
     const qc::ShardedResult ref = fuzz_campaign(cfg).sharded(opt);
