@@ -2,30 +2,19 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
+
+#include "pulse.hpp"
 
 namespace qdi::power {
 
-namespace {
-
-// Same CDF as synth.cpp's — the binning below must difference the exact
-// same values the scalar accumulator does.
-inline double triangle_cdf(double u) noexcept {
-  if (u <= 0.0) return 0.0;
-  if (u >= 1.0) return 1.0;
-  if (u <= 0.5) return 2.0 * u * u;
-  const double v = 1.0 - u;
-  return 1.0 - 2.0 * v * v;
-}
-
-}  // namespace
+using detail::triangle_cdf;
 
 BatchAccumulator::BatchAccumulator(PowerModelParams params,
                                    std::span<const double> cap_ff_per_net)
     : params_(params) {
-  const double dt = params_.sample_period_ps;
-  assert(dt > 0.0);
+  const double dt = detail::checked_sample_period(params_.sample_period_ps,
+                                                  "BatchAccumulator");
   scale_rise_.resize(cap_ff_per_net.size());
   scale_fall_.resize(cap_ff_per_net.size());
   for (std::size_t net = 0; net < cap_ff_per_net.size(); ++net) {

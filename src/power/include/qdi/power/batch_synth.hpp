@@ -32,7 +32,8 @@ namespace qdi::power {
 class BatchAccumulator final : public sim::BatchPowerSink {
  public:
   /// `cap_ff_per_net` is CompiledNetlist::cap_ff; the per-net scales are
-  /// tabulated here, once per worker.
+  /// tabulated here, once per worker. Throws std::invalid_argument
+  /// unless params.sample_period_ps is finite and > 0.
   BatchAccumulator(PowerModelParams params,
                    std::span<const double> cap_ff_per_net);
 

@@ -20,8 +20,26 @@
 // acquisition never materializes a transition log. synthesize() is a
 // thin wrapper that replays a recorded log through the same accumulator
 // — the two paths are bit-identical by construction.
+//
+// Pulse cache. A pulse's per-bin addends scale·frac[j] depend only on
+// (net, edge, t_ps, slew, cap) and the window (t0, length). Every trace
+// of a campaign replays from the same post-reset epoch into the same
+// window, so almost every pulse repeats an earlier trace's (99.8% of
+// des_round pulses over 4000 traces). The accumulator therefore keeps, per (net, edge), a few
+// slots (t_ps -> span of stored addends in a pool) and replays a stored
+// span on a hit, adding the same values in the same order as direct
+// binning. A bin the direct path skips (frac == 0) inside a span gets
+// +0.0, which leaves the never-negative-zero bins bit-equal. Anything the
+// cache cannot hold bins directly — never an error: a new window bumps
+// the generation and empties the cache; a slew or cap differing from
+// the group's (a forced net), a full group or a full pool skip the
+// record. The first window is a warm-up that bins directly and measures
+// the working set; the next begin_window allocates the group table and
+// the pool once from it, and neither grows past its capacity afterwards,
+// so the steady-state loop allocates nothing.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "qdi/power/trace.hpp"
@@ -52,8 +70,9 @@ struct PowerModelParams {
 /// feed it a recorded log (what synthesize() does).
 class StreamingAccumulator final : public sim::PowerSink {
  public:
-  explicit StreamingAccumulator(PowerModelParams params = {})
-      : params_(params) {}
+  /// Throws std::invalid_argument unless params.sample_period_ps is
+  /// finite and > 0.
+  explicit StreamingAccumulator(PowerModelParams params = {});
 
   const PowerModelParams& params() const noexcept { return params_; }
 
@@ -76,10 +95,55 @@ class StreamingAccumulator final : public sim::PowerSink {
   /// the begin_window/finish_into cycle performs no allocation at all.
   void finish_into(PowerTrace& dst, util::Rng* noise = nullptr);
 
+  /// Pulses replayed from the pulse cache / binned directly, since
+  /// construction (pulses with zero charge count as neither).
+  std::uint64_t pulse_hits() const noexcept { return hits_; }
+  std::uint64_t pulse_misses() const noexcept { return misses_; }
+
  private:
+  /// Distinct commit times remembered per (net, edge). On des_round
+  /// with a skewed sbox (the benchmark victim) a third of the groups see
+  /// three commit times; 16 of 6,880 see four.
+  static constexpr unsigned kSlots = 3;
+
+  /// Cached pulses of one (net, edge), one cache line: slot s adds
+  /// pool_[offset[s] + k] to bin j_lo[s] + k for k < count[s]. Valid
+  /// only while gen == gen_, and only for transitions with this slew
+  /// and cap. Spans past bin 65535 or longer than 255 bins are never
+  /// recorded.
+  struct alignas(64) PulseGroup {
+    double slew_ps = 0.0;
+    double cap_ff = 0.0;
+    double t_ps[kSlots] = {};
+    std::uint32_t offset[kSlots] = {};
+    std::uint16_t j_lo[kSlots] = {};
+    std::uint8_t count[kSlots] = {};
+    std::uint8_t used = 0;
+    std::uint16_t gen = 0;
+  };
+  static_assert(sizeof(PulseGroup) == 64);
+
+  void allocate_cache();
+  void bin_direct(const sim::Transition& t, std::size_t group);
+  PulseGroup* recordable(const sim::Transition& t, std::size_t group);
+
   PowerModelParams params_;
   PowerTrace trace_;
-  double t_end_ps_ = 0.0;  ///< exact window end (≤ t0 + size·dt)
+  double t0_ps_ = 0.0;       ///< window of the current generation
+  double window_ps_ = -1.0;  ///< < 0: no window opened yet
+  double t_end_ps_ = 0.0;    ///< exact window end (≤ t0 + size·dt)
+
+  std::vector<PulseGroup> groups_;  ///< index (net << 1) | rising
+  std::vector<double> pool_;        ///< stored addends of this generation
+  std::uint16_t gen_ = 1;
+  /// Past the warm-up window: the cache is allocated and never grows.
+  bool warm_ = false;
+  // Working set of the warm-up window, which bins directly.
+  std::size_t warm_groups_ = 0;  ///< highest group index + 1
+  std::size_t warm_bins_ = 0;
+  std::size_t warm_spans_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
 /// Accumulate the given transitions into a trace covering

@@ -1,5 +1,7 @@
 #include "qdi/sim/compiled_netlist.hpp"
 
+#include <stdexcept>
+
 namespace qdi::sim {
 
 using netlist::CellId;
@@ -8,8 +10,35 @@ using netlist::kNoCell;
 using netlist::kNoNet;
 using netlist::NetId;
 
+namespace {
+
+using TruthTables = std::array<std::uint32_t, netlist::kNumCellKinds>;
+
+TruthTables tabulate_cell_kinds() {
+  constexpr unsigned kPins = CompiledNetlist::kTruthTablePins;
+  TruthTables tables{};
+  for (int k = 0; k < netlist::kNumCellKinds; ++k) {
+    const auto kind = static_cast<CellKind>(k);
+    const int nin = netlist::info(kind).num_inputs;
+    if (nin > static_cast<int>(kPins))
+      throw std::logic_error("CompiledNetlist: cell kind wider than a pin word");
+    for (unsigned idx = 0; idx < (2u << kPins); ++idx) {
+      bool in[kPins] = {};
+      for (int i = 0; i < nin; ++i) in[i] = (idx >> i) & 1u;
+      const bool prev = (idx >> kPins) & 1u;
+      if (netlist::evaluate(kind, std::span<const bool>(in, nin), prev))
+        tables[k] |= std::uint32_t{1} << idx;
+    }
+  }
+  return tables;
+}
+
+}  // namespace
+
 CompiledNetlist::CompiledNetlist(const netlist::Netlist& nl, DelayModel model)
     : src_(&nl), model_(model) {
+  static const TruthTables kTables = tabulate_cell_kinds();
+  truth_table = kTables;
   const std::uint32_t nn = static_cast<std::uint32_t>(nl.num_nets());
   const std::uint32_t nc = static_cast<std::uint32_t>(nl.num_cells());
 
@@ -30,6 +59,12 @@ CompiledNetlist::CompiledNetlist(const netlist::Netlist& nl, DelayModel model)
   std::uint32_t fanin_total = 0;
   for (CellId c = 0; c < nc; ++c) {
     const netlist::Cell& cell = nl.cell(c);
+    // The pin word holds kTruthTablePins bits; a cell whose pin count is
+    // not its kind's arity has no defined function anyway.
+    if (static_cast<int>(cell.inputs.size()) !=
+        netlist::info(cell.kind).num_inputs)
+      throw std::invalid_argument("CompiledNetlist: cell '" + cell.name +
+                                  "' arity mismatch");
     kind[c] = cell.kind;
     output[c] = cell.output;
     const double out_cap = cell.output != kNoNet ? cap_ff[cell.output] : 0.0;
@@ -72,10 +107,13 @@ CompiledNetlist::CompiledNetlist(const netlist::Netlist& nl, DelayModel model)
   }
   fanout_offset[nn] = fanout_total;
   fanout_cell.reserve(fanout_total);
+  fanout_pin.reserve(fanout_total);
   for (NetId n = 0; n < nn; ++n)
     for (const netlist::Pin& p : nl.net(n).sinks)
-      if (nl.cell(p.cell).kind != CellKind::Output)
+      if (nl.cell(p.cell).kind != CellKind::Output) {
         fanout_cell.push_back(p.cell);
+        fanout_pin.push_back(static_cast<std::uint8_t>(p.pin));
+      }
 }
 
 std::shared_ptr<const CompiledNetlist> compile(const netlist::Netlist& nl,

@@ -52,6 +52,7 @@ CompiledSimulator::CompiledSimulator(std::shared_ptr<const CompiledNetlist> cn)
     : cn_(std::move(cn)) {
   const std::uint32_t nn = cn_->num_nets();
   values_.resize(nn);
+  pins_.resize(cn_->num_cells());
   pending_seq_.resize(nn);
   pending_value_.resize(nn);
   pending_slew_.resize(nn);
@@ -106,6 +107,7 @@ void CompiledSimulator::reset_state() {
   // Capacity-retaining memset: the arrays were sized at construction and
   // never reallocate across epochs.
   std::fill(values_.begin(), values_.end(), char{0});
+  std::fill(pins_.begin(), pins_.end(), std::uint8_t{0});
   std::fill(pending_seq_.begin(), pending_seq_.end(), std::uint64_t{0});
   std::fill(pending_value_.begin(), pending_value_.end(), char{0});
   std::fill(pending_slew_.begin(), pending_slew_.end(), 0.0);
@@ -156,10 +158,17 @@ void CompiledSimulator::restore_epoch(const Epoch& e) {
   // zero), so only net values diverge from the snapshot — and only at
   // the nets committed since the state last coincided with it.
   if (e.id != 0 && e.id == baseline_epoch_) {
-    for (NetId n : dirty_) values_[n] = e.values[n];
+    for (NetId n : dirty_) {
+      // Most dirty nets returned to their snapshot value within the
+      // cycle (return-to-zero); their pin bits are already right.
+      if (values_[n] == e.values[n]) continue;
+      values_[n] = e.values[n];
+      sync_pins(n);
+    }
     clear_dirty();
   } else {
     std::copy(e.values.begin(), e.values.end(), values_.begin());
+    rebuild_pins();
     clear_dirty();
     baseline_epoch_ = e.id;
   }
@@ -476,80 +485,30 @@ void CompiledSimulator::evaluate_cell(std::uint32_t cell, double t_ps) {
   const std::uint32_t out_net = cn.output[cell];
   if (k == CellKind::Input || k == CellKind::Output || out_net == kNoNet)
     return;
-
-  // Inlined truth tables — must mirror netlist::evaluate() exactly
-  // (tests/test_compiled_sim.cpp pins the two together per target).
-  const std::uint32_t lo = cn.fanin_offset[cell];
-  const std::uint32_t hi = cn.fanin_offset[cell + 1];
-  const auto in = [&](std::uint32_t i) {
-    return values_[cn.fanin_net[lo + i]] != 0;
-  };
-  const auto all = [&](std::uint32_t a, std::uint32_t b) {
-    for (std::uint32_t i = a; i < b; ++i)
-      if (values_[cn.fanin_net[i]] == 0) return false;
-    return true;
-  };
-  const auto any = [&](std::uint32_t a, std::uint32_t b) {
-    for (std::uint32_t i = a; i < b; ++i)
-      if (values_[cn.fanin_net[i]] != 0) return true;
-    return false;
-  };
-  const auto muller = [&](std::uint32_t a, std::uint32_t b, bool prev) {
-    if (all(a, b)) return true;
-    if (!any(a, b)) return false;
-    return prev;
-  };
-
-  const bool prev = values_[out_net] != 0;
-  bool out = false;
-  switch (k) {
-    case CellKind::Input:
-    case CellKind::Output:
-      return;
-    case CellKind::Buf:
-      out = in(0);
-      break;
-    case CellKind::Inv:
-      out = !in(0);
-      break;
-    case CellKind::And2:
-    case CellKind::And3:
-      out = all(lo, hi);
-      break;
-    case CellKind::Or2:
-    case CellKind::Or3:
-    case CellKind::Or4:
-      out = any(lo, hi);
-      break;
-    case CellKind::Nor2:
-    case CellKind::Nor3:
-    case CellKind::Nor4:
-      out = !any(lo, hi);
-      break;
-    case CellKind::Nand2:
-    case CellKind::Nand3:
-      out = !all(lo, hi);
-      break;
-    case CellKind::Xor2:
-      out = in(0) != in(1);
-      break;
-    case CellKind::Xnor2:
-      out = in(0) == in(1);
-      break;
-    case CellKind::Muller2:
-    case CellKind::Muller3:
-    case CellKind::Muller4:
-      out = muller(lo, hi, prev);
-      break;
-    case CellKind::Muller2R:
-    case CellKind::Muller3R:
-      // Last pin is the active-high reset: it forces the output low.
-      out = values_[cn.fanin_net[hi - 1]] != 0 ? false
-                                               : muller(lo, hi - 1, prev);
-      break;
-  }
-
+  const bool out = cn.evaluate(k, pins_[cell], values_[out_net] != 0);
   schedule(out_net, out, t_ps + cn.delay_ps[cell], cn.slew_ps[cell]);
+}
+
+void CompiledSimulator::sync_pins(NetId net) noexcept {
+  const CompiledNetlist& cn = *cn_;
+  const auto v = static_cast<std::uint8_t>(values_[net] != 0);
+  for (std::uint32_t i = cn.fanout_offset[net]; i < cn.fanout_offset[net + 1];
+       ++i) {
+    const std::uint8_t pin = cn.fanout_pin[i];
+    std::uint8_t& w = pins_[cn.fanout_cell[i]];
+    w = static_cast<std::uint8_t>((w & ~(1u << pin)) | (v << pin));
+  }
+}
+
+void CompiledSimulator::rebuild_pins() noexcept {
+  const CompiledNetlist& cn = *cn_;
+  for (std::uint32_t c = 0; c < cn.num_cells(); ++c) {
+    unsigned w = 0;
+    for (std::uint32_t i = cn.fanin_offset[c]; i < cn.fanin_offset[c + 1]; ++i)
+      w |= static_cast<unsigned>(values_[cn.fanin_net[i]] != 0)
+           << (i - cn.fanin_offset[c]);
+    pins_[c] = static_cast<std::uint8_t>(w);
+  }
 }
 
 void CompiledSimulator::commit(const Event& ev) {
@@ -564,6 +523,10 @@ void CompiledSimulator::commit(const Event& ev) {
     if (sink_ != nullptr) sink_->on_transition(tr);
     if (log_enabled_) log_.push_back(tr);
   }
+  // Every pin the net drives reads its new value before any fanout cell
+  // evaluates: a cell listening on the net through two pins must see
+  // both move, as the reference engine's values_ walk does.
+  sync_pins(ev.net);
   const std::uint32_t lo = cn.fanout_offset[ev.net];
   const std::uint32_t hi = cn.fanout_offset[ev.net + 1];
   for (std::uint32_t i = lo; i < hi; ++i)

@@ -7,12 +7,15 @@
 //
 // Compilation flattens the graph once into structure-of-arrays form:
 //
-//   * CSR fanout  (net  -> sink cells, Output pseudo-cells dropped),
+//   * CSR fanout  (net  -> sink (cell, pin) pairs, Output pseudo-cells
+//     dropped),
 //   * CSR fanin   (cell -> input nets),
 //   * dense per-net capacitance,
 //   * per-cell delay/slew precomputed from the DelayModel (both depend
 //     only on the cell kind and its static output load),
-//   * compact CellKind codes — no strings anywhere.
+//   * compact CellKind codes — no strings anywhere,
+//   * one 32-bit truth table per CellKind over (pins, prev), tabulated
+//     from netlist::evaluate() — the kernel's only gate semantics.
 //
 // A CompiledNetlist is immutable after construction and is shared
 // read-only by all acquisition workers (see sim::compile). It must
@@ -21,6 +24,7 @@
 // annotating capacitances.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -32,6 +36,8 @@ namespace qdi::sim {
 
 class CompiledNetlist {
  public:
+  /// Throws std::invalid_argument on a cell whose input count is not
+  /// its kind's arity (netlist::Netlist::check() reports those too).
   explicit CompiledNetlist(const netlist::Netlist& nl, DelayModel model = {});
 
   const netlist::Netlist& source() const noexcept { return *src_; }
@@ -53,6 +59,18 @@ class CompiledNetlist {
   double min_delay_ps() const noexcept { return min_delay_ps_; }
   double max_delay_ps() const noexcept { return max_delay_ps_; }
 
+  /// Truth-table geometry: input pin i of a cell is bit i of its pin
+  /// word, and the held output (`prev`, read by the Muller kinds) is bit
+  /// kTruthTablePins — so every kind's table fits 2^5 = 32 bits.
+  static constexpr unsigned kTruthTablePins = 4;
+
+  /// Output of a `k` gate whose input pins read `pins` and whose output
+  /// net currently holds `prev` — netlist::evaluate() by table lookup.
+  bool evaluate(netlist::CellKind k, unsigned pins, bool prev) const noexcept {
+    return (truth_table[static_cast<unsigned>(k)] >>
+            (pins | static_cast<unsigned>(prev) << kTruthTablePins)) & 1u;
+  }
+
   // All arrays below are filled by the constructor and immutable
   // afterwards (exposed directly: this is a kernel data structure, not
   // an abstraction boundary).
@@ -66,6 +84,8 @@ class CompiledNetlist {
   /// the reference sink walk). Output pseudo-cells are dropped — their
   /// evaluation is a no-op by definition.
   std::vector<std::uint32_t> fanout_cell;
+  /// Parallel to fanout_cell: the input pin of that cell the net drives.
+  std::vector<std::uint8_t> fanout_pin;
 
   // ---- per-cell ---------------------------------------------------------
   std::vector<netlist::CellKind> kind;
@@ -74,6 +94,13 @@ class CompiledNetlist {
   std::vector<double> slew_ps;           ///< DelayModel::slew_ps(C_out)
   std::vector<std::uint32_t> fanin_offset;   ///< size num_cells + 1
   std::vector<std::uint32_t> fanin_net;      ///< CSR payload: input nets in pin order
+
+  // ---- per-kind ---------------------------------------------------------
+  /// Bit (pins | prev << kTruthTablePins) of truth_table[kind] is the
+  /// gate's output. Tabulated once per process from netlist::evaluate()
+  /// (pin bits at or above the kind's arity are ignored; Input/Output
+  /// pseudo-cells never evaluate in the kernel).
+  std::array<std::uint32_t, netlist::kNumCellKinds> truth_table{};
 
  private:
   const netlist::Netlist* src_;

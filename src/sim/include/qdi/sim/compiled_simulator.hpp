@@ -7,8 +7,12 @@
 // is asserted bit-for-bit over every registry target in
 // tests/test_compiled_sim.cpp. The differences are purely mechanical:
 //
-//   * gate evaluation reads CSR fanin arrays and an inlined truth-table
-//     switch instead of chasing per-cell vectors through cross-TU calls;
+//   * gate evaluation is one lookup, CompiledNetlist::evaluate(): each
+//     cell keeps a pin word (bit i = the value on input pin i) that a
+//     commit updates in every fanout cell before any of them evaluates,
+//     and the output is bit (pins | prev << 4) of the kind's truth
+//     table, tabulated from netlist::evaluate() — gate semantics have
+//     one definition, shared with the reference engine;
 //   * per-cell delay and slew come from arrays precomputed at compile
 //     time (they depend only on the static output load);
 //   * the event queue is a two-level time wheel (calendar queue):
@@ -27,9 +31,10 @@
 //   * reset_state() is a capacity-retaining memset, and save_epoch() /
 //     restore_epoch() snapshot the post-reset state. Restoring tracks a
 //     dirty set: only nets committed since the last save/restore are
-//     reverted, so a steady-state trace epoch costs O(activity), not
-//     O(num_nets), and performs zero allocations (all queue and
-//     dirty-set scratch retains capacity).
+//     reverted (with the pin words of their fanout cells), so a
+//     steady-state trace epoch costs O(activity), not O(num_nets), and
+//     performs zero allocations (all queue and dirty-set scratch retains
+//     capacity).
 //
 // Lazily cancelled (inertial-filtered) events stay in the queue as
 // tombstones until their pop; when tombstones outnumber live events the
@@ -145,6 +150,8 @@ class CompiledSimulator final : public SimEngine {
 
   void schedule(netlist::NetId net, bool value, double t_ps, double slew_ps);
   void evaluate_cell(std::uint32_t cell, double t_ps);
+  void sync_pins(netlist::NetId net) noexcept;
+  void rebuild_pins() noexcept;
   void commit(const Event& ev);
   void handle_force_marker(const Event& ev);
   void push_event(const Event& ev);
@@ -175,6 +182,9 @@ class CompiledSimulator final : public SimEngine {
   std::shared_ptr<const CompiledNetlist> cn_;
 
   std::vector<char> values_;
+  /// Per cell: bit i = values_ of its input pin i (kept in step with
+  /// values_ by commit, reset_state and restore_epoch).
+  std::vector<std::uint8_t> pins_;
   std::vector<std::uint64_t> pending_seq_;  // live pending event per net (0 = none)
   std::vector<char> pending_value_;
   std::vector<double> pending_slew_;

@@ -88,6 +88,26 @@ TEST(CampaignValidation, DpaOnTargetWithoutSelectionBitsThrows) {
                std::invalid_argument);
 }
 
+TEST(CampaignValidation, NonPositiveSamplePeriodThrows) {
+  // A zero period used to acquire empty traces and attack them.
+  for (const double dt : {0.0, -10.0}) {
+    qdi::power::PowerModelParams pm;
+    pm.sample_period_ps = dt;
+    for (const qdi::sim::EngineKind engine :
+         {qdi::sim::EngineKind::Compiled, qdi::sim::EngineKind::Reference,
+          qdi::sim::EngineKind::Batch}) {
+      EXPECT_THROW(qc::Campaign()
+                       .target(qc::xor_stage())
+                       .power(pm)
+                       .engine(engine)
+                       .traces(4)
+                       .run(),
+                   std::invalid_argument)
+          << "period " << dt << " engine " << static_cast<int>(engine);
+    }
+  }
+}
+
 // ---- registry --------------------------------------------------------------
 
 TEST(CampaignRegistry, PrebuiltTargetIsReusableAndDeterministic) {

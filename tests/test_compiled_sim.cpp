@@ -14,6 +14,8 @@
 #include <new>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "qdi/campaign/target.hpp"
@@ -382,6 +384,133 @@ TEST(CompiledNetlist, CsrStructureMirrorsSource) {
         cn.fanout_cell.begin() + cn.fanout_offset[n],
         cn.fanout_cell.begin() + cn.fanout_offset[n + 1]);
     EXPECT_EQ(got, expect) << "net " << n;
+  }
+}
+
+// ---- truth tables ----------------------------------------------------------
+
+TEST(CompiledNetlist, TruthTablesMatchNetlistEvaluateForEveryKind) {
+  const qc::TargetInstance inst = qc::xor_stage().build(0);
+  const qs::CompiledNetlist cn(inst.nl);
+  for (int k = 0; k < qn::kNumCellKinds; ++k) {
+    const auto kind = static_cast<qn::CellKind>(k);
+    SCOPED_TRACE(std::string(qn::name(kind)));
+    const int nin = qn::info(kind).num_inputs;
+    ASSERT_LE(nin, static_cast<int>(qs::CompiledNetlist::kTruthTablePins));
+    for (unsigned pins = 0; pins < (1u << nin); ++pins) {
+      bool in[qs::CompiledNetlist::kTruthTablePins] = {};
+      for (int i = 0; i < nin; ++i) in[i] = (pins >> i) & 1u;
+      for (const bool prev : {false, true})
+        EXPECT_EQ(cn.evaluate(kind, pins, prev),
+                  qn::evaluate(kind, std::span<const bool>(in, nin), prev))
+            << "pins " << pins << " prev " << prev;
+    }
+  }
+}
+
+namespace {
+
+/// Cells listening on one net through several pins: a, b, rst drive
+/// And2(a,a), Muller2(a,a), Xnor2(a,a), Muller3R(a,b,a,rst) and an
+/// Or2 over two of them.
+struct SharedPins {
+  qn::Netlist nl{"shared_pins"};
+  qn::NetId a, b, rst;
+  SharedPins() {
+    a = nl.add_input("a");
+    b = nl.add_input("b");
+    rst = nl.add_input("rst");
+    const qn::NetId x = nl.add_net("x");
+    const qn::NetId y = nl.add_net("y");
+    const qn::NetId z = nl.add_net("z");
+    const qn::NetId w = nl.add_net("w");
+    const qn::NetId o = nl.add_net("o");
+    nl.add_cell(qn::CellKind::And2, "and_aa", {a, a}, x);
+    nl.add_cell(qn::CellKind::Muller2, "c_aa", {a, a}, y);
+    nl.add_cell(qn::CellKind::Xnor2, "xnor_aa", {a, a}, w);
+    nl.add_cell(qn::CellKind::Muller3R, "cr_aba", {a, b, a, rst}, z);
+    nl.add_cell(qn::CellKind::Or2, "or_xz", {x, z}, o);
+    for (const qn::NetId n : {x, y, z, w, o})
+      nl.mark_output(n, nl.net(n).name);
+  }
+};
+
+using Steps = std::vector<std::pair<qn::NetId, bool>>;
+
+void play(qs::SimEngine& sim, const Steps& steps) {
+  for (const auto& [net, value] : steps) {
+    sim.drive(net, value, sim.now() + 50.0);
+    sim.run_until_stable();
+  }
+}
+
+void expect_same_log(const qs::SimEngine& ref, const qs::SimEngine& got) {
+  ASSERT_EQ(ref.log().size(), got.log().size());
+  for (std::size_t i = 0; i < ref.log().size(); ++i) {
+    EXPECT_EQ(ref.log()[i].t_ps, got.log()[i].t_ps) << "transition " << i;
+    EXPECT_EQ(ref.log()[i].net, got.log()[i].net) << "transition " << i;
+    EXPECT_EQ(ref.log()[i].rising, got.log()[i].rising) << "transition " << i;
+    EXPECT_EQ(ref.log()[i].slew_ps, got.log()[i].slew_ps) << "transition " << i;
+  }
+  EXPECT_EQ(ref.glitch_count(), got.glitch_count());
+}
+
+}  // namespace
+
+TEST(CompiledKernel, NetDrivingTwoPinsOfACellMatchesReference) {
+  const SharedPins f;
+  const Steps s1{{f.a, true}, {f.b, true}};
+  const Steps s2{{f.a, false}, {f.rst, true}};
+  const Steps s3{{f.b, true}, {f.a, true}, {f.rst, true}, {f.a, false},
+                 {f.rst, false}, {f.a, true}, {f.b, false}, {f.a, false}};
+  const Steps s4{{f.b, false}, {f.a, false}, {f.a, true}};
+
+  qs::CompiledSimulator comp(qs::compile(f.nl));
+  comp.set_log_enabled(true);
+  comp.initialize();
+  comp.run_until_stable();
+  const auto e0 = comp.save_epoch();
+
+  qs::Simulator ref(f.nl);
+  // The reference replays `prefix` from reset, then logs `steps`.
+  const auto ref_run = [&](const Steps& prefix, const Steps& steps) {
+    ref.reset_state();
+    ref.initialize();
+    ref.run_until_stable();
+    play(ref, prefix);
+    ref.clear_log();
+    play(ref, steps);
+  };
+
+  {
+    SCOPED_TRACE("from reset");
+    comp.clear_log();
+    play(comp, s1);
+    ref_run({}, s1);
+    expect_same_log(ref, comp);
+  }
+  const auto e1 = comp.save_epoch();  // a is high: x, y, z hold 1
+  play(comp, s2);
+  {
+    SCOPED_TRACE("older epoch: full copy");
+    comp.restore_epoch(e0);  // baseline is e1
+    play(comp, s3);
+    ref_run({}, s3);
+    expect_same_log(ref, comp);
+  }
+  play(comp, s1);  // leave a state that differs from e0 again
+  {
+    SCOPED_TRACE("dirty-set restore");
+    comp.restore_epoch(e0);
+    play(comp, s3);
+    expect_same_log(ref, comp);
+  }
+  {
+    SCOPED_TRACE("full copy into a mid-run epoch");
+    comp.restore_epoch(e1);
+    play(comp, s4);
+    ref_run(s1, s4);
+    expect_same_log(ref, comp);
   }
 }
 

@@ -1,15 +1,27 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "qdi/campaign/target.hpp"
 #include "qdi/gates/testbench.hpp"
+#include "qdi/power/batch_synth.hpp"
 #include "qdi/power/synth.hpp"
+#include "qdi/sim/compiled_simulator.hpp"
 #include "qdi/sim/environment.hpp"
+#include "qdi/sim/fault.hpp"
 #include "qdi/sim/simulator.hpp"
 
+namespace qc = qdi::campaign;
+namespace qn = qdi::netlist;
 namespace qp = qdi::power;
 namespace qs = qdi::sim;
 namespace qg = qdi::gates;
+namespace qu = qdi::util;
 
 TEST(TriangleOverlap, IntegratesToOne) {
   for (double width : {1.0, 7.5, 40.0}) {
@@ -188,4 +200,265 @@ TEST(Synthesize, XorCycleTraceHasBothPhases) {
   }
   EXPECT_GT(q_eval, 0.0);
   EXPECT_GT(q_rtz, 0.0);
+}
+
+// ---- pulse cache -------------------------------------------------------------
+//
+// A long-lived StreamingAccumulator replays stored pulse spans across
+// traces; every path — hit, record, and each direct-binning fallback —
+// must equal power::synthesize over the reference engine's log.
+
+namespace {
+
+/// One accumulator fed by the compiled kernel over many traces of a
+/// target, each trace checked against synthesize() over the reference
+/// engine's log of the same trace.
+class CacheHarness {
+ public:
+  explicit CacheHarness(const qc::TargetInstance& inst)
+      : inst_(inst),
+        spec_(relaxed(inst.env)),
+        comp_(qs::compile(inst.nl)),
+        comp_env_(comp_, spec_),
+        ref_(inst.nl),
+        ref_env_(ref_, spec_) {
+    comp_env_.apply_reset();
+    epoch_ = comp_.save_epoch();
+  }
+
+  /// Trace `i` in the window [cycle start - `early_ps`, + `window_ps`),
+  /// with `arm` (if set) called on each engine before the cycle runs.
+  void trace(std::size_t i, double early_ps, double window_ps,
+             const std::function<void(qs::SimEngine&, double)>& arm = {}) {
+    SCOPED_TRACE("trace " + std::to_string(i));
+    qu::Rng rng = qu::split_stream(5, i);
+    inst_.stimulus(rng, i, stim_);
+
+    comp_.restore_epoch(epoch_);
+    const double t_start = comp_env_.next_cycle_start();
+    if (arm) arm(comp_, t_start);
+    acc_.begin_window(t_start - early_ps, window_ps);
+    comp_.set_power_sink(&acc_);
+    comp_env_.send_into(stim_.values, cyc_);
+    comp_.set_power_sink(nullptr);
+    qp::PowerTrace got;
+    acc_.finish_into(got);
+
+    ref_.reset_state();
+    ref_env_.apply_reset();
+    ref_.clear_log();
+    ASSERT_EQ(ref_env_.next_cycle_start(), t_start);
+    if (arm) arm(ref_, t_start);
+    ref_env_.send_into(stim_.values, cyc_);
+    log_ = ref_.log();
+    const qp::PowerTrace want = qp::synthesize(
+        log_, t_start - early_ps, window_ps, acc_.params(), nullptr);
+
+    ASSERT_EQ(got.t0_ps(), want.t0_ps());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t j = 0; j < want.size(); ++j)
+      ASSERT_EQ(got[j], want[j]) << "sample " << j;
+  }
+
+  const qp::StreamingAccumulator& acc() const { return acc_; }
+  /// The reference log of the last trace.
+  const std::vector<qs::Transition>& log() const { return log_; }
+
+ private:
+  static qs::EnvSpec relaxed(qs::EnvSpec spec) {
+    spec.strict = false;  // a faulted cycle may stall; its power still counts
+    return spec;
+  }
+
+  const qc::TargetInstance& inst_;
+  qs::EnvSpec spec_;
+  qs::CompiledSimulator comp_;
+  qs::FourPhaseEnv comp_env_;
+  qs::CompiledSimulator::Epoch epoch_;
+  qs::Simulator ref_;
+  qs::FourPhaseEnv ref_env_;
+  qp::StreamingAccumulator acc_;
+  qc::Stimulus stim_;
+  qs::FourPhaseEnv::CycleResult cyc_;
+  std::vector<qs::Transition> log_;
+};
+
+}  // namespace
+
+TEST(PulseCache, RepeatedWindowsReplayStoredSpansBitIdentically) {
+  const qc::TargetInstance inst = qc::des_sbox_slice().build(0x15);
+  CacheHarness h(inst);
+  for (std::size_t i = 0; i < 24; ++i) h.trace(i, 0.0, inst.env.period_ps);
+  EXPECT_GT(h.acc().pulse_hits(), h.acc().pulse_misses());
+}
+
+TEST(PulseCache, JitteredWindowsFallBackToDirectBinning) {
+  // start_jitter_ps > 0: every window starts elsewhere, so every window
+  // is a new generation and no stored span is ever replayed.
+  const qc::TargetInstance inst = qc::des_sbox_slice().build(0x15);
+  CacheHarness h(inst);
+  qu::Rng jitter(11);
+  for (std::size_t i = 0; i < 12; ++i)
+    h.trace(i, jitter.uniform(0.0, 300.0), inst.env.period_ps);
+  EXPECT_EQ(h.acc().pulse_hits(), 0u);
+  EXPECT_GT(h.acc().pulse_misses(), 0u);
+}
+
+TEST(PulseCache, ForcedNetWithZeroSlewBinsDirectly) {
+  // A fault-campaign glitch commits the forced edge with slew 0; the
+  // same (net, edge) commits with its driver's slew in fault-free
+  // traces. Alternating the two exercises the slew-mismatch fallback
+  // in both orders (group recorded by a forced or by a free edge).
+  const qc::TargetInstance inst = qc::des_sbox_slice().build(0x15);
+  const std::vector<qn::NetId> sites = qs::fault_sites(inst.nl);
+  ASSERT_FALSE(sites.empty());
+  CacheHarness h(inst);
+  bool saw_forced = false;
+  bool saw_free = false;
+  for (const qn::NetId site : {sites[sites.size() / 3], sites[sites.size() / 2]}) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      const bool forced = i % 3 != 1;
+      h.trace(i / 2, 0.0, inst.env.period_ps,
+              [&](qs::SimEngine& sim, double t_start) {
+                if (forced)
+                  qs::FaultInjector(sim).arm(
+                      {site, qs::FaultKind::Glitch1, 150.0, 200.0}, t_start);
+              });
+      for (const qs::Transition& t : h.log()) {
+        if (t.net != site || !t.rising) continue;
+        (t.slew_ps == 0.0 ? saw_forced : saw_free) = true;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_forced);
+  EXPECT_TRUE(saw_free);
+  EXPECT_GT(h.acc().pulse_hits(), 0u);
+}
+
+TEST(PulseCache, SlewOrCapMismatchAtACachedTimeBinsDirectly) {
+  // The same (net, edge, t_ps) as a stored span, but with the slew of a
+  // forced edge (0) or another load: the stored addends do not apply.
+  qp::PowerModelParams pm;
+  const qs::Transition free_edge{300.0, 5, true, 4.0, 30.0};
+  qs::Transition forced = free_edge;
+  forced.slew_ps = 0.0;
+  qs::Transition loaded = free_edge;
+  loaded.cap_ff = 8.0;
+  qp::StreamingAccumulator acc(pm);
+  qp::PowerTrace got;
+  int w = 0;
+  for (const qs::Transition& t :
+       {free_edge, free_edge, forced, loaded, free_edge, forced}) {
+    SCOPED_TRACE("window " + std::to_string(w++));
+    const qp::PowerTrace want = qp::synthesize({t}, 0.0, 600.0, pm, nullptr);
+    acc.begin_window(0.0, 600.0);
+    acc.on_transition(t);
+    acc.finish_into(got);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t j = 0; j < want.size(); ++j)
+      ASSERT_EQ(got[j], want[j]) << "sample " << j;
+  }
+  // Window 0 warms up, window 1 records; only window 4 replays.
+  EXPECT_EQ(acc.pulse_hits(), 1u);
+  EXPECT_EQ(acc.pulse_misses(), 5u);
+}
+
+TEST(PulseCache, GenerationWrapNeverReplaysAStaleSpan) {
+  // A span recorded in one generation, then exactly one full turn of
+  // the generation counter of window changes: the stale span must not
+  // look current again.
+  qp::PowerModelParams pm;
+  const std::vector<qs::Transition> edge{{300.0, 5, true, 4.0, 30.0}};
+  qp::StreamingAccumulator acc(pm);
+  qp::PowerTrace got;
+  for (int w = 0; w < 2; ++w) {  // warm-up, then record
+    acc.begin_window(0.0, 600.0);
+    acc.on_transition(edge[0]);
+    acc.finish_into(got);
+  }
+  const double turn = 65535.0;  // window changes back to that generation
+  for (double t0 = 1.0; t0 < turn; t0 += 1.0) {
+    acc.begin_window(t0, 600.0);
+    acc.finish_into(got);
+  }
+  acc.begin_window(turn, 600.0);
+  acc.on_transition(edge[0]);
+  acc.finish_into(got);
+  const qp::PowerTrace want = qp::synthesize(edge, turn, 600.0, pm, nullptr);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < want.size(); ++j)
+    ASSERT_EQ(got[j], want[j]) << "sample " << j;
+  EXPECT_EQ(acc.pulse_hits(), 0u);
+}
+
+TEST(PulseCache, MoreCommitTimesThanSlotsBinDirectly) {
+  // One (net, edge) rising at six distinct times per window — more than
+  // a pulse group holds — amid ordinary one-time pulses.
+  qp::PowerModelParams pm;
+  std::vector<qs::Transition> trs;
+  for (int k = 0; k < 6; ++k) {
+    trs.push_back({100.0 + 120.0 * k, 3, true, 6.0, 37.0});
+    trs.push_back({160.0 + 120.0 * k, 3, false, 6.0, 37.0});
+  }
+  trs.push_back({905.0, 1, true, 2.5, 18.0});
+  trs.push_back({905.0, 2, false, 9.0, 55.0});
+  const qp::PowerTrace want = qp::synthesize(trs, 40.0, 1000.0, pm, nullptr);
+
+  qp::StreamingAccumulator acc(pm);
+  qp::PowerTrace got;
+  for (int w = 0; w < 4; ++w) {
+    acc.begin_window(40.0, 1000.0);
+    for (const qs::Transition& t : trs) acc.on_transition(t);
+    acc.finish_into(got);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t j = 0; j < want.size(); ++j)
+      ASSERT_EQ(got[j], want[j]) << "window " << w << " sample " << j;
+  }
+  EXPECT_GT(acc.pulse_hits(), 0u);
+  // Later windows still bin part of the crowded group directly.
+  EXPECT_GT(acc.pulse_misses(), trs.size());
+}
+
+TEST(PulseCache, WindowLengthChangeOnALiveAccumulator) {
+  // Shorter windows clip late pulses (recorded as empty spans), longer
+  // ones reach them; each change starts a new generation, and returning
+  // to an earlier length must not replay the spans of the one between.
+  const qc::TargetInstance inst = qc::des_sbox_slice().build(0x15);
+  CacheHarness h(inst);
+  const double p = inst.env.period_ps;
+  std::size_t i = 0;
+  for (const double len : {p, p, 0.4 * p, 0.4 * p, 1.5 * p, p, p})
+    h.trace(i++, 0.0, len);
+  EXPECT_GT(h.acc().pulse_hits(), 0u);
+}
+
+TEST(PulseCache, DesRoundHitRateAfter64Traces) {
+  // Each distinct (net, edge, t) pulse misses once; after 64 warm-up
+  // traces (both rails of most bits seen) nearly every pulse replays.
+  const qc::TargetInstance inst = qc::des_round().build(0x2b);
+  CacheHarness h(inst);
+  for (std::size_t i = 0; i < 64; ++i) h.trace(i, 0.0, inst.env.period_ps);
+  const std::uint64_t hits0 = h.acc().pulse_hits();
+  const std::uint64_t misses0 = h.acc().pulse_misses();
+  for (std::size_t i = 64; i < 128; ++i) h.trace(i, 0.0, inst.env.period_ps);
+  const auto hits = static_cast<double>(h.acc().pulse_hits() - hits0);
+  const auto misses = static_cast<double>(h.acc().pulse_misses() - misses0);
+  EXPECT_GE(hits / (hits + misses), 0.95)
+      << hits << " hits, " << misses << " misses";
+}
+
+// ---- sample-grid precondition ----------------------------------------------
+
+TEST(PowerAccumulators, RejectNonPositiveOrNonFiniteSamplePeriod) {
+  const std::vector<double> caps(4, 3.0);
+  for (const double dt : {0.0, -10.0, std::nan(""),
+                          std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(dt);
+    qp::PowerModelParams pm;
+    pm.sample_period_ps = dt;
+    EXPECT_THROW(qp::StreamingAccumulator{pm}, std::invalid_argument);
+    EXPECT_THROW(qp::BatchAccumulator(pm, caps), std::invalid_argument);
+    EXPECT_THROW(qp::synthesize({}, 0.0, 100.0, pm, nullptr),
+                 std::invalid_argument);
+  }
 }
