@@ -151,7 +151,11 @@ class Coordinator;
 /// observes is fixed by the partition and that order — never by the
 /// thread count or scheduling — so every result is bit-identical at any
 /// thread count. Claims are gated at most 2·threads + 2 blocks ahead of
-/// the commit frontier, which bounds the traces in flight. The first
+/// the commit frontier, which bounds the traces in flight, and no worker
+/// claims while `threads` finished blocks wait for the commit chain: when
+/// the serial commit is slower than acquisition, blocks acquired ahead of
+/// it are memory it cannot use yet. Finished-but-uncommitted blocks then
+/// stay below 2·threads (the claim gate test derives the bound). The first
 /// exception thrown by the source, `ingest`, or `commit` stops further
 /// claims and is rethrown to the caller once every worker has returned;
 /// the pool stays usable (the source that threw may not: rebind()).
@@ -322,12 +326,40 @@ struct SimTraceSourceOptions {
 
 /// TraceSource backed by the event-driven simulator and the four-phase
 /// handshake environment — the reproduction's oscilloscope bench.
+///
+/// Trace memo. With the compiled engine and no window jitter
+/// (start_jitter_ps == 0) a cycle is a pure function of its stimulus
+/// values: every trace restores the same post-reset epoch, the cycle
+/// draws no randomness, and delay jitter is static per cell. Only the
+/// measurement noise differs between two traces of one stimulus. Each
+/// worker therefore keeps a memo keyed by the full Stimulus::values
+/// vector: a stimulus seen for the second time stores its scaled
+/// pre-noise samples (trimmed after the last sample that is not +0.0),
+/// its ciphertext, transition and glitch counts, and every later
+/// sighting replays them and draws the noise through power::add_noise,
+/// exactly as the simulated path does — bit-identical traces, same rng
+/// stream position. A direct-mapped filter of key hashes gates the
+/// admission, so a source whose stimuli never repeat (des_round,
+/// aes_core) stores nothing and pays one hash per trace. The memo is
+/// allocated once, on the first trace, for at most kMemoCapacity stimuli
+/// and kMemoSampleBudget stored samples (the samples in an anonymous
+/// mapping, so only the pages written are resident); when full it stops
+/// admitting and never evicts. The reference engine (the oracle) and any jittered
+/// source bypass it; clones start empty. The stimulus is validated
+/// (sim::check_stimulus) before the lookup, so only valid stimuli are
+/// ever keyed.
 class SimTraceSource final : public TraceSource {
  public:
+  /// Most stimuli one worker's trace memo stores.
+  static constexpr std::size_t kMemoCapacity = 1024;
+  /// Most samples (doubles) one worker's trace memo stores.
+  static constexpr std::size_t kMemoSampleBudget = std::size_t{1} << 21;
+
   /// `nl` is shared by all clones and must outlive them; it must not be
   /// mutated during acquisition (the compiled engine snapshots it).
   SimTraceSource(const netlist::Netlist& nl, sim::EnvSpec env,
                  StimulusFn stimulus, SimTraceSourceOptions opt = {});
+  ~SimTraceSource() override;
 
   // Non-copyable/movable: env_ holds a pointer into the engine, so a
   // default copy would drive the source object's simulator. Use clone().
@@ -340,9 +372,17 @@ class SimTraceSource final : public TraceSource {
     return opt_.engine == sim::EngineKind::Compiled ? "sim-compiled" : "sim";
   }
 
+  /// Traces replayed from / simulated past the trace memo since
+  /// construction; both stay 0 when the memo does not apply.
+  std::uint64_t memo_hits() const noexcept { return memo_hits_; }
+  std::uint64_t memo_misses() const noexcept { return memo_misses_; }
+  /// Stimuli stored in this worker's trace memo.
+  std::size_t memo_entries() const noexcept;
+
  private:
   struct WorkerCloneTag {};
   SimTraceSource(const SimTraceSource& other, WorkerCloneTag);
+  class Memo;
 
   const netlist::Netlist* nl_;
   sim::EnvSpec spec_;
@@ -362,6 +402,12 @@ class SimTraceSource final : public TraceSource {
   Stimulus stim_;
   sim::FourPhaseEnv::CycleResult cyc_;
   std::optional<sim::CompiledSimulator::Epoch> epoch_;  ///< post-reset snapshot
+  /// Trace memo: applies iff compiled engine and start_jitter_ps == 0;
+  /// allocated on the first trace.
+  bool memo_applies_ = false;
+  std::unique_ptr<Memo> memo_;
+  std::uint64_t memo_hits_ = 0;
+  std::uint64_t memo_misses_ = 0;
 };
 
 }  // namespace qdi::campaign

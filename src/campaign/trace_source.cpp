@@ -1,14 +1,18 @@
 #include "qdi/campaign/trace_source.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
+
+#include <sys/mman.h>
 
 #include "scalar_engine.hpp"
 
@@ -25,7 +29,171 @@ const SimTraceSourceOptions& reject_batch(const SimTraceSourceOptions& opt) {
   return opt;
 }
 
+/// Fixed-capacity sample storage in its own anonymous mapping: pages
+/// become resident only as samples are appended and go back to the
+/// system with the pool, so the unused part of the reserve never sits in
+/// (or fragments) the malloc heap. A failed mapping has capacity 0.
+class SamplePool {
+ public:
+  explicit SamplePool(std::size_t capacity) {
+    void* p = ::mmap(nullptr, capacity * sizeof(double),
+                     PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                     0);
+    if (p == MAP_FAILED) return;
+    data_ = static_cast<double*>(p);
+    capacity_ = capacity;
+  }
+  ~SamplePool() {
+    if (data_ != nullptr) ::munmap(data_, capacity_ * sizeof(double));
+  }
+  SamplePool(const SamplePool&) = delete;
+  SamplePool& operator=(const SamplePool&) = delete;
+
+  const double* data() const noexcept { return data_; }
+  std::size_t size() const noexcept { return size_; }
+  std::size_t room() const noexcept { return capacity_ - size_; }
+  /// Requires s.size() <= room().
+  void append(std::span<const double> s) noexcept {
+    std::copy(s.begin(), s.end(), data_ + size_);
+    size_ += s.size();
+  }
+
+ private:
+  double* data_ = nullptr;
+  std::size_t capacity_ = 0;
+  std::size_t size_ = 0;
+};
+
 }  // namespace
+
+/// One worker's trace memo (see SimTraceSource). Every buffer is
+/// allocated once, in the constructor; entries only append into reserved
+/// capacity, so pages are touched as entries are written and the
+/// steady-state loop never allocates.
+class SimTraceSource::Memo {
+ public:
+  /// One stored stimulus, number i: its key is keys_[i·key_len_ ..],
+  /// its ciphertext cipher_[i·cipher_len_ ..], its samples
+  /// samples_[offset .. offset + stored) followed by +0.0 up to the
+  /// window's num_samples.
+  struct Entry {
+    std::uint64_t hash = 0;
+    double t0_ps = 0.0;
+    double dt_ps = 0.0;
+    std::size_t num_samples = 0;
+    std::size_t offset = 0;
+    std::size_t stored = 0;
+    std::size_t transitions = 0;
+    std::size_t glitches = 0;
+  };
+
+  Memo(std::size_t key_len, std::size_t cipher_len,
+       std::size_t window_samples)
+      : key_len_(key_len),
+        cipher_len_(cipher_len),
+        filter_(kFilterSlots, 0),
+        slots_(kTableSlots, 0),
+        samples_(std::min(kMemoCapacity * window_samples, kMemoSampleBudget)) {
+    entries_.reserve(kMemoCapacity);
+    keys_.reserve(kMemoCapacity * key_len);
+    cipher_.reserve(kMemoCapacity * cipher_len);
+  }
+
+  /// Never 0: a zero filter slot is empty.
+  static std::uint64_t hash(std::span<const int> key) noexcept {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ key.size();
+    for (const int v : key) {
+      h ^= static_cast<std::uint32_t>(v);
+      h *= 0xff51afd7ed558ccdULL;
+      h ^= h >> 32;
+    }
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h | 1;
+  }
+
+  std::size_t size() const noexcept { return entries_.size(); }
+
+  /// The entry stored for `key` (of hash `h`), or nullptr. The hash only
+  /// indexes; the key is compared in full.
+  const Entry* find(std::uint64_t h, std::span<const int> key) const {
+    for (std::size_t s = h >> kSlotShift;; s = (s + 1) & (kTableSlots - 1)) {
+      const std::uint32_t e = slots_[s];
+      if (e == 0) return nullptr;
+      const Entry& ent = entries_[e - 1];
+      if (ent.hash == h &&
+          std::equal(key.begin(), key.end(), keys_.data() + (e - 1) * key_len_))
+        return &ent;
+    }
+  }
+
+  /// Overwrite `out`'s trace (pre-noise), ciphertext and counts with
+  /// entry `e`'s.
+  void replay(const Entry& e, AcquiredTrace& out) const {
+    out.trace.reset_geometry(e.t0_ps, e.dt_ps, e.num_samples);
+    double* dst = out.trace.samples().data();
+    std::copy_n(samples_.data() + e.offset, e.stored, dst);
+    std::fill(dst + e.stored, dst + e.num_samples, 0.0);
+    const std::size_t i = static_cast<std::size_t>(&e - entries_.data());
+    out.ciphertext.assign(cipher_.begin() + i * cipher_len_,
+                          cipher_.begin() + (i + 1) * cipher_len_);
+    out.transitions = e.transitions;
+    out.glitches = e.glitches;
+  }
+
+  /// A simulated trace of `key`, before noise: store it if this is the
+  /// key's second sighting (its hash already in the filter) and there
+  /// is room, else remember the hash.
+  void offer(std::uint64_t h, std::span<const int> key,
+             const AcquiredTrace& t) {
+    std::uint64_t& seen = filter_[h & (kFilterSlots - 1)];
+    if (seen != h) {
+      seen = h;
+      return;
+    }
+    const std::span<const double> smp = t.trace.samples();
+    std::size_t stored = smp.size();
+    while (stored > 0 && std::bit_cast<std::uint64_t>(smp[stored - 1]) == 0)
+      --stored;
+    if (entries_.size() == kMemoCapacity || stored > samples_.room()) return;
+    Entry e;
+    e.hash = h;
+    e.t0_ps = t.trace.t0_ps();
+    e.dt_ps = t.trace.dt_ps();
+    e.num_samples = smp.size();
+    e.offset = samples_.size();
+    e.stored = stored;
+    e.transitions = t.transitions;
+    e.glitches = t.glitches;
+    samples_.append(smp.first(stored));
+    keys_.insert(keys_.end(), key.begin(), key.end());
+    cipher_.insert(cipher_.end(), t.ciphertext.begin(), t.ciphertext.end());
+    entries_.push_back(e);
+    std::size_t s = h >> kSlotShift;
+    while (slots_[s] != 0) s = (s + 1) & (kTableSlots - 1);
+    slots_[s] = static_cast<std::uint32_t>(entries_.size());
+  }
+
+ private:
+  /// Admission filter: direct-mapped, 4 slots per storable entry.
+  static constexpr std::size_t kFilterSlots = 4 * kMemoCapacity;
+  /// Open-addressing entry index (entry + 1, 0 = empty) at load ≤ 1/2;
+  /// indexed by the hash's top bits, the filter by its low bits.
+  static constexpr std::size_t kTableSlots = 2 * kMemoCapacity;
+  static constexpr int kSlotShift = 64 - std::countr_zero(kTableSlots);
+  static_assert(std::has_single_bit(kTableSlots) &&
+                std::has_single_bit(kFilterSlots));
+
+  std::size_t key_len_;
+  std::size_t cipher_len_;
+  std::vector<std::uint64_t> filter_;
+  std::vector<std::uint32_t> slots_;
+  std::vector<Entry> entries_;
+  std::vector<int> keys_;
+  std::vector<std::uint8_t> cipher_;
+  SamplePool samples_;
+};
 
 SimTraceSource::SimTraceSource(const netlist::Netlist& nl, sim::EnvSpec env,
                                StimulusFn stimulus, SimTraceSourceOptions opt)
@@ -41,7 +209,8 @@ SimTraceSource::SimTraceSource(const netlist::Netlist& nl, sim::EnvSpec env,
       csim_(compiled_ ? static_cast<sim::CompiledSimulator*>(sim_.get())
                       : nullptr),
       env_(*sim_, spec_),
-      acc_(opt_.power) {
+      acc_(opt_.power),
+      memo_applies_(csim_ != nullptr && !(opt_.start_jitter_ps > 0.0)) {
   if (!stimulus_)
     throw std::invalid_argument("SimTraceSource: stimulus is required");
 }
@@ -56,14 +225,51 @@ SimTraceSource::SimTraceSource(const SimTraceSource& other, WorkerCloneTag)
       csim_(compiled_ ? static_cast<sim::CompiledSimulator*>(sim_.get())
                       : nullptr),
       env_(*sim_, spec_),
-      acc_(opt_.power) {}
+      acc_(opt_.power),
+      memo_applies_(other.memo_applies_) {}  // the memo starts empty
+
+SimTraceSource::~SimTraceSource() = default;
 
 std::unique_ptr<TraceSource> SimTraceSource::clone() const {
   return std::unique_ptr<TraceSource>(
       new SimTraceSource(*this, WorkerCloneTag{}));
 }
 
+std::size_t SimTraceSource::memo_entries() const noexcept {
+  return memo_ ? memo_->size() : 0;
+}
+
 void SimTraceSource::acquire_into(const TraceRequest& req, AcquiredTrace& out) {
+  util::Rng rng = util::split_stream(req.seed, req.index);
+  stimulus_(rng, req.index, stim_);
+  // The window jitter is drawn before the cycle runs — the cycle itself
+  // consumes no randomness, so the stream position is the same as
+  // drawing it afterwards; this lets the streaming path open its window
+  // up front.
+  const double jitter = opt_.start_jitter_ps > 0.0
+                            ? rng.uniform(0.0, opt_.start_jitter_ps)
+                            : 0.0;
+  // Copy (not move): stim_ is per-worker scratch whose capacity must
+  // survive into the next trace.
+  out.plaintext.assign(stim_.plaintext.begin(), stim_.plaintext.end());
+
+  // A repeated stimulus replays its stored pre-noise trace and skips the
+  // cycle, epoch restore included (the next simulated trace restores).
+  std::uint64_t key = 0;
+  if (memo_applies_) {
+    sim::check_stimulus(*nl_, spec_, stim_.values);
+    key = Memo::hash(stim_.values);
+    if (memo_) {
+      if (const Memo::Entry* e = memo_->find(key, stim_.values)) {
+        ++memo_hits_;
+        memo_->replay(*e, out);
+        power::add_noise(out.trace, opt_.power, &rng);
+        return;
+      }
+    }
+    ++memo_misses_;
+  }
+
   // Every trace starts from the post-reset state in its own epoch:
   // identical absolute times, hence bit-identical floating point,
   // whatever trace history the worker carries. The compiled engine pays
@@ -78,16 +284,6 @@ void SimTraceSource::acquire_into(const TraceRequest& req, AcquiredTrace& out) {
     if (csim_ != nullptr) epoch_ = csim_->save_epoch();
   }
 
-  util::Rng rng = util::split_stream(req.seed, req.index);
-  stimulus_(rng, req.index, stim_);
-  // The window jitter is drawn before the cycle runs — the cycle itself
-  // consumes no randomness, so the stream position is the same as
-  // drawing it afterwards; this lets the streaming path open its window
-  // up front.
-  const double jitter = opt_.start_jitter_ps > 0.0
-                            ? rng.uniform(0.0, opt_.start_jitter_ps)
-                            : 0.0;
-
   if (opt_.engine == sim::EngineKind::Compiled) {
     // Streaming power: samples are binned at commit time; no transition
     // log is ever materialized, and finish_into ping-pongs the sample
@@ -98,7 +294,7 @@ void SimTraceSource::acquire_into(const TraceRequest& req, AcquiredTrace& out) {
     sim_->set_power_sink(nullptr);
     if (!cyc_.ok)
       throw std::runtime_error("SimTraceSource: four-phase protocol failure");
-    acc_.finish_into(out.trace, &rng);
+    acc_.finish_into(out.trace);
   } else {
     // Reference path: post-hoc synthesis from the transition log — kept
     // as the oracle that the streaming path is checked against.
@@ -107,7 +303,7 @@ void SimTraceSource::acquire_into(const TraceRequest& req, AcquiredTrace& out) {
     if (!cyc_.ok)
       throw std::runtime_error("SimTraceSource: four-phase protocol failure");
     out.trace = power::synthesize(sim_->log(), cyc_.t_start - jitter,
-                                  spec_.period_ps, opt_.power, &rng);
+                                  spec_.period_ps, opt_.power);
   }
 
   // Pack the decoded output channel values as "ciphertext" bytes
@@ -116,11 +312,19 @@ void SimTraceSource::acquire_into(const TraceRequest& req, AcquiredTrace& out) {
   for (std::size_t b = 0; b < cyc_.outputs.size(); ++b)
     if (cyc_.outputs[b] == 1)
       out.ciphertext[b / 8] |= static_cast<std::uint8_t>(1u << (b % 8));
-  // Copy (not move): stim_ is per-worker scratch whose capacity must
-  // survive into the next trace.
-  out.plaintext.assign(stim_.plaintext.begin(), stim_.plaintext.end());
   out.transitions = cyc_.transitions;
   out.glitches = sim_->glitch_count();
+
+  if (memo_applies_) {
+    // A successful cycle decodes every output and fills the same window,
+    // so the first trace fixes the ciphertext and window lengths.
+    if (!memo_)
+      memo_ = std::make_unique<Memo>(spec_.inputs.size(),
+                                     out.ciphertext.size(), out.trace.size());
+    memo_->offer(key, stim_.values, out);
+  }
+  // The measurement noise last, as finish_into would draw it.
+  power::add_noise(out.trace, opt_.power, &rng);
 }
 
 // ---- WorkerPool -------------------------------------------------------------
@@ -239,12 +443,18 @@ void WorkerPool::run_blocks(const std::vector<Range>& ranges,
     first_error_at = first;
   };
   std::vector<std::unique_ptr<Block>> done(blocks.size());
+  std::size_t parked = 0;  // finished blocks in done[], not yet committing
   // Claim gate: fast workers may run at most a few blocks ahead of the
-  // commit frontier, bounding live blocks at O(threads). The frontier
-  // block's owner is never gated (its claim already happened), so the
-  // frontier always advances — no deadlock.
+  // commit frontier, bounding live blocks at O(threads), and none claims
+  // while `threads` finished blocks wait for the commit chain — when the
+  // serial commit is the bottleneck, more acquisition ahead of it is
+  // memory it cannot use yet. The frontier block's owner is never gated
+  // (its claim already happened): it drains the chain, and each drain
+  // step un-parks a block and notifies, so the frontier always advances
+  // — no deadlock.
   const std::size_t max_inflight =
       2 * static_cast<std::size_t>(threads()) + 2;
+  const std::size_t max_parked = threads();
 
   auto worker = [&](unsigned w) {
     std::size_t my_transitions = 0;
@@ -256,7 +466,7 @@ void WorkerPool::run_blocks(const std::vector<Range>& ranges,
         std::unique_lock<std::mutex> lock(mu);
         cv.wait(lock, [&] {
           return first_error != nullptr || next >= blocks.size() ||
-                 next - frontier < max_inflight;
+                 (next - frontier < max_inflight && parked < max_parked);
         });
         if (first_error != nullptr || next >= blocks.size()) break;
         k = next++;
@@ -277,6 +487,7 @@ void WorkerPool::run_blocks(const std::vector<Range>& ranges,
       }
       std::unique_lock<std::mutex> lock(mu);
       done[k] = std::move(blk);
+      ++parked;
       if (!committing) {
         // Drain the commit chain: everything contiguous from the
         // frontier, in ascending block order, outside the lock. The
@@ -286,6 +497,8 @@ void WorkerPool::run_blocks(const std::vector<Range>& ranges,
         while (first_error == nullptr && frontier < blocks.size() &&
                done[frontier]) {
           std::unique_ptr<Block> fb = std::move(done[frontier]);
+          --parked;
+          cv.notify_all();
           lock.unlock();
           try {
             if (commit) commit(*fb);

@@ -193,10 +193,7 @@ void BatchAccumulator::finish_into_lane(std::size_t lane, PowerTrace& dst,
   std::fill(out, out + lo, 0.0);
   for (std::size_t j = lo; j < hi; ++j) out[j] = row[j] * 1000.0;
   std::fill(out + std::max(lo, hi), out + n_, 0.0);
-  if (noise != nullptr && params_.noise_sigma_ua > 0.0) {
-    for (std::size_t j = 0; j < n_; ++j)
-      dst[j] += noise->gaussian(0.0, params_.noise_sigma_ua);
-  }
+  add_noise(dst, params_, noise);
 }
 
 }  // namespace qdi::power

@@ -93,6 +93,11 @@ class StreamingAccumulator final : public sim::PowerSink {
   /// receives the finished trace and its previous sample buffer becomes
   /// the accumulator's next window — after one warm-up trace per worker
   /// the begin_window/finish_into cycle performs no allocation at all.
+  /// The two steps are separable: finish_into(dst) followed by
+  /// add_noise(dst, params(), noise) is the same trace, bit for bit, and
+  /// leaves `noise` at the same stream position. The campaign layer's
+  /// trace memo stores the trace between the steps and replays it
+  /// through add_noise alone.
   void finish_into(PowerTrace& dst, util::Rng* noise = nullptr);
 
   /// Pulses replayed from the pulse cache / binned directly, since
@@ -145,6 +150,13 @@ class StreamingAccumulator final : public sim::PowerSink {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
+
+/// The measurement noise P_dn of eq. 5, the one definition every
+/// accumulator and the trace memo share: when `noise` is provided and
+/// params.noise_sigma_ua > 0, add one N(0, sigma) draw to each sample in
+/// index order; otherwise leave the trace (and the stream) untouched.
+void add_noise(PowerTrace& trace, const PowerModelParams& params,
+               util::Rng* noise);
 
 /// Accumulate the given transitions into a trace covering
 /// [window_t0_ps, window_t0_ps + window_ps). Transitions outside the

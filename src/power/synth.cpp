@@ -215,12 +215,16 @@ void StreamingAccumulator::finish_into(PowerTrace& dst, util::Rng* noise) {
   // Unit bookkeeping: q is in fC, bins in ps, so q/dt is fC/ps = mA.
   // Scale to µA for friendlier magnitudes.
   trace_ *= 1000.0;
-  if (noise != nullptr && params_.noise_sigma_ua > 0.0) {
-    for (std::size_t j = 0; j < trace_.size(); ++j)
-      trace_[j] += noise->gaussian(0.0, params_.noise_sigma_ua);
-  }
   // Buffer ping-pong: dst's old storage becomes the next window.
   std::swap(dst, trace_);
+  add_noise(dst, params_, noise);
+}
+
+void add_noise(PowerTrace& trace, const PowerModelParams& params,
+               util::Rng* noise) {
+  if (noise == nullptr || !(params.noise_sigma_ua > 0.0)) return;
+  for (std::size_t j = 0; j < trace.size(); ++j)
+    trace[j] += noise->gaussian(0.0, params.noise_sigma_ua);
 }
 
 PowerTrace synthesize(const std::vector<sim::Transition>& transitions,

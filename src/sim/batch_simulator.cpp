@@ -608,12 +608,14 @@ void BatchFourPhaseEnv::send_into(
   res.num_outputs = spec_.outputs.size();
   res.outputs.assign(lanes * res.num_outputs, -1);
 
+  // Every lane is checked before any lane's state moves.
+  for (std::size_t l = 0; l < lanes; ++l) {
+    assert(values[l] != nullptr);
+    check_stimulus(sim_->netlist(), spec_, *values[l]);
+  }
   std::size_t before[kBatchLanes];
   double t[kBatchLanes];
   for (std::size_t l = 0; l < lanes; ++l) {
-    assert(values[l] != nullptr &&
-           values[l]->size() == spec_.inputs.size() &&
-           "send: one value per input channel");
     before[l] = sim_->transition_count(l);
     t[l] = next_cycle_start(l);
     res.t_start[l] = t[l];

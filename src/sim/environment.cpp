@@ -1,8 +1,10 @@
 #include "qdi/sim/environment.hpp"
 
 #include <cassert>
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "qdi/util/log.hpp"
 
@@ -10,6 +12,27 @@ namespace qdi::sim {
 
 using netlist::ChannelId;
 using netlist::kNoNet;
+
+void check_stimulus(const netlist::Netlist& nl, const EnvSpec& spec,
+                    std::span<const int> values) {
+  const std::size_t n = spec.inputs.size();
+  if (values.size() != n) {
+    const std::size_t i = std::min(values.size(), n);
+    throw std::invalid_argument(
+        "stimulus: input " + std::to_string(i) +
+        (values.size() < n ? " has no value (" : " has no channel (") +
+        std::to_string(values.size()) + " values for " + std::to_string(n) +
+        " input channels)");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const netlist::Channel& ch = nl.channel(spec.inputs[i]);
+    if (values[i] < 0 || static_cast<std::size_t>(values[i]) >= ch.rails.size())
+      throw std::invalid_argument(
+          "stimulus: input " + std::to_string(i) + " value " +
+          std::to_string(values[i]) + " is outside [0, " +
+          std::to_string(ch.rails.size()) + ") of channel '" + ch.name + "'");
+  }
+}
 
 FourPhaseEnv::FourPhaseEnv(SimEngine& sim, EnvSpec spec)
     : sim_(&sim), spec_(std::move(spec)) {
@@ -88,8 +111,7 @@ FourPhaseEnv::CycleResult FourPhaseEnv::send(std::span<const int> values) {
 }
 
 void FourPhaseEnv::send_into(std::span<const int> values, CycleResult& res) {
-  assert(values.size() == spec_.inputs.size() &&
-         "send: one value per input channel");
+  check_stimulus(sim_->netlist(), spec_, values);
   // Next phase-drive time: the tester waits out the gap, then (when a
   // grid is configured) fires on its next clock edge. The batch
   // environment computes the identical expression per lane.
@@ -115,8 +137,6 @@ void FourPhaseEnv::send_into(std::span<const int> values, CycleResult& res) {
   // Phase 1: drive valid data.
   for (std::size_t i = 0; i < values.size(); ++i) {
     const netlist::Channel& ch = sim_->netlist().channel(spec_.inputs[i]);
-    assert(values[i] >= 0 &&
-           static_cast<std::size_t>(values[i]) < ch.rails.size());
     sim_->drive(ch.rails[static_cast<std::size_t>(values[i])], true, t0);
   }
   sim_->run_until_stable();

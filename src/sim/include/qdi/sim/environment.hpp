@@ -84,6 +84,14 @@ struct HandshakeOutcome {
   bool period_overrun = false;
 };
 
+/// Throws std::invalid_argument unless `values` holds exactly one 1-of-N
+/// index per input channel of `spec`, each in [0, rails) of its channel.
+/// The message names the first offending input index. Both four-phase
+/// environments (FourPhaseEnv, BatchFourPhaseEnv) check every stimulus
+/// through it before driving a rail.
+void check_stimulus(const netlist::Netlist& nl, const EnvSpec& spec,
+                    std::span<const int> values);
+
 /// Drives any SimEngine (the reference Simulator or the compiled kernel)
 /// through four-phase cycles; the engine choice never changes the
 /// environment's behaviour.
@@ -115,7 +123,8 @@ class FourPhaseEnv {
   };
 
   /// Run one full four-phase cycle transmitting values[i] on input
-  /// channel i (values are 1-of-N indices). Throws std::runtime_error if
+  /// channel i (values are 1-of-N indices). Throws std::invalid_argument
+  /// for a malformed stimulus (check_stimulus) and std::runtime_error if
   /// the cycle does not fit in the period.
   CycleResult send(std::span<const int> values);
 

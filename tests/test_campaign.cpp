@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "qdi/qdi.hpp"
 
@@ -104,6 +107,91 @@ TEST(CampaignValidation, NonPositiveSamplePeriodThrows) {
                        .run(),
                    std::invalid_argument)
           << "period " << dt << " engine " << static_cast<int>(engine);
+    }
+  }
+}
+
+// ---- malformed stimuli -----------------------------------------------------
+
+namespace {
+
+/// Malformed stimuli for dual_rail_pair (two dual-rail input channels)
+/// and the input index each message must name.
+struct BadStimulus {
+  std::vector<int> values;
+  const char* input;
+};
+const BadStimulus kBadStimuli[] = {
+    {{1}, "input 1 "},      // short vector
+    {{0, 2}, "input 1 "},   // value 2 on a dual-rail channel
+    {{-1, 0}, "input 0 "},  // negative value
+};
+
+/// what() of the std::invalid_argument `f` throws ("" if it throws
+/// nothing or something else).
+template <class F>
+std::string invalid_argument_message(F&& f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  } catch (...) {
+  }
+  return "";
+}
+
+}  // namespace
+
+// A malformed stimulus must fail in every build type: unchecked, the
+// scalar engines drive past ch.rails and the batch engine reads past a
+// short vector.
+TEST(StimulusValidation, EveryEngineRejectsWithTheSameMessage) {
+  const qc::TargetInstance inst = qc::dual_rail_pair().build(0);
+  for (const BadStimulus& bad : kBadStimuli) {
+    qdi::sim::Simulator ref(inst.nl);
+    qdi::sim::FourPhaseEnv ref_env(ref, inst.env);
+    ref_env.apply_reset();
+    const std::string msg =
+        invalid_argument_message([&] { ref_env.send(bad.values); });
+    EXPECT_NE(msg.find(bad.input), std::string::npos) << msg;
+
+    qdi::sim::CompiledSimulator compiled(qdi::sim::compile(inst.nl));
+    qdi::sim::FourPhaseEnv compiled_env(compiled, inst.env);
+    compiled_env.apply_reset();
+    EXPECT_EQ(invalid_argument_message(
+                  [&] { compiled_env.send(bad.values); }),
+              msg);
+
+    // The bad stimulus in lane 1 of a two-lane block.
+    qdi::sim::BatchSimulator batch(qdi::sim::compile_batch(inst.nl));
+    qdi::sim::BatchFourPhaseEnv batch_env(batch, inst.env);
+    batch_env.apply_reset();
+    const std::vector<int> good = {0, 1};
+    const std::vector<int>* lanes[] = {&good, &bad.values};
+    qdi::sim::BatchFourPhaseEnv::BatchCycleResult cyc;
+    EXPECT_EQ(invalid_argument_message(
+                  [&] { batch_env.send_into(lanes, cyc); }),
+              msg);
+  }
+}
+
+TEST(CampaignValidation, MalformedStimulusThrowsOnEveryEngine) {
+  for (const BadStimulus& bad : kBadStimuli) {
+    qc::TargetInstance inst = qc::dual_rail_pair().build(0);
+    inst.stimulus = [values = bad.values](qu::Rng&, std::size_t,
+                                          qc::Stimulus& st) {
+      st.values = values;
+      st.plaintext.assign(1, 0);
+    };
+    const qc::CircuitTarget target = qc::prebuilt(std::move(inst));
+    for (const qdi::sim::EngineKind engine :
+         {qdi::sim::EngineKind::Compiled, qdi::sim::EngineKind::Reference,
+          qdi::sim::EngineKind::Batch}) {
+      const std::string msg = invalid_argument_message([&] {
+        qc::Campaign().target(target).engine(engine).traces(4).run();
+      });
+      EXPECT_NE(msg.find(bad.input), std::string::npos)
+          << "engine " << static_cast<int>(engine) << ": '" << msg << "'";
     }
   }
 }
@@ -391,6 +479,82 @@ TEST(WorkerPoolPipeline, FailureInjectionSurfacesErrorAndPoolStaysUsable) {
         expect_same_traces(collect(pool, kTraces, block), reference);
       }
     }
+  }
+}
+
+// ---- claim gate ------------------------------------------------------------
+
+namespace {
+
+/// A source that costs nothing: trace i is four samples of its own
+/// stream, so the commit chain is the pipeline's only bottleneck.
+class FreeSource final : public qc::TraceSource {
+ public:
+  void acquire_into(const qc::TraceRequest& req,
+                    qc::AcquiredTrace& out) override {
+    qu::Rng rng = qu::split_stream(req.seed, req.index);
+    out.trace.reset(0.0, 1.0, 4);
+    for (std::size_t j = 0; j < 4; ++j) out.trace[j] = rng.uniform(0.0, 1.0);
+    out.plaintext.assign(1, static_cast<std::uint8_t>(req.index));
+    out.ciphertext.clear();
+    out.transitions = 1;
+    out.glitches = 0;
+  }
+  std::unique_ptr<qc::TraceSource> clone() const override {
+    return std::make_unique<FreeSource>();
+  }
+  std::string name() const override { return "free"; }
+};
+
+}  // namespace
+
+// Let T be the thread count and F the blocks whose ingest has finished
+// but whose commit has not. After its claim a block is held by its
+// worker (acquire, ingest), then parked in done[], then taken by the
+// commit chain (one block at a time, on a worker that is not acquiring
+// meanwhile), then committed. Take the last claim before F peaks: the
+// gate admitted it with at most T - 1 blocks parked, and the held blocks
+// plus the one being committed occupied at most T workers. No claim
+// follows, so F grows only by those blocks finishing:
+// F <= (T - 1) + T = 2T - 1. The in-flight rule alone (claims at most
+// 2T + 2 blocks ahead of the commit frontier) lets every claimed block
+// finish behind a slow commit, so F reaches 2T + 2 without the parked
+// condition.
+TEST(WorkerPoolPipeline, CommitBoundPipelineParksFewerThanTwoBlocksPerThread) {
+  FreeSource src;
+  constexpr std::size_t kTraces = 96;
+  constexpr std::size_t kBlock = 2;
+  qdi::dpa::TraceSet first_run;
+  for (unsigned threads = 1; threads <= 4; ++threads) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    qc::WorkerPool pool(src, threads);
+    std::atomic<std::size_t> finished{0};
+    std::atomic<std::size_t> committed{0};
+    std::atomic<std::size_t> peak{0};
+    qdi::dpa::TraceSet out;
+    qc::WorkerPool::ShardedIngest si;
+    si.ingest = [&](unsigned, std::size_t, const qdi::dpa::TraceSet&,
+                    std::size_t) {
+      const std::size_t f = finished.fetch_add(1) + 1 - committed.load();
+      std::size_t p = peak.load();
+      while (f > p && !peak.compare_exchange_weak(p, f)) {
+      }
+    };
+    si.commit = [&](std::size_t, const qdi::dpa::TraceSet& seg,
+                    std::size_t first) {
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+      EXPECT_EQ(first, out.size()) << "commit out of order";
+      for (std::size_t k = 0; k < seg.size(); ++k)
+        out.add(seg.trace(k), seg.plaintext(k), seg.ciphertext(k));
+      committed.fetch_add(1);
+    };
+    pool.acquire_sharded_range(0, kTraces, /*seed=*/9, kBlock, {}, si);
+    EXPECT_LE(peak.load(), 2 * std::size_t{threads} - 1);
+    ASSERT_EQ(out.size(), kTraces);
+    if (threads == 1)
+      first_run = std::move(out);
+    else
+      expect_same_traces(out, first_run);
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <new>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "qdi/campaign/target.hpp"
+#include "qdi/gates/builder.hpp"
 #include "qdi/gates/testbench.hpp"
 #include "qdi/sim/compiled_simulator.hpp"
 
@@ -54,6 +56,41 @@ void expect_bit_identical(const qdi::dpa::TraceSet& a,
       ASSERT_EQ(a.trace(i)[j], b.trace(i)[j])
           << "trace " << i << " sample " << j;
   }
+}
+
+/// Acquire traces [first, first + n) of seed 7 one at a time from a
+/// compiled source and from a reference one, and compare everything
+/// bit for bit: sample bit patterns (+0.0 vs -0.0 included), window
+/// geometry, plaintext, ciphertext, transition and glitch counts.
+void expect_same_acquisitions(qc::SimTraceSource& compiled,
+                              qc::SimTraceSource& reference,
+                              std::size_t first, std::size_t n) {
+  qc::AcquiredTrace a;
+  qc::AcquiredTrace b;
+  for (std::size_t i = first; i < first + n; ++i) {
+    compiled.acquire_into({7, i}, a);
+    reference.acquire_into({7, i}, b);
+    ASSERT_EQ(a.trace.t0_ps(), b.trace.t0_ps()) << "trace " << i;
+    ASSERT_EQ(a.trace.dt_ps(), b.trace.dt_ps()) << "trace " << i;
+    ASSERT_EQ(a.trace.size(), b.trace.size()) << "trace " << i;
+    for (std::size_t j = 0; j < a.trace.size(); ++j)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.trace[j]),
+                std::bit_cast<std::uint64_t>(b.trace[j]))
+          << "trace " << i << " sample " << j;
+    ASSERT_EQ(a.plaintext, b.plaintext) << "trace " << i;
+    ASSERT_EQ(a.ciphertext, b.ciphertext) << "trace " << i;
+    ASSERT_EQ(a.transitions, b.transitions) << "trace " << i;
+    ASSERT_EQ(a.glitches, b.glitches) << "trace " << i;
+  }
+}
+
+qc::SimTraceSourceOptions engine_opts(qs::EngineKind kind, double noise,
+                                      double jitter_ps = 0.0) {
+  qc::SimTraceSourceOptions opt;
+  opt.engine = kind;
+  opt.power.noise_sigma_ua = noise;
+  opt.start_jitter_ps = jitter_ps;
+  return opt;
 }
 
 }  // namespace
@@ -318,6 +355,138 @@ TEST(CompiledKernel, TombstonePurgeBoundsQueueGrowthUnderRetraction) {
   EXPECT_EQ(sim.tombstone_count(), 0u);
 }
 
+// ---- trace memo ------------------------------------------------------------
+
+TEST(TraceMemo, RepeatedStimuliReplayBitIdenticalToReference) {
+  // aes_byte_slice has 256 distinct stimuli, des_sbox_slice 64: most
+  // traces past the first few hundred are replays, each with its own
+  // noise draw.
+  const std::pair<const char*, std::size_t> cases[] = {
+      {"aes_byte_slice", 768}, {"des_sbox_slice", 256}};
+  for (const auto& [name, n] : cases) {
+    SCOPED_TRACE(name);
+    const qc::TargetInstance inst = qc::find_target(name).build(0x2b);
+    qc::SimTraceSource compiled(inst.nl, inst.env, inst.stimulus,
+                                engine_opts(qs::EngineKind::Compiled, 0.7));
+    qc::SimTraceSource reference(inst.nl, inst.env, inst.stimulus,
+                                 engine_opts(qs::EngineKind::Reference, 0.7));
+    expect_same_acquisitions(compiled, reference, 0, n);
+    EXPECT_EQ(compiled.memo_hits() + compiled.memo_misses(), n);
+    EXPECT_GT(compiled.memo_hits(), n / 4);
+    EXPECT_GT(compiled.memo_entries(), 0u);
+    EXPECT_EQ(reference.memo_hits() + reference.memo_misses(), 0u);
+  }
+  // Through the pool: every worker clone keeps its own memo.
+  const qc::TargetInstance inst = qc::des_sbox_slice().build(0x2b);
+  const qdi::dpa::TraceSet ref =
+      acquire(inst, qs::EngineKind::Reference, 1, nullptr, 512, 0.0, 0.7);
+  for (unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    expect_bit_identical(
+        ref, acquire(inst, qs::EngineKind::Compiled, threads, nullptr, 512,
+                     0.0, 0.7));
+  }
+}
+
+TEST(TraceMemo, JitteredSourceNeverReplays) {
+  const qc::TargetInstance inst = qc::des_sbox_slice().build(0x2b);
+  qc::SimTraceSource compiled(
+      inst.nl, inst.env, inst.stimulus,
+      engine_opts(qs::EngineKind::Compiled, 0.7, /*jitter_ps=*/300.0));
+  qc::SimTraceSource reference(
+      inst.nl, inst.env, inst.stimulus,
+      engine_opts(qs::EngineKind::Reference, 0.7, /*jitter_ps=*/300.0));
+  expect_same_acquisitions(compiled, reference, 0, 256);
+  EXPECT_EQ(compiled.memo_hits(), 0u);
+  EXPECT_EQ(compiled.memo_misses(), 0u);
+  EXPECT_EQ(compiled.memo_entries(), 0u);
+}
+
+TEST(TraceMemo, NonRepeatingStimuliStoreNothing) {
+  // des_round draws 32 random R bits per trace: no stimulus repeats, so
+  // the admission filter never passes one.
+  const qc::TargetInstance inst = qc::des_round().build(0x2b);
+  qc::SimTraceSource compiled(inst.nl, inst.env, inst.stimulus,
+                              engine_opts(qs::EngineKind::Compiled, 0.7));
+  qc::SimTraceSource reference(inst.nl, inst.env, inst.stimulus,
+                               engine_opts(qs::EngineKind::Reference, 0.7));
+  expect_same_acquisitions(compiled, reference, 0, 2048);
+  EXPECT_EQ(compiled.memo_entries(), 0u);
+  EXPECT_EQ(compiled.memo_hits(), 0u);
+  EXPECT_EQ(compiled.memo_misses(), 2048u);
+}
+
+TEST(TraceMemo, StimuliBeyondCapacitySimulateWhileStoredOnesKeepHitting) {
+  // Eleven buffered dual-rail bits driven with one of kDistinct random
+  // values per trace: 512 more distinct stimuli than the memo can store.
+  constexpr std::size_t kCap = qc::SimTraceSource::kMemoCapacity;
+  constexpr std::size_t kDistinct = kCap + 512;
+  constexpr int kBits = 11;
+  static_assert(kDistinct <= (std::size_t{1} << kBits));
+  qc::TargetInstance inst;
+  inst.nl = qn::Netlist("wide_buffer");
+  qdi::gates::Builder b(inst.nl);
+  for (int i = 0; i < kBits; ++i) {
+    const qdi::gates::DualRail d = b.dr_input("in" + std::to_string(i));
+    const qdi::gates::DualRail q =
+        b.as_dual_rail(b.buf(d.r0), b.buf(d.r1), "q" + std::to_string(i));
+    b.dr_output(q, "q" + std::to_string(i));
+    inst.env.inputs.push_back(d.ch);
+    inst.env.outputs.push_back(q.ch);
+  }
+  inst.env.period_ps = 2000.0;
+  inst.stimulus = [](qdi::util::Rng& rng, std::size_t, qc::Stimulus& st) {
+    const std::size_t v = rng.below(kDistinct);
+    st.values.clear();
+    for (int i = 0; i < kBits; ++i)
+      st.values.push_back(static_cast<int>((v >> i) & 1u));
+    st.plaintext.assign({static_cast<std::uint8_t>(v),
+                         static_cast<std::uint8_t>(v >> 8)});
+  };
+  qc::SimTraceSource compiled(inst.nl, inst.env, inst.stimulus,
+                              engine_opts(qs::EngineKind::Compiled, 0.3));
+  qc::SimTraceSource reference(inst.nl, inst.env, inst.stimulus,
+                               engine_opts(qs::EngineKind::Reference, 0.3));
+  qc::AcquiredTrace probe;
+  // Acquire trace i on both engines; true iff the compiled one replayed.
+  const auto step = [&](std::size_t i, std::size_t* v) {
+    const std::uint64_t hits = compiled.memo_hits();
+    expect_same_acquisitions(compiled, reference, i, 1);
+    reference.acquire_into({7, i}, probe);
+    *v = probe.plaintext[0] | std::size_t{probe.plaintext[1]} << 8;
+    return compiled.memo_hits() != hits;
+  };
+  // Fill until every stored stimulus has replayed once; a stimulus that
+  // replayed once replays at every later sighting.
+  std::vector<char> replayed(kDistinct, 0);
+  std::size_t replayed_keys = 0;
+  std::size_t i = 0;
+  for (; i < 40 * kDistinct && replayed_keys < kCap; ++i) {
+    std::size_t v = 0;
+    const bool hit = step(i, &v);
+    ASSERT_FALSE(HasFatalFailure());
+    if (replayed[v] != 0) ASSERT_TRUE(hit) << "trace " << i;
+    if (hit && replayed[v] == 0) {
+      replayed[v] = 1;
+      ++replayed_keys;
+    }
+  }
+  ASSERT_EQ(replayed_keys, kCap);
+  ASSERT_EQ(compiled.memo_entries(), kCap);
+  // The memo is full and admits nothing more: the stored stimuli keep
+  // replaying, the other 512 simulate.
+  std::size_t misses = 0;
+  for (const std::size_t end = i + 2 * kDistinct; i < end; ++i) {
+    std::size_t v = 0;
+    const bool hit = step(i, &v);
+    ASSERT_FALSE(HasFatalFailure());
+    ASSERT_EQ(hit, replayed[v] != 0) << "trace " << i;
+    misses += hit ? 0 : 1;
+  }
+  EXPECT_GT(misses, 0u);
+  EXPECT_EQ(compiled.memo_entries(), kCap);
+}
+
 // ---- allocation-free steady state ------------------------------------------
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -353,6 +522,31 @@ TEST(CompiledKernel, SteadyStateAcquisitionLoopIsAllocationFree) {
   for (std::size_t i = 8; i < 108; ++i) src.acquire_into({1, i}, slot);
   EXPECT_EQ(g_new_count.load(std::memory_order_relaxed) - before, 0u)
       << "the steady-state per-trace loop allocated";
+}
+TEST(TraceMemo, HitPathIsAllocationFree) {
+  // des_sbox_slice restricted to 4 of its stimuli, trace i taking the
+  // stimulus of base trace i % 4: the 8 warm-up traces see each twice,
+  // which admits all four, and every measured trace replays. (The
+  // kernel's own steady state, admissions included, is
+  // SteadyStateAcquisitionLoopIsAllocationFree's.)
+  const qc::TargetInstance inst = qc::des_sbox_slice().build(0x2b);
+  const qc::StimulusFn four = [base = inst.stimulus](
+                                  qdi::util::Rng&, std::size_t index,
+                                  qc::Stimulus& st) {
+    qdi::util::Rng rng = qdi::util::split_stream(1, index % 4);
+    base(rng, index % 4, st);
+  };
+  qc::SimTraceSourceOptions opt;
+  opt.power.noise_sigma_ua = 0.7;
+  qc::SimTraceSource src(inst.nl, inst.env, four, opt);
+  qc::AcquiredTrace slot;
+  for (std::size_t i = 0; i < 8; ++i) src.acquire_into({1, i}, slot);
+  const std::uint64_t hits = src.memo_hits();
+  const std::uint64_t before = g_new_count.load(std::memory_order_relaxed);
+  for (std::size_t i = 8; i < 108; ++i) src.acquire_into({1, i}, slot);
+  EXPECT_EQ(g_new_count.load(std::memory_order_relaxed) - before, 0u)
+      << "the replay loop allocated";
+  EXPECT_EQ(src.memo_hits() - hits, 100u);
 }
 #endif  // !QDI_SANITIZER_ACTIVE
 
