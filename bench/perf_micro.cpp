@@ -151,11 +151,13 @@ static void steady_state_acquire(qdi::campaign::WorkerPool& pool,
 // from one prebuilt target, differing only in the engine. On
 // aes_byte_slice and des_sbox_slice (256 and 64 distinct stimuli) the
 // compiled rows mostly replay from the trace memo after warm-up, as a
-// campaign on those targets does; the des_round row stays kernel-bound,
-// and the reference and batch rows have no memo. The CI bench job
-// prints the BM_CompiledAcquire / BM_ReferenceAcquire speedup from the
-// AES pair, and divides the per-trace times of the des_round /
-// des_sbox_slice compiled rows by their BM_BatchAcquire* twins below.
+// campaign on those targets does; the des_round rows stay kernel-bound
+// (32 random R bits per trace never repeat), and the reference and
+// batch rows have no memo. The CI bench job guards the des_round
+// BM_ReferenceAcquireDes / BM_CompiledAcquireDes speedup (the compiled
+// event loop against the oracle) and the AES pair's (memo replay
+// against the oracle), and divides the per-trace times of the des_round
+// / des_sbox_slice compiled rows by their BM_BatchAcquire* twins below.
 // (Traces are bit-identical between the rows — tests/test_compiled_sim
 // and tests/test_batch_sim.)
 static void acquire_engine_bench(benchmark::State& state,
@@ -198,12 +200,23 @@ static void BM_CompiledAcquire(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledAcquire)->Unit(benchmark::kMillisecond);
 
+static const qdi::campaign::TargetInstance& des_workload() {
+  static const qdi::campaign::TargetInstance inst =
+      qdi::campaign::des_round().build(0x2b);
+  return inst;
+}
+
+static void BM_ReferenceAcquireDes(benchmark::State& state) {
+  acquire_engine_bench(state, des_workload(), qdi::sim::EngineKind::Reference,
+                       32);
+}
+BENCHMARK(BM_ReferenceAcquireDes)->Unit(benchmark::kMillisecond);
+
 static void BM_CompiledAcquireDes(benchmark::State& state) {
   // Same workload as BM_BatchAcquire: the per-trace quotient of this
   // row and that one is the guarded batch-kernel speedup.
-  static const qdi::campaign::TargetInstance inst =
-      qdi::campaign::des_round().build(0x2b);
-  acquire_engine_bench(state, inst, qdi::sim::EngineKind::Compiled, 32);
+  acquire_engine_bench(state, des_workload(), qdi::sim::EngineKind::Compiled,
+                       32);
 }
 BENCHMARK(BM_CompiledAcquireDes)->Unit(benchmark::kMillisecond);
 
@@ -253,9 +266,7 @@ BENCHMARK(BM_BatchAcquireAes)->Unit(benchmark::kMillisecond);
 static void BM_BatchAcquire(benchmark::State& state) {
   // des_round: the heaviest simulatable target (same host as
   // BM_CompiledAcquireDes), one full 64-lane block per iteration.
-  static const qdi::campaign::TargetInstance inst =
-      qdi::campaign::des_round().build(0x2b);
-  batch_acquire_bench(state, inst, 64);
+  batch_acquire_bench(state, des_workload(), 64);
 }
 BENCHMARK(BM_BatchAcquire)->Unit(benchmark::kMillisecond);
 

@@ -342,10 +342,11 @@ struct SimTraceSourceOptions {
 /// admission, so a source whose stimuli never repeat (des_round,
 /// aes_core) stores nothing and pays one hash per trace. The memo is
 /// allocated once, on the first trace, for at most kMemoCapacity stimuli
-/// and kMemoSampleBudget stored samples (the samples in an anonymous
-/// mapping, so only the pages written are resident); when full it stops
-/// admitting and never evicts. The reference engine (the oracle) and any jittered
-/// source bypass it; clones start empty. The stimulus is validated
+/// and kMemoSampleBudget stored samples, as one anonymous mapping: only
+/// the pages written are resident, and the malloc heap is left as it
+/// would be without the memo. When full it stops admitting and never
+/// evicts. The reference engine (the oracle) and any jittered source
+/// bypass it; clones start empty. The stimulus is validated
 /// (sim::check_stimulus) before the lookup, so only valid stimuli are
 /// ever keyed.
 class SimTraceSource final : public TraceSource {

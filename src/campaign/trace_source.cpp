@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -29,47 +30,16 @@ const SimTraceSourceOptions& reject_batch(const SimTraceSourceOptions& opt) {
   return opt;
 }
 
-/// Fixed-capacity sample storage in its own anonymous mapping: pages
-/// become resident only as samples are appended and go back to the
-/// system with the pool, so the unused part of the reserve never sits in
-/// (or fragments) the malloc heap. A failed mapping has capacity 0.
-class SamplePool {
- public:
-  explicit SamplePool(std::size_t capacity) {
-    void* p = ::mmap(nullptr, capacity * sizeof(double),
-                     PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1,
-                     0);
-    if (p == MAP_FAILED) return;
-    data_ = static_cast<double*>(p);
-    capacity_ = capacity;
-  }
-  ~SamplePool() {
-    if (data_ != nullptr) ::munmap(data_, capacity_ * sizeof(double));
-  }
-  SamplePool(const SamplePool&) = delete;
-  SamplePool& operator=(const SamplePool&) = delete;
-
-  const double* data() const noexcept { return data_; }
-  std::size_t size() const noexcept { return size_; }
-  std::size_t room() const noexcept { return capacity_ - size_; }
-  /// Requires s.size() <= room().
-  void append(std::span<const double> s) noexcept {
-    std::copy(s.begin(), s.end(), data_ + size_);
-    size_ += s.size();
-  }
-
- private:
-  double* data_ = nullptr;
-  std::size_t capacity_ = 0;
-  std::size_t size_ = 0;
-};
-
 }  // namespace
 
-/// One worker's trace memo (see SimTraceSource). Every buffer is
-/// allocated once, in the constructor; entries only append into reserved
-/// capacity, so pages are touched as entries are written and the
-/// steady-state loop never allocates.
+/// One worker's trace memo (see SimTraceSource). All of its storage —
+/// admission filter, entry index, entries, keys, ciphertexts and samples
+/// — is one anonymous mapping made in the constructor: its pages read as
+/// zero (an empty filter and index) and become resident only as entries
+/// are written, the steady-state loop never allocates, and the memo
+/// never takes from, or fragments, the malloc heap that the analysis
+/// buffers allocated after an acquisition come from. A failed mapping
+/// leaves a memo that stores nothing.
 class SimTraceSource::Memo {
  public:
   /// One stored stimulus, number i: its key is keys_[i·key_len_ ..],
@@ -77,27 +47,56 @@ class SimTraceSource::Memo {
   /// samples_[offset .. offset + stored) followed by +0.0 up to the
   /// window's num_samples.
   struct Entry {
-    std::uint64_t hash = 0;
-    double t0_ps = 0.0;
-    double dt_ps = 0.0;
-    std::size_t num_samples = 0;
-    std::size_t offset = 0;
-    std::size_t stored = 0;
-    std::size_t transitions = 0;
-    std::size_t glitches = 0;
+    std::uint64_t hash;
+    double t0_ps;
+    double dt_ps;
+    std::size_t num_samples;
+    std::size_t offset;
+    std::size_t stored;
+    std::size_t transitions;
+    std::size_t glitches;
   };
 
   Memo(std::size_t key_len, std::size_t cipher_len,
        std::size_t window_samples)
       : key_len_(key_len),
         cipher_len_(cipher_len),
-        filter_(kFilterSlots, 0),
-        slots_(kTableSlots, 0),
-        samples_(std::min(kMemoCapacity * window_samples, kMemoSampleBudget)) {
-    entries_.reserve(kMemoCapacity);
-    keys_.reserve(kMemoCapacity * key_len);
-    cipher_.reserve(kMemoCapacity * cipher_len);
+        sample_capacity_(
+            std::min(kMemoCapacity * window_samples, kMemoSampleBudget)) {
+    // Every part starts on an 8-byte boundary.
+    const auto round8 = [](std::size_t b) { return (b + 7) & ~std::size_t{7}; };
+    const std::size_t parts[] = {
+        kFilterSlots * sizeof(std::uint64_t),
+        kTableSlots * sizeof(std::uint32_t),
+        round8(kMemoCapacity * sizeof(Entry)),
+        round8(kMemoCapacity * key_len * sizeof(int)),
+        round8(kMemoCapacity * cipher_len),
+        sample_capacity_ * sizeof(double)};
+    std::size_t bytes = 0;
+    for (const std::size_t b : parts) bytes += b;
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) return;
+    base_ = static_cast<std::byte*>(p);
+    bytes_ = bytes;
+    std::byte* at = base_;
+    const auto carve = [&](std::size_t part) {
+      std::byte* here = at;
+      at += parts[part];
+      return here;
+    };
+    filter_ = reinterpret_cast<std::uint64_t*>(carve(0));
+    slots_ = reinterpret_cast<std::uint32_t*>(carve(1));
+    entries_ = reinterpret_cast<Entry*>(carve(2));
+    keys_ = reinterpret_cast<int*>(carve(3));
+    cipher_ = reinterpret_cast<std::uint8_t*>(carve(4));
+    samples_ = reinterpret_cast<double*>(carve(5));
   }
+  ~Memo() {
+    if (base_ != nullptr) ::munmap(base_, bytes_);
+  }
+  Memo(const Memo&) = delete;
+  Memo& operator=(const Memo&) = delete;
 
   /// Never 0: a zero filter slot is empty.
   static std::uint64_t hash(std::span<const int> key) noexcept {
@@ -113,17 +112,18 @@ class SimTraceSource::Memo {
     return h | 1;
   }
 
-  std::size_t size() const noexcept { return entries_.size(); }
+  std::size_t size() const noexcept { return size_; }
 
   /// The entry stored for `key` (of hash `h`), or nullptr. The hash only
   /// indexes; the key is compared in full.
   const Entry* find(std::uint64_t h, std::span<const int> key) const {
+    if (base_ == nullptr) return nullptr;
     for (std::size_t s = h >> kSlotShift;; s = (s + 1) & (kTableSlots - 1)) {
       const std::uint32_t e = slots_[s];
       if (e == 0) return nullptr;
       const Entry& ent = entries_[e - 1];
       if (ent.hash == h &&
-          std::equal(key.begin(), key.end(), keys_.data() + (e - 1) * key_len_))
+          std::equal(key.begin(), key.end(), keys_ + (e - 1) * key_len_))
         return &ent;
     }
   }
@@ -133,11 +133,10 @@ class SimTraceSource::Memo {
   void replay(const Entry& e, AcquiredTrace& out) const {
     out.trace.reset_geometry(e.t0_ps, e.dt_ps, e.num_samples);
     double* dst = out.trace.samples().data();
-    std::copy_n(samples_.data() + e.offset, e.stored, dst);
+    std::copy_n(samples_ + e.offset, e.stored, dst);
     std::fill(dst + e.stored, dst + e.num_samples, 0.0);
-    const std::size_t i = static_cast<std::size_t>(&e - entries_.data());
-    out.ciphertext.assign(cipher_.begin() + i * cipher_len_,
-                          cipher_.begin() + (i + 1) * cipher_len_);
+    const std::uint8_t* c = cipher_ + (&e - entries_) * cipher_len_;
+    out.ciphertext.assign(c, c + cipher_len_);
     out.transitions = e.transitions;
     out.glitches = e.glitches;
   }
@@ -147,7 +146,9 @@ class SimTraceSource::Memo {
   /// is room, else remember the hash.
   void offer(std::uint64_t h, std::span<const int> key,
              const AcquiredTrace& t) {
-    std::uint64_t& seen = filter_[h & (kFilterSlots - 1)];
+    if (base_ == nullptr) return;
+    // Bit 0 of every hash is set, so the filter is indexed above it.
+    std::uint64_t& seen = filter_[(h >> 1) & (kFilterSlots - 1)];
     if (seen != h) {
       seen = h;
       return;
@@ -156,23 +157,26 @@ class SimTraceSource::Memo {
     std::size_t stored = smp.size();
     while (stored > 0 && std::bit_cast<std::uint64_t>(smp[stored - 1]) == 0)
       --stored;
-    if (entries_.size() == kMemoCapacity || stored > samples_.room()) return;
-    Entry e;
+    if (size_ == kMemoCapacity || stored > sample_capacity_ - samples_used_)
+      return;
+    Entry& e = entries_[size_];
     e.hash = h;
     e.t0_ps = t.trace.t0_ps();
     e.dt_ps = t.trace.dt_ps();
     e.num_samples = smp.size();
-    e.offset = samples_.size();
+    e.offset = samples_used_;
     e.stored = stored;
     e.transitions = t.transitions;
     e.glitches = t.glitches;
-    samples_.append(smp.first(stored));
-    keys_.insert(keys_.end(), key.begin(), key.end());
-    cipher_.insert(cipher_.end(), t.ciphertext.begin(), t.ciphertext.end());
-    entries_.push_back(e);
+    std::copy_n(smp.data(), stored, samples_ + samples_used_);
+    samples_used_ += stored;
+    std::copy(key.begin(), key.end(), keys_ + size_ * key_len_);
+    std::copy(t.ciphertext.begin(), t.ciphertext.end(),
+              cipher_ + size_ * cipher_len_);
+    ++size_;
     std::size_t s = h >> kSlotShift;
     while (slots_[s] != 0) s = (s + 1) & (kTableSlots - 1);
-    slots_[s] = static_cast<std::uint32_t>(entries_.size());
+    slots_[s] = static_cast<std::uint32_t>(size_);
   }
 
  private:
@@ -184,15 +188,21 @@ class SimTraceSource::Memo {
   static constexpr int kSlotShift = 64 - std::countr_zero(kTableSlots);
   static_assert(std::has_single_bit(kTableSlots) &&
                 std::has_single_bit(kFilterSlots));
+  static_assert(alignof(Entry) <= 8);
 
   std::size_t key_len_;
   std::size_t cipher_len_;
-  std::vector<std::uint64_t> filter_;
-  std::vector<std::uint32_t> slots_;
-  std::vector<Entry> entries_;
-  std::vector<int> keys_;
-  std::vector<std::uint8_t> cipher_;
-  SamplePool samples_;
+  std::size_t sample_capacity_;
+  std::byte* base_ = nullptr;  ///< the mapping, nullptr if it failed
+  std::size_t bytes_ = 0;
+  std::uint64_t* filter_ = nullptr;
+  std::uint32_t* slots_ = nullptr;
+  Entry* entries_ = nullptr;
+  int* keys_ = nullptr;
+  std::uint8_t* cipher_ = nullptr;
+  double* samples_ = nullptr;
+  std::size_t size_ = 0;          ///< entries stored
+  std::size_t samples_used_ = 0;  ///< samples stored
 };
 
 SimTraceSource::SimTraceSource(const netlist::Netlist& nl, sim::EnvSpec env,

@@ -416,17 +416,18 @@ TEST(TraceMemo, NonRepeatingStimuliStoreNothing) {
   EXPECT_EQ(compiled.memo_misses(), 2048u);
 }
 
-TEST(TraceMemo, StimuliBeyondCapacitySimulateWhileStoredOnesKeepHitting) {
-  // Eleven buffered dual-rail bits driven with one of kDistinct random
-  // values per trace: 512 more distinct stimuli than the memo can store.
-  constexpr std::size_t kCap = qc::SimTraceSource::kMemoCapacity;
-  constexpr std::size_t kDistinct = kCap + 512;
-  constexpr int kBits = 11;
-  static_assert(kDistinct <= (std::size_t{1} << kBits));
+namespace {
+
+constexpr int kWideBits = 11;
+
+/// kWideBits buffered dual-rail bits; trace i drives the bits of
+/// `value(rng, i)` (< 2^kWideBits) and records it as a 2-byte plaintext.
+template <class ValueFn>
+qc::TargetInstance wide_buffer(ValueFn value) {
   qc::TargetInstance inst;
   inst.nl = qn::Netlist("wide_buffer");
   qdi::gates::Builder b(inst.nl);
-  for (int i = 0; i < kBits; ++i) {
+  for (int i = 0; i < kWideBits; ++i) {
     const qdi::gates::DualRail d = b.dr_input("in" + std::to_string(i));
     const qdi::gates::DualRail q =
         b.as_dual_rail(b.buf(d.r0), b.buf(d.r1), "q" + std::to_string(i));
@@ -435,14 +436,47 @@ TEST(TraceMemo, StimuliBeyondCapacitySimulateWhileStoredOnesKeepHitting) {
     inst.env.outputs.push_back(q.ch);
   }
   inst.env.period_ps = 2000.0;
-  inst.stimulus = [](qdi::util::Rng& rng, std::size_t, qc::Stimulus& st) {
-    const std::size_t v = rng.below(kDistinct);
+  inst.stimulus = [value](qdi::util::Rng& rng, std::size_t index,
+                          qc::Stimulus& st) {
+    const std::size_t v = value(rng, index);
     st.values.clear();
-    for (int i = 0; i < kBits; ++i)
+    for (int i = 0; i < kWideBits; ++i)
       st.values.push_back(static_cast<int>((v >> i) & 1u));
     st.plaintext.assign({static_cast<std::uint8_t>(v),
                          static_cast<std::uint8_t>(v >> 8)});
   };
+  return inst;
+}
+
+}  // namespace
+
+TEST(TraceMemo, AdmissionFilterSpreadsOverAllItsSlots) {
+  // kCap distinct stimuli, each seen once, then the same sequence again:
+  // a stimulus is admitted on its second sighting unless a later one
+  // overwrote its filter slot in between. Spread over all 4·kCap slots,
+  // about e^(-1/4) ≈ 78% survive; on half of them (an index that
+  // ignores a bit every hash shares) about e^(-1/2) ≈ 61%.
+  constexpr std::size_t kCap = qc::SimTraceSource::kMemoCapacity;
+  static_assert(kCap <= (std::size_t{1} << kWideBits));
+  const qc::TargetInstance inst = wide_buffer(
+      [](qdi::util::Rng&, std::size_t index) { return index % kCap; });
+  qc::SimTraceSource compiled(inst.nl, inst.env, inst.stimulus,
+                              engine_opts(qs::EngineKind::Compiled, 0.3));
+  qc::AcquiredTrace slot;
+  for (std::size_t i = 0; i < 2 * kCap; ++i) compiled.acquire_into({7, i}, slot);
+  EXPECT_EQ(compiled.memo_hits(), 0u);
+  EXPECT_GT(compiled.memo_entries(), kCap * 7 / 10);
+  EXPECT_LT(compiled.memo_entries(), kCap * 9 / 10);
+}
+
+TEST(TraceMemo, StimuliBeyondCapacitySimulateWhileStoredOnesKeepHitting) {
+  // Eleven buffered dual-rail bits driven with one of kDistinct random
+  // values per trace: 512 more distinct stimuli than the memo can store.
+  constexpr std::size_t kCap = qc::SimTraceSource::kMemoCapacity;
+  constexpr std::size_t kDistinct = kCap + 512;
+  static_assert(kDistinct <= (std::size_t{1} << kWideBits));
+  const qc::TargetInstance inst = wide_buffer(
+      [](qdi::util::Rng& rng, std::size_t) { return rng.below(kDistinct); });
   qc::SimTraceSource compiled(inst.nl, inst.env, inst.stimulus,
                               engine_opts(qs::EngineKind::Compiled, 0.3));
   qc::SimTraceSource reference(inst.nl, inst.env, inst.stimulus,
