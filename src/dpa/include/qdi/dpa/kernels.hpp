@@ -37,15 +37,24 @@ struct KernelTable {
                       const double* const* rows, std::size_t cnt,
                       std::size_t m);
 
-  /// The read-time fold, a rank-cnt update: for each hypothesis column
-  /// g, dst = sum_hs + g*m; for each class sum c in order: h =
-  /// hyp[c][g]; if h == 0.0 the class is skipped (identical skip
-  /// decision in every arm); else dst[j] += h * s[j]. CPA folds its
-  /// hypothesis rows through it; DPA folds {0.0, 1.0} decision rows,
-  /// for which it adds a class sum exactly (1.0 * x == x) or skips it.
+  /// The read-time fold, a rank-cnt update over m columns: for each
+  /// hypothesis column g, dst = sum_hs + g*stride; for each class sum
+  /// s = rows[c] in order: h = hyp[c][g]; if h == 0.0 the class is
+  /// skipped (identical skip decision in every arm); else dst[j] +=
+  /// h * s[j] for j < m. CPA folds its hypothesis rows through it; DPA
+  /// folds {0.0, 1.0} decision rows, for which it adds a class sum
+  /// exactly (1.0 * x == x) or skips it.
+  ///
+  /// A caller folds the column range [lo, lo + m) of a guesses x stride
+  /// matrix by passing sum_hs + lo, rows offset by lo and the full row
+  /// length as stride. Leaving out columns where every s[j] is ±0.0 is
+  /// exact when every h is finite and no dst cell is -0.0: then
+  /// h * s[j] is ±0.0 and adding it changes no cell. A folded cell
+  /// starts at +0.0 and only ever has values added to it, and such a
+  /// sum is never -0.0 (x + y is -0.0 only for -0.0 + -0.0).
   void (*cpa_rank_update)(double* sum_hs, const double* const* rows,
                           const double* const* hyp, std::size_t cnt,
-                          unsigned guesses, std::size_t m);
+                          unsigned guesses, std::size_t m, std::size_t stride);
 
   /// dst[j] += src[j]: the per-trace add into a class sum (and the DPA
   /// shared per-sample sum), and the class-sum merge.

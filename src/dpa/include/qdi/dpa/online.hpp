@@ -39,6 +39,18 @@
 // guesses × classes × samples fold once, at the end; a probe never costs
 // more than the per-trace rank update it replaces over the same traces.
 //
+// A QDI circuit draws no current once its handshake completes, so most
+// of an acquisition window is exactly zero in every trace. The fold and
+// the correlation scans skip those columns, bit-identically:
+//
+//   fold:  each block of class sums folds only the hull of its columns
+//       that are not ±0.0 (the full width when a hypothesis row of the
+//       block holds a non-finite value) — exact because a folded cell
+//       is never -0.0 (kernels::cpa_rank_update states the invariant);
+//   scan:  finalize() and correlation_trace() scan only the hull of
+//       the samples with positive variance; every other sample's rho
+//       is +0.0, which never wins finalize()'s strict max.
+//
 // Determinism: results are a function of the trace order and the read
 // points (a campaign's probe grid is fixed by its configuration, just as
 // the block-fold partition is). Thread count, chunking, add() versus
@@ -281,6 +293,9 @@ class OnlineCpa {
   mutable detail::ClassSums classes_;
   mutable std::vector<double> sum_h_, sum_h2_;  ///< per guess, at n_
   mutable std::vector<double> var_cache_;  ///< per-sample variances at n_
+  /// Hull [var_lo_, var_hi_) of the samples with var_cache_ > 0; the
+  /// correlation scans skip the rest, whose rho is +0.0.
+  mutable std::size_t var_lo_ = 0, var_hi_ = 0;
   mutable std::vector<double> rho_scratch_;  ///< finalize() scan buffer
   mutable bool var_valid_ = false;  ///< var_cache_, sum_h_, sum_h2_ current
 };

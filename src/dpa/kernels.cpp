@@ -38,9 +38,10 @@ void cpa_moments_portable(double* sum_s, double* sum_s2,
 
 void cpa_rank_update_portable(double* sum_hs, const double* const* rows,
                               const double* const* hyp, std::size_t cnt,
-                              unsigned guesses, std::size_t m) {
+                              unsigned guesses, std::size_t m,
+                              std::size_t stride) {
   for (unsigned g = 0; g < guesses; ++g) {
-    double* dst = sum_hs + static_cast<std::size_t>(g) * m;
+    double* dst = sum_hs + static_cast<std::size_t>(g) * stride;
     for (std::size_t c = 0; c < cnt; ++c) {
       const double h = hyp[c][g];
       if (h == 0.0) continue;  // zero hypothesis contributes nothing
@@ -105,9 +106,10 @@ void cpa_moments_sse2(double* sum_s, double* sum_s2, const double* const* rows,
 
 void cpa_rank_update_sse2(double* sum_hs, const double* const* rows,
                           const double* const* hyp, std::size_t cnt,
-                          unsigned guesses, std::size_t m) {
+                          unsigned guesses, std::size_t m,
+                          std::size_t stride) {
   for (unsigned g = 0; g < guesses; ++g) {
-    double* dst = sum_hs + static_cast<std::size_t>(g) * m;
+    double* dst = sum_hs + static_cast<std::size_t>(g) * stride;
     for (std::size_t c = 0; c < cnt; ++c) {
       const double h = hyp[c][g];
       if (h == 0.0) continue;
@@ -200,13 +202,13 @@ __attribute__((target("avx2"))) void cpa_moments_avx2(
   }
 }
 
-// The read-time fold: guesses x m accumulator rows, every touched
-// class. Guesses are walked in pairs so one s[j] vector load feeds two
-// accumulator rows (the class sum is the only stream the unpaired form
-// reloads per guess). Pairing never reorders a cell's contributions —
-// both rows still see class sums in ascending c — and a pair member
-// with h == 0.0 falls back to the single-row form, preserving the
-// portable arm's exact skip decisions.
+// The read-time fold: guesses accumulator rows (`stride` apart, m
+// columns each), every touched class. Guesses are walked in pairs so
+// one s[j] vector load feeds two accumulator rows (the class sum is the
+// only stream the unpaired form reloads per guess). Pairing never
+// reorders a cell's contributions — both rows still see class sums in
+// ascending c — and a pair member with h == 0.0 falls back to the
+// single-row form, preserving the portable arm's exact skip decisions.
 __attribute__((target("avx2"))) void rank_row_avx2(double* dst, double h,
                                                    const double* s,
                                                    std::size_t m) {
@@ -221,11 +223,11 @@ __attribute__((target("avx2"))) void rank_row_avx2(double* dst, double h,
 
 __attribute__((target("avx2"))) void cpa_rank_update_avx2(
     double* sum_hs, const double* const* rows, const double* const* hyp,
-    std::size_t cnt, unsigned guesses, std::size_t m) {
+    std::size_t cnt, unsigned guesses, std::size_t m, std::size_t stride) {
   unsigned g = 0;
   for (; g + 2 <= guesses; g += 2) {
-    double* dst0 = sum_hs + static_cast<std::size_t>(g) * m;
-    double* dst1 = dst0 + m;
+    double* dst0 = sum_hs + static_cast<std::size_t>(g) * stride;
+    double* dst1 = dst0 + stride;
     for (std::size_t c = 0; c < cnt; ++c) {
       const double h0 = hyp[c][g];
       const double h1 = hyp[c][g + 1];
@@ -254,7 +256,7 @@ __attribute__((target("avx2"))) void cpa_rank_update_avx2(
     }
   }
   for (; g < guesses; ++g) {
-    double* dst = sum_hs + static_cast<std::size_t>(g) * m;
+    double* dst = sum_hs + static_cast<std::size_t>(g) * stride;
     for (std::size_t c = 0; c < cnt; ++c) {
       const double h = hyp[c][g];
       if (h == 0.0) continue;

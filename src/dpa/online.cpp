@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <tuple>
 
 namespace qdi::dpa {
 
@@ -57,6 +58,18 @@ bool row_less(const double* a, const double* b, std::size_t width) {
     if (ka != kb) return ka < kb;
   }
   return false;
+}
+
+/// The hull [lo, hi) of the indices j < m where keep(v[j]) holds;
+/// lo == hi when it holds nowhere.
+template <typename Keep>
+std::pair<std::size_t, std::size_t> hull(const double* v, std::size_t m,
+                                         Keep keep) {
+  std::size_t lo = 0;
+  while (lo < m && !keep(v[lo])) ++lo;
+  std::size_t hi = m;
+  while (hi > lo && !keep(v[hi - 1])) --hi;
+  return {lo, hi};
 }
 
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
@@ -210,21 +223,43 @@ const std::vector<double>& ClassSums::fold(const kernels::KernelTable& k) {
   // Rank-kBlock updates over the touched class sums in content order:
   // every folded cell receives its class contributions in that order,
   // whatever the arm, the trace order within a class having been fixed
-  // when the class sums were added up.
+  // when the class sums were added up. Each block folds only the hull
+  // of the columns where one of its class sums is not ±0.0 — a folded
+  // cell is never -0.0, so adding h·(±0.0) elsewhere would change
+  // nothing (kernels.hpp) — unless a hypothesis row holds a non-finite
+  // h, for which h·0.0 is NaN and the block keeps the full width.
   const double* sums[kBlock];
   const double* hyp[kBlock];
   std::size_t cnt = 0;
+  std::size_t lo = m_;
+  std::size_t hi = 0;
   const auto width = static_cast<unsigned>(width_);
+  const auto fold_block = [&] {
+    if (lo < hi) {
+      for (std::size_t i = 0; i < cnt; ++i) sums[i] += lo;
+      k.cpa_rank_update(folded_.data() + lo, sums, hyp, cnt, width, hi - lo,
+                        m_);
+    }
+    cnt = 0;
+    lo = m_;
+    hi = 0;
+  };
   for (const std::uint32_t c : order_) {
     if (touched_[c] == 0) continue;
     sums[cnt] = pending_[c].data();
     hyp[cnt] = row(c);
-    if (++cnt == kBlock) {
-      k.cpa_rank_update(folded_.data(), sums, hyp, cnt, width, m_);
-      cnt = 0;
+    const bool finite = std::all_of(
+        hyp[cnt], hyp[cnt] + width_, [](double h) { return std::isfinite(h); });
+    const auto [s_lo, s_hi] =
+        finite ? hull(sums[cnt], m_, [](double x) { return x != 0.0; })
+               : std::pair{std::size_t{0}, m_};
+    if (s_lo < s_hi) {
+      lo = std::min(lo, s_lo);
+      hi = std::max(hi, s_hi);
     }
+    if (++cnt == kBlock) fold_block();
   }
-  if (cnt > 0) k.cpa_rank_update(folded_.data(), sums, hyp, cnt, width, m_);
+  if (cnt > 0) fold_block();
   std::fill(touched_.begin(), touched_.end(), std::uint8_t{0});
   num_touched_ = 0;
   return folded_;
@@ -448,6 +483,8 @@ const double* OnlineCpa::read() const {
     var_cache_.resize(m_);
     kernels_->variance(var_cache_.data(), sum_s_.data(), sum_s2_.data(),
                        static_cast<double>(n_), m_);
+    std::tie(var_lo_, var_hi_) =
+        hull(var_cache_.data(), m_, [](double v) { return v > 0.0; });
     classes_.column_sums(sum_h_, &sum_h2_);
     var_valid_ = true;
   }
@@ -460,10 +497,16 @@ CpaResult OnlineCpa::finalize(std::size_t window_lo,
   res.correlation.assign(guesses_, 0.0);
   if (n_ == 0 || m_ == 0) return res;
   const std::size_t hi = (window_hi == 0) ? m_ : std::min(window_hi, m_);
-  const std::size_t span = hi > window_lo ? hi - window_lo : 0;
   const double nn = static_cast<double>(n_);
   const double* sum_hs = read();
   rho_scratch_.resize(m_);
+  // Samples outside the positive-variance hull scan as rho == +0.0,
+  // which can never win the strict max below: scan only the window's
+  // intersection with the hull.
+  const std::size_t lo = std::max(window_lo, var_lo_);
+  const std::size_t span = std::min(hi, var_hi_) > lo
+                               ? std::min(hi, var_hi_) - lo
+                               : 0;
 
   for (unsigned g = 0; g < guesses_; ++g) {
     const double var_h = sum_h2_[g] - sum_h_[g] * sum_h_[g] / nn;
@@ -475,14 +518,13 @@ CpaResult OnlineCpa::finalize(std::size_t window_lo,
       // Zero-variance samples scan as rho == 0.0, which can never win
       // the strict max below — the same candidates as the historical
       // "skip non-positive variance" loop, peak values bit-identical.
-      kernels_->corr_scan(rho, hs + window_lo, sum_s_.data() + window_lo,
-                          var_cache_.data() + window_lo, sum_h_[g], var_h, nn,
-                          span);
+      kernels_->corr_scan(rho, hs + lo, sum_s_.data() + lo,
+                          var_cache_.data() + lo, sum_h_[g], var_h, nn, span);
       for (std::size_t j = 0; j < span; ++j) {
         const double a = std::fabs(rho[j]);
         if (a > best) {
           best = a;
-          best_j = window_lo + j;
+          best_j = lo + j;
         }
       }
     }
@@ -508,9 +550,12 @@ std::vector<double> OnlineCpa::correlation_trace(unsigned guess) const {
   const double nn = static_cast<double>(n_);
   const double var_h = sum_h2_[guess] - sum_h_[guess] * sum_h_[guess] / nn;
   if (var_h <= 0.0) return rho;
+  // Outside the positive-variance hull the scan would write +0.0.
+  const std::size_t lo = var_lo_;
   const double* hs = sum_hs + static_cast<std::size_t>(guess) * m_;
-  kernels_->corr_scan(rho.data(), hs, sum_s_.data(), var_cache_.data(),
-                      sum_h_[guess], var_h, nn, m_);
+  kernels_->corr_scan(rho.data() + lo, hs + lo, sum_s_.data() + lo,
+                      var_cache_.data() + lo, sum_h_[guess], var_h, nn,
+                      var_hi_ - lo);
   return rho;
 }
 

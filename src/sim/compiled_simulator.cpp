@@ -75,6 +75,20 @@ CompiledSimulator::CompiledSimulator(std::shared_ptr<const CompiledNetlist> cn)
   bucket_mask_ = num_buckets_ - 1;
   buckets_.resize(num_buckets_);
   occupied_.resize(num_buckets_ / 64);
+  // Every vector of the wheel keeps its own capacity (a refill copies a
+  // bucket into the ready batch rather than trading storage with it), so
+  // each grows only up to its own largest load and the steady-state
+  // loop allocates nothing once the warm-up traces have seen it. The
+  // ready batch holds a whole tick, so it starts sized for one burst:
+  // every input-driven net switching at once plus the widest fanout.
+  std::size_t inputs = 0;
+  std::uint32_t widest = 0;
+  for (NetId n = 0; n < nn; ++n) {
+    inputs += cn_->driven_by_input[n] != 0 ? 1 : 0;
+    widest = std::max(widest,
+                      cn_->fanout_offset[n + 1] - cn_->fanout_offset[n]);
+  }
+  ready_.reserve(inputs + widest);
   reset_state();
 }
 
@@ -335,8 +349,8 @@ void CompiledSimulator::sort_ready() {
 
 /// Common-case refill: the next occupied bucket holds exactly one tick's
 /// events (true in all normal operation — multi-lap residents require a
-/// backward re-anchor), so the whole bucket becomes the ready batch by
-/// swap. Returns false without extracting anything on the cold cases.
+/// backward re-anchor), so the whole bucket is copied into the ready
+/// batch. Returns false without extracting anything on the cold cases.
 bool CompiledSimulator::fast_refill() {
   const std::uint64_t s = cur_tick_ & bucket_mask_;
   const std::uint64_t b = find_next_occupied(s);
@@ -345,7 +359,8 @@ bool CompiledSimulator::fast_refill() {
   std::vector<Event>& bucket = buckets_[b];
   for (const Event& ev : bucket)
     if (tick_of(ev.t_ps) != tick) return false;  // multi-lap: cold path
-  std::swap(ready_, bucket);  // bucket inherits the old ready_ capacity
+  ready_.assign(bucket.begin(), bucket.end());
+  bucket.clear();
   clear_occupied(b);
   wheel_count_ -= ready_.size();
   cur_tick_ = tick;

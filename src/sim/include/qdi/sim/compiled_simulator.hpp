@@ -193,7 +193,7 @@ class CompiledSimulator final : public SimEngine {
 
   // Time wheel. buckets_[tick & mask] holds the events of absolute
   // tick `tick` (and, after the cold backward re-anchor, possibly of
-  // later laps — extraction checks the exact tick and swaps the whole
+  // later laps — extraction checks the exact tick and copies the whole
   // bucket in the common single-lap case). ready_ is the sorted batch of
   // the tick being served; overflow_ is a min-heap of events beyond one
   // rotation; occupied_ is a bitmap over buckets so the refill scan

@@ -84,9 +84,9 @@ std::size_t slot_of(int level, CellKind kind) {
 /// Net carry strings and sink vectors the walk never reads; at aes_core
 /// scale (~65M member visits per round) the pointer-chasing through
 /// those fat structs dominates the pass, so the walk reads these flat
-/// arrays instead. Rebuilt from scratch each round (cheap: one linear
-/// scan) and patched at every clone so it always equals the live
-/// netlist.
+/// arrays instead. Built once per pass and patched at every clone, so
+/// it always equals the live netlist (a clone inherits its original's
+/// level, and the rewired sink keeps its own).
 struct FlatGraph {
   std::vector<CellKind> kind;            ///< per cell
   std::vector<int> level;                ///< per cell (Graph::level)
@@ -161,10 +161,12 @@ struct RailCone {
   std::vector<CellId> members;
   /// Distinct real gates per (level, kind) slot (see slot_of).
   std::vector<std::uint32_t> hist;
-  /// Clone-site candidates by slot, each list ascending by id. Built
-  /// lazily on the first find_site against this rail: the common visit
-  /// (already balanced, or skipped before site search) never pays for it.
-  std::map<std::size_t, std::vector<CellId>> buckets;
+  /// Clone-site candidates per slot (dense, like hist), each list
+  /// ascending by id. Built lazily on the first find_site against this
+  /// rail: the common visit (already balanced, or skipped before site
+  /// search) never pays for it. The lists keep their capacity across
+  /// visits.
+  std::vector<std::vector<CellId>> buckets;
   bool buckets_built = false;
   std::size_t input_cells = 0;
   bool driven = false;
@@ -172,7 +174,6 @@ struct RailCone {
   void reset(std::size_t slots) {
     members.clear();
     hist.assign(slots, 0);
-    buckets.clear();
     buckets_built = false;
     input_cells = 0;
     driven = false;
@@ -198,10 +199,10 @@ class Balancer {
     std::vector<ChannelId> worklist(nl_.num_channels());
     for (ChannelId id = 0; id < nl_.num_channels(); ++id) worklist[id] = id;
 
+    flat_.build(nl_, netlist::Graph(nl_));
     bool changed = false;
     for (int round = 0; round < opt_.max_rounds && !worklist.empty();
          ++round) {
-      refresh_graph();
       dirty_.assign(nl_.num_cells(), 0);
       changed = false;
       for (ChannelId id : worklist) changed |= visit(id);
@@ -231,11 +232,6 @@ class Balancer {
   }
 
  private:
-  void refresh_graph() {
-    const netlist::Graph g(nl_);
-    flat_.build(nl_, g);
-  }
-
   /// Balances one channel against the live netlist; true if it cloned.
   bool visit(ChannelId id) {
     // Clones add cells and nets, never channels: `ch` stays valid.
@@ -378,19 +374,19 @@ class Balancer {
     return want;
   }
 
-  void ensure_buckets(RailCone& rc) const {
+  void ensure_buckets(RailCone& rc) {
     if (rc.buckets_built) return;
     rc.buckets_built = true;
-    for (CellId c : rc.members) {
+    if (rc.buckets.size() < rc.hist.size()) rc.buckets.resize(rc.hist.size());
+    for (std::size_t s = 0; s < rc.hist.size(); ++s) rc.buckets[s].clear();
+    // Ascending id = candidate scan order: fill from the members sorted
+    // once. Clones appended after this keep it: their ids only grow.
+    sorted_.assign(rc.members.begin(), rc.members.end());
+    std::sort(sorted_.begin(), sorted_.end());
+    for (CellId c : sorted_) {
       const CellKind k = flat_.kind[c];
       if (netlist::is_pseudo(k)) continue;
       rc.buckets[slot_of(flat_.level[c], k)].push_back(c);
-    }
-    // Ascending id = candidate scan order. Clones appended after this
-    // keep it: their ids only grow.
-    for (auto& [s, list] : rc.buckets) {
-      (void)s;
-      std::sort(list.begin(), list.end());
     }
   }
 
@@ -404,9 +400,7 @@ class Balancer {
   CloneSite find_site(const Channel& ch, std::size_t r,
                       std::size_t slot) {
     ensure_buckets(cones_[r]);
-    const auto bit = cones_[r].buckets.find(slot);
-    if (bit == cones_[r].buckets.end()) return {};
-    for (CellId c : bit->second) {
+    for (CellId c : cones_[r].buckets[slot]) {
       if (!marks_.in_cone(r, c)) continue;  // evicted since discovery
       const NetId out = nl_.cell(c).output;
       if (out == kNoNet) continue;
@@ -549,6 +543,7 @@ class Balancer {
   Marks marks_;
   std::vector<RailCone> cones_;
   std::vector<CellId> stack_;
+  std::vector<CellId> sorted_;  ///< ensure_buckets scratch
   std::vector<char> joins_, evicts_;
   std::vector<char> dirty_;
   std::vector<std::vector<CellId>> footprints_;

@@ -7,6 +7,12 @@
 //    accumulator state (class sums before a read, the folded matrix
 //    after it) and emit bit-identical finalize()/correlation_trace()
 //    results (the determinism contract of qdi/dpa/kernels.hpp);
+//  * every arm, on QDI-shaped traces (silent tails, zero columns, ±0.0
+//    samples, an all-zero class), matches a full-width fold written
+//    here bit for bit, across mid-stream reads, merge and restore —
+//    the fold and the correlation scans skip all-zero columns, and
+//    must not change a bit for it (a model with non-finite rows keeps
+//    the full width);
 //  * the cached per-sample variance scan is invalidated by
 //    ingest/merge/restore (a stale cache would poison every prefix
 //    probe after the first);
@@ -24,6 +30,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
+#include <map>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -199,6 +208,540 @@ TEST(KernelArms, DpaStateBitIdenticalAcrossArms) {
           EXPECT_EQ(rec.best_guess, ref_rec.best_guess);
           for (unsigned g = 0; g < guesses; ++g)
             EXPECT_EQ(rec.guess_peak[g], ref_rec.guess_peak[g]);
+        }
+      }
+    }
+  }
+}
+
+// ---- support-bounded fold vs a naive full-width fold -----------------------
+
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Bit equality, except that any two NaNs match: which NaN an add of
+/// two NaNs returns depends on the operand order the compiler picks.
+bool same_value(double a, double b) {
+  return same_bits(a, b) || (std::isnan(a) && std::isnan(b));
+}
+
+template <typename Eq>
+::testing::AssertionResult rows_match(const std::vector<double>& got,
+                                      const std::vector<double>& want,
+                                      Eq eq) {
+  if (got.size() != want.size())
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " != " << want.size();
+  for (std::size_t i = 0; i < got.size(); ++i)
+    if (!eq(got[i], want[i]))
+      return ::testing::AssertionFailure()
+             << "index " << i << ": " << got[i] << " != " << want[i];
+  return ::testing::AssertionSuccess();
+}
+
+/// The folded matrix inside an accumulator snapshot. Layout (see
+/// serialize_state in src/dpa/online.cpp): `words` u64 header fields,
+/// `shared` per-sample arrays, then the class table's rows, counts,
+/// touched flags, pending sums and folded matrix, each array a u64
+/// element count followed by its elements.
+std::vector<double> snapshot_folded(const std::vector<std::uint8_t>& bytes,
+                                    std::size_t words, std::size_t shared) {
+  std::size_t pos = 8 * words;
+  const auto u64 = [&] {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + pos, 8);
+    pos += 8;
+    return v;
+  };
+  const auto skip = [&](std::size_t elem) { pos += u64() * elem; };
+  for (std::size_t i = 0; i < shared; ++i) skip(8);
+  skip(8);  // class rows
+  skip(8);  // counts
+  skip(1);  // touched flags
+  skip(8);  // pending sums
+  std::vector<double> folded(u64());
+  if (!folded.empty())
+    std::memcpy(folded.data(), bytes.data() + pos, folded.size() * 8);
+  return folded;
+}
+
+/// The read-time fold written from its contract, over the full width.
+/// Traces group into classes by hypothesis row, in row content order
+/// (lexicographic IEEE totalOrder); the first row a class receives
+/// after a fold is copied, later ones are added; a read folds every
+/// touched class, in content order, into a width x m matrix, one
+/// multiply and one add per cell and class, skipping h == 0.0.
+class NaiveFold {
+ public:
+  NaiveFold(std::size_t width, std::size_t m) : width_(width), m_(m) {}
+
+  void add(const std::vector<double>& row, const double* s) {
+    Class& c = classes_[key_of(row)];
+    c.row = row;
+    ++c.count;
+    accumulate(c, s);
+  }
+
+  void merge(const NaiveFold& other) {
+    if (!other.folded_.empty()) {
+      if (folded_.empty()) folded_.assign(width_ * m_, 0.0);
+      for (std::size_t i = 0; i < folded_.size(); ++i)
+        folded_[i] += other.folded_[i];
+    }
+    for (const auto& [key, oc] : other.classes_) {
+      Class& c = classes_[key];
+      c.row = oc.row;
+      c.count += oc.count;
+      if (oc.touched) accumulate(c, oc.pending.data());
+    }
+  }
+
+  const std::vector<double>& fold() {
+    if (folded_.empty()) folded_.assign(width_ * m_, 0.0);
+    for (auto& [key, c] : classes_) {
+      if (!c.touched) continue;
+      for (std::size_t r = 0; r < width_; ++r) {
+        const double h = c.row[r];
+        if (h == 0.0) continue;
+        for (std::size_t j = 0; j < m_; ++j)
+          folded_[r * m_ + j] += h * c.pending[j];
+      }
+      c.touched = false;
+    }
+    return folded_;
+  }
+
+  const std::vector<double>& folded() const { return folded_; }
+
+  /// sum[r] = Σ count·row[r], sum_sq[r] = Σ count·row[r]², content order.
+  void column_sums(std::vector<double>& sum,
+                   std::vector<double>& sum_sq) const {
+    sum.assign(width_, 0.0);
+    sum_sq.assign(width_, 0.0);
+    for (const auto& [key, c] : classes_) {
+      const double w = static_cast<double>(c.count);
+      for (std::size_t r = 0; r < width_; ++r) {
+        sum[r] += w * c.row[r];
+        sum_sq[r] += w * (c.row[r] * c.row[r]);
+      }
+    }
+  }
+
+ private:
+  struct Class {
+    std::vector<double> row;
+    std::uint64_t count = 0;
+    bool touched = false;
+    std::vector<double> pending;
+  };
+
+  static std::vector<std::uint64_t> key_of(const std::vector<double>& row) {
+    std::vector<std::uint64_t> key;
+    for (const double x : row) {
+      const auto u = std::bit_cast<std::uint64_t>(x);
+      key.push_back((u >> 63) != 0 ? ~u : u | (std::uint64_t{1} << 63));
+    }
+    return key;
+  }
+
+  void accumulate(Class& c, const double* s) {
+    if (c.touched) {
+      for (std::size_t j = 0; j < m_; ++j) c.pending[j] += s[j];
+    } else {
+      c.pending.assign(s, s + m_);
+      c.touched = true;
+    }
+  }
+
+  std::size_t width_, m_;
+  std::map<std::vector<std::uint64_t>, Class> classes_;
+  std::vector<double> folded_;
+};
+
+/// OnlineCpa's contract with a full-width fold and a full-width scan.
+class NaiveCpa {
+ public:
+  NaiveCpa(qd::LeakageModel model, unsigned guesses, std::size_t m)
+      : model_(std::move(model)),
+        guesses_(guesses),
+        m_(m),
+        classes_(guesses, m),
+        sum_s_(m, 0.0),
+        sum_s2_(m, 0.0) {}
+
+  void add(std::span<const std::uint8_t> pt, const double* s) {
+    for (std::size_t j = 0; j < m_; ++j) {
+      sum_s_[j] += s[j];
+      sum_s2_[j] += s[j] * s[j];
+    }
+    std::vector<double> row(guesses_);
+    for (unsigned g = 0; g < guesses_; ++g) row[g] = model_(pt, g);
+    classes_.add(row, s);
+    ++n_;
+  }
+
+  void merge(const NaiveCpa& other) {
+    classes_.merge(other.classes_);
+    for (std::size_t j = 0; j < m_; ++j) {
+      sum_s_[j] += other.sum_s_[j];
+      sum_s2_[j] += other.sum_s2_[j];
+    }
+    n_ += other.n_;
+  }
+
+  qd::CpaResult finalize(std::size_t lo, std::size_t hi) {
+    qd::CpaResult res;
+    res.correlation.assign(guesses_, 0.0);
+    hi = hi == 0 ? m_ : std::min(hi, m_);
+    const Moments mo = moments();
+    for (unsigned g = 0; g < guesses_; ++g) {
+      // finalize() scans a guess only when var_h > 0.0 (a NaN var_h
+      // scores 0); correlation_trace() returns zeros only when var_h <=
+      // 0.0 (a NaN var_h scans).
+      const std::vector<double> rho =
+          mo.var_h[g] > 0.0 ? scan(mo, g) : std::vector<double>(m_, 0.0);
+      double best = 0.0;
+      std::size_t best_j = lo;
+      for (std::size_t j = lo; j < hi; ++j) {
+        if (std::fabs(rho[j]) > best) {
+          best = std::fabs(rho[j]);
+          best_j = j;
+        }
+      }
+      res.correlation[g] = best;
+      if (best > res.best_rho) {
+        res.best_rho = best;
+        res.best_guess = g;
+        res.best_sample = best_j;
+      }
+    }
+    for (unsigned g = 0; g < guesses_; ++g)
+      if (g != res.best_guess)
+        res.second_rho = std::max(res.second_rho, res.correlation[g]);
+    return res;
+  }
+
+  std::vector<double> correlation_trace(unsigned g) {
+    const Moments mo = moments();
+    if (mo.var_h[g] <= 0.0) return std::vector<double>(m_, 0.0);
+    return scan(mo, g);
+  }
+
+  const std::vector<double>& folded() const { return classes_.folded(); }
+
+ private:
+  struct Moments {
+    const std::vector<double>* hs;
+    std::vector<double> sum_h, sum_h2, var_h;
+  };
+
+  Moments moments() {
+    Moments mo;
+    mo.hs = &classes_.fold();
+    classes_.column_sums(mo.sum_h, mo.sum_h2);
+    const double nn = static_cast<double>(n_);
+    for (unsigned g = 0; g < guesses_; ++g)
+      mo.var_h.push_back(mo.sum_h2[g] - mo.sum_h[g] * mo.sum_h[g] / nn);
+    return mo;
+  }
+
+  /// rho over every sample; +0.0 where the sample variance is not > 0.
+  std::vector<double> scan(const Moments& mo, unsigned g) const {
+    const double nn = static_cast<double>(n_);
+    std::vector<double> rho(m_, 0.0);
+    for (std::size_t j = 0; j < m_; ++j) {
+      const double var_s = sum_s2_[j] - sum_s_[j] * sum_s_[j] / nn;
+      if (var_s > 0.0) {
+        const double cov = (*mo.hs)[g * m_ + j] - mo.sum_h[g] * sum_s_[j] / nn;
+        rho[j] = cov / std::sqrt(mo.var_h[g] * var_s);
+      }
+    }
+    return rho;
+  }
+
+  qd::LeakageModel model_;
+  unsigned guesses_;
+  std::size_t m_;
+  NaiveFold classes_;
+  std::vector<double> sum_s_, sum_s2_;
+  std::size_t n_ = 0;
+};
+
+/// OnlineDpa's contract with a full-width fold and a full-width scan.
+class NaiveDpa {
+ public:
+  NaiveDpa(std::vector<qd::SelectionFn> bits, unsigned guesses, std::size_t m)
+      : bits_(std::move(bits)),
+        guesses_(guesses),
+        m_(m),
+        classes_(bits_.size() * guesses, m),
+        sum_s_(m, 0.0) {}
+
+  void add(std::span<const std::uint8_t> pt, const double* s) {
+    for (std::size_t j = 0; j < m_; ++j) sum_s_[j] += s[j];
+    std::vector<double> row;
+    for (const qd::SelectionFn& bit : bits_)
+      for (unsigned g = 0; g < guesses_; ++g)
+        row.push_back(bit(pt, g) != 0 ? 1.0 : 0.0);
+    classes_.add(row, s);
+    ++n_;
+  }
+
+  qd::KeyRecoveryResult recover() {
+    const std::vector<double>& sum1 = classes_.fold();
+    std::vector<double> n1, unused;
+    classes_.column_sums(n1, unused);
+    qd::KeyRecoveryResult r;
+    r.guess_peak.assign(guesses_, 0.0);
+    for (unsigned g = 0; g < guesses_; ++g) {
+      double total = 0.0;
+      for (std::size_t b = 0; b < bits_.size(); ++b) {
+        const std::size_t idx = b * guesses_ + g;
+        const auto c1 = static_cast<std::size_t>(n1[idx]);
+        const std::size_t c0 = n_ - c1;
+        double peak = 0.0;
+        if (c0 != 0 && c1 != 0) {
+          const double inv0 = 1.0 / static_cast<double>(c0);
+          const double inv1 = 1.0 / static_cast<double>(c1);
+          for (std::size_t j = 0; j < m_; ++j) {
+            const double s1 = sum1[idx * m_ + j];
+            peak = std::max(peak,
+                            std::fabs((sum_s_[j] - s1) * inv0 - s1 * inv1));
+          }
+        }
+        total += peak;
+      }
+      r.guess_peak[g] = total;
+    }
+    r.best_guess = static_cast<unsigned>(
+        std::max_element(r.guess_peak.begin(), r.guess_peak.end()) -
+        r.guess_peak.begin());
+    r.best_peak = r.guess_peak[r.best_guess];
+    for (unsigned g = 0; g < guesses_; ++g)
+      if (g != r.best_guess)
+        r.second_peak = std::max(r.second_peak, r.guess_peak[g]);
+    return r;
+  }
+
+  const std::vector<double>& folded() const { return classes_.folded(); }
+
+ private:
+  std::vector<qd::SelectionFn> bits_;
+  unsigned guesses_;
+  std::size_t m_;
+  NaiveFold classes_;
+  std::vector<double> sum_s_;
+  std::size_t n_ = 0;
+};
+
+/// Silent plaintext bytes: their traces are ±0.0 throughout, so their
+/// class sums stay all-zero (0x31's row is non-finite under
+/// nonfinite_model()).
+bool silent(std::uint8_t v) { return v == 0x5a || v == 0x31; }
+
+/// Traces shaped like a QDI circuit's: current only while the handshake
+/// runs — a per-trace burst [lo, hi), exact zeros of either sign around
+/// it (a zero-padded tail) — every 7th column zero in every trace, and
+/// the silent() plaintexts zero throughout.
+qd::TraceSet qdi_like_traces(std::size_t n, std::size_t m, qu::Rng& rng) {
+  qd::TraceSet ts;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint8_t pt0 = rng.below(4) == 0
+                                 ? (rng.below(2) == 0 ? 0x5a : 0x31)
+                                 : rng.byte();
+    const std::size_t lo = rng.below(m / 8 + 1);
+    const std::size_t hi = std::min(m, lo + 1 + rng.below(m * 3 / 4 + 1));
+    qp::PowerTrace t(0.0, 10.0, m);
+    for (std::size_t j = 0; j < m; ++j) {
+      const bool zero = silent(pt0) || j < lo || j >= hi || j % 7 == 3;
+      t[j] = zero ? (rng.below(2) == 0 ? -0.0 : 0.0) : rng.gaussian(1.0, 2.0);
+    }
+    ts.add(t, {pt0, rng.byte()});
+  }
+  return ts;
+}
+
+/// A generic model that answers +inf, -inf or NaN for some guesses of
+/// some plaintexts: h·0.0 is NaN there, so those blocks fold full-width.
+qd::LeakageModel nonfinite_model() {
+  return qd::LeakageModel([](std::span<const std::uint8_t> pt, unsigned g) {
+    if (pt[0] % 16 == 1 && g % 3 == 1)
+      return (pt[0] & 0x20) != 0 ? -std::numeric_limits<double>::infinity()
+                                 : std::numeric_limits<double>::infinity();
+    if (pt[0] % 16 == 2 && g % 3 == 2)
+      return std::numeric_limits<double>::quiet_NaN();
+    return static_cast<double>(std::popcount(static_cast<unsigned>(
+        qdi::crypto::aes_sbox(static_cast<std::uint8_t>(pt[0] ^ g)))));
+  });
+}
+
+std::vector<const qk::KernelTable*> every_arm() {
+  std::vector<const qk::KernelTable*> arms;
+  for (const qk::Kind k : {qk::Kind::Portable, qk::Kind::Sse2, qk::Kind::Avx2})
+    if (const qk::KernelTable* t = qk::table(k)) arms.push_back(t);
+  return arms;
+}
+
+/// One read of `acc` against `naive` at the same point: finalize() over
+/// two windows, the folded matrix in the snapshot, and two correlation
+/// traces. A model with non-finite rows compares NaNs as NaN.
+void expect_cpa_read_matches(const qd::OnlineCpa& acc, NaiveCpa& naive,
+                             std::size_t m, unsigned guesses, bool finite,
+                             const std::string& what) {
+  const auto eq = finite ? &same_bits : &same_value;
+  for (const auto& [lo, hi] : {std::pair<std::size_t, std::size_t>{0, 0},
+                               {m / 3, m - m / 4}}) {
+    const qd::CpaResult got = acc.finalize(lo, hi);
+    const qd::CpaResult want = naive.finalize(lo, hi);
+    EXPECT_TRUE(rows_match(got.correlation, want.correlation, eq))
+        << what << " window " << lo << ".." << hi;
+    EXPECT_EQ(got.best_guess, want.best_guess) << what;
+    EXPECT_EQ(got.best_sample, want.best_sample) << what;
+    EXPECT_TRUE(same_bits(got.best_rho, want.best_rho)) << what;
+    EXPECT_TRUE(same_bits(got.second_rho, want.second_rho)) << what;
+  }
+  EXPECT_TRUE(rows_match(snapshot_folded(acc.serialize_state(), 4, 2),
+                         naive.folded(), eq))
+      << what << ": folded matrix";
+  for (const unsigned g : {0u, guesses - 1})
+    EXPECT_TRUE(rows_match(acc.correlation_trace(g),
+                           naive.correlation_trace(g), eq))
+        << what << " correlation_trace(" << g << ")";
+}
+
+}  // namespace
+
+TEST(SupportBoundedFold, CpaMatchesNaiveFullWidthFoldOnEveryArm) {
+  qu::Rng rng(0x55u);
+  for (const std::size_t m : {std::size_t{1}, std::size_t{7}, std::size_t{9},
+                              std::size_t{33}, std::size_t{130},
+                              std::size_t{257}}) {
+    for (const unsigned guesses : {1u, 5u, 256u}) {
+      const qd::TraceSet ts = qdi_like_traces(48, m, rng);
+      for (const int kind : {0, 1, 2}) {
+        const qd::LeakageModel model = kind == 0   ? qd::aes_sbox_hw_model(0)
+                                       : kind == 1 ? generic_sbox_model()
+                                                   : nonfinite_model();
+        const bool finite = kind != 2;
+        for (const qk::KernelTable* arm : every_arm()) {
+          const std::string what = std::string(arm->name) + " m=" +
+                                   std::to_string(m) + " guesses=" +
+                                   std::to_string(guesses) + " model=" +
+                                   std::to_string(kind);
+          qd::OnlineCpa acc(model, guesses);
+          acc.set_kernels(*arm);
+          NaiveCpa naive(model, guesses, m);
+          // Reads mid-stream (17, 18: one trace apart), then at the end.
+          for (std::size_t i = 0; i < ts.size(); ++i) {
+            acc.add(ts.plaintext(i), ts.trace(i).samples());
+            naive.add(ts.plaintext(i), ts.trace(i).samples().data());
+            if (i + 1 == 17 || i + 1 == 18 || i + 1 == ts.size())
+              expect_cpa_read_matches(acc, naive, m, guesses, finite,
+                                      what + " n=" + std::to_string(i + 1));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SupportBoundedFold, CpaMergeAndRestoreMatchNaiveFullWidthFold) {
+  qu::Rng rng(0x56u);
+  for (const std::size_t m : {std::size_t{9}, std::size_t{130}}) {
+    const qd::TraceSet ts = qdi_like_traces(60, m, rng);
+    for (const int kind : {0, 2}) {
+      const qd::LeakageModel model =
+          kind == 0 ? qd::aes_sbox_hw_model(0) : nonfinite_model();
+      const bool finite = kind == 0;
+      for (const qk::KernelTable* arm : every_arm()) {
+        const std::string what = std::string(arm->name) + " m=" +
+                                 std::to_string(m) + " model=" +
+                                 std::to_string(kind);
+        // Two partial accumulators, each read mid-stream, then merged.
+        qd::OnlineCpa left(model, 256), right(model, 256);
+        left.set_kernels(*arm);
+        right.set_kernels(*arm);
+        NaiveCpa nleft(model, 256, m), nright(model, 256, m);
+        for (std::size_t i = 0; i < 60; ++i) {
+          qd::OnlineCpa& acc = i < 30 ? left : right;
+          NaiveCpa& naive = i < 30 ? nleft : nright;
+          acc.add(ts.plaintext(i), ts.trace(i).samples());
+          naive.add(ts.plaintext(i), ts.trace(i).samples().data());
+          if (i == 12 || i == 44) {
+            (void)acc.finalize();
+            (void)naive.finalize(0, 0);
+          }
+        }
+        left.merge(right);
+        nleft.merge(nright);
+        expect_cpa_read_matches(left, nleft, m, 256, finite, what + " merged");
+
+        // A snapshot restored mid-stream continues like the original.
+        qd::OnlineCpa first(model, 256);
+        first.set_kernels(*arm);
+        NaiveCpa naive(model, 256, m);
+        for (std::size_t i = 0; i < 25; ++i) {
+          first.add(ts.plaintext(i), ts.trace(i).samples());
+          naive.add(ts.plaintext(i), ts.trace(i).samples().data());
+          if (i == 10) {
+            (void)first.finalize();
+            (void)naive.finalize(0, 0);
+          }
+        }
+        qd::OnlineCpa restored(model, 256);
+        restored.set_kernels(*arm);
+        restored.restore_state(first.serialize_state());
+        for (std::size_t i = 25; i < 60; ++i) {
+          restored.add(ts.plaintext(i), ts.trace(i).samples());
+          naive.add(ts.plaintext(i), ts.trace(i).samples().data());
+        }
+        expect_cpa_read_matches(restored, naive, m, 256, finite,
+                                what + " restored");
+      }
+    }
+  }
+}
+
+TEST(SupportBoundedFold, DpaMatchesNaiveFullWidthFoldOnEveryArm) {
+  qu::Rng rng(0x57u);
+  for (const std::size_t m : {std::size_t{1}, std::size_t{9}, std::size_t{33},
+                              std::size_t{130}}) {
+    for (const unsigned guesses : {1u, 5u, 256u}) {
+      const qd::TraceSet ts = qdi_like_traces(48, m, rng);
+      for (const bool byte_indexed : {true, false}) {
+        std::vector<qd::SelectionFn> bits;
+        if (byte_indexed) {
+          bits.push_back(qd::aes_sbox_selection(0, 0));
+          bits.push_back(qd::aes_sbox_selection(0, 3));
+        } else {
+          bits.push_back(generic_sbox_selection(0));
+          bits.push_back(generic_sbox_selection(3));
+        }
+        for (const qk::KernelTable* arm : every_arm()) {
+          const std::string what = std::string(arm->name) + " m=" +
+                                   std::to_string(m) + " guesses=" +
+                                   std::to_string(guesses) + " byte_indexed=" +
+                                   std::to_string(byte_indexed);
+          qd::OnlineDpa acc(bits, guesses);
+          acc.set_kernels(*arm);
+          NaiveDpa naive(bits, guesses, m);
+          for (std::size_t i = 0; i < ts.size(); ++i) {
+            acc.add(ts.plaintext(i), ts.trace(i).samples());
+            naive.add(ts.plaintext(i), ts.trace(i).samples().data());
+            if (i + 1 != 17 && i + 1 != ts.size()) continue;
+            const qd::KeyRecoveryResult got = acc.recover();
+            const qd::KeyRecoveryResult want = naive.recover();
+            EXPECT_TRUE(rows_match(got.guess_peak, want.guess_peak, &same_bits))
+                << what;
+            EXPECT_EQ(got.best_guess, want.best_guess) << what;
+            EXPECT_TRUE(same_bits(got.second_peak, want.second_peak)) << what;
+            EXPECT_TRUE(rows_match(snapshot_folded(acc.serialize_state(), 5, 1),
+                                   naive.folded(), &same_bits))
+                << what << ": folded matrix";
+          }
         }
       }
     }

@@ -303,6 +303,38 @@ TEST(XformGolden, ConeBalanceFingerprintsArePinned) {
   }
 }
 
+TEST(XformGolden, ConeBalanceFixpointFingerprintsArePinned) {
+  // The multi-round path: 32 rounds take both targets to the pass's
+  // fixpoint, so every round after the first (the footprint worklist
+  // over a flat graph patched clone by clone) shapes these digests.
+  struct Case {
+    const char* target;
+    std::size_t clones;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {"aes_byte_slice", 777,
+       "913ec0225b1a7f3f292d593fd2bbde0c7a60d90d72c1e748dbc4279e6d4c0fc4"},
+      {"des_round", 217,
+       "7920904a5a032884eca4d785b7a2de0a3e4c66a646ff7e86edb8aa5a853dc128"},
+  };
+  for (const Case& c : cases) {
+    qc::TargetInstance inst = qc::find_target(c.target).build(0x2b);
+    const qx::PassReport rep =
+        qx::ConeBalancePass{{.max_rounds = 32, .verify = false}}.run(inst.nl);
+    EXPECT_EQ(rep.cells_added, c.clones) << c.target;
+    for (const std::string& note : rep.notes)
+      EXPECT_EQ(note.find("fixpoint not reached"), std::string::npos)
+          << c.target << ": " << note;
+    const std::string fp = fingerprint(inst.nl);
+    EXPECT_EQ(c.digest,
+              qdi::util::Sha256::hex_of(std::span<const std::uint8_t>(
+                  reinterpret_cast<const std::uint8_t*>(fp.data()),
+                  fp.size())))
+        << c.target;
+  }
+}
+
 // ---- pipeline determinism on every registry target -------------------------
 
 TEST(XformDeterminism, PipelineIsByteIdenticalOnEveryRegistryTarget) {
