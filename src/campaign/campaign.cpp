@@ -212,39 +212,20 @@ void Campaign::validate(const TargetInstance& inst) const {
         "Reference)");
 }
 
-/// Sweep-shared acquisition state: one WorkerPool living across every
-/// variant, plus the variant's live source (the pool holds clones of
-/// it, so it must stay alive until the next rebind).
-struct Campaign::PoolState {
-  std::unique_ptr<TraceSource> src;
-  std::optional<WorkerPool> pool;
-};
-
-CampaignResult Campaign::run() const {
-  const auto t_run = std::chrono::steady_clock::now();
-  if (!target_.valid())
-    throw std::invalid_argument("Campaign: no target set");
-  TargetInstance inst = target_.build(key_);
-  validate(inst);
-  return run_stages(std::move(inst), recipe_ ? &*recipe_ : nullptr, nullptr,
-                    /*force_fused=*/false, t_run);
-}
-
 /// Design flow, prepare hooks, then the countermeasure recipe — the
 /// stages every entry point runs on a freshly built victim, in this
 /// order. Their reports land in `res` when the caller keeps one.
 void Campaign::prepare_victim(TargetInstance& inst,
-                              const xform::Recipe* recipe,
                               CampaignResult* res) const {
   if (flow_) {
     auto flow = core::run_secure_flow(inst.nl, *flow_);
     if (res != nullptr) res->flow = std::move(flow);
   }
   for (const PrepareFn& fn : prepare_) fn(inst.nl);
-  if (recipe != nullptr) {
-    auto xf = recipe->pipeline.run(inst.nl);
+  if (recipe_) {
+    auto xf = recipe_->pipeline.run(inst.nl);
     if (res != nullptr) {
-      res->recipe = recipe->name;
+      res->recipe = recipe_->name;
       res->xform = std::move(xf);
     }
   }
@@ -262,52 +243,34 @@ std::unique_ptr<TraceSource> Campaign::make_source(
                                           opt_);
 }
 
-/// `t_run` is the moment the caller started (before target build), so
-/// total_wall_ms keeps covering the whole campaign including netlist
-/// construction.
-CampaignResult Campaign::run_stages(
-    TargetInstance inst, const xform::Recipe* recipe, PoolState* shared,
-    bool force_fused, std::chrono::steady_clock::time_point t_run) const {
+CampaignResult Campaign::run() const {
+  const auto t_run = std::chrono::steady_clock::now();
+  if (!target_.valid())
+    throw std::invalid_argument("Campaign: no target set");
+  TargetInstance inst = target_.build(key_);
+  validate(inst);
+
   CampaignResult res;
   res.target = inst.name;
   res.key = key_;
 
-  prepare_victim(inst, recipe, &res);
+  prepare_victim(inst, &res);
   res.criteria = core::evaluate_criterion(inst.nl);
   res.max_da = core::max_dA(res.criteria);
   res.mean_da = core::mean_dA(res.criteria);
 
   const bool attacking = !std::holds_alternative<std::monostate>(attack_);
-  const std::size_t fused_chunk =
-      fused_chunk_ > 0 ? fused_chunk_
-                       : (force_fused && attacking ? std::size_t{1024} : 0);
 
   // ---- acquisition + analysis ----------------------------------------------
   if (num_traces_ > 0) {
-    std::unique_ptr<TraceSource> owned_src = make_source(inst);
+    const std::unique_ptr<TraceSource> src = make_source(inst);
     // Worker clones (per-thread simulators + scratch) are campaign
     // state: created once and persistent across every segment the
-    // acquisition below runs. A sweep hands in its own PoolState so the
-    // pool (and its buffers) persist across variants; the clones
-    // are rebound to this variant's source.
+    // acquisition below runs.
     const auto threads = static_cast<unsigned>(
         std::min<std::size_t>(threads_ == 0 ? 1 : threads_, num_traces_));
-    std::optional<WorkerPool> local_pool;
-    WorkerPool* pool_ptr = nullptr;
-    if (shared != nullptr) {
-      shared->src = std::move(owned_src);
-      if (!shared->pool) {
-        shared->pool.emplace(*shared->src, threads);
-      } else {
-        shared->pool->rebind(*shared->src);
-      }
-      pool_ptr = &*shared->pool;
-    } else {
-      local_pool.emplace(*owned_src, threads);
-      pool_ptr = &*local_pool;
-    }
-    WorkerPool& pool = *pool_ptr;
-    if (fused_chunk > 0) {
+    WorkerPool pool(*src, threads);
+    if (fused_chunk_ > 0) {
       // Fused mode: each acquired segment streams into the attack
       // accumulators and is discarded — O(chunk + guesses·samples)
       // memory for any trace budget. Analysis time is measured around
@@ -329,7 +292,7 @@ CampaignResult Campaign::run_stages(
       // probes at exactly their trace counts (checkpoint prefixes are
       // block cuts). Either way feed_ms only counts the commit side.
       std::optional<detail::BlockMerge> blocks;
-      std::size_t block_traces = pool.block_traces(fused_chunk);
+      std::size_t block_traces = pool.block_traces(fused_chunk_);
       std::vector<std::size_t> cuts;
       WorkerPool::ShardedIngest si;
       if (sharded_ingest_ > 0) {
@@ -371,14 +334,6 @@ CampaignResult Campaign::run_stages(
         out.wall_ms = ms_since(t_attack);
         res.attack = std::move(out);
       }
-    }
-    if (shared != nullptr) {
-      // This variant's netlist dies with this call (moved into the
-      // result below); a SimTraceSource points into it, so drop the
-      // source and the pool's clones now — the pool keeps only its
-      // netlist-independent buffers until the next rebind.
-      shared->pool->unbind();
-      shared->src.reset();
     }
   }
 
@@ -491,9 +446,9 @@ ShardedResult Campaign::sharded(ShardedOptions opt) const {
   TargetInstance inst = target_.build(key_);
   validate(inst);
 
-  // Same victim preparation as run_stages (minus the criterion): the
-  // shard runtime attacks exactly the netlist a fused run() would attack.
-  prepare_victim(inst, recipe_ ? &*recipe_ : nullptr, nullptr);
+  // Same victim preparation as run() (minus the criterion): the shard
+  // runtime attacks exactly the netlist a fused run() would attack.
+  prepare_victim(inst, nullptr);
   const std::unique_ptr<TraceSource> src = make_source(inst);
 
   const std::size_t shards =
@@ -526,23 +481,24 @@ SweepResult Campaign::sweep(const std::vector<xform::Recipe>& recipes) const {
         "Campaign: sweep() and recipe() both set the countermeasure stage — "
         "pass every variant (including the recipe() one) in the sweep list");
 
+  const bool attacking = !std::holds_alternative<std::monostate>(attack_);
   SweepResult out;
   out.variants.reserve(recipes.size());
-  PoolState shared;
   // Variants whose pipeline never alters connectivity all share the base
   // netlist's symmetry scan (every variant rebuilds the same instance
   // and runs the same flow/prepare stages) — computed at most once.
   std::optional<std::size_t> base_asymmetric;
   for (const xform::Recipe& recipe : recipes) {
-    // Each variant rebuilds the victim through the target's
-    // parameterized builder, so recipes never see each other's edits.
-    const auto t_variant = std::chrono::steady_clock::now();
-    TargetInstance inst = target_.build(key_);
-    validate(inst);
+    // Each variant is a standalone run() of a copy of this campaign, so
+    // it rebuilds the victim through the target's builder (recipes never
+    // see each other's edits) and owns its worker pool. An attack always
+    // streams fused: a sweep's purpose is comparison, not trace retention.
+    Campaign variant_campaign = *this;
+    variant_campaign.recipe(recipe);
+    if (attacking && fused_chunk_ == 0) variant_campaign.fused();
     SweepVariant variant;
     variant.recipe = recipe.name;
-    variant.result = run_stages(std::move(inst), &recipe, &shared,
-                                /*force_fused=*/true, t_variant);
+    variant.result = variant_campaign.run();
     // Post-transform structural metrics: the symmetry scan next to the
     // attack outcome — the paper's designer-vs-attacker comparison.
     // When the recipe's cone-balance pass already re-verified (its

@@ -22,7 +22,6 @@
 // materialized path, memory independent of the trace budget.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -257,30 +256,22 @@ class Campaign {
   /// boundaries instead). Throws std::invalid_argument otherwise.
   ShardedResult sharded(ShardedOptions opt) const;
 
-  /// Run the same campaign once per countermeasure recipe and compare:
-  /// each variant rebuilds the victim from the target's parameterized
-  /// builder, runs flow + prepare, applies the recipe's pass pipeline,
-  /// recompiles through the normal engine path, and runs the configured
-  /// (fused) acquire-and-attack on a worker pool shared across all
-  /// variants (per-thread simulators are rebound per variant, scratch
-  /// persists). When an attack is configured the sweep always streams
-  /// fused — a sweep's purpose is comparison, not trace retention — so
-  /// peak memory is independent of both the trace budget and the number
-  /// of recipes. Results per variant are bit-identical to a standalone
-  /// .recipe(r).fused().run() campaign. Throws std::invalid_argument on
-  /// an empty recipe list or an inconsistent configuration.
+  /// Run the same campaign once per countermeasure recipe and compare.
+  /// Each variant is a copy of this campaign given .recipe(r) — plus
+  /// .fused() when an attack is configured and fused() was not called,
+  /// since a sweep's purpose is comparison, not trace retention — and
+  /// then run(): its own victim build, flow + prepare, recipe, compile
+  /// and worker pool. Results per variant are therefore bit-identical to
+  /// a standalone .recipe(r).fused().run() campaign, and peak memory is
+  /// independent of both the trace budget and the number of recipes.
+  /// Throws std::invalid_argument on an empty recipe list, on a recipe()
+  /// already set, or on an inconsistent configuration.
   SweepResult sweep(const std::vector<xform::Recipe>& recipes) const;
 
  private:
-  struct PoolState;  ///< sweep-shared WorkerPool + live source (campaign.cpp)
-
   void validate(const TargetInstance& inst) const;
-  void prepare_victim(TargetInstance& inst, const xform::Recipe* recipe,
-                      CampaignResult* res) const;
+  void prepare_victim(TargetInstance& inst, CampaignResult* res) const;
   std::unique_ptr<TraceSource> make_source(const TargetInstance& inst) const;
-  CampaignResult run_stages(
-      TargetInstance inst, const xform::Recipe* recipe, PoolState* shared,
-      bool force_fused, std::chrono::steady_clock::time_point t_run) const;
 
   CircuitTarget target_;
   std::uint64_t key_ = 0;

@@ -19,7 +19,6 @@
 #include "qdi/dpa/dfa.hpp"
 #include "qdi/dpa/selection.hpp"
 #include "qdi/gates/aes_datapath.hpp"
-#include "qdi/xform/pass.hpp"
 
 namespace qdi::campaign {
 
@@ -114,18 +113,6 @@ CircuitTarget aes_core(gates::AesCoreParams params = {});
 /// copy to mutate through flow/prepare stages). The key is fixed to
 /// whatever the instance was built with.
 CircuitTarget prebuilt(TargetInstance inst);
-
-/// Wrap a target so every build is post-processed by the recipe's pass
-/// pipeline: the countermeasure variant as a first-class registry
-/// entry, named "<base>+<recipe>". The transformed netlist keeps the
-/// base target's channel metadata (environment, stimulus, analysis
-/// side) and compiles through the existing sim::compile() path
-/// unchanged. Builds are memoized per key (build + pipeline are
-/// deterministic), so repeated campaigns over one wrapped target pay
-/// the transform once. Prefer Campaign::recipe()/sweep() when the
-/// campaign also runs a flow stage — this wrapper transforms at build
-/// time, before any flow.
-CircuitTarget transformed(CircuitTarget base, xform::Recipe recipe);
 
 // ---- registry --------------------------------------------------------------
 

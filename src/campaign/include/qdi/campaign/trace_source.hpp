@@ -87,13 +87,6 @@ class TraceSource {
   /// `out = ...` and forgo the buffer reuse.
   virtual void acquire_into(const TraceRequest& req, AcquiredTrace& out) = 0;
 
-  /// Convenience value-returning form of acquire_into.
-  AcquiredTrace acquire_one(const TraceRequest& req) {
-    AcquiredTrace out;
-    acquire_into(req, out);
-    return out;
-  }
-
   /// Natural block size of this source: how many consecutive trace
   /// indices one acquire_block() call acquires at once. 1 for scalar
   /// sources; sim::kBatchLanes for the bit-parallel batch engine. The
@@ -139,8 +132,9 @@ class Coordinator;
 /// every acquisition runs through. The pool keeps `threads - 1` clones
 /// of a primary source (per-thread simulators with their compiled
 /// netlist, epoch snapshot, and scratch buffers) plus recycled block
-/// buffers alive across any number of calls; the campaign layer owns
-/// one pool per run, benches own one per timing loop.
+/// buffers alive across any number of calls. A pool serves one source
+/// for its whole life: the campaign layer owns one pool per run (a sweep
+/// variant is a run), benches own one per timing loop.
 ///
 /// Each call cuts its trace range (a sharded run: every open shard
 /// range) into contiguous blocks at absolute trace indices, starts its
@@ -158,31 +152,16 @@ class Coordinator;
 /// stay below 2·threads (the claim gate test derives the bound). The first
 /// exception thrown by the source, `ingest`, or `commit` stops further
 /// claims and is rethrown to the caller once every worker has returned;
-/// the pool stays usable (the source that threw may not: rebind()).
+/// the pool stays usable, though the source that threw may not be (the
+/// shard runtime builds a new pool over fresh clones after a failure).
 class WorkerPool {
  public:
   /// `src` must outlive the pool. `threads` counts `src` itself.
   WorkerPool(TraceSource& src, unsigned threads);
 
   unsigned threads() const noexcept {
-    return static_cast<unsigned>(worker_clones_) + 1;
+    return static_cast<unsigned>(clones_.size()) + 1;
   }
-
-  /// Point the pool at a different source, keeping the thread count and
-  /// the recycled block buffers (their capacity was paid for by the
-  /// previous campaign). This is what lets a countermeasure sweep run
-  /// every variant on one shared pool: each variant's netlist gets fresh
-  /// per-thread clones, the allocation-heavy buffers persist.
-  /// `src` must outlive the pool, the next rebind, or an unbind().
-  void rebind(TraceSource& src);
-
-  /// Drop the source pointer and the per-thread clones but keep the
-  /// buffers. A SimTraceSource points into the netlist it was built
-  /// over; when that netlist dies before the pool does (a sweep
-  /// variant's instance is consumed by its CampaignResult), unbinding
-  /// keeps the pool from holding dangling sources between variants.
-  /// Acquisition is invalid until the next rebind().
-  void unbind() noexcept;
 
   /// Block width that keeps about `budget` traces in flight: the budget
   /// split over the 3·threads + 2 block buffers a call can hold (one
@@ -288,15 +267,13 @@ class WorkerPool {
                   std::size_t* error_first = nullptr);
 
   TraceSource* src_;
-  std::size_t worker_clones_ = 0;  ///< clone count restored by rebind()
   std::vector<std::unique_ptr<TraceSource>> clones_;
   /// Segment-mode acquisition slots, one set per worker; slot buffers
   /// (samples, plaintext, ciphertext) keep their capacity across calls.
   std::vector<std::vector<AcquiredTrace>> worker_records_;
   /// Free list of block buffers: clear() keeps the segment's matrix and
-  /// arena capacity, so steady-state calls (the fused campaign, a
-  /// sharded run's retries, every sweep step after the first) do not
-  /// reallocate.
+  /// arena capacity, so blocks recycled within a call, and every call
+  /// after a pool's first (a bench's timing loop), do not reallocate.
   std::vector<std::unique_ptr<Block>> free_blocks_;
 };
 
@@ -317,10 +294,9 @@ struct SimTraceSourceOptions {
   /// it throws. All engines produce bit-identical traces.
   sim::EngineKind engine = sim::EngineKind::Compiled;
   /// Reuse an existing compiled form instead of flattening the netlist
-  /// again (benches and sweeps that build several sources over one
-  /// victim). Must have been compiled from the SAME netlist with the
-  /// SAME delay model — the source trusts it. Ignored by the reference
-  /// engine.
+  /// again (benches that build several sources over one victim). Must
+  /// have been compiled from the SAME netlist with the SAME delay model
+  /// — the source trusts it. Ignored by the reference engine.
   std::shared_ptr<const sim::CompiledNetlist> precompiled;
 };
 

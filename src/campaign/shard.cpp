@@ -207,15 +207,21 @@ ShardedResult Coordinator::run() {
   //
   // Every worker, worker 0 included, runs on a clone, so `primary`
   // stays pristine: a source that threw mid-trace may be left unusable
-  // (a simulator with events still queued), and a failed call rebinds
-  // every worker to fresh clones of it.
-  std::unique_ptr<TraceSource> src = cfg_.primary->clone();
-  WorkerPool pool(*src, cfg_.threads == 0 ? 1 : cfg_.threads);
+  // (a simulator with events still queued), and a failed call rebuilds
+  // the pool over fresh clones of it.
+  std::unique_ptr<TraceSource> src;
+  std::optional<WorkerPool> pool;
+  const auto fresh_pool = [&] {
+    pool.reset();
+    src = cfg_.primary->clone();
+    pool.emplace(*src, cfg_.threads == 0 ? 1 : cfg_.threads);
+  };
+  fresh_pool();
   std::optional<detail::BlockMerge> blocks;
   if (opt_.ingest_block_traces > 0) blocks.emplace(*cfg_.attack, *cfg_.inst);
   const std::size_t block_traces = blocks
                                        ? opt_.ingest_block_traces
-                                       : pool.block_traces(opt_.chunk_traces);
+                                       : pool->block_traces(opt_.chunk_traces);
   std::vector<WorkerPool::Range> ranges;
 
   // Watchdog observables: commits advance `progress`; `frontier` is the
@@ -345,8 +351,8 @@ ShardedResult Coordinator::run() {
     std::string error;
     try {
       AcquisitionStats st;
-      pool.run_blocks(ranges, cfg_.seed, block_traces, cuts,
-                      /*segments=*/true, ingest, commit, st, &failed_at);
+      pool->run_blocks(ranges, cfg_.seed, block_traces, cuts,
+                       /*segments=*/true, ingest, commit, st, &failed_at);
     } catch (const std::exception& e) {
       if (failed_at == kNoBlock) throw;  // not a shard's failure
       if (const auto* stall = dynamic_cast<const ShardStall*>(&e)) {
@@ -362,9 +368,7 @@ ShardedResult Coordinator::run() {
     // them, on fresh sources.
     fingerprints.clear();
     if (blocks) blocks->drop_parked();
-    std::unique_ptr<TraceSource> fresh = cfg_.primary->clone();
-    pool.rebind(*fresh);
-    src = std::move(fresh);
+    fresh_pool();
     Slot& s = owner(failed_at);
     s.report.error = std::move(error);
     // An exhausted shard falls back to its last durable checkpoint, so

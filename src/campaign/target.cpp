@@ -1,8 +1,6 @@
 #include "qdi/campaign/target.hpp"
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 
 #include "qdi/crypto/aes.hpp"
@@ -382,35 +380,6 @@ CircuitTarget prebuilt(TargetInstance inst) {
   auto shared = std::make_shared<const TargetInstance>(std::move(inst));
   return CircuitTarget(shared->name.empty() ? "prebuilt" : shared->name,
                        [shared](std::uint64_t) { return *shared; });
-}
-
-CircuitTarget transformed(CircuitTarget base, xform::Recipe recipe) {
-  const std::string name = base.name() + "+" + recipe.name;
-  auto shared = std::make_shared<const xform::Recipe>(std::move(recipe));
-  // Build + pipeline runs are memoized per key: repeated campaigns over
-  // one transformed target (fused CPA then fault then batch, or a
-  // ranked sweep re-running per trace count) pay the netlist build and
-  // the pass pipeline once. Both are deterministic functions of
-  // (target, recipe, key), so the cache can never serve a stale
-  // instance; callers get a copy to mutate freely.
-  struct Memo {
-    std::mutex mu;
-    std::map<std::uint64_t, std::shared_ptr<const TargetInstance>> by_key;
-  };
-  auto memo = std::make_shared<Memo>();
-  return CircuitTarget(
-      name, [base = std::move(base), shared, memo](std::uint64_t key) {
-        {
-          const std::lock_guard<std::mutex> lock(memo->mu);
-          const auto it = memo->by_key.find(key);
-          if (it != memo->by_key.end()) return *it->second;
-        }
-        TargetInstance inst = base.build(key);
-        shared->pipeline.run(inst.nl);
-        auto built = std::make_shared<const TargetInstance>(std::move(inst));
-        const std::lock_guard<std::mutex> lock(memo->mu);
-        return *memo->by_key.try_emplace(key, std::move(built)).first->second;
-      });
 }
 
 namespace {

@@ -355,21 +355,8 @@ constexpr std::size_t kMaterializeBudget = 1024;
 
 WorkerPool::WorkerPool(TraceSource& src, unsigned threads) : src_(&src) {
   if (threads == 0) threads = 1;
-  worker_clones_ = threads - 1;
-  clones_.reserve(worker_clones_);
+  clones_.reserve(threads - 1);
   for (unsigned w = 1; w < threads; ++w) clones_.push_back(src.clone());
-}
-
-void WorkerPool::rebind(TraceSource& src) {
-  clones_.clear();
-  src_ = &src;
-  for (std::size_t w = 0; w < worker_clones_; ++w)
-    clones_.push_back(src.clone());
-}
-
-void WorkerPool::unbind() noexcept {
-  clones_.clear();
-  src_ = nullptr;
 }
 
 std::size_t WorkerPool::block_traces(std::size_t budget) const {

@@ -4,8 +4,9 @@
 // (the shared per-sample moments and the one vector add into the
 // trace's class sum), the read-time fold of class sums into the
 // guesses x m matrix, and the finalize-side covariance scans — are
-// factored into this table of function pointers with portable, SSE2,
-// and AVX2 arms. The arm is picked ONCE at load via
+// factored into this table of function pointers with portable and
+// AVX2 arms (on x86-64 the portable arm is itself -O3-autovectorized
+// to SSE2). The arm is picked ONCE at load via
 // util::cpu_features() — the same pattern as util::Sha256's SHA-NI
 // compressor — and QDI_FORCE_PORTABLE pins the portable arm everywhere.
 //
@@ -16,8 +17,8 @@
 // add and one per multiply (mul-then-add, never FMA — the arms exclude
 // "fma" from their target sets so the compiler cannot contract), and
 // the scalar tail performs the identical operations on the identical
-// values. There is no reassociation anywhere, so the SSE2 and AVX2
-// arms are BIT-IDENTICAL to the portable arm — a property
+// values. There is no reassociation anywhere, so the AVX2 arm is
+// BIT-IDENTICAL to the portable arm — a property
 // tests/test_dpa_kernels.cpp asserts on awkward geometries rather than
 // assumes.
 #pragma once
@@ -29,7 +30,7 @@ namespace qdi::dpa::kernels {
 /// One implementation of every analysis hot loop. All pointers are
 /// non-null in any table returned by table() / active().
 struct KernelTable {
-  const char* name;  ///< "portable" / "sse2" / "avx2"
+  const char* name;  ///< "portable" / "avx2"
 
   /// CPA per-sample moments: for each trace c in order,
   /// sum_s[j] += s[j]; sum_s2[j] += s[j]*s[j].
@@ -78,7 +79,7 @@ struct KernelTable {
                     double nn, std::size_t m);
 };
 
-enum class Kind { Portable, Sse2, Avx2 };
+enum class Kind { Portable, Avx2 };
 
 /// True when this build/CPU can run the given arm (Portable: always).
 bool supported(Kind k) noexcept;

@@ -58,8 +58,8 @@
 // change a bit; two reads with no ingest in between return identical
 // results.
 //
-// The hot loops live in qdi/dpa/kernels.hpp: a table of portable / SSE2
-// / AVX2 implementations picked once at load. Every arm vectorizes over
+// The hot loops live in qdi/dpa/kernels.hpp: a table of portable /
+// AVX2 implementations picked once at load. Every arm vectorizes over
 // the sample axis only — each accumulator cell receives contributions
 // in a fixed order with no reassociation and no FMA contraction — so
 // the dispatch choice (and QDI_FORCE_PORTABLE) never changes a result.
@@ -234,6 +234,8 @@ class OnlineCpa {
                      std::size_t window_hi = 0) const;
 
   /// Full correlation trace rho[j] of one guess at the current prefix.
+  /// All +0.0 when the guess's hypothesis variance is not > 0.0 (a NaN
+  /// one included): the same gate under which finalize() scores it 0.
   std::vector<double> correlation_trace(unsigned guess) const;
 
   /// Fold another accumulator's traces into this one. Every statistic is

@@ -9,12 +9,12 @@
 #include <immintrin.h>
 #endif
 
-// Every arm below performs, per accumulator cell, the exact same
+// The AVX2 arm below performs, per accumulator cell, the exact same
 // sequence of IEEE operations in the exact same order as the portable
-// arm — the SIMD arms only pack independent sample-axis lanes into one
-// register. Multiplies and adds stay separate (the x86 arms' target
-// sets exclude "fma", so the compiler cannot contract them), divisions
-// stay divisions, and scalar tails repeat the identical expressions.
+// arm — it only packs independent sample-axis lanes into one register.
+// Multiplies and adds stay separate (its target set excludes "fma", so
+// the compiler cannot contract them), divisions stay divisions, and
+// scalar tails repeat the identical expressions.
 // tests/test_dpa_kernels.cpp pins the arms against each other bit for
 // bit; treat any divergence there as a bug in this file.
 
@@ -80,103 +80,6 @@ constexpr KernelTable kPortable = {
 };
 
 #ifdef QDI_KERNELS_X86
-
-// ------------------------------------------------------------------- sse2
-// SSE2 is the x86-64 baseline, so these build with no target attribute;
-// they exist so the dispatch has a narrow-vector arm to fall back to
-// (and to differentially test) on pre-AVX2 silicon.
-
-void cpa_moments_sse2(double* sum_s, double* sum_s2, const double* const* rows,
-                      std::size_t cnt, std::size_t m) {
-  for (std::size_t c = 0; c < cnt; ++c) {
-    const double* s = rows[c];
-    std::size_t j = 0;
-    for (; j + 2 <= m; j += 2) {
-      const __m128d v = _mm_loadu_pd(s + j);
-      _mm_storeu_pd(sum_s + j, _mm_add_pd(_mm_loadu_pd(sum_s + j), v));
-      _mm_storeu_pd(sum_s2 + j, _mm_add_pd(_mm_loadu_pd(sum_s2 + j),
-                                           _mm_mul_pd(v, v)));
-    }
-    for (; j < m; ++j) {
-      sum_s[j] += s[j];
-      sum_s2[j] += s[j] * s[j];
-    }
-  }
-}
-
-void cpa_rank_update_sse2(double* sum_hs, const double* const* rows,
-                          const double* const* hyp, std::size_t cnt,
-                          unsigned guesses, std::size_t m,
-                          std::size_t stride) {
-  for (unsigned g = 0; g < guesses; ++g) {
-    double* dst = sum_hs + static_cast<std::size_t>(g) * stride;
-    for (std::size_t c = 0; c < cnt; ++c) {
-      const double h = hyp[c][g];
-      if (h == 0.0) continue;
-      const double* s = rows[c];
-      const __m128d hv = _mm_set1_pd(h);
-      std::size_t j = 0;
-      for (; j + 2 <= m; j += 2) {
-        const __m128d prod = _mm_mul_pd(hv, _mm_loadu_pd(s + j));
-        _mm_storeu_pd(dst + j, _mm_add_pd(_mm_loadu_pd(dst + j), prod));
-      }
-      for (; j < m; ++j) dst[j] += h * s[j];
-    }
-  }
-}
-
-void row_add_sse2(double* dst, const double* src, std::size_t m) {
-  std::size_t j = 0;
-  for (; j + 2 <= m; j += 2)
-    _mm_storeu_pd(dst + j,
-                  _mm_add_pd(_mm_loadu_pd(dst + j), _mm_loadu_pd(src + j)));
-  for (; j < m; ++j) dst[j] += src[j];
-}
-
-void variance_sse2(double* var, const double* sum_s, const double* sum_s2,
-                   double nn, std::size_t m) {
-  const __m128d nv = _mm_set1_pd(nn);
-  std::size_t j = 0;
-  for (; j + 2 <= m; j += 2) {
-    const __m128d sv = _mm_loadu_pd(sum_s + j);
-    const __m128d mean_sq = _mm_div_pd(_mm_mul_pd(sv, sv), nv);
-    _mm_storeu_pd(var + j, _mm_sub_pd(_mm_loadu_pd(sum_s2 + j), mean_sq));
-  }
-  for (; j < m; ++j) var[j] = sum_s2[j] - sum_s[j] * sum_s[j] / nn;
-}
-
-void corr_scan_sse2(double* rho, const double* hs, const double* sum_s,
-                    const double* var_s, double sum_h, double var_h,
-                    double nn, std::size_t m) {
-  const __m128d hv = _mm_set1_pd(sum_h);
-  const __m128d nv = _mm_set1_pd(nn);
-  const __m128d vh = _mm_set1_pd(var_h);
-  const __m128d zero = _mm_setzero_pd();
-  std::size_t j = 0;
-  for (; j + 2 <= m; j += 2) {
-    const __m128d vs = _mm_loadu_pd(var_s + j);
-    const __m128d cov = _mm_sub_pd(
-        _mm_loadu_pd(hs + j),
-        _mm_div_pd(_mm_mul_pd(hv, _mm_loadu_pd(sum_s + j)), nv));
-    const __m128d r = _mm_div_pd(cov, _mm_sqrt_pd(_mm_mul_pd(vh, vs)));
-    // Lanes with var_s <= 0 computed garbage (NaN/inf); the and-mask
-    // replaces them with +0.0, which finalize()'s strict max ignores.
-    _mm_storeu_pd(rho + j, _mm_and_pd(_mm_cmpgt_pd(vs, zero), r));
-  }
-  for (; j < m; ++j) {
-    if (var_s[j] > 0.0) {
-      const double cov = hs[j] - sum_h * sum_s[j] / nn;
-      rho[j] = cov / std::sqrt(var_h * var_s[j]);
-    } else {
-      rho[j] = 0.0;
-    }
-  }
-}
-
-constexpr KernelTable kSse2 = {
-    "sse2",        &cpa_moments_sse2, &cpa_rank_update_sse2,
-    &row_add_sse2, &variance_sse2,    &corr_scan_sse2,
-};
 
 // ------------------------------------------------------------------- avx2
 // target("avx2") only — deliberately NOT "fma": mul and add must round
@@ -306,6 +209,8 @@ __attribute__((target("avx2"))) void corr_scan_avx2(
         _mm256_div_pd(_mm256_mul_pd(hv, _mm256_loadu_pd(sum_s + j)), nv));
     const __m256d r =
         _mm256_div_pd(cov, _mm256_sqrt_pd(_mm256_mul_pd(vh, vs)));
+    // Lanes with var_s <= 0 computed garbage (NaN/inf); the and-mask
+    // replaces them with +0.0, which finalize()'s strict max ignores.
     _mm256_storeu_pd(rho + j,
                      _mm256_and_pd(_mm256_cmp_pd(vs, zero, _CMP_GT_OQ), r));
   }
@@ -333,12 +238,9 @@ bool supported(Kind k) noexcept {
     case Kind::Portable:
       return true;
 #ifdef QDI_KERNELS_X86
-    case Kind::Sse2:
-      return util::cpu_features().sse2;
     case Kind::Avx2:
       return util::cpu_features().avx2;
 #else
-    case Kind::Sse2:
     case Kind::Avx2:
       return false;
 #endif
@@ -352,12 +254,9 @@ const KernelTable* table(Kind k) noexcept {
     case Kind::Portable:
       return &kPortable;
 #ifdef QDI_KERNELS_X86
-    case Kind::Sse2:
-      return &kSse2;
     case Kind::Avx2:
       return &kAvx2;
 #else
-    case Kind::Sse2:
     case Kind::Avx2:
       return nullptr;
 #endif
@@ -367,10 +266,8 @@ const KernelTable* table(Kind k) noexcept {
 
 const KernelTable& active() noexcept {
   static const KernelTable* const picked = [] {
-    if (!util::force_portable()) {
+    if (!util::force_portable())
       if (const KernelTable* avx2 = table(Kind::Avx2)) return avx2;
-      if (const KernelTable* sse2 = table(Kind::Sse2)) return sse2;
-    }
     return table(Kind::Portable);
   }();
   return *picked;

@@ -549,7 +549,7 @@ std::vector<double> OnlineCpa::correlation_trace(unsigned guess) const {
   const double* sum_hs = read();
   const double nn = static_cast<double>(n_);
   const double var_h = sum_h2_[guess] - sum_h_[guess] * sum_h_[guess] / nn;
-  if (var_h <= 0.0) return rho;
+  if (!(var_h > 0.0)) return rho;  // finalize()'s gate: NaN scores 0
   // Outside the positive-variance hull the scan would write +0.0.
   const std::size_t lo = var_lo_;
   const double* hs = sum_hs + static_cast<std::size_t>(guess) * m_;

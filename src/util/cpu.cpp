@@ -31,7 +31,6 @@ CpuFeatures probe() noexcept {
   unsigned c = 0;
   unsigned d = 0;
   if (__get_cpuid(1, &a, &b, &c, &d)) {
-    f.sse2 = (d & (1u << 26)) != 0;
     f.ssse3 = (c & (1u << 9)) != 0;
     f.sse41 = (c & (1u << 19)) != 0;
     // AVX2 usability needs the CPU flag (leaf 7) AND the OS to have

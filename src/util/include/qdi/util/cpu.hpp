@@ -1,5 +1,5 @@
 // Shared runtime CPU-feature probe for the load-time-dispatched
-// kernels (util::Sha256's SHA-NI compressor, dpa::kernels' SSE2/AVX2
+// kernels (util::Sha256's SHA-NI compressor, dpa::kernels' AVX2
 // analysis kernels). One cpuid interrogation per process; every
 // dispatcher reads the same answers.
 //
@@ -15,7 +15,6 @@
 namespace qdi::util {
 
 struct CpuFeatures {
-  bool sse2 = false;   ///< baseline on x86-64, probed anyway
   bool ssse3 = false;
   bool sse41 = false;
   bool avx2 = false;   ///< true only if the OS enables YMM state (XGETBV)

@@ -1,6 +1,6 @@
 // SIMD analysis-kernel dispatch and thread-sharded accumulation.
 //
-//  * every SIMD arm the host supports (SSE2, AVX2) is fuzzed against
+//  * every SIMD arm the host supports (AVX2) is fuzzed against
 //    the portable arm over awkward geometries — odd sample counts,
 //    vector-width±1 tails, 1/5/256 guesses, byte-indexed and generic
 //    models, a mid-stream read — and must leave BIT-identical
@@ -26,6 +26,7 @@
 //    the two modes' checkpoints from cross-adopting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -33,6 +34,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -86,7 +88,7 @@ void feed_awkward(Acc& acc, const qd::TraceSet& ts) {
   }
 }
 
-const std::vector<qk::Kind> kSimdKinds = {qk::Kind::Sse2, qk::Kind::Avx2};
+const std::vector<qk::Kind> kSimdKinds = {qk::Kind::Avx2};
 
 /// Generic (non-byte-indexed) twin of aes_sbox_hw_model(0): forces the
 /// scratch-row hypothesis path while computing the same values.
@@ -398,11 +400,7 @@ class NaiveCpa {
     hi = hi == 0 ? m_ : std::min(hi, m_);
     const Moments mo = moments();
     for (unsigned g = 0; g < guesses_; ++g) {
-      // finalize() scans a guess only when var_h > 0.0 (a NaN var_h
-      // scores 0); correlation_trace() returns zeros only when var_h <=
-      // 0.0 (a NaN var_h scans).
-      const std::vector<double> rho =
-          mo.var_h[g] > 0.0 ? scan(mo, g) : std::vector<double>(m_, 0.0);
+      const std::vector<double> rho = gated_scan(mo, g);
       double best = 0.0;
       std::size_t best_j = lo;
       for (std::size_t j = lo; j < hi; ++j) {
@@ -425,9 +423,7 @@ class NaiveCpa {
   }
 
   std::vector<double> correlation_trace(unsigned g) {
-    const Moments mo = moments();
-    if (mo.var_h[g] <= 0.0) return std::vector<double>(m_, 0.0);
-    return scan(mo, g);
+    return gated_scan(moments(), g);
   }
 
   const std::vector<double>& folded() const { return classes_.folded(); }
@@ -446,6 +442,13 @@ class NaiveCpa {
     for (unsigned g = 0; g < guesses_; ++g)
       mo.var_h.push_back(mo.sum_h2[g] - mo.sum_h[g] * mo.sum_h[g] / nn);
     return mo;
+  }
+
+  /// The one gate of finalize() and correlation_trace(): a guess scans
+  /// only when var_h > 0.0, so a NaN var_h gives all +0.0.
+  std::vector<double> gated_scan(const Moments& mo, unsigned g) const {
+    if (!(mo.var_h[g] > 0.0)) return std::vector<double>(m_, 0.0);
+    return scan(mo, g);
   }
 
   /// rho over every sample; +0.0 where the sample variance is not > 0.
@@ -580,7 +583,7 @@ qd::LeakageModel nonfinite_model() {
 
 std::vector<const qk::KernelTable*> every_arm() {
   std::vector<const qk::KernelTable*> arms;
-  for (const qk::Kind k : {qk::Kind::Portable, qk::Kind::Sse2, qk::Kind::Avx2})
+  for (const qk::Kind k : {qk::Kind::Portable, qk::Kind::Avx2})
     if (const qk::KernelTable* t = qk::table(k)) arms.push_back(t);
   return arms;
 }
@@ -702,6 +705,37 @@ TEST(SupportBoundedFold, CpaMergeAndRestoreMatchNaiveFullWidthFold) {
                                 what + " restored");
       }
     }
+  }
+}
+
+TEST(SupportBoundedFold, NanHypothesisVarianceCorrelatesAsZero) {
+  // Guess 1's hypothesis is NaN for every plaintext, so its var_h is NaN:
+  // finalize() scores it 0, and correlation_trace() must agree with all
+  // +0.0 rather than NaN at every positive-variance sample.
+  const qd::LeakageModel model([](std::span<const std::uint8_t> pt,
+                                  unsigned g) {
+    if (g == 1) return std::numeric_limits<double>::quiet_NaN();
+    return static_cast<double>(std::popcount(static_cast<unsigned>(
+        qdi::crypto::aes_sbox(static_cast<std::uint8_t>(pt[0] ^ g)))));
+  });
+  qu::Rng rng(0x59u);
+  const std::size_t m = 33;
+  const qd::TraceSet ts = qdi_like_traces(48, m, rng);
+  for (const qk::KernelTable* arm : every_arm()) {
+    qd::OnlineCpa acc(model, 4);
+    acc.set_kernels(*arm);
+    for (std::size_t i = 0; i < ts.size(); ++i)
+      acc.add(ts.plaintext(i), ts.trace(i).samples());
+    EXPECT_TRUE(same_bits(acc.finalize().correlation[1], 0.0)) << arm->name;
+    const std::vector<double> rho = acc.correlation_trace(1);
+    ASSERT_EQ(rho.size(), m);
+    for (std::size_t j = 0; j < m; ++j)
+      EXPECT_TRUE(same_bits(rho[j], 0.0)) << arm->name << " j=" << j;
+    // A finite guess still scans: the zeros above are the gate's.
+    const std::vector<double> rho0 = acc.correlation_trace(0);
+    EXPECT_TRUE(std::any_of(rho0.begin(), rho0.end(),
+                            [](double r) { return r != 0.0; }))
+        << arm->name;
   }
 }
 

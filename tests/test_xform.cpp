@@ -481,16 +481,20 @@ TEST(XformDeterminism, ReferenceAgreesWithCompiledOnTransformedNetlists) {
   }
 }
 
-// ---- transformed() target wrapper ------------------------------------------
+// ---- recipe() variant through the normal compile path ---------------------
 
-TEST(TransformedTarget, BuildsVariantThroughNormalCompilePath) {
-  const qc::CircuitTarget variant =
-      qc::transformed(qc::des_sbox_slice(), qx::balanced());
-  EXPECT_EQ(variant.name(), "des_sbox_slice+balanced");
-  const qc::CampaignResult r =
-      qc::Campaign().target(variant).key(0x2b).seed(3).traces(4).run();
+TEST(RecipeVariant, BuildsVariantThroughNormalCompilePath) {
+  const qc::CampaignResult r = qc::Campaign()
+                                   .target(qc::des_sbox_slice())
+                                   .key(0x2b)
+                                   .seed(3)
+                                   .traces(4)
+                                   .recipe(qx::balanced())
+                                   .run();
   EXPECT_EQ(r.traces.size(), 4u);
-  EXPECT_EQ(r.target, "des_sbox_slice+balanced");
+  EXPECT_EQ(r.recipe, "balanced");
+  ASSERT_TRUE(r.xform.has_value());
+  EXPECT_GT(r.xform->cells_added(), 0u);
   // The balanced variant computes the same function as the base target.
   const qc::CampaignResult raw =
       qc::Campaign().target(qc::des_sbox_slice()).key(0x2b).seed(3).traces(4).run();
