@@ -110,7 +110,6 @@ void BatchSimTraceSource::acquire_block(std::uint64_t seed, std::size_t first,
     o.plaintext.assign(stim_[l].plaintext.begin(), stim_[l].plaintext.end());
     o.transitions = cyc_.transitions[l];
     o.glitches = sim_.glitch_count(l);
-    o.fault_class = -1;
   }
 }
 

@@ -25,15 +25,18 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Single-pass analysis driver shared by the materialized and fused
-/// campaign paths. Traces are fed in index order (whole set at once, or
-/// chunk by chunk); at each precomputed checkpoint the running sums are
-/// finalized in place to emit a rank-trajectory point and/or advance the
-/// measurements-to-disclosure scan. Because both paths push the same
-/// traces through the same accumulators in the same order, their
-/// results are bit-identical by construction. The accumulator pair and
-/// the probe rules live in detail::AttackState, shared with the sharded
-/// runtime (shard.cpp) so the two paths cannot drift.
+/// Single-pass streaming analysis of run(): the pipeline's commit hands it
+/// every block in ascending trace order, and at each precomputed
+/// checkpoint the running sums are finalized in place to emit a
+/// rank-trajectory point and/or advance the measurements-to-disclosure
+/// scan. Checkpoint prefixes are block cuts of the pipeline call
+/// (checkpoint_cuts()), so every probe fires after a whole block, at
+/// exactly its trace count; prefix-0 probes fire at construction. A
+/// serial feed adds the rows in trace order whatever the block width, so
+/// materialized and fused runs read the same sums at the same points and
+/// are bit-identical by construction. The accumulator pair and the probe
+/// rules live in detail::AttackState, shared with the sharded runtime
+/// (shard.cpp) so the two paths cannot drift.
 class StreamingAnalysis {
  public:
   StreamingAnalysis(const AttackConfig& attack, const TargetInstance& inst,
@@ -64,26 +67,11 @@ class StreamingAnalysis {
       }
     }
     checkpoints_.resize(out);
+    fire_through(0);
   }
 
-  /// Feed traces [first, first + segment.size()) of the campaign.
-  void feed(const dpa::TraceSet& segment, std::size_t first) {
-    std::size_t lo = 0;  // row within the segment
-    while (next_cp_ < checkpoints_.size() &&
-           checkpoints_[next_cp_].n <= first + segment.size()) {
-      const Checkpoint& cp = checkpoints_[next_cp_];
-      state_.add_rows(segment, lo, cp.n - first);
-      lo = cp.n - first;
-      probe(cp);
-      ++next_cp_;
-    }
-    state_.add_rows(segment, lo, segment.size());
-  }
-
-  /// Checkpoint prefixes as absolute cut positions for the block-fold
-  /// ingest (WorkerPool::acquire_sharded_range's extra_cuts): cutting
-  /// the block partition at every checkpoint guarantees each probe
-  /// fires at exactly its trace count — a checkpoint can end a block
+  /// Checkpoint prefixes as absolute cut positions for the pipeline
+  /// call (WorkerPool::run's extra_cuts): a checkpoint can end a block
   /// but never fall inside one.
   std::vector<std::size_t> checkpoint_cuts() const {
     std::vector<std::size_t> cuts;
@@ -92,29 +80,17 @@ class StreamingAnalysis {
     return cuts;
   }
 
-  /// Block-fold variant of feed(): probe any degenerate prefix-0
-  /// checkpoints before the first block commits (feed() would have
-  /// probed them before its first row; a block commit only fires after
-  /// a whole block merged).
-  void probe_prefix_zero() {
-    while (next_cp_ < checkpoints_.size() && checkpoints_[next_cp_].n == 0) {
-      probe(checkpoints_[next_cp_]);
-      ++next_cp_;
-    }
-  }
-
-  /// Block-fold variant of feed(): merge the block covering traces
-  /// [first, first + count) into the master accumulator and fire every
-  /// checkpoint falling at its end. Must be called in ascending block
-  /// order — acquire_sharded_range's commit contract.
-  void commit_block(detail::BlockMerge& blocks, std::size_t first,
-                    std::size_t count) {
-    blocks.merge_into(first, state_);
-    while (next_cp_ < checkpoints_.size() &&
-           checkpoints_[next_cp_].n <= first + count) {
-      probe(checkpoints_[next_cp_]);
-      ++next_cp_;
-    }
+  /// Fold the block of traces [first, first + segment.size()) — its
+  /// rows in trace order, or, with the block-fold ingest, the partial
+  /// `blocks` holds for it — and fire every checkpoint at its end. Must
+  /// be called in ascending block order (the pipeline's commit order).
+  void commit(const dpa::TraceSet& segment, std::size_t first,
+              detail::BlockMerge* blocks) {
+    if (blocks != nullptr)
+      blocks->merge_into(first, state_);
+    else
+      state_.add_rows(segment, 0, segment.size());
+    fire_through(first + segment.size());
   }
 
   /// Final attack outcome + the closing rank-trajectory point.
@@ -139,9 +115,14 @@ class StreamingAnalysis {
       mtd_points_.push_back(n);
   }
 
-  void probe(const Checkpoint& cp) {
-    if (cp.rank) trajectory_.push_back({cp.n, state_.rank_now()});
-    if (cp.mtd) mtd_.probe(state_.mtd_success_now(), cp.n);
+  /// Probe every checkpoint at a prefix of at most `n` traces.
+  void fire_through(std::size_t n) {
+    for (; next_cp_ < checkpoints_.size() && checkpoints_[next_cp_].n <= n;
+         ++next_cp_) {
+      const Checkpoint& cp = checkpoints_[next_cp_];
+      if (cp.rank) trajectory_.push_back({cp.n, state_.rank_now()});
+      if (cp.mtd) mtd_.probe(state_.mtd_success_now(), cp.n);
+    }
   }
 
   detail::AttackState state_;
@@ -264,58 +245,53 @@ CampaignResult Campaign::run() const {
   // ---- acquisition + analysis ----------------------------------------------
   if (num_traces_ > 0) {
     const std::unique_ptr<TraceSource> src = make_source(inst);
-    // Worker clones (per-thread simulators + scratch) are campaign
-    // state: created once and persistent across every segment the
-    // acquisition below runs.
     const auto threads = static_cast<unsigned>(
         std::min<std::size_t>(threads_ == 0 ? 1 : threads_, num_traces_));
     WorkerPool pool(*src, threads);
-    if (fused_chunk_ > 0) {
-      // Fused mode: each acquired segment streams into the attack
-      // accumulators and is discarded — O(chunk + guesses·samples)
-      // memory for any trace budget. Analysis time is measured around
-      // the feed/finish calls and subtracted from the stage total, so
-      // acquisition.wall_ms and attack->wall_ms partition the fused
-      // stage instead of double-counting it.
-      StreamingAnalysis analysis(attack_, inst, rank_step_, num_traces_);
-      // The pipeline's wall clock covers acquisition + commits; only the
-      // commit share is subtracted back out. finish() runs after the
-      // stage clock stops and is attributed to the attack alone.
-      double feed_ms = 0.0;
-      // One pipeline call; the mode picks the blocks and the consumer.
-      // Serial (exact) feed: the commit streams each block into the
-      // accumulators in trace order — the same FP order as the
-      // materialized path — while the other workers keep acquiring.
-      // Block-fold ingest: workers fold their own blocks into pooled
-      // partial accumulators in parallel with acquisition; the commit
-      // merges each partial into the master and fires the rank/MTD
-      // probes at exactly their trace counts (checkpoint prefixes are
-      // block cuts). Either way feed_ms only counts the commit side.
-      std::optional<detail::BlockMerge> blocks;
-      std::size_t block_traces = pool.block_traces(fused_chunk_);
-      std::vector<std::size_t> cuts;
-      WorkerPool::ShardedIngest si;
-      if (sharded_ingest_ > 0) {
-        blocks.emplace(attack_, inst);
-        analysis.probe_prefix_zero();
-        block_traces = sharded_ingest_;
-        cuts = analysis.checkpoint_cuts();
-        si.ingest = [&](unsigned, std::size_t, const dpa::TraceSet& segment,
-                        std::size_t first) { blocks->ingest(first, segment); };
-      }
-      si.commit = [&](std::size_t, const dpa::TraceSet& segment,
-                      std::size_t first) {
-        const auto t_feed = std::chrono::steady_clock::now();
-        if (blocks)
-          analysis.commit_block(*blocks, first, segment.size());
-        else
-          analysis.feed(segment, first);
-        feed_ms += ms_since(t_feed);
+    // One pipeline call for every mode. The commit appends each block to
+    // res.traces unless fused(), then streams it into the attack
+    // accumulators in trace order — the other workers keep acquiring
+    // meanwhile — or, with the block-fold ingest, merges the partial
+    // the acquiring worker folded it into. Either way the probes fire at
+    // exactly their trace counts (checkpoint prefixes are block cuts).
+    std::optional<StreamingAnalysis> analysis;
+    std::vector<std::size_t> cuts;
+    if (attacking) {
+      analysis.emplace(attack_, inst, rank_step_, num_traces_);
+      cuts = analysis->checkpoint_cuts();
+    }
+    std::optional<detail::BlockMerge> blocks;
+    WorkerPool::BlockIngest ingest;
+    std::size_t block_traces = pool.block_traces(
+        fused_chunk_ > 0 ? fused_chunk_ : WorkerPool::kMaterializeBudget);
+    if (sharded_ingest_ > 0) {
+      blocks.emplace(attack_, inst);
+      block_traces = sharded_ingest_;
+      ingest = [&](unsigned, const WorkerPool::Block& blk) {
+        blocks->ingest(blk.first, blk.segment);
       };
-      pool.acquire_sharded_range(0, num_traces_, seed_, block_traces, cuts, si,
-                                 &res.acquisition);
+    }
+    // The pipeline's wall clock covers acquisition + commits; only the
+    // analysis share of the commits is subtracted back out, so
+    // acquisition.wall_ms and attack->wall_ms partition the stage.
+    double feed_ms = 0.0;
+    pool.run({{0, num_traces_}}, seed_, block_traces, cuts, ingest,
+             [&](const WorkerPool::Block& blk) {
+               if (fused_chunk_ == 0)
+                 WorkerPool::append_block(blk, res.traces, res.acquisition,
+                                          num_traces_);
+               if (!analysis) return;
+               const auto t_feed = std::chrono::steady_clock::now();
+               analysis->commit(blk.segment, blk.first,
+                                blocks ? &*blocks : nullptr);
+               feed_ms += ms_since(t_feed);
+             },
+             res.acquisition);
+    if (analysis) {
+      // finish() runs after the stage clock stops and is attributed to
+      // the attack alone.
       const auto t_finish = std::chrono::steady_clock::now();
-      AttackOutcome out = analysis.finish(rank_step_, res.rank_trajectory);
+      AttackOutcome out = analysis->finish(rank_step_, res.rank_trajectory);
       out.wall_ms = feed_ms + ms_since(t_finish);
       res.acquisition.wall_ms = std::max(0.0, res.acquisition.wall_ms - feed_ms);
       res.acquisition.traces_per_s =
@@ -323,17 +299,6 @@ CampaignResult Campaign::run() const {
               ? 1e3 * static_cast<double>(num_traces_) / res.acquisition.wall_ms
               : 0.0;
       res.attack = std::move(out);
-    } else {
-      res.traces = pool.acquire(num_traces_, seed_, &res.acquisition);
-      if (attacking) {
-        const auto t_attack = std::chrono::steady_clock::now();
-        StreamingAnalysis analysis(attack_, inst, rank_step_,
-                                   res.traces.size());
-        analysis.feed(res.traces, 0);
-        AttackOutcome out = analysis.finish(rank_step_, res.rank_trajectory);
-        out.wall_ms = ms_since(t_attack);
-        res.attack = std::move(out);
-      }
     }
   }
 

@@ -5,39 +5,21 @@
 #include <stdexcept>
 #include <utility>
 
+#include "qdi/util/parallel.hpp"
 #include "scalar_engine.hpp"
 
 namespace qdi::campaign {
 
 namespace {
 
-/// Wire format of a classified run through AcquiredTrace (the record
-/// the WorkerPool commits): fault_class packs the class in the low
-/// nibble and the stall phase above it; ciphertext carries the faulty
-/// output bytes followed by the golden output bytes. Encoded in
-/// FaultTraceSource::acquire_into, decoded in run_fault_campaign —
-/// nowhere else.
-int encode_class(FaultClass cls, sim::HandshakePhase phase) noexcept {
-  return static_cast<int>(cls) | (static_cast<int>(phase) << 4);
-}
-FaultClass decode_class(int v) noexcept {
-  return static_cast<FaultClass>(v & 0xf);
-}
-sim::HandshakePhase decode_phase(int v) noexcept {
-  return static_cast<sim::HandshakePhase>((v >> 4) & 0x7);
-}
-
-/// Pack decoded 1-of-2 channel outputs LSB-first, 8 channels per byte
-/// (same convention as SimTraceSource ciphertexts). Invalid channels
-/// (-1) pack as 0 — callers only read the bytes of valid runs.
-void pack_outputs(const std::vector<int>& outputs, std::size_t num_channels,
-                  std::vector<std::uint8_t>& out) {
-  const std::size_t bytes = (num_channels + 7) / 8;
-  const std::size_t base = out.size();
-  out.resize(base + bytes, 0);
-  for (std::size_t b = 0; b < outputs.size() && b < num_channels; ++b)
-    if (outputs[b] == 1)
-      out[base + b / 8] |= static_cast<std::uint8_t>(1u << (b % 8));
+/// First output byte: decoded 1-of-2 channel outputs 0..7 packed
+/// LSB-first (the SimTraceSource ciphertext convention). Invalid
+/// channels (-1) pack as 0 — only the bytes of valid runs are read.
+std::uint8_t first_byte(const std::vector<int>& outputs) noexcept {
+  std::uint8_t v = 0;
+  for (std::size_t b = 0; b < outputs.size() && b < 8; ++b)
+    if (outputs[b] == 1) v |= static_cast<std::uint8_t>(1u << b);
+  return v;
 }
 
 /// Fault runs expect stalls and overruns; strict-mode warnings and the
@@ -54,7 +36,7 @@ struct Injection {
   double t_offset_ps = 0.0;
 };
 
-/// Immutable sweep plan shared by every worker clone.
+/// Immutable sweep plan shared by every worker's runner.
 struct FaultPlan {
   std::vector<Injection> injections;
   std::size_t repeats = 1;
@@ -62,60 +44,34 @@ struct FaultPlan {
   StimulusFn stimulus;
 };
 
-/// TraceSource that runs one classified injection per request index:
-/// injection index/repeats, plaintext stream index%repeats. Each run
-/// simulates the fault-free cycle first (the golden ciphertext an
-/// attacker is assumed to know), rewinds to the post-reset epoch, and
-/// replays the identical cycle with the fault armed — so golden and
-/// faulty runs differ in nothing but the injection, and the comparison
-/// is exact, not statistical.
-class FaultTraceSource final : public TraceSource {
+/// One worker's simulator for the sweep. Run i is injection
+/// i / repeats under plaintext stream i % repeats. Each run simulates the
+/// fault-free cycle first (the golden ciphertext an attacker is assumed
+/// to know), rewinds to the post-reset epoch, and replays the identical
+/// cycle with the fault armed — so golden and faulty runs differ in
+/// nothing but the injection, and the comparison is exact, not
+/// statistical. Every run starts from the post-reset state, so its
+/// record does not depend on the runs this runner did before.
+class FaultRunner {
  public:
-  FaultTraceSource(const netlist::Netlist& nl, sim::EnvSpec env,
-                   std::shared_ptr<const FaultPlan> plan,
-                   const FaultCampaignOptions& opt)
-      : nl_(&nl),
-        spec_(tolerant(std::move(env))),
-        plan_(std::move(plan)),
-        compiled_(opt.engine == sim::EngineKind::Compiled
-                      ? (opt.precompiled ? opt.precompiled
-                                         : sim::compile(nl, opt.delays))
-                      : nullptr),
-        delays_(opt.delays),
-        sim_(detail::make_scalar_engine(compiled_, nl, delays_)),
-        csim_(compiled_ ? static_cast<sim::CompiledSimulator*>(sim_.get())
-                        : nullptr),
-        env_(*sim_, spec_) {
+  /// `nl` and `plan` must outlive the runner; `compiled` is null for
+  /// the reference engine.
+  FaultRunner(const netlist::Netlist& nl, const sim::EnvSpec& env,
+              const FaultPlan& plan,
+              const std::shared_ptr<const sim::CompiledNetlist>& compiled,
+              const sim::DelayModel& delays)
+      : plan_(&plan),
+        sim_(detail::make_scalar_engine(compiled, nl, delays)),
+        csim_(compiled ? static_cast<sim::CompiledSimulator*>(sim_.get())
+                       : nullptr),
+        env_(*sim_, tolerant(env)) {
     sim_->set_log_enabled(false);
   }
 
-  FaultTraceSource(const FaultTraceSource&) = delete;
-  FaultTraceSource& operator=(const FaultTraceSource&) = delete;
-
-  void acquire_into(const TraceRequest& req, AcquiredTrace& out) override;
-
-  std::unique_ptr<TraceSource> clone() const override {
-    return std::unique_ptr<TraceSource>(
-        new FaultTraceSource(*this, WorkerCloneTag{}));
-  }
-
-  std::string name() const override { return "fault-sim"; }
+  /// Classify run `i` of the sweep rooted at `seed`.
+  FaultRecord run(std::uint64_t seed, std::size_t i);
 
  private:
-  struct WorkerCloneTag {};
-  FaultTraceSource(const FaultTraceSource& other, WorkerCloneTag)
-      : nl_(other.nl_),
-        spec_(other.spec_),
-        plan_(other.plan_),
-        compiled_(other.compiled_),
-        delays_(other.delays_),
-        sim_(detail::make_scalar_engine(compiled_, *nl_, delays_)),
-        csim_(compiled_ ? static_cast<sim::CompiledSimulator*>(sim_.get())
-                        : nullptr),
-        env_(*sim_, spec_) {
-    sim_->set_log_enabled(false);
-  }
-
   /// Return to the post-reset state. The epoch fast path is invalid
   /// after an oscillation abort left events in the queue (reinit_); a
   /// full reset + reset handshake re-establishes it.
@@ -130,11 +86,7 @@ class FaultTraceSource final : public TraceSource {
     reinit_ = false;
   }
 
-  const netlist::Netlist* nl_;
-  sim::EnvSpec spec_;
-  std::shared_ptr<const FaultPlan> plan_;
-  std::shared_ptr<const sim::CompiledNetlist> compiled_;
-  sim::DelayModel delays_;
+  const FaultPlan* plan_;
   std::unique_ptr<sim::SimEngine> sim_;
   sim::CompiledSimulator* csim_ = nullptr;
   sim::FourPhaseEnv env_;
@@ -145,16 +97,13 @@ class FaultTraceSource final : public TraceSource {
   bool reinit_ = false;
 };
 
-void FaultTraceSource::acquire_into(const TraceRequest& req,
-                                    AcquiredTrace& out) {
-  const std::size_t inj_idx = req.index / plan_->repeats;
-  const std::size_t rep = req.index % plan_->repeats;
-  const Injection& inj = plan_->injections.at(inj_idx);
+FaultRecord FaultRunner::run(std::uint64_t seed, std::size_t i) {
+  const Injection& inj = plan_->injections.at(i / plan_->repeats);
 
   // Domain-tagged stream: disjoint from power acquisition's
   // split_stream(seed, index) even at the same (seed, index).
-  util::Rng rng = util::split_stream(req.seed, req.index, util::kFaultDomain);
-  plan_->stimulus(rng, rep, stim_);
+  util::Rng rng = util::split_stream(seed, i, util::kFaultDomain);
+  plan_->stimulus(rng, i % plan_->repeats, stim_);
 
   // Golden run: the fault-free cycle under this plaintext.
   rewind();
@@ -181,32 +130,27 @@ void FaultTraceSource::acquire_into(const TraceRequest& req,
   }
   injector.disarm();
 
-  FaultClass cls = FaultClass::Deadlock;
-  sim::HandshakePhase phase = sim::HandshakePhase::None;
-  bool valid = false;
+  FaultRecord r;
+  r.net = inj.net;
+  r.kind = inj.kind;
+  r.t_offset_ps = inj.t_offset_ps;
+  r.plaintext = stim_.plaintext.empty() ? 0 : stim_.plaintext[0];
+  r.golden = first_byte(golden_);
   if (!oscillated) {
-    valid = !cyc_.outputs.empty();
+    r.faulty = first_byte(cyc_.outputs);
+    bool valid = !cyc_.outputs.empty();
     for (int v : cyc_.outputs) valid &= v >= 0;
     if (valid && cyc_.outputs != golden_) {
       // Wrong ciphertext emitted with a valid encoding: the attacker
       // reads it at t_valid whether or not the handshake finishes.
-      cls = FaultClass::Exploitable;
+      r.cls = FaultClass::Exploitable;
     } else if (valid && cyc_.handshake.completed) {
-      cls = FaultClass::Masked;
+      r.cls = FaultClass::Masked;
     } else {
-      phase = cyc_.handshake.stalled_phase;
+      r.stalled_phase = cyc_.handshake.stalled_phase;
     }
   }
-
-  const std::size_t num_out = spec_.outputs.size();
-  out.ciphertext.clear();
-  pack_outputs(oscillated ? std::vector<int>{} : cyc_.outputs, num_out,
-               out.ciphertext);
-  pack_outputs(golden_, num_out, out.ciphertext);
-  out.plaintext.assign(stim_.plaintext.begin(), stim_.plaintext.end());
-  out.transitions = oscillated ? 0 : cyc_.transitions;
-  out.glitches = sim_->glitch_count();
-  out.fault_class = encode_class(cls, phase);
+  return r;
 }
 
 }  // namespace
@@ -260,62 +204,52 @@ FaultCampaignResult run_fault_campaign(const TargetInstance& inst,
     std::sort(sites.begin(), sites.end());
   }
 
-  auto plan = std::make_shared<FaultPlan>();
-  plan->repeats = opt.repeats;
-  plan->glitch_ps = opt.glitch_ps;
-  plan->stimulus = inst.stimulus;
-  plan->injections.reserve(sites.size() * opt.kinds.size() *
-                           opt.times_ps.size());
+  FaultPlan plan;
+  plan.repeats = opt.repeats;
+  plan.glitch_ps = opt.glitch_ps;
+  plan.stimulus = inst.stimulus;
+  plan.injections.reserve(sites.size() * opt.kinds.size() *
+                          opt.times_ps.size());
   for (netlist::NetId net : sites)
     for (sim::FaultKind kind : opt.kinds)
-      for (double t : opt.times_ps)
-        plan->injections.push_back({net, kind, t});
+      for (double t : opt.times_ps) plan.injections.push_back({net, kind, t});
 
   FaultCampaignResult res;
   res.target = inst.name;
   res.key = key;
   res.sites = sites.size();
-  res.injections = plan->injections.size();
+  res.injections = plan.injections.size();
   res.true_guess = inst.true_guess;
-  const std::size_t runs = res.injections * opt.repeats;
-  res.records.reserve(runs);
 
-  const std::size_t out_bytes = (inst.env.outputs.size() + 7) / 8;
-  FaultTraceSource src(inst.nl, inst.env, plan, opt);
-  WorkerPool pool(src, threads == 0 ? 1 : threads);
-  AcquisitionStats st;
-  pool.run_blocks(
-      {{0, runs}}, seed, pool.block_traces(/*budget=*/256), {},
-      /*segments=*/false, nullptr,
-      [&](const WorkerPool::Block& blk) {
-        for (std::size_t i = 0; i < blk.count; ++i) {
-          const AcquiredTrace& rec = blk.records[i];
-          const Injection& inj =
-              plan->injections[(blk.first + i) / opt.repeats];
-          FaultRecord r;
-          r.net = inj.net;
-          r.kind = inj.kind;
-          r.t_offset_ps = inj.t_offset_ps;
-          r.plaintext = rec.plaintext.empty() ? 0 : rec.plaintext[0];
-          r.faulty = rec.ciphertext[0];
-          r.golden = rec.ciphertext[out_bytes];
-          r.cls = decode_class(rec.fault_class);
-          r.stalled_phase = decode_phase(rec.fault_class);
-          switch (r.cls) {
-            case FaultClass::Deadlock: ++res.summary.deadlock; break;
-            case FaultClass::Masked: ++res.summary.masked; break;
-            case FaultClass::Exploitable:
-              ++res.summary.exploitable;
-              // Multi-byte outputs would need a wider DfaPair; the slice
-              // targets (the DFA-bearing ones) are single-byte.
-              res.pairs.push_back({r.plaintext, r.golden, r.faulty});
-              break;
-          }
-          ++res.summary.runs;
-          res.records.push_back(r);
-        }
-      },
-      st);
+  // One runner per worker over a contiguous slab of runs, each run
+  // writing its own record slot, so the records are independent of the
+  // thread count. The compiled form is flattened once and shared.
+  std::shared_ptr<const sim::CompiledNetlist> compiled;
+  if (opt.engine == sim::EngineKind::Compiled)
+    compiled = opt.precompiled ? opt.precompiled
+                               : sim::compile(inst.nl, opt.delays);
+  res.records.resize(res.injections * opt.repeats);
+  util::parallel_for_slabs(
+      threads, res.records.size(),
+      [&](unsigned, std::size_t begin, std::size_t end) {
+        FaultRunner runner(inst.nl, inst.env, plan, compiled, opt.delays);
+        for (std::size_t i = begin; i < end; ++i)
+          res.records[i] = runner.run(seed, i);
+      });
+
+  for (const FaultRecord& r : res.records) {
+    switch (r.cls) {
+      case FaultClass::Deadlock: ++res.summary.deadlock; break;
+      case FaultClass::Masked: ++res.summary.masked; break;
+      case FaultClass::Exploitable:
+        ++res.summary.exploitable;
+        // Multi-byte outputs would need a wider DfaPair; the slice
+        // targets (the DFA-bearing ones) are single-byte.
+        res.pairs.push_back({r.plaintext, r.golden, r.faulty});
+        break;
+    }
+  }
+  res.summary.runs = res.records.size();
 
   if (opt.run_dfa && inst.dfa && inst.num_guesses > 0 && !res.pairs.empty())
     res.dfa = dpa::dfa_attack(inst.dfa, res.pairs, inst.num_guesses);

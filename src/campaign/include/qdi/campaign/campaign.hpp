@@ -183,7 +183,11 @@ class Campaign {
   /// the same accumulators in the same order; asserted in
   /// tests/test_online_analysis.cpp). Requires attack(); the result's
   /// `traces` stays empty. A chunk of 0 is clamped to 1 — asking for
-  /// fused mode must never silently fall back to materializing.
+  /// fused mode must never silently fall back to materializing. Either
+  /// way the analysis runs on the pipeline's commit chain, overlapped
+  /// with acquisition (a materialized run also appends each block to
+  /// `traces` there), and attack->wall_ms counts that commit-side feed
+  /// plus the final read, subtracted from acquisition.wall_ms.
   Campaign& fused(std::size_t chunk_traces = 1024) {
     fused_chunk_ = chunk_traces == 0 ? 1 : chunk_traces;
     return *this;

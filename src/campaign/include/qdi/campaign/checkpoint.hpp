@@ -6,8 +6,10 @@
 // per-sample sums and per-class sums), the first unacquired trace
 // index, and the mid-state of the shard's running SHA-256 trace-stream
 // digest, all under a config fingerprint that ties the record to one
-// (target, key, seed, budget, geometry) campaign. The record is
-// versioned, length-prefixed, and sealed by the SHA-256 of its payload:
+// campaign configuration (CoordinatorConfig::fingerprint: target name,
+// key, seed, budget, geometry, attack and trace physics — not the
+// netlist, ROADMAP open item 2). The record is versioned,
+// length-prefixed, and sealed by the SHA-256 of its payload:
 //
 //   u32 magic 'QDSK' | u32 version | u64 payload_len |
 //   payload[payload_len] | sha256(payload)[32]

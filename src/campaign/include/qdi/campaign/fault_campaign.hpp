@@ -17,11 +17,18 @@
 //   * Exploitable  — valid-looking but WRONG outputs were emitted: a
 //                    (golden, faulty) pair exists and DFA can vote on it.
 //
+// A fault run is not a power trace, so the sweep does not go through
+// the acquisition pipeline: util::parallel_for_slabs splits the runs
+// into contiguous slabs, one simulator per worker classifies each run of
+// its slab straight into its FaultRecord slot, and the summary, the DFA
+// pairs and the DFA vote are tallied in run order afterwards.
 // Determinism matches the power campaigns: run i draws its randomness
 // from the domain-tagged stream split_stream(seed, i, kFaultDomain)
 // (disjoint from acquisition's streams at the same seed), every run
 // starts from the post-reset epoch, and classification i is
-// bit-identical for any thread count or engine.
+// bit-identical for any thread count or engine. The first exception a
+// run throws (a stimulus, or a fault-free cycle that fails) is rethrown
+// once every worker has returned.
 #pragma once
 
 #include <cstdint>

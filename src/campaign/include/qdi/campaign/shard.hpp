@@ -185,8 +185,14 @@ struct CoordinatorConfig {
   /// Cloned once per worker, and again for every worker after a failed
   /// pipeline call (a source that threw may be left unusable).
   const TraceSource* primary = nullptr;
-  /// Identity of (target, key, seed, budget, geometry, attack, engine):
-  /// ties checkpoints to this configuration.
+  /// Configuration identity that ties checkpoints to this campaign:
+  /// Campaign::sharded() hashes the target NAME, key, seed, budget,
+  /// shard geometry, attack, the hand-listed delay/power/jitter fields
+  /// and the block-fold width. The engine, thread count and checkpoint
+  /// interval are deliberately left out (none changes a trace value).
+  /// So is the netlist itself: two victims of one target name that
+  /// flow(), prepare() or recipe() made different share a fingerprint
+  /// (ROADMAP open item 2).
   std::uint64_t fingerprint = 0;
   std::uint64_t seed = 1;
   std::size_t num_traces = 0;

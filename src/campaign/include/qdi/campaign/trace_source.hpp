@@ -54,9 +54,6 @@ struct AcquiredTrace {
   std::vector<std::uint8_t> ciphertext;
   std::size_t transitions = 0;  ///< net transitions in the cycle
   std::size_t glitches = 0;     ///< cancelled events (0 on hazard-free QDI)
-  /// Fault classification when the acquisition was a fault injection
-  /// (campaign/fault_campaign.hpp); -1 for ordinary power acquisitions.
-  int fault_class = -1;
 };
 
 /// Stimulus for one acquisition: the 1-of-N value per environment input
@@ -112,21 +109,21 @@ class TraceSource {
 };
 
 struct AcquisitionStats {
+  /// Wall clock of the pipeline call. In a Campaign::run with an attack
+  /// the analysis overlaps acquisition on the commit chain; its share is
+  /// subtracted here and counted in AttackOutcome::wall_ms instead.
   double wall_ms = 0.0;
   double traces_per_s = 0.0;
   std::size_t transitions = 0;  ///< summed over all traces
   std::size_t glitches = 0;     ///< summed over all traces
-  /// Filled by WorkerPool::acquire only; the streaming members leave it
-  /// empty (a per-trace vector would grow with the trace budget and
-  /// break the fused campaign's bounded-memory contract).
+  /// Filled by the materializing commit (WorkerPool::append_block:
+  /// WorkerPool::acquire and a Campaign::run without fused()), next to
+  /// the rows it appends; the streaming members leave it empty (a
+  /// per-trace vector would grow with the trace budget and break the
+  /// fused campaign's bounded-memory contract).
   std::vector<std::size_t> per_trace_transitions;
   unsigned threads_used = 1;
 };
-
-struct TargetInstance;
-struct FaultCampaignOptions;
-struct FaultCampaignResult;
-class Coordinator;
 
 /// Persistent acquisition worker set and the one ordered block pipeline
 /// every acquisition runs through. The pool keeps `threads - 1` clones
@@ -134,28 +131,36 @@ class Coordinator;
 /// netlist, epoch snapshot, and scratch buffers) plus recycled block
 /// buffers alive across any number of calls. A pool serves one source
 /// for its whole life: the campaign layer owns one pool per run (a sweep
-/// variant is a run), benches own one per timing loop.
+/// variant is a run), benches own one per timing loop, and the shard
+/// runtime builds a new one after a failed call.
 ///
-/// Each call cuts its trace range (a sharded run: every open shard
-/// range) into contiguous blocks at absolute trace indices, starts its
-/// worker threads once, and lets every worker claim the next block,
-/// acquire it, and run an optional per-worker `ingest` on it. A
-/// serialized `commit` then sees the blocks in strictly ascending order,
-/// on whichever worker finished the frontier block. What a consumer
-/// observes is fixed by the partition and that order — never by the
-/// thread count or scheduling — so every result is bit-identical at any
-/// thread count. Claims are gated at most 2·threads + 2 blocks ahead of
-/// the commit frontier, which bounds the traces in flight, and no worker
-/// claims while `threads` finished blocks wait for the commit chain: when
-/// the serial commit is slower than acquisition, blocks acquired ahead of
-/// it are memory it cannot use yet. Finished-but-uncommitted blocks then
-/// stay below 2·threads (the claim gate test derives the bound). The first
+/// Each run() call cuts its trace ranges (a sharded run: every open
+/// shard range) into contiguous blocks at absolute trace indices, starts
+/// its worker threads once, and lets every worker claim the next block,
+/// acquire it into its own slots, assemble it as a Block (analysis rows
+/// plus per-trace transition counts), and run an optional per-worker
+/// `ingest` on it. A serialized `commit` then sees the blocks in
+/// strictly ascending order, on whichever worker finished the frontier
+/// block. What a consumer observes is fixed by the partition and that
+/// order — never by the thread count or scheduling — so every result is
+/// bit-identical at any thread count. acquire(), acquire_chunked() and
+/// acquire_sharded_range() are run() with a fixed commit. Claims are
+/// gated at most 2·threads + 2 blocks ahead of the commit frontier,
+/// which bounds the traces in flight, and no worker claims while
+/// `threads` finished blocks wait for the commit chain: when the serial
+/// commit is slower than acquisition, blocks acquired ahead of it are
+/// memory it cannot use yet. Finished-but-uncommitted blocks then stay
+/// below 2·threads (the claim gate test derives the bound). The first
 /// exception thrown by the source, `ingest`, or `commit` stops further
 /// claims and is rethrown to the caller once every worker has returned;
 /// the pool stays usable, though the source that threw may not be (the
 /// shard runtime builds a new pool over fresh clones after a failure).
 class WorkerPool {
  public:
+  /// Traces in flight for a materialized acquisition (block_traces of
+  /// it): small next to the n×m matrix the commit fills.
+  static constexpr std::size_t kMaterializeBudget = 64;
+
   /// `src` must outlive the pool. `threads` counts `src` itself.
   WorkerPool(TraceSource& src, unsigned threads);
 
@@ -170,9 +175,55 @@ class WorkerPool {
   /// `budget`, never 0.
   std::size_t block_traces(std::size_t budget) const;
 
-  /// Materialized acquisition into a fresh TraceSet: the commit appends
-  /// each block in index order; bit-identical for any thread count
-  /// (determinism contract).
+  /// Trace range [first, end) of a call.
+  using Range = std::pair<std::size_t, std::size_t>;
+
+  /// One block of a call: traces [first, first + count), number `index`
+  /// of the call's partition, assembled as analysis rows (`segment`)
+  /// with one transition count per trace. A recycled buffer, valid only
+  /// during the ingest or commit call that receives it.
+  struct Block {
+    std::size_t index = 0;
+    std::size_t first = 0;
+    std::size_t count = 0;
+    dpa::TraceSet segment;
+    std::vector<std::size_t> transitions;
+  };
+  using BlockIngest = std::function<void(unsigned worker, const Block&)>;
+  using BlockCommit = std::function<void(const Block&)>;
+
+  /// The pipeline over disjoint `ranges` in ascending order. Blocks are
+  /// cut at ABSOLUTE multiples of `block_traces`, at the caller's
+  /// `extra_cuts` (absolute trace indices — analysis checkpoints land on
+  /// block edges this way) and at every range end, so the partition
+  /// depends only on (ranges, block_traces, extra_cuts): a consumer that
+  /// folds per-block partials into shared state at commit time is
+  /// bit-identical at any thread count, and a killed/resumed range
+  /// re-derives the identical blocks. Block numbering and commit order
+  /// run across the ranges. `ingest` runs on worker threads — one call
+  /// per block, unordered across blocks (any one worker's calls are
+  /// serialized on its thread); it must only touch per-worker or
+  /// per-block state. `commit` is serialized in strictly ascending block
+  /// order; this is where results fold into shared state. Either may be
+  /// empty. Fills `stats`' counters, thread count, and wall clock. When
+  /// a call throws, `*error_first` (if given) receives the first trace
+  /// index of the block whose exception is rethrown.
+  void run(const std::vector<Range>& ranges, std::uint64_t seed,
+           std::size_t block_traces,
+           const std::vector<std::size_t>& extra_cuts,
+           const BlockIngest& ingest, const BlockCommit& commit,
+           AcquisitionStats& stats, std::size_t* error_first = nullptr);
+
+  /// The materializing commit: append `blk`'s rows to `traces` and its
+  /// transition counts to `stats.per_trace_transitions`, reserving
+  /// `total` rows once the first row fixes the geometry. Peak memory is
+  /// then one n×m matrix plus the blocks in flight.
+  static void append_block(const Block& blk, dpa::TraceSet& traces,
+                           AcquisitionStats& stats, std::size_t total);
+
+  /// Materialized acquisition into a fresh TraceSet: run() over
+  /// [0, num_traces) with append_block as the commit; bit-identical for
+  /// any thread count (determinism contract).
   dpa::TraceSet acquire(std::size_t num_traces, std::uint64_t seed,
                         AcquisitionStats* stats = nullptr);
 
@@ -190,15 +241,8 @@ class WorkerPool {
                                std::size_t first)>& consume,
       AcquisitionStats* stats = nullptr);
 
-  /// Consumer pair of acquire_sharded_range. `ingest` runs on worker
-  /// threads — one call per block, unordered ACROSS blocks (any one
-  /// worker's calls are serialized on its thread); it must only touch
-  /// per-worker or per-block state. `commit` is serialized in strictly
-  /// ascending block order (on whichever worker thread completed the
-  /// frontier block) — this is where results are folded into shared
-  /// state. Both see the block's assembled segment and the absolute
-  /// index of its first trace; the segment is a recycled buffer, valid
-  /// only for the duration of the call. Either may be empty.
+  /// Consumer pair of acquire_sharded_range: run()'s ingest and commit
+  /// over the block's number, segment, and absolute first trace index.
   struct ShardedIngest {
     std::function<void(unsigned worker, std::size_t block,
                        const dpa::TraceSet& segment, std::size_t first)>
@@ -208,16 +252,9 @@ class WorkerPool {
         commit;
   };
 
-  /// Ranged streaming acquisition: traces [first_index, first_index +
-  /// count) are partitioned into blocks cut at ABSOLUTE multiples of
-  /// `block_traces` plus the caller's `extra_cuts` (absolute trace
-  /// indices — analysis checkpoint positions land on block edges this
-  /// way), acquired and ingested concurrently, and committed in
-  /// ascending block order. The partition depends only on (range,
-  /// block_traces, extra_cuts), so a consumer that folds per-block
-  /// partials into shared state at commit time produces BIT-IDENTICAL
-  /// results at any thread count, and a killed/resumed range re-derives
-  /// the identical blocks.
+  /// Ranged streaming acquisition: run() over the single range
+  /// [first_index, first_index + count), cut at absolute multiples of
+  /// `block_traces` plus `extra_cuts`.
   void acquire_sharded_range(std::size_t first_index, std::size_t count,
                              std::uint64_t seed, std::size_t block_traces,
                              const std::vector<std::size_t>& extra_cuts,
@@ -225,51 +262,10 @@ class WorkerPool {
                              AcquisitionStats* stats = nullptr);
 
  private:
-  /// The fault campaign's commit visits raw records (their fault
-  /// classification travels outside the analysis rows).
-  friend FaultCampaignResult run_fault_campaign(const TargetInstance&,
-                                                std::uint64_t,
-                                                const FaultCampaignOptions&,
-                                                std::uint64_t, unsigned);
-  /// The shard runtime runs every shard's remaining range in one call
-  /// and attributes a failure to the shard owning the failed block.
-  friend class Coordinator;
-
-  /// Trace range [first, end) of a call.
-  using Range = std::pair<std::size_t, std::size_t>;
-
-  /// One block of a call: traces [first, first + count), number `index`
-  /// of the call's partition. Recycled across blocks and calls.
-  struct Block {
-    std::size_t index = 0;
-    std::size_t first = 0;
-    std::size_t count = 0;
-    /// Record mode: the block's acquired records, records[0 .. count).
-    std::vector<AcquiredTrace> records;
-    /// Segment mode: the block assembled as analysis rows.
-    dpa::TraceSet segment;
-  };
-  using BlockIngest = std::function<void(unsigned worker, const Block&)>;
-  using BlockCommit = std::function<void(const Block&)>;
-
-  /// The pipeline over disjoint `ranges` in ascending order: blocks
-  /// never straddle a range end, and their numbering and commit order
-  /// run across the ranges. Segment mode acquires into per-worker slots
-  /// and assembles Block::segment; record mode keeps the records in the
-  /// block itself. Fills `st`'s counters, thread count, and wall clock.
-  /// When a call throws, `*error_first` (if given) receives the first
-  /// trace index of the block whose exception is rethrown.
-  void run_blocks(const std::vector<Range>& ranges, std::uint64_t seed,
-                  std::size_t block_traces,
-                  const std::vector<std::size_t>& extra_cuts,
-                  bool segments, const BlockIngest& ingest,
-                  const BlockCommit& commit, AcquisitionStats& st,
-                  std::size_t* error_first = nullptr);
-
   TraceSource* src_;
   std::vector<std::unique_ptr<TraceSource>> clones_;
-  /// Segment-mode acquisition slots, one set per worker; slot buffers
-  /// (samples, plaintext, ciphertext) keep their capacity across calls.
+  /// Acquisition slots, one set per worker; slot buffers (samples,
+  /// plaintext, ciphertext) keep their capacity across calls.
   std::vector<std::vector<AcquiredTrace>> worker_records_;
   /// Free list of block buffers: clear() keeps the segment's matrix and
   /// arena capacity, so blocks recycled within a call, and every call

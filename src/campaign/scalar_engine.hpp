@@ -1,6 +1,6 @@
 // Private campaign-internal header (not installed): the one choice of
 // scalar simulation engine behind SimTraceSource (trace_source.cpp) and
-// the fault campaign's source (fault_campaign.cpp).
+// the fault campaign's FaultRunner (fault_campaign.cpp).
 #pragma once
 
 #include <memory>

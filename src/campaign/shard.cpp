@@ -351,8 +351,8 @@ ShardedResult Coordinator::run() {
     std::string error;
     try {
       AcquisitionStats st;
-      pool->run_blocks(ranges, cfg_.seed, block_traces, cuts,
-                       /*segments=*/true, ingest, commit, st, &failed_at);
+      pool->run(ranges, cfg_.seed, block_traces, cuts, ingest, commit, st,
+                &failed_at);
     } catch (const std::exception& e) {
       if (failed_at == kNoBlock) throw;  // not a shard's failure
       if (const auto* stall = dynamic_cast<const ShardStall*>(&e)) {

@@ -33,6 +33,30 @@ std::vector<int> bit_outputs(unsigned value, int bits) {
   return out;
 }
 
+/// Analysis side of the DES S-box victims (des_sbox_slice and
+/// des_sbox_sync): a random 6-bit plaintext against the 6-bit subkey
+/// `key6`, box `box`'s selection bits and Hamming-weight model, its
+/// golden output and its DFA model.
+void des_sbox_analysis(TargetInstance& inst, int box, std::uint8_t key6) {
+  inst.stimulus = [key6](util::Rng& rng, std::size_t, Stimulus& st) {
+    const auto p = static_cast<std::uint8_t>(rng.below(64));
+    st.values.clear();
+    push_bits(st.values, p, 6);
+    push_bits(st.values, key6, 6);
+    st.plaintext.assign(1, p);
+  };
+  inst.num_guesses = 64;
+  inst.true_guess = key6;
+  for (int b = 0; b < 4; ++b)
+    inst.selection_bits.push_back(dpa::des_sbox_selection(box, b));
+  inst.leakage = dpa::des_sbox_hw_model(box);
+  inst.golden = [box, key6](const std::vector<std::uint8_t>& pt) {
+    return bit_outputs(
+        crypto::des_sbox(box, static_cast<std::uint8_t>(pt.at(0) ^ key6)), 4);
+  };
+  inst.dfa = dpa::des_sbox_dfa_model(box);
+}
+
 }  // namespace
 
 CircuitTarget aes_byte_slice(double period_ps) {
@@ -67,28 +91,10 @@ CircuitTarget aes_byte_slice(double period_ps) {
 CircuitTarget des_sbox_slice(int box, double period_ps) {
   return CircuitTarget("des_sbox_slice", [box, period_ps](std::uint64_t key) {
     gates::DesSboxSlice slice = gates::build_des_sbox_slice(box, period_ps);
-    const auto key6 = static_cast<std::uint8_t>(key & 0x3f);
     TargetInstance inst;
     inst.nl = std::move(slice.nl);
     inst.env = std::move(slice.env);
-    inst.stimulus = [key6](util::Rng& rng, std::size_t, Stimulus& st) {
-      const auto p = static_cast<std::uint8_t>(rng.below(64));
-      st.values.clear();
-      push_bits(st.values, p, 6);
-      push_bits(st.values, key6, 6);
-      st.plaintext.assign(1, p);
-    };
-    inst.num_guesses = 64;
-    inst.true_guess = key6;
-    for (int b = 0; b < 4; ++b)
-      inst.selection_bits.push_back(dpa::des_sbox_selection(box, b));
-    inst.leakage = dpa::des_sbox_hw_model(box);
-    inst.golden = [box, key6](const std::vector<std::uint8_t>& pt) {
-      return bit_outputs(
-          crypto::des_sbox(box, static_cast<std::uint8_t>(pt.at(0) ^ key6)),
-          4);
-    };
-    inst.dfa = dpa::des_sbox_dfa_model(box);
+    des_sbox_analysis(inst, box, static_cast<std::uint8_t>(key & 0x3f));
     return inst;
   });
 }
@@ -96,28 +102,10 @@ CircuitTarget des_sbox_slice(int box, double period_ps) {
 CircuitTarget des_sbox_sync(int box, double period_ps) {
   return CircuitTarget("des_sbox_sync", [box, period_ps](std::uint64_t key) {
     gates::DesSboxSync sync = gates::build_des_sbox_sync(box, period_ps);
-    const auto key6 = static_cast<std::uint8_t>(key & 0x3f);
     TargetInstance inst;
     inst.nl = std::move(sync.nl);
     inst.env = std::move(sync.env);
-    inst.stimulus = [key6](util::Rng& rng, std::size_t, Stimulus& st) {
-      const auto p = static_cast<std::uint8_t>(rng.below(64));
-      st.values.clear();
-      push_bits(st.values, p, 6);
-      push_bits(st.values, key6, 6);
-      st.plaintext.assign(1, p);
-    };
-    inst.num_guesses = 64;
-    inst.true_guess = key6;
-    for (int b = 0; b < 4; ++b)
-      inst.selection_bits.push_back(dpa::des_sbox_selection(box, b));
-    inst.leakage = dpa::des_sbox_hw_model(box);
-    inst.golden = [box, key6](const std::vector<std::uint8_t>& pt) {
-      return bit_outputs(
-          crypto::des_sbox(box, static_cast<std::uint8_t>(pt.at(0) ^ key6)),
-          4);
-    };
-    inst.dfa = dpa::des_sbox_dfa_model(box);
+    des_sbox_analysis(inst, box, static_cast<std::uint8_t>(key & 0x3f));
     return inst;
   });
 }

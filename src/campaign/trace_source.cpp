@@ -348,9 +348,6 @@ unsigned clamp_threads(unsigned threads, std::size_t num_traces) {
   return threads;
 }
 
-/// Traces in flight for acquire(): small next to the n×m matrix it fills.
-constexpr std::size_t kMaterializeBudget = 1024;
-
 }  // namespace
 
 WorkerPool::WorkerPool(TraceSource& src, unsigned threads) : src_(&src) {
@@ -366,12 +363,11 @@ std::size_t WorkerPool::block_traces(std::size_t budget) const {
   return share >= width ? share / width * width : std::min(width, budget);
 }
 
-void WorkerPool::run_blocks(const std::vector<Range>& ranges,
-                            std::uint64_t seed, std::size_t block_traces,
-                            const std::vector<std::size_t>& extra_cuts,
-                            bool segments, const BlockIngest& ingest,
-                            const BlockCommit& commit, AcquisitionStats& st,
-                            std::size_t* error_first) {
+void WorkerPool::run(const std::vector<Range>& ranges, std::uint64_t seed,
+                     std::size_t block_traces,
+                     const std::vector<std::size_t>& extra_cuts,
+                     const BlockIngest& ingest, const BlockCommit& commit,
+                     AcquisitionStats& st, std::size_t* error_first) {
   const auto t0 = std::chrono::steady_clock::now();
   if (block_traces == 0) block_traces = 1;
 
@@ -402,26 +398,29 @@ void WorkerPool::run_blocks(const std::vector<Range>& ranges,
   if (worker_records_.size() < threads()) worker_records_.resize(threads());
   const std::size_t width = std::max<std::size_t>(src_->batch_width(), 1);
 
-  // Acquire (+ assemble) + ingest block `k` into `blk` on worker `w`.
+  // Acquire + assemble + ingest block `k` into `blk` on worker `w`.
   auto run_block = [&](unsigned w, std::size_t k, Block& blk,
                        std::size_t* transitions, std::size_t* glitches) {
     blk.index = k;
     blk.first = blocks[k].first;
     blk.count = blocks[k].second - blk.first;
-    std::vector<AcquiredTrace>& recs =
-        segments ? worker_records_[w] : blk.records;
+    std::vector<AcquiredTrace>& recs = worker_records_[w];
     if (recs.size() < blk.count) recs.resize(blk.count);
     TraceSource& s = (w == 0) ? *src_ : *clones_[w - 1];
     for (std::size_t b = 0; b < blk.count; b += width)
       s.acquire_block(seed, blk.first + b, std::min(width, blk.count - b),
                       recs.data() + b);
-    if (segments) blk.segment.clear();
+    blk.segment.clear();
+    blk.transitions.clear();
     for (std::size_t i = 0; i < blk.count; ++i) {
       const AcquiredTrace& a = recs[i];
       *transitions += a.transitions;
       *glitches += a.glitches;
-      if (segments)
-        blk.segment.add(power::TraceView(a.trace), a.plaintext, a.ciphertext);
+      blk.transitions.push_back(a.transitions);
+      blk.segment.add(power::TraceView(a.trace), a.plaintext, a.ciphertext);
+      // The first row fixes the geometry; a fresh buffer then takes the
+      // whole block in one allocation instead of growing row by row.
+      if (i == 0) blk.segment.reserve(blk.count);
     }
     if (ingest) ingest(w, blk);
   };
@@ -543,25 +542,27 @@ void WorkerPool::run_blocks(const std::vector<Range>& ranges,
       st.wall_ms > 0.0 ? 1e3 * static_cast<double>(count) / st.wall_ms : 0.0;
 }
 
+void WorkerPool::append_block(const Block& blk, dpa::TraceSet& traces,
+                              AcquisitionStats& stats, std::size_t total) {
+  const dpa::TraceSet& seg = blk.segment;
+  for (std::size_t i = 0; i < seg.size(); ++i) {
+    traces.add(seg.trace(i), seg.plaintext(i), seg.ciphertext(i));
+    if (traces.size() == 1) {
+      traces.reserve(total);
+      stats.per_trace_transitions.reserve(total);
+    }
+  }
+  stats.per_trace_transitions.insert(stats.per_trace_transitions.end(),
+                                     blk.transitions.begin(),
+                                     blk.transitions.end());
+}
+
 dpa::TraceSet WorkerPool::acquire(std::size_t num_traces, std::uint64_t seed,
                                   AcquisitionStats* stats) {
   dpa::TraceSet ts;
   AcquisitionStats st;
-  st.per_trace_transitions.reserve(num_traces);
-  // Record mode: the commit copies each record straight into the SoA
-  // matrix (span-based add: the recycled slot buffers stay in place),
-  // so peak memory is one n×m matrix plus the blocks in flight.
-  run_blocks({{0, num_traces}}, seed, block_traces(kMaterializeBudget), {},
-             /*segments=*/false, nullptr,
-             [&](const Block& blk) {
-               for (std::size_t i = 0; i < blk.count; ++i) {
-                 const AcquiredTrace& a = blk.records[i];
-                 st.per_trace_transitions.push_back(a.transitions);
-                 ts.add(power::TraceView(a.trace), a.plaintext, a.ciphertext);
-                 if (ts.size() == 1) ts.reserve(num_traces);
-               }
-             },
-             st);
+  run({{0, num_traces}}, seed, block_traces(kMaterializeBudget), {}, nullptr,
+      [&](const Block& blk) { append_block(blk, ts, st, num_traces); }, st);
   if (stats) *stats = std::move(st);
   return ts;
 }
@@ -572,9 +573,8 @@ void WorkerPool::acquire_chunked(
         consume,
     AcquisitionStats* stats) {
   AcquisitionStats st;
-  run_blocks({{0, num_traces}}, seed, block_traces(chunk), {},
-             /*segments=*/true, nullptr,
-             [&](const Block& blk) { consume(blk.segment, blk.first); }, st);
+  run({{0, num_traces}}, seed, block_traces(chunk), {}, nullptr,
+      [&](const Block& blk) { consume(blk.segment, blk.first); }, st);
   if (stats) *stats = std::move(st);
 }
 
@@ -595,8 +595,8 @@ void WorkerPool::acquire_sharded_range(std::size_t first_index,
     commit = [&](const Block& blk) {
       consumer.commit(blk.index, blk.segment, blk.first);
     };
-  run_blocks({{first_index, first_index + count}}, seed, block_traces,
-             extra_cuts, /*segments=*/true, ingest, commit, st);
+  run({{first_index, first_index + count}}, seed, block_traces, extra_cuts,
+      ingest, commit, st);
   if (stats) *stats = std::move(st);
 }
 

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "qdi/qdi.hpp"
@@ -274,6 +276,56 @@ TEST(FaultCampaign, ClassificationDeterministicAcrossThreads) {
           << "run " << i;
       EXPECT_EQ(got.records[i].golden, ref.records[i].golden) << "run " << i;
     }
+  }
+}
+
+TEST(FaultCampaign, StimulusErrorIsRethrownAtAnyThreadCount) {
+  // One injection swept over 16 plaintext repeats: stimulus index k is
+  // run k, so the throwing stimulus fails exactly one run.
+  const qc::TargetInstance base = qc::des_sbox_slice().build(0x2b);
+  const qdi::netlist::NetId site =
+      qs::fault_sites(base.nl, std::vector<std::string>{"addkey0"}).front();
+  const auto sweep = [&](qc::StimulusFn stimulus, unsigned threads) {
+    qc::TargetInstance inst = base;
+    inst.stimulus = std::move(stimulus);
+    return qc::FaultCampaign()
+        .target(qc::prebuilt(std::move(inst)))
+        .key(0x2b)
+        .seed(7)
+        .sites({site})
+        .kinds({qs::FaultKind::StuckAt1})
+        .repeats(16)
+        .threads(threads)
+        .run();
+  };
+  const qc::StimulusFn throwing = [clean = base.stimulus](
+                                      qu::Rng& rng, std::size_t index,
+                                      qc::Stimulus& st) {
+    if (index == 11) throw std::runtime_error("stimulus failed at run 11");
+    clean(rng, index, st);
+  };
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    try {
+      sweep(throwing, threads);
+      ADD_FAILURE() << "the stimulus exception was swallowed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "stimulus failed at run 11");
+    }
+  }
+  // A clean sweep afterwards is unaffected by the failed ones.
+  const qc::FaultCampaignResult ref = sweep(base.stimulus, 1);
+  const qc::FaultCampaignResult got = sweep(base.stimulus, 4);
+  ASSERT_EQ(ref.records.size(), 16u);
+  ASSERT_EQ(got.records.size(), ref.records.size());
+  for (std::size_t i = 0; i < ref.records.size(); ++i) {
+    EXPECT_EQ(got.records[i].cls, ref.records[i].cls) << "run " << i;
+    EXPECT_EQ(got.records[i].plaintext, ref.records[i].plaintext)
+        << "run " << i;
+    EXPECT_EQ(got.records[i].golden, ref.records[i].golden) << "run " << i;
+    EXPECT_EQ(got.records[i].faulty, ref.records[i].faulty) << "run " << i;
+    EXPECT_EQ(got.records[i].stalled_phase, ref.records[i].stalled_phase)
+        << "run " << i;
   }
 }
 

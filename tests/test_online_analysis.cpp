@@ -21,6 +21,8 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "qdi/qdi.hpp"
@@ -766,6 +768,106 @@ TEST(FusedCampaign, CpaMtdEqualsMaterializedOnAesByteSlice) {
     return c.run();
   };
   expect_same_outcome(run(true), run(false));
+}
+
+// ---- campaign probes == the batch reference ---------------------------------
+
+namespace {
+
+/// aes_byte_slice with the rail-1 caps of every S-box output and output
+/// latch tripled: a victim both attacks disclose well inside the budget.
+qc::Campaign leaky_aes_campaign() {
+  qc::Campaign c;
+  c.target(qc::aes_byte_slice())
+      .key(0x2b)
+      .seed(4242)
+      .prepare([](qdi::netlist::Netlist& nl) {
+        for (qdi::netlist::ChannelId ch = 0; ch < nl.num_channels(); ++ch) {
+          const qdi::netlist::Channel& c2 = nl.channel(ch);
+          if (c2.name.find("sbox/out") != std::string::npos ||
+              c2.name.find("hb/q_q") != std::string::npos)
+            nl.net(c2.rails[1]).cap_ff *= 3.0;
+        }
+      });
+  return c;
+}
+
+}  // namespace
+
+// Every rank-trajectory point and the MTD of a campaign, materialized or
+// fused, at 1 and 3 threads, must equal the one-shot batch attacks over
+// the same traces at the same prefixes. The grids start at prefix 0, are
+// not aligned to any block width, and end at the trace budget.
+TEST(CampaignProbes, RankAndMtdEqualBatchReference) {
+  constexpr std::size_t kTraces = 600;
+  constexpr std::size_t kRankStep = 35;
+  constexpr std::size_t kMtdStep = 30;
+  const qc::CampaignResult ref_run =
+      leaky_aes_campaign().traces(kTraces).run();
+  const qd::TraceSet& ts = ref_run.traces;
+  ASSERT_EQ(ts.size(), kTraces);
+  const qc::TargetInstance inst = qc::aes_byte_slice().build(0x2b);
+
+  qc::Cpa cpa;
+  cpa.compute_mtd = true;
+  cpa.mtd_start = 0;
+  cpa.mtd_step = kMtdStep;
+  qc::Dpa dpa;
+  dpa.bits = {0};
+  dpa.compute_mtd = true;
+  dpa.mtd_start = 0;
+  dpa.mtd_step = kMtdStep;
+
+  for (const qc::AttackConfig& attack : {qc::AttackConfig(cpa),
+                                         qc::AttackConfig(dpa)}) {
+    const bool is_cpa = std::holds_alternative<qc::Cpa>(attack);
+    SCOPED_TRACE(is_cpa ? "cpa" : "dpa");
+    // The reference rank at every point of the trajectory grid.
+    std::vector<qc::RankPoint> ref_ranks;
+    for (std::size_t n = kRankStep;; n += kRankStep) {
+      const std::size_t prefix = std::min(n, kTraces);
+      ref_ranks.push_back(
+          {prefix,
+           is_cpa ? qd::cpa_attack(ts, inst.leakage, inst.num_guesses, prefix)
+                        .rank_of(inst.true_guess)
+                  : qd::recover_key_multibit(ts, {inst.selection_bits[0]},
+                                             inst.num_guesses, prefix)
+                        .rank_of(inst.true_guess)});
+      if (prefix == kTraces) break;
+    }
+    const std::size_t ref_mtd =
+        is_cpa ? qd::cpa_measurements_to_disclosure(
+                     ts, inst.leakage, inst.num_guesses, inst.true_guess, 0,
+                     kMtdStep)
+               : qd::measurements_to_disclosure(
+                     ts, inst.selection_bits[0], inst.num_guesses,
+                     inst.true_guess, 0, kMtdStep);
+    ASSERT_GT(ref_mtd, 0u) << "the skewed victim must disclose its key";
+
+    for (const bool fuse : {false, true}) {
+      for (const unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(std::string(fuse ? "fused" : "materialized") + ", " +
+                     std::to_string(threads) + " threads");
+        qc::Campaign c = leaky_aes_campaign();
+        c.traces(kTraces).threads(threads).rank_trajectory(kRankStep);
+        if (is_cpa)
+          c.attack(std::get<qc::Cpa>(attack));
+        else
+          c.attack(std::get<qc::Dpa>(attack));
+        if (fuse) c.fused(64);
+        const qc::CampaignResult r = c.run();
+        ASSERT_TRUE(r.attack.has_value());
+        ASSERT_EQ(r.rank_trajectory.size(), ref_ranks.size());
+        for (std::size_t k = 0; k < ref_ranks.size(); ++k) {
+          EXPECT_EQ(r.rank_trajectory[k].traces, ref_ranks[k].traces);
+          EXPECT_EQ(r.rank_trajectory[k].rank, ref_ranks[k].rank)
+              << "prefix " << ref_ranks[k].traces;
+        }
+        EXPECT_EQ(r.attack->true_key_rank, ref_ranks.back().rank);
+        EXPECT_EQ(r.attack->mtd, ref_mtd);
+      }
+    }
+  }
 }
 
 TEST(FusedCampaign, RequiresAnAttack) {
