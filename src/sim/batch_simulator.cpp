@@ -19,60 +19,29 @@ inline std::uint64_t lane_bit(unsigned lane) noexcept {
   return std::uint64_t{1} << lane;
 }
 
-std::uint64_t next_power_of_two(std::uint64_t v) noexcept {
-  std::uint64_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
 }  // namespace
 
 BatchSimulator::BatchSimulator(std::shared_ptr<const BatchNetlist> bn)
-    : bn_(std::move(bn)), cn_(&bn_->compiled()) {
+    : bn_(std::move(bn)), cn_(&bn_->compiled()), wheel_(*cn_) {
   const std::uint32_t nn = cn_->num_nets();
   cur_.resize(nn);
   pend_.resize(nn);
   spill_.resize(nn);
-  // Calendar geometry — the scalar wheel's derivation (see
-  // CompiledSimulator's constructor): buckets of 4x the smallest gate
-  // delay, enough of them to cover the delay range so only the
-  // environment's phase-gap jumps reach the far-list.
-  double width = 4.0 * cn_->min_delay_ps();
-  if (!(width > 0.0)) width = 1.0;
-  inv_bucket_width_ = 1.0 / width;
-  const auto span =
-      static_cast<std::uint64_t>(cn_->max_delay_ps() * inv_bucket_width_) + 2;
-  num_buckets_ = std::clamp<std::uint64_t>(next_power_of_two(span), 64, 4096);
-  bucket_mask_ = num_buckets_ - 1;
-  buckets_.resize(num_buckets_);
-  occupied_.resize(num_buckets_ / 64);
   reset_state();
-}
-
-void BatchSimulator::clear_queue() {
-  if (wheel_count_ > 0)
-    for (std::vector<HeapEvent>& b : buckets_) b.clear();
-  std::fill(occupied_.begin(), occupied_.end(), std::uint64_t{0});
-  wheel_count_ = 0;
-  ready_.clear();
-  ready_pos_ = 0;
-  overflow_.clear();
-  cur_tick_ = 0;
-  queue_size_ = 0;
 }
 
 void BatchSimulator::reset_state() {
   std::fill(cur_.begin(), cur_.end(), std::uint64_t{0});
   std::fill(pend_.begin(), pend_.end(), PendState{});
   for (auto& g : spill_) g.clear();
-  clear_queue();
+  wheel_.clear();
   std::fill(std::begin(now_), std::end(now_), 0.0);
   std::fill(std::begin(glitches_), std::end(glitches_), std::size_t{0});
   std::fill(std::begin(transitions_), std::end(transitions_), std::size_t{0});
 }
 
 BatchSimulator::Epoch BatchSimulator::save_epoch() const {
-  if (queue_size_ != 0)
+  if (!wheel_.empty())
     throw std::logic_error(
         "BatchSimulator::save_epoch: event queue must be drained");
   Epoch e;
@@ -98,7 +67,7 @@ BatchSimulator::Epoch BatchSimulator::save_epoch() const {
 }
 
 void BatchSimulator::restore_epoch(const Epoch& e) {
-  if (queue_size_ != 0)
+  if (!wheel_.empty())
     throw std::logic_error(
         "BatchSimulator::restore_epoch: event queue must be drained");
   if (e.values.size() != cur_.size())
@@ -137,177 +106,6 @@ void BatchSimulator::drive(NetId net, bool value, double at_ps,
     throw std::invalid_argument(
         "BatchSimulator::drive: only primary-input nets can be driven");
   schedule_word(net, value ? mask : 0, mask, at_ps);
-}
-
-void BatchSimulator::push_key(double t_ps, std::uint32_t net) {
-  const HeapEvent ev{t_ps, net};
-  ++queue_size_;
-  const std::uint64_t tick = tick_of(t_ps);
-  if (queue_size_ == 1) {
-    // Queue was empty: re-anchor the wheel on this key.
-    cur_tick_ = tick;
-    ready_.clear();
-    ready_pos_ = 0;
-  } else if (tick < cur_tick_) {
-    // Only reachable from drive() calls behind the serve point while the
-    // loop is idle (commits always schedule at t >= now). Re-anchor;
-    // multi-lap bucket residents stay correct because extraction filters
-    // by exact tick.
-    spill_ready();
-    cur_tick_ = tick;
-  }
-  if (ready_pos_ < ready_.size() && tick == cur_tick_) {
-    // Key born into the tick currently being served: keep the batch
-    // sorted. It sorts after everything already popped (its time is
-    // strictly later than the commit that birthed it), so pop order
-    // stays exact.
-    ready_.insert(std::upper_bound(ready_.begin() +
-                                       static_cast<std::ptrdiff_t>(ready_pos_),
-                                   ready_.end(), ev, Earlier{}),
-                  ev);
-    return;
-  }
-  if (tick - cur_tick_ < num_buckets_) {
-    bucket_insert(ev);
-  } else {
-    overflow_.push_back(ev);
-    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-  }
-}
-
-void BatchSimulator::bucket_insert(const HeapEvent& ev) {
-  const std::uint64_t b = tick_of(ev.t_ps) & bucket_mask_;
-  if (buckets_[b].empty()) set_occupied(b);
-  buckets_[b].push_back(ev);
-  ++wheel_count_;
-}
-
-/// Push the unserved remainder of the ready batch back into the wheel
-/// (cold path: only before re-anchoring the wheel backwards).
-void BatchSimulator::spill_ready() {
-  for (std::size_t i = ready_pos_; i < ready_.size(); ++i)
-    bucket_insert(ready_[i]);
-  ready_.clear();
-  ready_pos_ = 0;
-}
-
-/// Next occupied bucket index scanning one full wrap from
-/// `start_bucket`; num_buckets_ when the wheel is empty.
-std::uint64_t BatchSimulator::find_next_occupied(
-    std::uint64_t start_bucket) const noexcept {
-  const std::size_t words = occupied_.size();
-  std::size_t w = start_bucket >> 6;
-  std::uint64_t word = occupied_[w] & (~std::uint64_t{0} << (start_bucket & 63));
-  for (std::size_t step = 0; step < words; ++step) {
-    if (word != 0)
-      return ((w & (words - 1)) << 6) +
-             static_cast<std::uint64_t>(std::countr_zero(word));
-    w = (w + 1) % words;
-    word = occupied_[w];
-  }
-  word = occupied_[start_bucket >> 6] &
-         ~(~std::uint64_t{0} << (start_bucket & 63));
-  if (word != 0)
-    return ((start_bucket >> 6) << 6) +
-           static_cast<std::uint64_t>(std::countr_zero(word));
-  return num_buckets_;
-}
-
-void BatchSimulator::sort_ready() {
-  // Batches are typically a handful of keys: insertion sort beats the
-  // introsort dispatch there, and both are exact on the (t, net) order.
-  if (ready_.size() <= 16) {
-    for (std::size_t i = 1; i < ready_.size(); ++i) {
-      const HeapEvent ev = ready_[i];
-      std::size_t j = i;
-      for (; j > 0 && Earlier{}(ev, ready_[j - 1]); --j)
-        ready_[j] = ready_[j - 1];
-      ready_[j] = ev;
-    }
-  } else {
-    std::sort(ready_.begin(), ready_.end(), Earlier{});
-  }
-}
-
-/// Common-case refill: the next occupied bucket holds exactly one tick's
-/// keys (true in all normal operation — multi-lap residents require a
-/// backward re-anchor), so the whole bucket becomes the ready batch by
-/// swap. Returns false without extracting anything on the cold cases.
-bool BatchSimulator::fast_refill() {
-  const std::uint64_t s = cur_tick_ & bucket_mask_;
-  const std::uint64_t b = find_next_occupied(s);
-  if (b == num_buckets_) return false;  // wheel empty
-  const std::uint64_t tick = cur_tick_ + ((b - s) & bucket_mask_);
-  std::vector<HeapEvent>& bucket = buckets_[b];
-  for (const HeapEvent& ev : bucket)
-    if (tick_of(ev.t_ps) != tick) return false;  // multi-lap: cold path
-  std::swap(ready_, bucket);  // bucket inherits the old ready_ capacity
-  clear_occupied(b);
-  wheel_count_ -= ready_.size();
-  cur_tick_ = tick;
-  sort_ready();
-  return true;
-}
-
-/// Exact-tick rotation scan — correct in every state the wheel can
-/// reach, at a bucket walk's cost. Only runs when fast_refill declined.
-bool BatchSimulator::cold_refill() {
-  for (std::uint64_t step = 0; step < num_buckets_; ++step) {
-    const std::uint64_t tick = cur_tick_ + step;
-    std::vector<HeapEvent>& b = buckets_[tick & bucket_mask_];
-    if (b.empty()) continue;
-    for (std::size_t i = 0; i < b.size();) {
-      if (tick_of(b[i].t_ps) == tick) {
-        ready_.push_back(b[i]);
-        b[i] = b.back();
-        b.pop_back();
-      } else {
-        ++i;  // a later lap of this bucket
-      }
-    }
-    if (b.empty()) clear_occupied(tick & bucket_mask_);
-    if (!ready_.empty()) {
-      wheel_count_ -= ready_.size();
-      cur_tick_ = tick;
-      sort_ready();
-      return true;
-    }
-  }
-  return false;
-}
-
-void BatchSimulator::refill_ready() {
-  ready_.clear();
-  ready_pos_ = 0;
-  for (;;) {
-    if (wheel_count_ == 0) {
-      // Everything queued sits in the far-list: jump the wheel straight
-      // to its earliest tick instead of scanning empty buckets.
-      cur_tick_ = tick_of(overflow_.front().t_ps);
-    }
-    // Migrate far-list keys that fell inside the horizon as the wheel
-    // turned. They all have ticks > cur_tick_ of any previous serve, so
-    // nothing is migrated late.
-    while (!overflow_.empty() &&
-           tick_of(overflow_.front().t_ps) < cur_tick_ + num_buckets_) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-      const HeapEvent ev = overflow_.back();
-      overflow_.pop_back();
-      bucket_insert(ev);
-    }
-    if (fast_refill()) return;
-    if (cold_refill()) return;
-    if (wheel_count_ > 0) {
-      // Stranded beyond one rotation (possible only after a backward
-      // re-anchor): jump to the earliest bucket resident. Cold path.
-      std::uint64_t min_tick = ~std::uint64_t{0};
-      for (const std::vector<HeapEvent>& b : buckets_)
-        for (const HeapEvent& ev : b)
-          min_tick = std::min(min_tick, tick_of(ev.t_ps));
-      cur_tick_ = min_tick;
-    }
-    // else: loop re-anchors on the far-list and migrates.
-  }
 }
 
 // The word form of the scalar inertial-filtering schedule(): per lane of
@@ -375,7 +173,7 @@ void BatchSimulator::schedule_word(std::uint32_t net, std::uint64_t want,
     } else {
       spill_[net].push_back(PendGroup{t_ps, need});
     }
-    push_key(t_ps, net);  // one key per group: born here, popped once
+    wheel_.push(HeapEvent{t_ps, net});  // one key per group, popped once
   }
 }
 
@@ -485,18 +283,15 @@ void BatchSimulator::commit(double t_ps, std::uint32_t net,
 
 std::size_t BatchSimulator::run_until_stable(std::size_t max_events) {
   std::size_t committed = 0;
-  while (queue_size_ > 0) {
-    if (ready_pos_ >= ready_.size()) refill_ready();
-    const HeapEvent ev = ready_[ready_pos_++];
-    --queue_size_;
+  while (!wheel_.empty()) {
+    const HeapEvent ev = wheel_.pop();
     // Merge duplicate keys (a group can die to cancellation and a new
     // one be born at the same (t, net), each pushing a key). Duplicates
-    // share a tick, so they sit adjacent in the sorted ready batch.
-    while (ready_pos_ < ready_.size() && ready_[ready_pos_].t_ps == ev.t_ps &&
-           ready_[ready_pos_].net == ev.net) {
-      ++ready_pos_;
-      --queue_size_;
-    }
+    // share a tick, so they sit adjacent in the served batch.
+    for (const HeapEvent* dup = wheel_.peek_served();
+         dup != nullptr && dup->t_ps == ev.t_ps && dup->net == ev.net;
+         dup = wheel_.peek_served())
+      wheel_.pop();
     // Live lanes: the group scheduled for exactly this time. A missing
     // group means every lane of it was cancelled or rescheduled — the
     // key is a tombstone, like the scalar engines' stale-seq check.

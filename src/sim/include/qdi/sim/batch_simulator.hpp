@@ -35,6 +35,7 @@
 
 #include "qdi/sim/batch_netlist.hpp"
 #include "qdi/sim/environment.hpp"
+#include "qdi/sim/time_wheel.hpp"
 
 namespace qdi::sim {
 
@@ -72,7 +73,6 @@ class BatchSimulator {
   bool value(netlist::NetId net, std::size_t lane) const {
     return (cur_[net] >> lane) & 1u;
   }
-  std::uint64_t value_word(netlist::NetId net) const { return cur_[net]; }
 
   /// Drive a primary-input net in every lane of `mask` at `at_ps`.
   void drive(netlist::NetId net, bool value, double at_ps,
@@ -94,8 +94,6 @@ class BatchSimulator {
   }
 
   void set_power_sink(BatchPowerSink* sink) noexcept { sink_ = sink; }
-
-  bool queue_empty() const noexcept { return queue_size_ == 0; }
 
   /// Post-reset snapshot, shared by all lanes (save requires a drained
   /// queue and lane-uniform state — which apply_reset guarantees).
@@ -127,21 +125,13 @@ class BatchSimulator {
   };
   // Merged-queue order: earliest (t, net) pops first — the projection of
   // the engines' canonical (t_ps, net, seq) order onto live events.
-  // Functors (not function pointers) so the sorts inline them.
   struct Earlier {
     bool operator()(const HeapEvent& a, const HeapEvent& b) const noexcept {
       if (a.t_ps != b.t_ps) return a.t_ps < b.t_ps;
       return a.net < b.net;
     }
   };
-  struct Later {
-    bool operator()(const HeapEvent& a, const HeapEvent& b) const noexcept {
-      if (a.t_ps != b.t_ps) return a.t_ps > b.t_ps;
-      return a.net > b.net;
-    }
-  };
 
-  void push_key(double t_ps, std::uint32_t net);
   void schedule_word(std::uint32_t net, std::uint64_t want, std::uint64_t mask,
                      double t_ps);
   void evaluate_cell(std::uint32_t cell, double t_ps, std::uint64_t mask);
@@ -182,42 +172,9 @@ class BatchSimulator {
   std::vector<PendState> pend_;
   std::vector<std::vector<PendGroup>> spill_;
 
-  // Two-level calendar queue over merged (t, net) keys — the batch twin
-  // of the scalar engine's time wheel (compiled_simulator.hpp): buckets
-  // of one tick (bucket width 4x the smallest gate delay), an occupancy
-  // bitmap for the next-tick scan, a sorted ready batch serving the
-  // current tick, and a far-list min-heap for keys beyond one rotation.
-  // Pop order is exactly (t, net); keys the serve of a tick births into
-  // its own tick keep the ready batch sorted via bounded insertion.
-  std::vector<std::vector<HeapEvent>> buckets_;
-  std::vector<std::uint64_t> occupied_;
-  std::vector<HeapEvent> ready_;
-  std::size_t ready_pos_ = 0;
-  std::vector<HeapEvent> overflow_;
-  std::uint64_t cur_tick_ = 0;
-  std::uint64_t num_buckets_ = 0;
-  std::uint64_t bucket_mask_ = 0;
-  std::uint64_t wheel_count_ = 0;
-  double inv_bucket_width_ = 1.0;
-  std::size_t queue_size_ = 0;
-
-  std::uint64_t tick_of(double t_ps) const noexcept {
-    return static_cast<std::uint64_t>(t_ps * inv_bucket_width_);
-  }
-  void set_occupied(std::uint64_t b) noexcept {
-    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-  }
-  void clear_occupied(std::uint64_t b) noexcept {
-    occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-  }
-  std::uint64_t find_next_occupied(std::uint64_t start_bucket) const noexcept;
-  void bucket_insert(const HeapEvent& ev);
-  void spill_ready();
-  void sort_ready();
-  bool fast_refill();
-  bool cold_refill();
-  void refill_ready();
-  void clear_queue();
+  // Merged (t, net) keys, one per pending group born (time_wheel.hpp);
+  // keys the serve of a tick births into its own tick pop in order.
+  detail::TimeWheel<HeapEvent, Earlier> wheel_;
 
   double now_[kBatchLanes] = {};
   std::size_t glitches_[kBatchLanes] = {};

@@ -15,17 +15,10 @@
 //     one definition, shared with the reference engine;
 //   * per-cell delay and slew come from arrays precomputed at compile
 //     time (they depend only on the static output load);
-//   * the event queue is a two-level time wheel (calendar queue):
-//     events bucket by floor(t_ps / width) with the width derived from
-//     the compiled netlist's delay range (4x the minimum gate delay), so
-//     push/pop are O(1) amortized instead of a binary heap's O(log n).
-//     Fanout scheduled into the tick currently being served
-//     (delay < width) is inserted into the sorted ready batch; events
-//     whose tick falls beyond one wheel rotation spill into a far-list
-//     (a small min-heap) and migrate back as the wheel turns. Pop order
-//     is the exact (t_ps, net, seq) total order of the reference
+//   * the event queue is the shared calendar queue (time_wheel.hpp),
+//     keyed by the exact (t_ps, net, seq) total order of the reference
 //     engine's priority queue, which is the oracle it is checked
-//     against (tests/test_compiled_sim.cpp, the FuzzEpochs suite).
+//     against (tests/test_compiled_sim.cpp, the FuzzEpochs suite);
 //   * the transition log is OFF by default — acquisition streams power
 //     samples through a PowerSink at commit time instead;
 //   * reset_state() is a capacity-retaining memset, and save_epoch() /
@@ -49,6 +42,7 @@
 
 #include "qdi/sim/compiled_netlist.hpp"
 #include "qdi/sim/engine.hpp"
+#include "qdi/sim/time_wheel.hpp"
 #include "qdi/sim/transition.hpp"
 
 namespace qdi::sim {
@@ -92,7 +86,7 @@ class CompiledSimulator final : public SimEngine {
 
   /// Pending events still queued (live + tombstones). 0 after
   /// run_until_stable returns.
-  std::size_t queue_size() const noexcept { return queue_size_; }
+  std::size_t queue_size() const noexcept { return wheel_.size(); }
   /// Lazily cancelled events still queued (bounded by queue_size() / 2
   /// plus one purge hysteresis — see the tombstone purge).
   std::size_t tombstone_count() const noexcept { return tombstones_; }
@@ -147,6 +141,18 @@ class CompiledSimulator final : public SimEngine {
     netlist::NetId net;
     bool value;
   };
+  // Queue order: earliest (t_ps, net, seq) pops first — the canonical
+  // total order shared with the reference engine and the batch engine
+  // (see Simulator::EventOrder for why net breaks timestamp ties). The
+  // triple is unique per event, so any correct scheduler yields the
+  // reference priority_queue's commit sequence.
+  struct Earlier {
+    bool operator()(const Event& a, const Event& b) const noexcept {
+      if (a.t_ps != b.t_ps) return a.t_ps < b.t_ps;
+      if (a.net != b.net) return a.net < b.net;
+      return a.seq < b.seq;
+    }
+  };
 
   void schedule(netlist::NetId net, bool value, double t_ps, double slew_ps);
   void evaluate_cell(std::uint32_t cell, double t_ps);
@@ -154,28 +160,7 @@ class CompiledSimulator final : public SimEngine {
   void rebuild_pins() noexcept;
   void commit(const Event& ev);
   void handle_force_marker(const Event& ev);
-  void push_event(const Event& ev);
-  Event pop_event();
-
-  // -- time-wheel internals --
-  std::uint64_t tick_of(double t_ps) const noexcept {
-    return static_cast<std::uint64_t>(t_ps * inv_bucket_width_);
-  }
-  void set_occupied(std::uint64_t bucket) noexcept {
-    occupied_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
-  }
-  void clear_occupied(std::uint64_t bucket) noexcept {
-    occupied_[bucket >> 6] &= ~(std::uint64_t{1} << (bucket & 63));
-  }
-  std::uint64_t find_next_occupied(std::uint64_t start_bucket) const noexcept;
-  void bucket_insert(const Event& ev);
-  void sort_ready();
-  bool fast_refill();
-  bool cold_refill();
-  void refill_ready();
-  void spill_ready();
   void purge_tombstones();
-  void clear_queue();
   void mark_dirty(netlist::NetId net);
   void clear_dirty();
 
@@ -191,25 +176,7 @@ class CompiledSimulator final : public SimEngine {
   std::uint64_t next_seq_ = 1;
   ForceSet forces_;
 
-  // Time wheel. buckets_[tick & mask] holds the events of absolute
-  // tick `tick` (and, after the cold backward re-anchor, possibly of
-  // later laps — extraction checks the exact tick and copies the whole
-  // bucket in the common single-lap case). ready_ is the sorted batch of
-  // the tick being served; overflow_ is a min-heap of events beyond one
-  // rotation; occupied_ is a bitmap over buckets so the refill scan
-  // skips empty ticks with find-first-set instead of a bucket walk.
-  std::vector<std::vector<Event>> buckets_;
-  std::vector<std::uint64_t> occupied_;
-  std::vector<Event> ready_;
-  std::size_t ready_pos_ = 0;
-  std::vector<Event> overflow_;
-  std::uint64_t cur_tick_ = 0;
-  std::uint64_t num_buckets_ = 0;
-  std::uint64_t bucket_mask_ = 0;
-  double inv_bucket_width_ = 1.0;
-  std::size_t wheel_count_ = 0;  // events currently in buckets_
-
-  std::size_t queue_size_ = 0;  // all queued events, live + tombstones
+  detail::TimeWheel<Event, Earlier> wheel_;  // live events + tombstones
   std::size_t tombstones_ = 0;  // lazily cancelled events still queued
 
   // Dirty-set epoch tracking: nets committed since the state last

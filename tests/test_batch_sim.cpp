@@ -11,7 +11,11 @@
 // netlists, tolerant handshakes).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -193,6 +197,51 @@ TEST(BatchKernel, LockstepOccupancyIsHighOnRegistryTargets) {
   src.acquire_block(1, 0, 64, out.data());
   EXPECT_GT(src.mean_lane_occupancy(), 4.0);
 }
+
+// ---- allocation-free steady state ------------------------------------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define QDI_SANITIZER_ACTIVE 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define QDI_SANITIZER_ACTIVE 1
+#endif
+#endif
+
+#ifndef QDI_SANITIZER_ACTIVE
+namespace {
+std::atomic<std::uint64_t> g_new_count{0};
+}  // namespace
+
+// Counting scalar new/delete: pass-through to malloc/free, used only to
+// assert the steady-state block loop allocates nothing.
+void* operator new(std::size_t n) {
+  g_new_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+TEST(BatchKernel, SteadyStateBlockLoopIsAllocationFree) {
+  for (const char* target : {"des_sbox_slice", "des_round"}) {
+    const qc::TargetInstance inst = qc::find_target(target).build(0x2b);
+    qc::SimTraceSourceOptions opt;
+    opt.engine = qs::EngineKind::Batch;
+    qc::BatchSimTraceSource src(inst.nl, inst.env, inst.stimulus, opt);
+    std::vector<qc::AcquiredTrace> out(qs::kBatchLanes);
+    // Warm-up blocks pay reset, the epoch snapshot, and buffer sizing.
+    src.acquire_block(1, 0, 64, out.data());
+    src.acquire_block(1, 64, 64, out.data());
+    const std::uint64_t before = g_new_count.load(std::memory_order_relaxed);
+    // 100 traces: a full block, then a 36-lane partial one.
+    src.acquire_block(1, 128, 64, out.data());
+    src.acquire_block(1, 192, 36, out.data());
+    EXPECT_EQ(g_new_count.load(std::memory_order_relaxed) - before, 0u)
+        << target << ": the steady-state block loop allocated";
+  }
+}
+#endif  // !QDI_SANITIZER_ACTIVE
 
 // ---- guard rails: unsupported combinations throw ---------------------------
 
