@@ -59,6 +59,23 @@ std::size_t asymmetric_count(const qn::Netlist& nl) {
   return qn::count_asymmetric_channels(qn::Graph(nl));
 }
 
+std::string sha256_hex(const std::string& bytes) {
+  return qdi::util::Sha256::hex_of(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+}
+
+/// The cone-balance report fields a pin covers, as one comparable line:
+/// the counters plus the SHA-256 of every note joined in order.
+std::string report_pin(const qx::PassReport& rep) {
+  std::string notes;
+  for (const std::string& note : rep.notes) notes += note + '\n';
+  std::ostringstream os;
+  os << rep.cells_added << ' ' << rep.nets_added << ' '
+     << rep.channels_touched << ' ' << rep.channels_skipped << ' '
+     << sha256_hex(notes);
+  return os.str();
+}
+
 }  // namespace
 
 // ---- pass unit behaviour ---------------------------------------------------
@@ -332,6 +349,103 @@ TEST(XformGolden, ConeBalanceFixpointFingerprintsArePinned) {
                   reinterpret_cast<const std::uint8_t*>(fp.data()),
                   fp.size())))
         << c.target;
+  }
+}
+
+TEST(XformGolden, ConeBalanceReportsArePinned) {
+  // The whole PassReport of the runs pinned above: clone and net counts,
+  // touched and skipped channels, and the SHA-256 of the notes joined in
+  // order ("cells nets touched skipped notes-digest"). A worklist that
+  // drifts can move a skip note without moving the netlist.
+  const std::map<std::string, std::string> golden = {
+      {"aes_byte_slice",
+       "736 736 22 48 "
+       "c9e776564604a3b3e82064cbbf3515dd2bdfa92858dc33fce32bed6c82cec7e6"},
+      {"des_sbox_slice",
+       "68 68 12 11 "
+       "de2e317fe95872f5e8907f558ab37e9a07792c2d69d9add7680ee0cc5c754895"},
+      {"des_sbox_sync",
+       "0 0 0 4 "
+       "1cc30dc3080c9701a7e1baf27f169b1bdb6b2f9f7ea731f209a1e3cc0165719f"},
+      {"xor_stage",
+       "0 0 0 0 "
+       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"des_round",
+       "217 217 69 103 "
+       "6d8ae20360c4ff54ee47ac52bb2bb657eeb4141325e3224761f24d4300e3af20"},
+      {"dual_rail_pair",
+       "0 0 0 0 "
+       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"one_of_four",
+       "0 0 0 0 "
+       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"aes_core",
+       "2032 2032 292 460 "
+       "81657d9b2d917fe6dc5c9704221cd05afa3c389a04107f37ca7920bdfbf6abf3"},
+  };
+  for (const std::string& name : qc::list_targets()) {
+#ifdef QDI_SANITIZER_ACTIVE
+    if (name == "aes_core") continue;  // minutes-long cone scans
+#endif
+    const auto it = golden.find(name);
+    ASSERT_NE(it, golden.end()) << "no golden report for target " << name;
+    qc::TargetInstance inst = qc::find_target(name).build(0x2b);
+    const qx::PassReport rep =
+        qx::ConeBalancePass{{.max_rounds = name == "aes_core" ? 1 : 8,
+                             .verify = false}}
+            .run(inst.nl);
+    EXPECT_EQ(it->second, report_pin(rep)) << name;
+  }
+  // The two 32-round fixpoint runs.
+  const std::map<std::string, std::string> fixpoint = {
+      {"aes_byte_slice",
+       "777 777 22 48 "
+       "fe632238740d2a3565f5101aa7ec68790d8e76307913fa26ed61e129798a3712"},
+      {"des_round",
+       "217 217 69 103 "
+       "6d8ae20360c4ff54ee47ac52bb2bb657eeb4141325e3224761f24d4300e3af20"},
+  };
+  for (const auto& [name, pin] : fixpoint) {
+    qc::TargetInstance inst = qc::find_target(name).build(0x2b);
+    const qx::PassReport rep =
+        qx::ConeBalancePass{{.max_rounds = 32, .verify = false}}.run(inst.nl);
+    EXPECT_EQ(pin, report_pin(rep)) << name << " at 32 rounds";
+  }
+}
+
+TEST(XformGolden, ConeBalanceRoundDigestsArePinned) {
+  // One netlist digest per round boundary: rounds 2-4 revisit channels
+  // whose footprint an earlier round dirtied, so each cap here pins a
+  // different set of revisits.
+  struct Case {
+    const char* target;
+    int rounds;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {"aes_byte_slice", 1,
+       "340e4574afd12dd6775891ffaa763451126375fa98c7db2d6ee5dce47c6ff6a5"},
+      {"aes_byte_slice", 2,
+       "50cb3075f6c8fd89d4d80b2bbc667c1207234aee325057855563e7f8c31dc4a1"},
+      {"aes_byte_slice", 3,
+       "5a311a925e25fc31451cebb66181cca6d809a502faa1de55c97e3362fc0f296e"},
+      {"aes_byte_slice", 4,
+       "c047591da7dd66924c810205e684b5989d35e2535be871139d12e54946b04bc8"},
+      {"des_round", 1,
+       "aa0dd4ca31a9a219413df394eb8c1c1db7dced8e31f676e2546eda6997d27b48"},
+      {"des_round", 2,
+       "d491831c9031ee3286d434ce7664ee739765cd1ea4f56d965c97be916a292b9c"},
+      {"des_round", 3,
+       "4d2981d77b15647fbfa6699495536445d6324f25443c7684093f2757da9c8ee6"},
+      {"des_round", 4,
+       "682cc351313243848cadebe2075f5c5b276b2e74358090120656c5c1720c8897"},
+  };
+  for (const Case& c : cases) {
+    qc::TargetInstance inst = qc::find_target(c.target).build(0x2b);
+    qx::ConeBalancePass{{.max_rounds = c.rounds, .verify = false}}.run(
+        inst.nl);
+    EXPECT_EQ(c.digest, sha256_hex(fingerprint(inst.nl)))
+        << c.target << " at max_rounds " << c.rounds;
   }
 }
 
