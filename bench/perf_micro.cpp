@@ -313,12 +313,15 @@ BENCHMARK(BM_CompiledDpaEndToEnd)->Unit(benchmark::kMillisecond);
 // acquisition row measures steady-state per-trace cost of one complete
 // four-phase handshake of the whole core (compiled engine, persistent
 // worker — the production feed of a fused full-core CPA campaign). The
-// cone-balance row runs ConeBalancePass to its fixpoint on a pristine
-// copy of the core netlist: the serial visit-and-edit sweep with
-// footprint-based cross-round invalidation, verify scans off (they are
-// the pass's only threaded code) so the row measures the transform, not
-// the symmetry audit. The CI bench job prints their informational ratio
-// — the designer-side balancing cost in units of 64-trace acquisitions.
+// cone-balance row runs ConeBalancePass with its default round cap
+// (max_rounds = 8) on a pristine copy of the core netlist: each channel
+// walks its rail cones once and keeps them, every clone-and-rewire edit
+// patches the stored cones it reaches, and later rounds revisit only
+// the channels whose bitset footprint an edit dirtied. Verify scans are
+// off (they are the pass's only threaded code), so the row measures the
+// transform, not the symmetry audit. The CI bench job prints their
+// informational ratio — the designer-side balancing cost in units of
+// 64-trace acquisitions.
 static const qdi::campaign::TargetInstance& aes_core_workload() {
   static const qdi::campaign::TargetInstance inst =
       qdi::campaign::aes_core().build(0x2b);

@@ -28,25 +28,48 @@
 // ---- execution ------------------------------------------------------------
 //
 // One serial sweep per round, in ascending channel id. Each channel visit
-// walks its rails' fanin cones over the live netlist and applies every
-// clone-and-rewire edit the moment it finds it, so the next deficit (and
-// the next channel) sees the edited graph. Rounds after the first only
-// revisit channels whose stored *footprint* (every cell the visit read:
-// its cone members, evicted ones and clones included) holds a cell
-// dirtied by the previous round: a clone-and-rewire can only change
-// channel X's visit through a cell X already read (the moved sink and
-// the cloned cell are both cone members of any channel they affect;
-// foreign clones outside a cone are invisible to its membership tests).
-// On aes_core the fixpoint takes four rounds, and the later ones still
-// revisit about three quarters of the channels.
+// applies every clone-and-rewire edit the moment it finds it, so the next
+// deficit (and the next channel) sees the edited graph.
 //
-// The cone walk is the hot loop (millions of member visits per fixpoint),
-// so it reads a flat CSR mirror of the netlist, stamps cone membership
-// with a per-rail epoch instead of clearing a mask, and counts members in
-// a dense (level, kind) histogram; clone-site lookup is bucketed by
-// (level, kind) instead of rescanning every member per deficit. All of
-// that scratch is reused across visits.
+// A channel walks its rails' fanin cones once, on its first visit, and
+// keeps them: per rail a membership bitset over cell ids, the dense
+// (level, kind) histogram, the input-cell count and whether the rail is
+// driven. Every edit patches every stored cone that holds the stolen
+// sink, whichever channel made it: the clone joins the cone, and the
+// original leaves it only if the moved edge was its last forward path
+// into it (stays). The patch is exact: a cone holding the sink holds the
+// original too (the walk descends the very edge being moved), the clone
+// shares the original's inputs and level, so it keeps every ancestor of
+// the original reachable, and a cone without the sink never sees the
+// edit. A revisit therefore reads cones equal to a fresh walk of the
+// live netlist without walking.
+//
+// The visiting channel takes its own edits at once. Every other channel
+// takes them from an edit log when it is next visited (catch_up): a
+// rail's cone changes only through these edits, so replaying them in
+// order, rail by rail, gives the cones a patch at edit time would, and
+// a channel that is never revisited never pays. Each channel also keeps
+// a hull (every cell any of its cones has held), so a logged edit costs
+// it one bit test unless the hull holds the sink.
+//
+// Rounds after the first only revisit channels whose *footprint* holds a
+// cell dirtied (a rewired sink) by the previous round. The footprint is a
+// bitset too: the union of the channel's rail cones at the start and at
+// the end of its last visit, i.e. every cell the visit read, evicted
+// originals and clones included. A clone-and-rewire can only change
+// channel X's visit through a cell X already read (the moved sink and the
+// cloned cell are both cone members of any channel they affect; foreign
+// clones outside a cone are invisible to its membership tests).
+//
+// The first walk reads a flat CSR mirror of the netlist. Bitsets span
+// only the id range their cells cover, and a cone keeps the clones that
+// joined it apart from the cells its walk found, so neither pays for the
+// ids in between. Clone-site lookup is bucketed by (level, kind), each
+// bucket filled in ascending id order by one scan of the rail's bitsets
+// when the visit first needs a site there.
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -73,13 +96,6 @@ using netlist::Netlist;
 using netlist::NetId;
 using netlist::Pin;
 
-/// Dense histogram slot of a (level, kind) pair. Ascending slot order is
-/// ascending (level, kind) order — the order deficits are filled in.
-std::size_t slot_of(int level, CellKind kind) {
-  return static_cast<std::size_t>(level) * netlist::kNumCellKinds +
-         static_cast<std::size_t>(kind);
-}
-
 /// Dense mirror of the netlist fields the cone walk touches. Cell and
 /// Net carry strings and sink vectors the walk never reads; at aes_core
 /// scale (~65M member visits per round) the pointer-chasing through
@@ -93,6 +109,24 @@ struct FlatGraph {
   std::vector<std::uint32_t> input_off;  ///< per cell, size num_cells+1
   std::vector<NetId> input_net;          ///< CSR payload of cell inputs
   std::vector<CellId> driver;            ///< per net
+  /// Kinds of the netlist's real gates, ascending. Clones copy a kind,
+  /// so the list never grows.
+  std::vector<CellKind> kinds;
+  std::array<std::size_t, netlist::kNumCellKinds> kind_rank{};
+
+  /// Dense histogram slot of a real gate: its (level, kind) pair over the
+  /// kinds in use. Ascending slot order is ascending (level, kind) order
+  /// — the order deficits are filled in.
+  std::size_t slot(CellId c) const {
+    return static_cast<std::size_t>(level[c]) * kinds.size() +
+           kind_rank[static_cast<std::size_t>(kind[c])];
+  }
+  /// Slots of every level up to `top`.
+  std::size_t slots(int top) const {
+    return (static_cast<std::size_t>(top) + 1) * kinds.size();
+  }
+  std::size_t slot_level(std::size_t s) const { return s / kinds.size(); }
+  CellKind slot_kind(std::size_t s) const { return kinds[s % kinds.size()]; }
 
   void build(const Netlist& nl, const netlist::Graph& g) {
     const std::size_t nc = nl.num_cells();
@@ -114,6 +148,14 @@ struct FlatGraph {
                        cell.inputs.end());
       input_off.push_back(static_cast<std::uint32_t>(input_net.size()));
     }
+    std::array<bool, netlist::kNumCellKinds> used{};
+    for (CellKind k : kind)
+      if (!netlist::is_pseudo(k)) used[static_cast<std::size_t>(k)] = true;
+    kinds.clear();
+    for (std::size_t k = 0; k < used.size(); ++k) {
+      kind_rank[k] = kinds.size();
+      if (used[k]) kinds.push_back(static_cast<CellKind>(k));
+    }
   }
 
   /// Mirror of add_net + add_cell + rewire_input for one clone: `inputs`
@@ -132,52 +174,145 @@ struct FlatGraph {
   }
 };
 
-/// Epoch-stamped cone-membership scratch: one stamp array per rail slot,
-/// reused across every channel visit. A cell is in rail r's cone iff its
-/// stamp equals the visit epoch — clearing is a single epoch bump instead
-/// of a num_cells memset per rail.
-class Marks {
+/// Bitset over the cell-id range a set spans: a rail cone's membership,
+/// a footprint, or a round's dirty set. A cone's cells sit in a band of
+/// ids, so storing only the words from its lowest to its highest member
+/// halves a cone on aes_core. Bits outside the range read as clear.
+class CellBits {
  public:
-  void begin_visit(std::size_t rails, std::size_t capacity) {
-    ++epoch_;
-    if (stamps_.size() < rails) stamps_.resize(rails);
-    for (std::size_t r = 0; r < rails; ++r)
-      if (stamps_[r].size() < capacity) stamps_[r].resize(capacity, 0);
+  bool test(CellId c) const {
+    // Wraps to a huge index below the range.
+    const std::size_t w = (c >> 6) - first_;
+    return w < words_.size() && (words_[w] >> (c & 63) & 1) != 0;
   }
-  bool in_cone(std::size_t r, CellId c) const {
-    return stamps_[r][c] == epoch_;
+  void set(CellId c) {
+    const std::size_t w = c >> 6;
+    cover(w, w + 1);
+    words_[w - first_] |= std::uint64_t{1} << (c & 63);
   }
-  void set(std::size_t r, CellId c) { stamps_[r][c] = epoch_; }
-  void clear(std::size_t r, CellId c) { stamps_[r][c] = 0; }
+  void reset(CellId c) {
+    const std::size_t w = (c >> 6) - first_;
+    if (w < words_.size()) words_[w] &= ~(std::uint64_t{1} << (c & 63));
+  }
+  void clear() {
+    first_ = 0;
+    words_.clear();
+  }
+
+  /// Replaces the set by the bits of `full` (word w holds ids 64w..64w+63)
+  /// and zeroes those words, so `full` is reusable scratch.
+  void take(std::vector<std::uint64_t>& full) {
+    std::size_t lo = 0;
+    std::size_t hi = full.size();
+    while (lo < hi && full[lo] == 0) ++lo;
+    while (hi > lo && full[hi - 1] == 0) --hi;
+    first_ = lo;
+    words_.assign(full.begin() + lo, full.begin() + hi);
+    std::fill(full.begin() + lo, full.begin() + hi, 0);
+  }
+
+  /// this |= other.
+  void merge(const CellBits& other) {
+    if (other.words_.empty()) return;
+    cover(other.first_, other.first_ + other.words_.size());
+    const std::size_t off = other.first_ - first_;
+    for (std::size_t w = 0; w < other.words_.size(); ++w)
+      words_[off + w] |= other.words_[w];
+  }
+  bool intersects(const CellBits& other) const {
+    const std::size_t lo = std::max(first_, other.first_);
+    const std::size_t hi = std::min(first_ + words_.size(),
+                                    other.first_ + other.words_.size());
+    for (std::size_t w = lo; w < hi; ++w)
+      if ((words_[w - first_] & other.words_[w - other.first_]) != 0)
+        return true;
+    return false;
+  }
+  /// Calls f(id) for every set bit, in ascending id order.
+  template <class F>
+  void for_each(F&& f) const {
+    for (std::size_t w = 0; w < words_.size(); ++w)
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
+        f(static_cast<CellId>((first_ + w) * 64 + std::countr_zero(bits)));
+  }
 
  private:
-  std::vector<std::vector<std::uint32_t>> stamps_;
-  std::uint32_t epoch_ = 0;
+  /// Grows the range to include words [lo, hi).
+  void cover(std::size_t lo, std::size_t hi) {
+    if (words_.empty()) {
+      first_ = lo;
+      words_.assign(hi - lo, 0);
+      return;
+    }
+    if (lo < first_) {
+      words_.insert(words_.begin(), first_ - lo, 0);
+      first_ = lo;
+    }
+    if (hi - first_ > words_.size()) words_.resize(hi - first_, 0);
+  }
+
+  std::size_t first_ = 0;  ///< word index of words_[0]
+  std::vector<std::uint64_t> words_;
 };
 
+/// One rail's fanin cone, walked on the channel's first visit and patched
+/// with every edit since (see the execution notes above).
 struct RailCone {
-  /// Cone cells in traversal order. May retain evicted cells — consumers
-  /// re-check membership — and clones are appended.
-  std::vector<CellId> members;
-  /// Distinct real gates per (level, kind) slot (see slot_of).
+  /// Cells the walk found, less the originals evicted since.
+  CellBits walked;
+  /// Clones that joined since the walk. Their ids lie above every walked
+  /// id, so keeping them apart spares `walked` the gap in between.
+  CellBits joined;
+  /// Distinct real gates per (level, kind) slot (see FlatGraph::slot).
   std::vector<std::uint32_t> hist;
-  /// Clone-site candidates per slot (dense, like hist), each list
-  /// ascending by id. Built lazily on the first find_site against this
-  /// rail: the common visit (already balanced, or skipped before site
-  /// search) never pays for it. The lists keep their capacity across
-  /// visits.
-  std::vector<std::vector<CellId>> buckets;
-  bool buckets_built = false;
   std::size_t input_cells = 0;
   bool driven = false;
 
-  void reset(std::size_t slots) {
-    members.clear();
-    hist.assign(slots, 0);
-    buckets_built = false;
-    input_cells = 0;
-    driven = false;
+  bool contains(CellId c) const { return walked.test(c) || joined.test(c); }
+  /// Calls f(id) for every member, in ascending id order.
+  template <class F>
+  void for_each(F&& f) const {
+    walked.for_each(f);
+    joined.for_each(f);
   }
+  void add_to(CellBits& set) const {
+    set.merge(walked);
+    set.merge(joined);
+  }
+  void remove(CellId c) {
+    walked.reset(c);
+    joined.reset(c);
+  }
+};
+
+/// A channel's state across rounds. `rails` stays empty until the first
+/// visit (and for channels with fewer than two rails, which are never
+/// balanced).
+struct ChannelCones {
+  std::vector<RailCone> rails;
+  /// Every cell the last visit read: its rail cones at the start and at
+  /// the end of that visit. Feeds the next round's worklist.
+  CellBits footprint;
+  /// Every cell any rail's cone has held since the first walk: a
+  /// superset of each rail cone, so catch_up tests one bit per logged
+  /// edit before it tests the rails.
+  CellBits hull;
+  /// Edits (entries of the balancer's log) already applied to `rails`.
+  std::size_t synced = 0;
+  std::size_t clones = 0;
+};
+
+/// One clone-and-rewire edit, as every stored cone takes it: the clone
+/// joins each cone that holds `sink`, and the original leaves each of
+/// those cones where it drives neither the rail nor one of `keep`, its
+/// other forward sinks at the time of the edit.
+struct Edit {
+  CellId sink = kNoCell;
+  CellId original = kNoCell;
+  CellId clone = kNoCell;
+  NetId out = kNoNet;  ///< the original's output net
+  std::size_t slot = 0;
+  std::vector<CellId> keep;
 };
 
 struct CloneSite {
@@ -192,8 +327,7 @@ class Balancer {
       : nl_(nl), opt_(opt), rep_(rep) {}
 
   void run() {
-    footprints_.resize(nl_.num_channels());
-    clones_of_.assign(nl_.num_channels(), 0);
+    chans_.resize(nl_.num_channels());
     // Round 1 visits everything; later rounds only what earlier edits
     // could have re-broken.
     std::vector<ChannelId> worklist(nl_.num_channels());
@@ -203,7 +337,7 @@ class Balancer {
     bool changed = false;
     for (int round = 0; round < opt_.max_rounds && !worklist.empty();
          ++round) {
-      dirty_.assign(nl_.num_cells(), 0);
+      dirty_.clear();
       changed = false;
       for (ChannelId id : worklist) changed |= visit(id);
       if (!changed) break;
@@ -227,8 +361,8 @@ class Balancer {
     // Touched = received at least one clone, whether or not it reached
     // balance; a channel can be both touched and skipped (e.g. clone
     // budget exhausted mid-way, or re-broken by a sibling's clones).
-    for (std::size_t clones : clones_of_)
-      if (clones > 0) ++rep_.channels_touched;
+    for (const ChannelCones& st : chans_)
+      if (st.clones > 0) ++rep_.channels_touched;
   }
 
  private:
@@ -238,55 +372,60 @@ class Balancer {
     const Channel& ch = nl_.channel(id);
     const std::size_t rails = ch.rails.size();
     if (rails < 2) return false;
+    ChannelCones& st = chans_[id];
+    visiting_ = id;
+    buckets_built_.assign(rails, 0);
+    if (st.rails.empty()) walk_cones(id, ch);
+    catch_up(id);
     const std::size_t budget =
-        opt_.max_clones_per_channel - std::min(opt_.max_clones_per_channel,
-                                               clones_of_[id]);
-    marks_.begin_visit(rails, nl_.num_cells() + budget + 1);
+        opt_.max_clones_per_channel -
+        std::min(opt_.max_clones_per_channel, st.clones);
 
+    st.footprint.clear();
+    for (const RailCone& rc : st.rails) rc.add_to(st.footprint);
+    const std::size_t added = balance(id, ch, budget);
+    if (added == 0) return false;  // no edit: the cones are as they were
+    st.clones += added;
+    // Evicted originals stay in from the merge above; clones join here.
+    for (const RailCone& rc : st.rails) rc.add_to(st.footprint);
+    return true;
+  }
+
+  /// First visit: walks every rail's cone and stores it.
+  void walk_cones(ChannelId id, const Channel& ch) {
     // A cone never ascends in level, so its roots bound the histogram.
     int top = 0;
     for (NetId rail : ch.rails)
       if (flat_.driver[rail] != kNoCell)
         top = std::max(top, flat_.level[flat_.driver[rail]]);
-    const std::size_t slots =
-        (static_cast<std::size_t>(top) + 1) * netlist::kNumCellKinds;
-    if (cones_.size() < rails) cones_.resize(rails);
-    for (std::size_t r = 0; r < rails; ++r) {
-      cones_[r].reset(slots);
-      compute_cone(r, ch.rails[r]);
+    ChannelCones& st = chans_[id];
+    st.rails.resize(ch.rails.size());
+    for (std::size_t r = 0; r < st.rails.size(); ++r) {
+      st.rails[r].hist.assign(flat_.slots(top), 0);
+      compute_cone(st.rails[r], ch.rails[r]);
+      st.rails[r].add_to(st.hull);
     }
-
-    const std::size_t added = balance(id, ch, budget);
-    clones_of_[id] += added;
-
-    // The footprint feeds the next round's worklist; it is only ever
-    // membership-tested against the dirty mask, so cross-rail
-    // duplicates are harmless. Each channel keeps its own buffer, so a
-    // footprint's capacity tracks its own cone, not the largest one.
-    std::vector<CellId>& fp = footprints_[id];
-    fp.clear();
-    for (std::size_t r = 0; r < rails; ++r)
-      fp.insert(fp.end(), cones_[r].members.begin(), cones_[r].members.end());
-    return added > 0;
+    st.synced = log_.size();  // the walk read the live netlist
   }
 
   /// Fills the channel's deficits one clone at a time; returns the
   /// number of clones added.
   std::size_t balance(ChannelId id, const Channel& ch, std::size_t budget) {
-    const std::size_t rails = ch.rails.size();
+    const std::vector<RailCone>& cones = chans_[id].rails;
+    const std::size_t rails = cones.size();
     for (std::size_t r = 0; r < rails; ++r)
-      if (!cones_[r].driven) return skip(id, ch, "undriven rail"), 0;
+      if (!cones[r].driven) return skip(id, ch, "undriven rail"), 0;
     // Cloning adds gates, never primary inputs: rails with differing
     // input support cannot be balanced by this pass.
     for (std::size_t r = 1; r < rails; ++r)
-      if (cones_[r].input_cells != cones_[0].input_cells)
+      if (cones[r].input_cells != cones[0].input_cells)
         return skip(id, ch, "primary-input support differs between rails"),
                0;
 
     for (std::size_t added = 0;; ++added) {
       std::size_t rail = 0;
       std::size_t slot = 0;
-      if (!first_deficit(rails, rail, slot)) {
+      if (!first_deficit(cones, rail, slot)) {
         // Histograms uniform (and with matching input support, cone
         // sizes follow). Signature equality is the verifier's concern.
         skip_notes_.erase(id);
@@ -294,18 +433,16 @@ class Balancer {
       }
       if (added >= budget)
         return skip(id, ch, "clone budget exhausted"), added;
-      const CloneSite site = find_site(ch, rail, slot);
+      const CloneSite site = find_site(ch, cones, rail, slot);
       if (site.cell == kNoCell) {
         std::ostringstream os;
         os << "no clone site for kind "
-           << netlist::name(static_cast<CellKind>(
-                  slot % netlist::kNumCellKinds))
-           << " at level " << slot / netlist::kNumCellKinds << " on rail "
-           << rail;
+           << netlist::name(flat_.slot_kind(slot)) << " at level "
+           << flat_.slot_level(slot) << " on rail " << rail;
         skip(id, ch, os.str());
         return added;
       }
-      clone_and_rewire(ch, site, slot);
+      clone_and_rewire(site, slot);
     }
   }
 
@@ -314,47 +451,54 @@ class Balancer {
   }
 
   /// Mirror of Graph::fanin_cone over the flat graph: walk driver edges,
-  /// never ascending in level (feedback cut).
-  void compute_cone(std::size_t r, NetId rail) {
-    RailCone& rc = cones_[r];
+  /// never ascending in level (feedback cut). Marks into full-width
+  /// scratch, then keeps the span the cone covers.
+  void compute_cone(RailCone& rc, NetId rail) {
     const CellId root = flat_.driver[rail];
     if (root == kNoCell) return;
     rc.driven = true;
+    seen_.resize((flat_.kind.size() + 63) / 64, 0);
+    const auto mark = [&](CellId c) {
+      std::uint64_t& w = seen_[c >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (c & 63);
+      if ((w & bit) != 0) return false;
+      w |= bit;
+      return true;
+    };
     stack_.clear();
     stack_.push_back(root);
-    marks_.set(r, root);
+    mark(root);
     while (!stack_.empty()) {
       const CellId c = stack_.back();
       stack_.pop_back();
-      rc.members.push_back(c);
       const CellKind k = flat_.kind[c];
       const int lc = flat_.level[c];
       if (k == CellKind::Input) {
         ++rc.input_cells;
       } else if (!netlist::is_pseudo(k)) {
-        ++rc.hist[slot_of(lc, k)];
+        ++rc.hist[flat_.slot(c)];
       }
       for (std::uint32_t i = flat_.input_off[c]; i < flat_.input_off[c + 1];
            ++i) {
         const CellId p = flat_.driver[flat_.input_net[i]];
-        if (p != kNoCell && !marks_.in_cone(r, p) && flat_.level[p] <= lc) {
-          marks_.set(r, p);
+        if (p != kNoCell && flat_.level[p] <= lc && mark(p))
           stack_.push_back(p);
-        }
       }
     }
+    rc.walked.take(seen_);
   }
 
   /// Per-slot target = max over rails; the first deficit in (rail, slot)
   /// order is the next hole to fill. False when every rail is on target.
-  bool first_deficit(std::size_t rails, std::size_t& rail,
-                     std::size_t& slot) const {
+  static bool first_deficit(const std::vector<RailCone>& cones,
+                            std::size_t& rail, std::size_t& slot) {
+    const std::size_t rails = cones.size();
     std::size_t best = rails;
-    const std::size_t slots = cones_[0].hist.size();
+    const std::size_t slots = cones[0].hist.size();
     for (std::size_t s = 0; s < slots && best > 0; ++s) {
-      const std::uint32_t want = target(rails, s);
+      const std::uint32_t want = target(cones, s);
       for (std::size_t r = 0; r < best; ++r) {
-        if (cones_[r].hist[s] < want) {
+        if (cones[r].hist[s] < want) {
           // Lowest rail short at this slot; a later slot can only win
           // on a lower rail.
           best = r;
@@ -367,27 +511,30 @@ class Balancer {
     return best < rails;
   }
 
-  std::uint32_t target(std::size_t rails, std::size_t s) const {
+  static std::uint32_t target(const std::vector<RailCone>& cones,
+                              std::size_t s) {
     std::uint32_t want = 0;
-    for (std::size_t r = 0; r < rails; ++r)
-      want = std::max(want, cones_[r].hist[s]);
+    for (const RailCone& rc : cones) want = std::max(want, rc.hist[s]);
     return want;
   }
 
-  void ensure_buckets(RailCone& rc) {
-    if (rc.buckets_built) return;
-    rc.buckets_built = true;
-    if (rc.buckets.size() < rc.hist.size()) rc.buckets.resize(rc.hist.size());
-    for (std::size_t s = 0; s < rc.hist.size(); ++s) rc.buckets[s].clear();
-    // Ascending id = candidate scan order: fill from the members sorted
-    // once. Clones appended after this keep it: their ids only grow.
-    sorted_.assign(rc.members.begin(), rc.members.end());
-    std::sort(sorted_.begin(), sorted_.end());
-    for (CellId c : sorted_) {
-      const CellKind k = flat_.kind[c];
-      if (netlist::is_pseudo(k)) continue;
-      rc.buckets[slot_of(flat_.level[c], k)].push_back(c);
-    }
+  /// Clone-site candidates of the visited channel's rail `r`, per slot
+  /// (dense, like hist), each list ascending by id. Built on the first
+  /// find_site against the rail in a visit: the common visit (already
+  /// balanced, or skipped before site search) never pays for it. Clones
+  /// appended after this keep the order: their ids only grow.
+  std::vector<std::vector<CellId>>& buckets(const RailCone& rc,
+                                            std::size_t r) {
+    if (buckets_.size() <= r) buckets_.resize(r + 1);
+    std::vector<std::vector<CellId>>& b = buckets_[r];
+    if (buckets_built_[r]) return b;
+    buckets_built_[r] = 1;
+    if (b.size() < rc.hist.size()) b.resize(rc.hist.size());
+    for (std::size_t s = 0; s < rc.hist.size(); ++s) b[s].clear();
+    rc.for_each([&](CellId c) {
+      if (!netlist::is_pseudo(flat_.kind[c])) b[flat_.slot(c)].push_back(c);
+    });
+    return b;
   }
 
   /// A valid site duplicates a shared cell of the wanted slot inside rail
@@ -397,11 +544,11 @@ class Balancer {
   /// distinct cell, so it must be below target) or is replaced by the
   /// clone (count unchanged — always safe). The target rail `r` must be
   /// in the former class, or there is no progress.
-  CloneSite find_site(const Channel& ch, std::size_t r,
-                      std::size_t slot) {
-    ensure_buckets(cones_[r]);
-    for (CellId c : cones_[r].buckets[slot]) {
-      if (!marks_.in_cone(r, c)) continue;  // evicted since discovery
+  CloneSite find_site(const Channel& ch, const std::vector<RailCone>& cones,
+                      std::size_t r, std::size_t slot) {
+    const RailCone& rc = cones[r];
+    for (CellId c : buckets(rc, r)[slot]) {
+      if (!rc.contains(c)) continue;  // evicted since the bucket fill
       const NetId out = nl_.cell(c).output;
       if (out == kNoNet) continue;
       for (const Pin& pin : nl_.net(out).sinks) {
@@ -412,74 +559,82 @@ class Balancer {
         // into a cone; the rule here must mirror the traversal exactly
         // or the incremental cone bookkeeping drifts.
         if (flat_.level[pin.cell] < flat_.level[c]) continue;
-        if (!marks_.in_cone(r, pin.cell)) continue;
-        if (site_ok(ch, c, pin, slot, r)) return {c, pin.cell, pin.pin};
+        if (!rc.contains(pin.cell)) continue;
+        if (site_ok(ch, cones, c, pin, slot, r)) return {c, pin.cell, pin.pin};
       }
     }
     return {};
   }
 
-  /// Does cell `c` keep a path into the cone after losing the `moved`
-  /// edge — i.e. does it drive the rail itself or feed another forward
-  /// in-cone sink?
-  bool stays_in_cone(std::size_t r, NetId rail, CellId c,
-                     const Pin& moved) const {
-    const NetId out = nl_.cell(c).output;
-    if (out == rail) return true;
-    for (const Pin& other : nl_.net(out).sinks) {
+  /// The sinks through which cell `c` reaches a cone once it loses the
+  /// `moved` edge: every other real sink the cone traversal would
+  /// descend from (the same inclusive level[c] <= level[sink] rule; see
+  /// find_site).
+  void forward_sinks(CellId c, const Pin& moved, std::vector<CellId>& out) {
+    out.clear();
+    for (const Pin& other : nl_.net(nl_.cell(c).output).sinks) {
       if (other == moved) continue;
       if (netlist::is_pseudo(flat_.kind[other.cell])) continue;
-      // Same inclusive rule as the cone traversal (level[c] <=
-      // level[sink] edges are descended): see find_site.
       if (flat_.level[other.cell] < flat_.level[c]) continue;
-      if (marks_.in_cone(r, other.cell)) return true;
+      out.push_back(other.cell);
     }
+  }
+
+  /// Does a cell with output net `out` and forward sinks `keep` stay in
+  /// the cone of `rail` — does it drive the rail itself or feed a sink
+  /// inside the cone?
+  static bool stays(const RailCone& rc, NetId rail, NetId out,
+                    const std::vector<CellId>& keep) {
+    if (out == rail) return true;
+    for (CellId k : keep)
+      if (rc.contains(k)) return true;
     return false;
   }
 
-  bool site_ok(const Channel& ch, CellId c, const Pin& moved,
-               std::size_t slot, std::size_t target_rail) const {
-    const std::size_t rails = ch.rails.size();
-    for (std::size_t r2 = 0; r2 < rails; ++r2) {
-      if (!marks_.in_cone(r2, moved.cell)) {
+  bool site_ok(const Channel& ch, const std::vector<RailCone>& cones,
+               CellId c, const Pin& moved, std::size_t slot,
+               std::size_t target_rail) {
+    const NetId out = nl_.cell(c).output;
+    forward_sinks(c, moved, keep_);
+    for (std::size_t r2 = 0; r2 < cones.size(); ++r2) {
+      if (!cones[r2].contains(moved.cell)) {
         if (r2 == target_rail) return false;  // unreachable; defensive
         continue;
       }
-      const bool stays = stays_in_cone(r2, ch.rails[r2], c, moved);
+      const bool kept = stays(cones[r2], ch.rails[r2], out, keep_);
       if (r2 == target_rail) {
         // Progress requires the original to remain: the cone must end up
         // with both the original and the clone.
-        if (!stays) return false;
+        if (!kept) return false;
         continue;
       }
-      if (!stays) continue;  // clone replaces original: count unchanged
+      if (!kept) continue;  // clone replaces original: count unchanged
       // Cone gains a distinct cell at the slot: only allowed while it is
       // below the shared target, or the overshoot would ratchet the
       // target upward on the next iteration.
-      if (cones_[r2].hist[slot] >= target(rails, slot)) return false;
+      if (cones[r2].hist[slot] >= target(cones, slot)) return false;
     }
     return true;
   }
 
   /// Duplicates `site.cell` (same kind, inputs, hierarchy, jitter) onto a
-  /// fresh net, moves the site's sink pin onto it, and updates the
-  /// visit's cone bookkeeping.
-  void clone_and_rewire(const Channel& ch, const CloneSite& site,
-                        std::size_t slot) {
+  /// fresh net, moves the site's sink pin onto it, and logs the edit for
+  /// every stored cone (the visited channel takes it at once).
+  void clone_and_rewire(const CloneSite& site, std::size_t slot) {
     const Pin moved{site.sink_cell, site.sink_pin};
-    // Membership deltas are decided against the pre-rewire state: the
+    // The cone deltas are decided against the pre-rewire state: the
     // clone joins every cone containing the stolen sink, and the
     // original leaves those where the stolen edge was its only forward
     // path (its ancestors stay reachable through the clone, which
-    // shares its inputs).
-    const std::size_t rails = ch.rails.size();
-    joins_.assign(rails, 0);
-    evicts_.assign(rails, 0);
-    for (std::size_t r = 0; r < rails; ++r) {
-      if (!marks_.in_cone(r, site.sink_cell)) continue;
-      joins_[r] = 1;
-      evicts_[r] = !stays_in_cone(r, ch.rails[r], site.cell, moved);
-    }
+    // shares its inputs). A cone without the sink is untouched: the
+    // original in it keeps every read unchanged (the clone and the moved
+    // pin are invisible behind the in-cone gates).
+    Edit e;
+    e.sink = site.sink_cell;
+    e.original = site.cell;
+    e.out = nl_.cell(site.cell).output;
+    e.slot = slot;
+    forward_sinks(site.cell, moved, e.keep);
 
     const Cell& original = nl_.cell(site.cell);
     const CellKind kind = original.kind;
@@ -489,50 +644,62 @@ class Balancer {
     std::string cname =
         original.name + "$bal" + std::to_string(clone_counter_++);
     const NetId nn = nl_.add_net(cname + "$o");
-    const CellId cc =
+    e.clone =
         nl_.add_cell(kind, std::move(cname), inputs, nn, std::move(hier));
-    nl_.cell(cc).delay_jitter_ps = jitter;
+    nl_.cell(e.clone).delay_jitter_ps = jitter;
     nl_.rewire_input(site.sink_cell, site.sink_pin, nn);
-    flat_.append_clone(cc, inputs, flat_.level[site.cell], kind, nn,
+    flat_.append_clone(e.clone, inputs, flat_.level[site.cell], kind, nn,
                        site.sink_cell, site.sink_pin);
     ++rep_.cells_added;
     ++rep_.nets_added;
-    // Only the rewired sink invalidates other channels' state: a
-    // channel's cone (and hence hist, sites, notes) can change only if
-    // it contains `sink` — the original in a cone without `sink` leaves
-    // every read unchanged (the clone and the moved pin are invisible
-    // behind the in-cone gates), and `sink` in a cone forces the
-    // original into it too (the traversal descends the very edge being
-    // moved).
-    if (site.sink_cell >= dirty_.size()) dirty_.resize(nl_.num_cells(), 0);
-    dirty_[site.sink_cell] = 1;
+    // Only the rewired sink invalidates other channels' visits: `sink`
+    // in a cone forces the original into it too (the traversal descends
+    // the very edge being moved), so the footprint test catches both.
+    dirty_.set(site.sink_cell);
+    log_.push_back(std::move(e));
+    catch_up(visiting_);
+  }
 
-    for (std::size_t r = 0; r < rails; ++r) {
-      if (!joins_[r]) continue;
-      RailCone& rc = cones_[r];
-      marks_.set(r, cc);
-      rc.members.push_back(cc);
-      // An unbuilt bucket set picks the clone up from members when (if
-      // ever) this rail's first find_site builds it.
-      if (rc.buckets_built) rc.buckets[slot].push_back(cc);
-      ++rc.hist[slot];
-      if (evicts_[r]) {
-        marks_.clear(r, site.cell);  // members/bucket entries go stale
-        --rc.hist[slot];
+  /// Applies the edits channel `id`'s stored cones have not taken yet,
+  /// in log order. Each rail's cone changes only through these edits,
+  /// so replaying them late gives the cone a patch at edit time would,
+  /// and replaying them rail by rail keeps each rail's bitset in cache.
+  void catch_up(ChannelId id) {
+    ChannelCones& st = chans_[id];
+    // The hull takes a clone wherever it holds the sink, so a later edit
+    // whose sink is that clone still passes the filter.
+    hits_.clear();
+    for (; st.synced < log_.size(); ++st.synced) {
+      const Edit& e = log_[st.synced];
+      if (!st.hull.test(e.sink)) continue;
+      st.hull.set(e.clone);
+      hits_.push_back(&e);
+    }
+    if (hits_.empty()) return;
+    const std::vector<NetId>& rails = nl_.channel(id).rails;
+    for (std::size_t r = 0; r < st.rails.size(); ++r) {
+      RailCone& rc = st.rails[r];
+      for (const Edit* e : hits_) {
+        if (!rc.contains(e->sink)) continue;
+        const bool kept = stays(rc, rails[r], e->out, e->keep);
+        rc.joined.set(e->clone);
+        ++rc.hist[e->slot];
+        // An unbuilt bucket set picks the clone up from the bitset when
+        // (if ever) this rail's first find_site builds it.
+        if (id == visiting_ && buckets_built_[r])
+          buckets_[r][e->slot].push_back(e->clone);
+        if (!kept) {
+          rc.remove(e->original);  // bucket entries go stale
+          --rc.hist[e->slot];
+        }
       }
     }
   }
 
   std::vector<ChannelId> next_worklist() const {
     std::vector<ChannelId> out;
-    for (ChannelId id = 0; id < nl_.num_channels(); ++id) {
-      for (CellId c : footprints_[id]) {
-        if (c < dirty_.size() && dirty_[c]) {
-          out.push_back(id);
-          break;
-        }
-      }
-    }
+    for (ChannelId id = 0; id < nl_.num_channels(); ++id)
+      if (chans_[id].footprint.intersects(dirty_)) out.push_back(id);
     return out;
   }
 
@@ -540,15 +707,17 @@ class Balancer {
   const ConeBalanceOptions& opt_;
   PassReport& rep_;
   FlatGraph flat_;
-  Marks marks_;
-  std::vector<RailCone> cones_;
+  std::vector<ChannelCones> chans_;
+  ChannelId visiting_ = 0;
+  std::vector<std::vector<std::vector<CellId>>> buckets_;  ///< per rail
+  std::vector<char> buckets_built_;
   std::vector<CellId> stack_;
-  std::vector<CellId> sorted_;  ///< ensure_buckets scratch
-  std::vector<char> joins_, evicts_;
-  std::vector<char> dirty_;
-  std::vector<std::vector<CellId>> footprints_;
+  std::vector<std::uint64_t> seen_;  ///< compute_cone scratch, kept zeroed
+  std::vector<Edit> log_;  ///< every edit so far, in order
+  std::vector<const Edit*> hits_;  ///< catch_up scratch
+  std::vector<CellId> keep_;  ///< site_ok scratch
+  CellBits dirty_;
   std::map<ChannelId, std::string> skip_notes_;
-  std::vector<std::size_t> clones_of_;
   std::size_t clone_counter_ = 0;
 };
 
