@@ -139,11 +139,13 @@ BENCHMARK(BM_CampaignAcquire)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisec
 // within a campaign anyway.
 static void steady_state_acquire(qdi::campaign::WorkerPool& pool,
                                  std::size_t traces, std::size_t* next) {
-  qdi::campaign::WorkerPool::ShardedIngest consumer;
-  consumer.commit = [](std::size_t, const qdi::dpa::TraceSet& seg,
-                       std::size_t) { benchmark::DoNotOptimize(seg.size()); };
-  pool.acquire_sharded_range(*next, traces, 1, pool.block_traces(traces), {},
-                             consumer);
+  qdi::campaign::AcquisitionStats st;
+  pool.run({{*next, *next + traces}}, 1, pool.block_traces(traces), {},
+           nullptr,
+           [](const qdi::campaign::WorkerPool::Block& blk) {
+             benchmark::DoNotOptimize(blk.segment.size());
+           },
+           st);
   *next += traces;
 }
 
@@ -353,13 +355,15 @@ static void BM_AesCoreFusedCpa(benchmark::State& state) {
   qdi::campaign::SimTraceSource src(inst.nl, inst.env, inst.stimulus, opt);
   qdi::campaign::WorkerPool pool(src, 1);
   qd::OnlineCpa acc(inst.leakage, inst.num_guesses);
-  qdi::campaign::WorkerPool::ShardedIngest consumer;
-  consumer.commit = [&](std::size_t, const qdi::dpa::TraceSet& seg,
-                        std::size_t) { acc.add_prefix(seg, 0, seg.size()); };
+  const auto commit = [&](const qdi::campaign::WorkerPool::Block& blk) {
+    acc.add_prefix(blk.segment, 0, blk.count);
+  };
   // The next 8 indices per iteration, as steady_state_acquire does.
   std::size_t next = 0;
   for (auto _ : state) {
-    pool.acquire_sharded_range(next, 8, 1, pool.block_traces(8), {}, consumer);
+    qdi::campaign::AcquisitionStats st;
+    pool.run({{next, next + 8}}, 1, pool.block_traces(8), {}, nullptr, commit,
+             st);
     next += 8;
     benchmark::DoNotOptimize(acc.count());
   }

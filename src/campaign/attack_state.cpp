@@ -125,44 +125,13 @@ void AttackState::reset() noexcept {
     cpa_->reset();
 }
 
-void BlockMerge::ingest(std::size_t first, const dpa::TraceSet& segment) {
-  std::unique_ptr<AttackState> st;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!free_.empty()) {
-      st = std::move(free_.back());
-      free_.pop_back();
-    }
-  }
-  if (!st) st = std::make_unique<AttackState>(*attack_, *inst_);
-  st->reset();
-  st->add_rows(segment, 0, segment.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  partials_[first] = std::move(st);
-}
-
-void BlockMerge::merge_into(std::size_t first, AttackState& into) {
-  std::unique_ptr<AttackState> st;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = partials_.find(first);
-    st = std::move(it->second);
-    partials_.erase(it);
-  }
-  into.merge(*st);
-  std::lock_guard<std::mutex> lock(mu_);
-  free_.push_back(std::move(st));
-}
-
-std::size_t BlockMerge::parked() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return partials_.size();
-}
-
-void BlockMerge::drop_parked() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [first, st] : partials_) free_.push_back(std::move(st));
-  partials_.clear();
+void BlockMerge::ingest(const WorkerPool::Block& blk) {
+  std::optional<AttackState>& st = partials_[blk.slot];
+  if (st)
+    st->reset();
+  else
+    st.emplace(*attack_, *inst_);
+  st->add_rows(blk.segment, 0, blk.count);
 }
 
 }  // namespace qdi::campaign::detail

@@ -8,15 +8,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "qdi/campaign/attack.hpp"
 #include "qdi/campaign/target.hpp"
+#include "qdi/campaign/trace_source.hpp"
 #include "qdi/dpa/online.hpp"
 
 namespace qdi::campaign::detail {
@@ -79,43 +77,37 @@ class AttackState {
   std::optional<dpa::OnlineCpa> cpa_;
 };
 
-/// Per-block partial-accumulator pool for the thread-sharded ingest
-/// (WorkerPool::acquire_sharded_range): worker threads fold one trace
-/// block each into a recycled AttackState (ingest), and the in-order
-/// commit folds that partial into the master accumulator and returns
-/// it to the free list (merge_into). Because merge_into is called in
-/// ascending block order — the pool's commit contract — the master's
-/// final state depends only on the block partition, never on the
-/// thread count or scheduling.
+/// Per-block partial accumulators of the block-fold ingest, one per
+/// WorkerPool buffer slot: the worker that acquired a block folds it into
+/// its slot's AttackState (ingest), and the in-order commit merges that
+/// partial into the master accumulator (merge_into). The pool hands a
+/// slot from the block's ingest to its commit, and to the next block only
+/// after that commit returned (WorkerPool::Block), so a slot's partial
+/// needs no lock. Because merge_into is called in ascending block order
+/// — the pool's commit contract — the master's final state depends only
+/// on the block partition, never on the thread count or scheduling.
 class BlockMerge {
  public:
   /// `attack`/`inst` must outlive this object (they parameterize the
-  /// pooled accumulators).
-  BlockMerge(const AttackConfig& attack, const TargetInstance& inst)
-      : attack_(&attack), inst_(&inst) {}
+  /// partials); `slots` is the pool's WorkerPool::slots().
+  BlockMerge(const AttackConfig& attack, const TargetInstance& inst,
+             std::size_t slots)
+      : attack_(&attack), inst_(&inst), partials_(slots) {}
 
-  /// Worker side (any thread): fold all of `segment` into a pooled
-  /// accumulator and file it under the block's absolute first trace
-  /// index (never a call-local block number, which a later call reuses).
-  void ingest(std::size_t first, const dpa::TraceSet& segment);
+  /// Worker side: fold all of `blk` into its slot's partial, built on the
+  /// slot's first use and reset on every later one.
+  void ingest(const WorkerPool::Block& blk);
 
-  /// Commit side (ascending block order, serialized by the caller):
-  /// merge block `first`'s partial into `into`, recycle the accumulator.
-  void merge_into(std::size_t first, AttackState& into);
-
-  /// Partials filed but not yet merged: after an aborted pipeline call,
-  /// the blocks that never committed.
-  std::size_t parked() const;
-  /// Recycle every parked partial (the next call re-acquires those
-  /// blocks).
-  void drop_parked();
+  /// Commit side (ascending block order, serialized by the pool): merge
+  /// `blk`'s partial into `into`.
+  void merge_into(const WorkerPool::Block& blk, AttackState& into) const {
+    into.merge(*partials_[blk.slot]);
+  }
 
  private:
   const AttackConfig* attack_;
   const TargetInstance* inst_;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<AttackState>> free_;
-  std::unordered_map<std::size_t, std::unique_ptr<AttackState>> partials_;
+  std::vector<std::optional<AttackState>> partials_;
 };
 
 }  // namespace qdi::campaign::detail

@@ -80,17 +80,16 @@ class StreamingAnalysis {
     return cuts;
   }
 
-  /// Fold the block of traces [first, first + segment.size()) — its
-  /// rows in trace order, or, with the block-fold ingest, the partial
-  /// `blocks` holds for it — and fire every checkpoint at its end. Must
-  /// be called in ascending block order (the pipeline's commit order).
-  void commit(const dpa::TraceSet& segment, std::size_t first,
-              detail::BlockMerge* blocks) {
+  /// Fold block `blk` — its rows in trace order, or, with the
+  /// block-fold ingest, the partial `blocks` holds for it — and fire
+  /// every checkpoint at its end. Must be called in ascending block
+  /// order (the pipeline's commit order).
+  void commit(const WorkerPool::Block& blk, const detail::BlockMerge* blocks) {
     if (blocks != nullptr)
-      blocks->merge_into(first, state_);
+      blocks->merge_into(blk, state_);
     else
-      state_.add_rows(segment, 0, segment.size());
-    fire_through(first + segment.size());
+      state_.add_rows(blk.segment, 0, blk.count);
+    fire_through(blk.first + blk.count);
   }
 
   /// Final attack outcome + the closing rank-trajectory point.
@@ -265,10 +264,10 @@ CampaignResult Campaign::run() const {
     std::size_t block_traces = pool.block_traces(
         fused_chunk_ > 0 ? fused_chunk_ : WorkerPool::kMaterializeBudget);
     if (sharded_ingest_ > 0) {
-      blocks.emplace(attack_, inst);
+      blocks.emplace(attack_, inst, pool.slots());
       block_traces = sharded_ingest_;
       ingest = [&](unsigned, const WorkerPool::Block& blk) {
-        blocks->ingest(blk.first, blk.segment);
+        blocks->ingest(blk);
       };
     }
     // The pipeline's wall clock covers acquisition + commits; only the
@@ -282,8 +281,7 @@ CampaignResult Campaign::run() const {
                                           num_traces_);
                if (!analysis) return;
                const auto t_feed = std::chrono::steady_clock::now();
-               analysis->commit(blk.segment, blk.first,
-                                blocks ? &*blocks : nullptr);
+               analysis->commit(blk, blocks ? &*blocks : nullptr);
                feed_ms += ms_since(t_feed);
              },
              res.acquisition);

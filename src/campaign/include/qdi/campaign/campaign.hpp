@@ -195,11 +195,11 @@ class Campaign {
 
   /// Thread-sharded fused ingest: partition the trace stream into
   /// fixed-width blocks keyed by absolute trace index, fold each block
-  /// into a pooled partial accumulator on whichever worker acquired it,
-  /// and merge the partials into the master accumulator in ascending
-  /// block order (WorkerPool::acquire_sharded_range +
-  /// dpa::OnlineCpa/OnlineDpa::merge). Analysis now scales with the
-  /// acquisition threads, and because the block partition is keyed by
+  /// into the partial accumulator of its pool buffer slot on whichever
+  /// worker acquired it, and merge the partials into the master
+  /// accumulator in ascending block order (WorkerPool::run's ingest and
+  /// commit + dpa::OnlineCpa/OnlineDpa::merge). Analysis now scales with
+  /// the acquisition threads, and because the block partition is keyed by
   /// absolute trace index the outcome depends only on `block_traces`,
   /// never on the thread count or scheduling
   /// (tests/test_dpa_kernels.cpp). The block fold changes the FP

@@ -145,8 +145,8 @@ struct AcquisitionStats {
 /// order — never by the thread count or scheduling — so every result is
 /// bit-identical at any thread count. acquire(), acquire_chunked() and
 /// acquire_sharded_range() are run() with a fixed commit. Claims are
-/// gated at most 2·threads + 2 blocks ahead of the commit frontier,
-/// which bounds the traces in flight, and no worker claims while
+/// gated at most slots() = 2·threads + 2 blocks ahead of the commit
+/// frontier, which bounds the traces in flight, and no worker claims while
 /// `threads` finished blocks wait for the commit chain: when the serial
 /// commit is slower than acquisition, blocks acquired ahead of it are
 /// memory it cannot use yet. Finished-but-uncommitted blocks then stay
@@ -168,6 +168,10 @@ class WorkerPool {
     return static_cast<unsigned>(clones_.size()) + 1;
   }
 
+  /// Block buffers a call can hold at once, the claim gate's bound: every
+  /// Block::slot is below it.
+  std::size_t slots() const noexcept { return 2 * std::size_t{threads()} + 2; }
+
   /// Block width that keeps about `budget` traces in flight: the budget
   /// split over the 3·threads + 2 block buffers a call can hold (one
   /// acquisition slot set per worker plus the gated claims), rounded
@@ -182,7 +186,15 @@ class WorkerPool {
   /// of the call's partition, assembled as analysis rows (`segment`)
   /// with one transition count per trace. A recycled buffer, valid only
   /// during the ingest or commit call that receives it.
+  ///
+  /// `slot` names the buffer: a number below slots(), fixed for the
+  /// pool's life. A slot belongs to one block from its claim until its
+  /// commit returned (or the call gave the block up), and the pool's
+  /// lock orders that hand-back before the slot's next claim. So a
+  /// consumer may keep per-block state in a slots()-sized array, touched
+  /// by the block's ingest and then its commit, with no lock of its own.
   struct Block {
+    std::size_t slot = 0;
     std::size_t index = 0;
     std::size_t first = 0;
     std::size_t count = 0;
@@ -271,6 +283,7 @@ class WorkerPool {
   /// arena capacity, so blocks recycled within a call, and every call
   /// after a pool's first (a bench's timing loop), do not reallocate.
   std::vector<std::unique_ptr<Block>> free_blocks_;
+  std::size_t blocks_made_ = 0;  ///< buffers allocated, the next slot
 };
 
 struct SimTraceSourceOptions {

@@ -5,12 +5,10 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -218,7 +216,8 @@ ShardedResult Coordinator::run() {
   };
   fresh_pool();
   std::optional<detail::BlockMerge> blocks;
-  if (opt_.ingest_block_traces > 0) blocks.emplace(*cfg_.attack, *cfg_.inst);
+  if (opt_.ingest_block_traces > 0)
+    blocks.emplace(*cfg_.attack, *cfg_.inst, pool->slots());
   const std::size_t block_traces = blocks
                                        ? opt_.ingest_block_traces
                                        : pool->block_traces(opt_.chunk_traces);
@@ -235,30 +234,27 @@ ShardedResult Coordinator::run() {
                        ": stall watchdog cancelled the attempt");
   };
 
-  // Sample fingerprints, hashed on the workers and parked under their
-  // block's first trace until its commit feeds the stream digest.
-  std::mutex fp_mu;
-  std::unordered_map<std::size_t, std::vector<std::uint64_t>> fingerprints;
+  // Sample fingerprints, hashed on the workers into their block's pool
+  // slot, where its commit feeds them to the stream digest (the pool
+  // hands the slot from one to the other; see WorkerPool::Block).
+  std::vector<std::vector<std::uint64_t>> fingerprints(pool->slots());
 
   const auto ingest = [&](unsigned, const WorkerPool::Block& blk) {
     check_cancel(owner(blk.first));
-    std::vector<std::uint64_t> fp(blk.count);
+    std::vector<std::uint64_t>& fp = fingerprints[blk.slot];
+    fp.resize(blk.count);
     for (std::size_t i = 0; i < blk.count; ++i)
       fp[i] = sample_fingerprint(blk.segment.trace(i).samples());
-    if (blocks) blocks->ingest(blk.first, blk.segment);
-    const std::lock_guard<std::mutex> lock(fp_mu);
-    fingerprints[blk.first] = std::move(fp);
+    if (blocks) blocks->ingest(blk);
   };
 
   const auto commit = [&](const WorkerPool::Block& blk) {
     Slot& s = owner(blk.first);
     check_cancel(s);
-    std::unique_lock<std::mutex> lock(fp_mu);
-    const auto fp = fingerprints.extract(blk.first);
-    lock.unlock();
-    feed_stream_digest(s.stream, blk.segment, blk.first, fp.mapped());
+    feed_stream_digest(s.stream, blk.segment, blk.first,
+                       fingerprints[blk.slot]);
     if (blocks)
-      blocks->merge_into(blk.first, *s.acc);
+      blocks->merge_into(blk, *s.acc);
     else
       s.acc->add_rows(blk.segment, 0, blk.count);
     s.next = blk.first + blk.count;
@@ -335,12 +331,6 @@ ShardedResult Coordinator::run() {
       s.cancel.store(false, std::memory_order_relaxed);
     }
     if (ranges.empty()) break;
-    // A call starts with nothing parked: each partial and fingerprint
-    // set is consumed by its own block's commit, and an aborted call's
-    // leftovers are dropped below.
-    if (!fingerprints.empty() || (blocks && blocks->parked() != 0))
-      throw std::logic_error(
-          "Coordinator: block partials or fingerprints parked across calls");
     frontier.store(ranges.front().first, std::memory_order_relaxed);
     // A new call restarts the stall clock even if the last one died
     // wedged.
@@ -364,10 +354,8 @@ ShardedResult Coordinator::run() {
     }
     running.store(false, std::memory_order_release);
     if (failed_at == kNoBlock) break;  // every open range ran to its end
-    // Blocks ingested but never committed: the next call re-acquires
-    // them, on fresh sources.
-    fingerprints.clear();
-    if (blocks) blocks->drop_parked();
+    // Blocks ingested but never committed are re-acquired by the next
+    // call, on fresh sources; their slots' state is overwritten then.
     fresh_pool();
     Slot& s = owner(failed_at);
     s.report.error = std::move(error);

@@ -448,8 +448,7 @@ void WorkerPool::run(const std::vector<Range>& ranges, std::uint64_t seed,
   // (its claim already happened): it drains the chain, and each drain
   // step un-parks a block and notifies, so the frontier always advances
   // — no deadlock.
-  const std::size_t max_inflight =
-      2 * static_cast<std::size_t>(threads()) + 2;
+  const std::size_t max_inflight = slots();
   const std::size_t max_parked = threads();
 
   auto worker = [&](unsigned w) {
@@ -469,9 +468,13 @@ void WorkerPool::run(const std::vector<Range>& ranges, std::uint64_t seed,
         if (!free_blocks_.empty()) {
           blk = std::move(free_blocks_.back());
           free_blocks_.pop_back();
+        } else {
+          // Every buffer is held by a claimed block, and the gate admits
+          // at most max_inflight of those: slots stay below slots().
+          blk = std::make_unique<Block>();
+          blk->slot = blocks_made_++;
         }
       }
-      if (!blk) blk = std::make_unique<Block>();
       try {
         run_block(w, k, *blk, &my_transitions, &my_glitches);
       } catch (...) {

@@ -58,6 +58,10 @@
 // change a bit; two reads with no ingest in between return identical
 // results.
 //
+// Both accumulators hold their state in one core, detail::Stream, which
+// ingests, merges, resets and snapshots it; OnlineCpa and OnlineDpa add
+// only their row (leakage model or selection bits) and the read math.
+//
 // The hot loops live in qdi/dpa/kernels.hpp: a table of portable /
 // AVX2 implementations picked once at load. Every arm vectorizes over
 // the sample axis only — each accumulator cell receives contributions
@@ -66,6 +70,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -209,6 +214,54 @@ class ClassSums {
   std::uint64_t base_n_ = 0;
 };
 
+/// The state OnlineCpa and OnlineDpa share, with the one-trace ingest,
+/// merge, snapshot and reset over it (see the public members they back).
+/// The owning accumulator reads the state directly.
+class Stream {
+ public:
+  /// Fills the `width` doubles of one trace's row.
+  using RowFn =
+      std::function<void(std::span<const std::uint8_t> plaintext, double*)>;
+
+  /// `name` prefixes error messages. `shape` is the accumulator's
+  /// configuration: its snapshot magic, then the guess (and selection-
+  /// bit) count that a merged or restored side must match. A row that
+  /// depends on plaintext[`byte`] alone (`byte` >= 0) is tabulated here,
+  /// once, over the 256 values of that byte; any other row is evaluated
+  /// per trace.
+  Stream(const char* name, std::vector<std::uint64_t> shape,
+         std::size_t width, bool squares, int byte, RowFn row);
+
+  /// The per-sample moments, then the class add, per trace.
+  void add(std::span<const std::uint8_t> plaintext,
+           std::span<const double> samples);
+  void add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi);
+  void merge(const Stream& other);
+  /// Snapshot: the shape, m, n, the per-sample sums, the class table.
+  std::vector<std::uint8_t> save() const;
+  void load(std::span<const std::uint8_t> bytes);
+  void reset() noexcept;
+
+  const kernels::KernelTable* kernels = &kernels::active();
+  std::size_t m = 0;  ///< samples per trace, fixed by the first trace
+  std::size_t n = 0;  ///< traces
+  /// Per sample, shared by all rows: Σs, and Σs² when `squares` (CPA).
+  std::vector<double> sum_s, sum_s2;
+  /// Reads fold into the class table, so it is mutable.
+  mutable ClassSums classes;
+
+ private:
+  void ensure_geometry(std::size_t samples);
+  void ingest(std::span<const std::uint8_t> plaintext, const double* samples);
+
+  const char* name_;
+  std::vector<std::uint64_t> shape_;
+  bool squares_;
+  std::size_t byte_;
+  RowFn row_;
+  std::vector<double> scratch_;  ///< one evaluated row, generic tables
+};
+
 }  // namespace detail
 
 /// All-guess streaming CPA accumulator.
@@ -219,11 +272,17 @@ class OnlineCpa {
 
   /// Feed one acquisition. Sample geometry is fixed by the first trace.
   void add(std::span<const std::uint8_t> plaintext,
-           std::span<const double> samples);
+           std::span<const double> samples) {
+    stream_.add(plaintext, samples);
+    var_valid_ = false;
+  }
   /// Feed rows [lo, hi) of a trace set (same result as add() per row).
-  void add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi);
+  void add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi) {
+    stream_.add_prefix(ts, lo, hi);
+    var_valid_ = false;
+  }
 
-  std::size_t count() const noexcept { return n_; }
+  std::size_t count() const noexcept { return stream_.n; }
   unsigned num_guesses() const noexcept { return guesses_; }
 
   /// Emit the CPA result for the traces fed so far (optionally windowed
@@ -248,7 +307,10 @@ class OnlineCpa {
   /// trivially); `other` must have been built over the same leakage
   /// model for the result to mean anything — that cannot be checked
   /// here. Throws std::invalid_argument on mismatched geometry.
-  void merge(const OnlineCpa& other);
+  void merge(const OnlineCpa& other) {
+    stream_.merge(other.stream_);
+    var_valid_ = false;
+  }
 
   /// Compact byte snapshot of the accumulator state (shared sums plus
   /// the class table; the model is NOT serialized — it is code, not
@@ -259,42 +321,39 @@ class OnlineCpa {
   /// buffer throws StateError with the matching kind and leaves this
   /// accumulator untouched (tests/test_online_merge.cpp fuzzes every
   /// truncation length).
-  std::vector<std::uint8_t> serialize_state() const;
-  void restore_state(std::span<const std::uint8_t> bytes);
+  std::vector<std::uint8_t> serialize_state() const { return stream_.save(); }
+  void restore_state(std::span<const std::uint8_t> bytes) {
+    stream_.load(bytes);
+    var_valid_ = false;
+  }
 
   /// Drop all accumulated traces but keep the model, class table, and
   /// (once fixed) the sample geometry and capacity — lets the
   /// thread-sharded campaign feed recycle one accumulator per block
   /// with zero steady-state allocation.
-  void reset() noexcept;
+  void reset() noexcept {
+    stream_.reset();
+    var_valid_ = false;
+  }
 
   /// Pin a specific kernel arm (differential-testing seam; production
   /// accumulators keep the load-time kernels::active() pick). The arms
   /// are bit-identical, so this never changes results.
   void set_kernels(const kernels::KernelTable& k) noexcept {
-    kernels_ = &k;
+    stream_.kernels = &k;
     var_valid_ = false;
   }
-  const char* kernel_name() const noexcept { return kernels_->name; }
+  const char* kernel_name() const noexcept { return stream_.kernels->name; }
 
  private:
-  void ensure_geometry(std::size_t m);
-  void ingest(std::span<const std::uint8_t> plaintext, const double* samples);
   /// Fold the pending class sums and refresh the derived per-guess and
   /// per-sample statistics; every read starts here. Returns sum_hs.
   const double* read() const;
 
-  LeakageModel model_;
   unsigned guesses_;
-  const kernels::KernelTable* kernels_ = &kernels::active();
-  std::size_t m_ = 0;
-  std::size_t n_ = 0;
-  std::vector<double> scratch_;  ///< one evaluated row, generic models
-  std::vector<double> sum_s_, sum_s2_;  ///< per sample, shared by all guesses
-  /// Reads fold into the class table, so it is mutable like the caches.
-  mutable detail::ClassSums classes_;
-  mutable std::vector<double> sum_h_, sum_h2_;  ///< per guess, at n_
-  mutable std::vector<double> var_cache_;  ///< per-sample variances at n_
+  detail::Stream stream_;
+  mutable std::vector<double> sum_h_, sum_h2_;  ///< per guess
+  mutable std::vector<double> var_cache_;  ///< per-sample variances
   /// Hull [var_lo_, var_hi_) of the samples with var_cache_ > 0; the
   /// correlation scans skip the rest, whose rho is +0.0.
   mutable std::size_t var_lo_ = 0, var_hi_ = 0;
@@ -310,12 +369,16 @@ class OnlineDpa {
   OnlineDpa(std::vector<SelectionFn> bits, unsigned num_guesses);
 
   void add(std::span<const std::uint8_t> plaintext,
-           std::span<const double> samples);
-  void add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi);
+           std::span<const double> samples) {
+    stream_.add(plaintext, samples);
+  }
+  void add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi) {
+    stream_.add_prefix(ts, lo, hi);
+  }
 
-  std::size_t count() const noexcept { return n_; }
+  std::size_t count() const noexcept { return stream_.n; }
   unsigned num_guesses() const noexcept { return guesses_; }
-  std::size_t num_bits() const noexcept { return bits_.size(); }
+  std::size_t num_bits() const noexcept { return bits_; }
 
   /// Bias signal T[j] = A0[j] - A1[j] of one (guess, bit) at the current
   /// prefix, with peak statistics restricted to `window`.
@@ -334,40 +397,40 @@ class OnlineDpa {
   /// Fold another accumulator's traces into this one; see
   /// OnlineCpa::merge for the contract (here both sides must also share
   /// the selection-bit count).
-  void merge(const OnlineDpa& other);
+  void merge(const OnlineDpa& other) { stream_.merge(other.stream_); }
 
   /// State snapshot / restore; see OnlineCpa (same StateError contract:
   /// malformed buffers are rejected wholesale, the accumulator keeps its
   /// prior state). restore_state() requires the same selection bits and
   /// num_guesses at construction.
-  std::vector<std::uint8_t> serialize_state() const;
-  void restore_state(std::span<const std::uint8_t> bytes);
+  std::vector<std::uint8_t> serialize_state() const { return stream_.save(); }
+  void restore_state(std::span<const std::uint8_t> bytes) {
+    stream_.load(bytes);
+  }
 
   /// Drop accumulated traces, keep selections/class table/geometry; see
   /// OnlineCpa::reset().
-  void reset() noexcept;
+  void reset() noexcept { stream_.reset(); }
 
   /// Pin a kernel arm; see OnlineCpa::set_kernels().
-  void set_kernels(const kernels::KernelTable& k) noexcept { kernels_ = &k; }
-  const char* kernel_name() const noexcept { return kernels_->name; }
+  void set_kernels(const kernels::KernelTable& k) noexcept {
+    stream_.kernels = &k;
+  }
+  const char* kernel_name() const noexcept { return stream_.kernels->name; }
 
  private:
-  void ensure_geometry(std::size_t m);
-  void ingest(std::span<const std::uint8_t> plaintext, const double* samples);
   /// Fold the pending class sums and refresh n1_; returns sum1 (bits ×
   /// guesses × m).
   const double* read() const;
   double peak_of(const double* sum1, unsigned guess, std::size_t bit,
                  SampleWindow window) const;
+  /// Rank all guesses by their bias peaks summed over bits [lo, hi).
+  KeyRecoveryResult rank(std::size_t lo, std::size_t hi,
+                         SampleWindow window) const;
 
-  std::vector<SelectionFn> bits_;
+  std::size_t bits_;
   unsigned guesses_;
-  const kernels::KernelTable* kernels_ = &kernels::active();
-  std::size_t m_ = 0;
-  std::size_t n_ = 0;
-  std::vector<double> scratch_;  ///< one evaluated decision row, generic
-  std::vector<double> sum_s_;    ///< per sample, shared
-  mutable detail::ClassSums classes_;  ///< see OnlineCpa::classes_
+  detail::Stream stream_;
   mutable std::vector<double> n1_;  ///< bits × guesses, at the last read
 };
 

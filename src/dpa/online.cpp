@@ -31,17 +31,6 @@ void window_stats(BiasResult& r, SampleWindow window) {
   }
 }
 
-void rank_finalize(KeyRecoveryResult& r, unsigned num_guesses) {
-  r.best_guess = static_cast<unsigned>(
-      std::max_element(r.guess_peak.begin(), r.guess_peak.end()) -
-      r.guess_peak.begin());
-  r.best_peak = r.guess_peak[r.best_guess];
-  r.second_peak = 0.0;
-  for (unsigned g = 0; g < num_guesses; ++g)
-    if (g != r.best_guess)
-      r.second_peak = std::max(r.second_peak, r.guess_peak[g]);
-}
-
 /// IEEE-754 totalOrder as an unsigned key: numeric order for every
 /// non-NaN value, -0.0 before +0.0, and one key per bit pattern, so two
 /// rows compare equal exactly when they are bitwise equal.
@@ -408,65 +397,70 @@ ClassSums ClassSums::load(SnapshotReader& r, std::size_t m,
   return t;
 }
 
-}  // namespace detail
+// ---- Stream ----------------------------------------------------------------
 
-// ---- OnlineCpa -------------------------------------------------------------
-
-OnlineCpa::OnlineCpa(LeakageModel model, unsigned num_guesses)
-    : model_(std::move(model)), guesses_(num_guesses), classes_(num_guesses) {
-  assert(model_);
-  assert(guesses_ > 0);
-  if (model_.is_byte_indexed()) {
-    std::vector<double> lut(256 * static_cast<std::size_t>(guesses_));
-    for (unsigned v = 0; v < 256; ++v)
-      for (unsigned g = 0; g < guesses_; ++g)
-        lut[v * guesses_ + g] =
-            model_.eval_byte(static_cast<std::uint8_t>(v), g);
-    classes_.tabulate(lut);
-  } else {
-    scratch_.resize(guesses_);
+Stream::Stream(const char* name, std::vector<std::uint64_t> shape,
+               std::size_t width, bool squares, int byte, RowFn row)
+    : classes(width),
+      name_(name),
+      shape_(std::move(shape)),
+      squares_(squares),
+      byte_(static_cast<std::size_t>(std::max(byte, 0))),
+      row_(std::move(row)),
+      scratch_(byte < 0 ? width : 0) {
+  if (byte < 0) return;
+  // The row reads plaintext[byte] only, so a plaintext holding v there
+  // gives row v of the table.
+  std::vector<double> rows(256 * width);
+  std::vector<std::uint8_t> pt(byte_ + 1, 0);
+  for (unsigned v = 0; v < 256; ++v) {
+    pt[byte_] = static_cast<std::uint8_t>(v);
+    row_(pt, rows.data() + v * width);
   }
+  classes.tabulate(rows);
 }
 
-void OnlineCpa::ensure_geometry(std::size_t m) {
-  if (!sum_s_.empty() || n_ > 0) {
-    if (m != m_)
-      throw std::invalid_argument(
-          "OnlineCpa: sample count differs from the first trace");
+void Stream::ensure_geometry(std::size_t samples) {
+  if (!sum_s.empty() || n > 0) {
+    if (samples != m)
+      throw std::invalid_argument(std::string(name_) +
+                                  ": sample count differs from the first "
+                                  "trace");
     return;
   }
-  m_ = m;
-  sum_s_.assign(m_, 0.0);
-  sum_s2_.assign(m_, 0.0);
-  classes_.set_samples(m_);
+  m = samples;
+  sum_s.assign(m, 0.0);
+  if (squares_) sum_s2.assign(m, 0.0);
+  classes.set_samples(m);
 }
 
-void OnlineCpa::ingest(std::span<const std::uint8_t> plaintext,
-                       const double* samples) {
+void Stream::ingest(std::span<const std::uint8_t> plaintext,
+                    const double* samples) {
   // Shared per-sample moments, then the trace's class: a byte lookup
   // for byte-indexed models; generic models are evaluated and keyed by
   // the row they produce.
-  kernels_->cpa_moments(sum_s_.data(), sum_s2_.data(), &samples, 1, m_);
+  if (squares_)
+    kernels->cpa_moments(sum_s.data(), sum_s2.data(), &samples, 1, m);
+  else
+    kernels->row_add(sum_s.data(), samples, m);
   std::uint32_t c;
-  if (classes_.fixed()) {
-    c = classes_.byte_class(
-        plaintext[static_cast<std::size_t>(model_.byte())]);
+  if (classes.fixed()) {
+    c = classes.byte_class(plaintext[byte_]);
   } else {
-    for (unsigned g = 0; g < guesses_; ++g) scratch_[g] = model_(plaintext, g);
-    c = classes_.class_of(scratch_.data(), *kernels_);
+    row_(plaintext, scratch_.data());
+    c = classes.class_of(scratch_.data(), *kernels);
   }
-  classes_.add(c, samples, *kernels_);
-  ++n_;
-  var_valid_ = false;
+  classes.add(c, samples, *kernels);
+  ++n;
 }
 
-void OnlineCpa::add(std::span<const std::uint8_t> plaintext,
-                    std::span<const double> samples) {
+void Stream::add(std::span<const std::uint8_t> plaintext,
+                 std::span<const double> samples) {
   ensure_geometry(samples.size());
   ingest(plaintext, samples.data());
 }
 
-void OnlineCpa::add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi) {
+void Stream::add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi) {
   hi = std::min(hi, ts.size());
   if (lo >= hi) return;
   ensure_geometry(ts.num_samples());
@@ -474,18 +468,104 @@ void OnlineCpa::add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi) {
     ingest(ts.plaintext(i), ts.matrix().row(i).data());
 }
 
+void Stream::merge(const Stream& other) {
+  if (other.shape_ != shape_)
+    throw std::invalid_argument(
+        std::string(name_) + "::merge: guess or selection-bit counts differ");
+  if (other.n == 0) return;
+  if (n == 0) {
+    ensure_geometry(other.m);
+  } else if (other.m != m) {
+    throw std::invalid_argument(std::string(name_) +
+                                "::merge: sample geometry differs");
+  }
+  classes.merge(other.classes, *kernels);
+  add_into(sum_s, other.sum_s);
+  add_into(sum_s2, other.sum_s2);
+  n += other.n;
+}
+
+std::vector<std::uint8_t> Stream::save() const {
+  std::vector<std::uint8_t> out;
+  for (const std::uint64_t v : shape_) put_u64(out, v);
+  put_u64(out, m);
+  put_u64(out, n);
+  put_array(out, sum_s);
+  if (squares_) put_array(out, sum_s2);
+  classes.save(out);
+  return out;
+}
+
+void Stream::load(std::span<const std::uint8_t> bytes) {
+  // Parse into temporaries and commit only after every check passed:
+  // a rejected snapshot (StateError of any kind) must leave this
+  // accumulator exactly as it was, or a shard that falls back to an
+  // older checkpoint after a corrupt one would start from garbage.
+  SnapshotReader r(bytes);
+  const std::string what = std::string(name_) + "::restore_state: ";
+  if (r.u64() != shape_[0])
+    throw StateError(StateError::Kind::BadMagic,
+                     what + "not an " + name_ + " snapshot");
+  for (std::size_t i = 1; i < shape_.size(); ++i)
+    if (r.u64() != shape_[i])
+      geometry_error(what +
+                     "snapshot was taken with a different guess or "
+                     "selection-bit count");
+  const std::uint64_t samples = r.u64();
+  const std::uint64_t traces = r.u64();
+  std::vector<double> s, s2;
+  r.array(s);
+  if (squares_) r.array(s2);
+  if (s.size() != samples || (squares_ && s2.size() != samples))
+    geometry_error(what + "inconsistent snapshot geometry");
+  ClassSums table = classes.load(r, s.size(), traces);
+  r.expect_end();
+  sum_s = std::move(s);
+  sum_s2 = std::move(s2);
+  classes = std::move(table);
+  m = sum_s.size();
+  n = traces;
+}
+
+void Stream::reset() noexcept {
+  n = 0;
+  std::fill(sum_s.begin(), sum_s.end(), 0.0);
+  std::fill(sum_s2.begin(), sum_s2.end(), 0.0);
+  classes.reset();
+}
+
+}  // namespace detail
+
+// ---- OnlineCpa -------------------------------------------------------------
+
+OnlineCpa::OnlineCpa(LeakageModel model, unsigned num_guesses)
+    : guesses_(num_guesses),
+      stream_("OnlineCpa", {kCpaMagic, num_guesses}, num_guesses,
+              /*squares=*/true,
+              model.is_byte_indexed() ? model.byte() : -1,
+              [model, num_guesses](std::span<const std::uint8_t> pt,
+                                   double* row) {
+                for (unsigned g = 0; g < num_guesses; ++g)
+                  row[g] = model(pt, g);
+              }) {
+  assert(model);
+  assert(guesses_ > 0);
+}
+
 const double* OnlineCpa::read() const {
   // The per-sample variances and per-guess hypothesis sums only change
   // with the trace count, so repeated reads at one prefix (an MTD probe
   // followed by the final emission) pay them once.
-  const double* hs = classes_.fold(*kernels_).data();
+  const double* hs = stream_.classes.fold(*stream_.kernels).data();
   if (!var_valid_) {
-    var_cache_.resize(m_);
-    kernels_->variance(var_cache_.data(), sum_s_.data(), sum_s2_.data(),
-                       static_cast<double>(n_), m_);
+    const std::size_t m = stream_.m;
+    var_cache_.resize(m);
+    stream_.kernels->variance(var_cache_.data(), stream_.sum_s.data(),
+                              stream_.sum_s2.data(),
+                              static_cast<double>(stream_.n), m);
     std::tie(var_lo_, var_hi_) =
-        hull(var_cache_.data(), m_, [](double v) { return v > 0.0; });
-    classes_.column_sums(sum_h_, &sum_h2_);
+        hull(var_cache_.data(), m, [](double v) { return v > 0.0; });
+    stream_.classes.column_sums(sum_h_, &sum_h2_);
     var_valid_ = true;
   }
   return hs;
@@ -495,11 +575,12 @@ CpaResult OnlineCpa::finalize(std::size_t window_lo,
                               std::size_t window_hi) const {
   CpaResult res;
   res.correlation.assign(guesses_, 0.0);
-  if (n_ == 0 || m_ == 0) return res;
-  const std::size_t hi = (window_hi == 0) ? m_ : std::min(window_hi, m_);
-  const double nn = static_cast<double>(n_);
+  const std::size_t m = stream_.m;
+  if (stream_.n == 0 || m == 0) return res;
+  const std::size_t hi = (window_hi == 0) ? m : std::min(window_hi, m);
+  const double nn = static_cast<double>(stream_.n);
   const double* sum_hs = read();
-  rho_scratch_.resize(m_);
+  rho_scratch_.resize(m);
   // Samples outside the positive-variance hull scan as rho == +0.0,
   // which can never win the strict max below: scan only the window's
   // intersection with the hull.
@@ -513,13 +594,14 @@ CpaResult OnlineCpa::finalize(std::size_t window_lo,
     double best = 0.0;
     std::size_t best_j = window_lo;
     if (var_h > 0.0 && span > 0) {
-      const double* hs = sum_hs + static_cast<std::size_t>(g) * m_;
+      const double* hs = sum_hs + static_cast<std::size_t>(g) * m;
       double* rho = rho_scratch_.data();
       // Zero-variance samples scan as rho == 0.0, which can never win
       // the strict max below — the same candidates as the historical
       // "skip non-positive variance" loop, peak values bit-identical.
-      kernels_->corr_scan(rho, hs + lo, sum_s_.data() + lo,
-                          var_cache_.data() + lo, sum_h_[g], var_h, nn, span);
+      stream_.kernels->corr_scan(rho, hs + lo, stream_.sum_s.data() + lo,
+                                 var_cache_.data() + lo, sum_h_[g], var_h, nn,
+                                 span);
       for (std::size_t j = 0; j < span; ++j) {
         const double a = std::fabs(rho[j]);
         if (a > best) {
@@ -544,184 +626,80 @@ CpaResult OnlineCpa::finalize(std::size_t window_lo,
 
 std::vector<double> OnlineCpa::correlation_trace(unsigned guess) const {
   assert(guess < guesses_);
-  std::vector<double> rho(m_, 0.0);
-  if (n_ == 0) return rho;
+  const std::size_t m = stream_.m;
+  std::vector<double> rho(m, 0.0);
+  if (stream_.n == 0) return rho;
   const double* sum_hs = read();
-  const double nn = static_cast<double>(n_);
+  const double nn = static_cast<double>(stream_.n);
   const double var_h = sum_h2_[guess] - sum_h_[guess] * sum_h_[guess] / nn;
   if (!(var_h > 0.0)) return rho;  // finalize()'s gate: NaN scores 0
   // Outside the positive-variance hull the scan would write +0.0.
   const std::size_t lo = var_lo_;
-  const double* hs = sum_hs + static_cast<std::size_t>(guess) * m_;
-  kernels_->corr_scan(rho.data() + lo, hs + lo, sum_s_.data() + lo,
-                      var_cache_.data() + lo, sum_h_[guess], var_h, nn,
-                      var_hi_ - lo);
+  const double* hs = sum_hs + static_cast<std::size_t>(guess) * m;
+  stream_.kernels->corr_scan(rho.data() + lo, hs + lo,
+                             stream_.sum_s.data() + lo, var_cache_.data() + lo,
+                             sum_h_[guess], var_h, nn, var_hi_ - lo);
   return rho;
-}
-
-void OnlineCpa::reset() noexcept {
-  n_ = 0;
-  std::fill(sum_s_.begin(), sum_s_.end(), 0.0);
-  std::fill(sum_s2_.begin(), sum_s2_.end(), 0.0);
-  classes_.reset();
-  var_valid_ = false;
-}
-
-void OnlineCpa::merge(const OnlineCpa& other) {
-  if (other.guesses_ != guesses_)
-    throw std::invalid_argument("OnlineCpa::merge: num_guesses differ");
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    ensure_geometry(other.m_);
-  } else if (other.m_ != m_) {
-    throw std::invalid_argument(
-        "OnlineCpa::merge: sample geometry differs");
-  }
-  classes_.merge(other.classes_, *kernels_);
-  add_into(sum_s_, other.sum_s_);
-  add_into(sum_s2_, other.sum_s2_);
-  n_ += other.n_;
-  var_valid_ = false;
-}
-
-std::vector<std::uint8_t> OnlineCpa::serialize_state() const {
-  std::vector<std::uint8_t> out;
-  put_u64(out, kCpaMagic);
-  put_u64(out, guesses_);
-  put_u64(out, m_);
-  put_u64(out, n_);
-  put_array(out, sum_s_);
-  put_array(out, sum_s2_);
-  classes_.save(out);
-  return out;
-}
-
-void OnlineCpa::restore_state(std::span<const std::uint8_t> bytes) {
-  // Parse into temporaries and commit only after every check passed:
-  // a rejected snapshot (StateError of any kind) must leave this
-  // accumulator exactly as it was, or a shard that falls back to an
-  // older checkpoint after a corrupt one would start from garbage.
-  detail::SnapshotReader r(bytes);
-  if (r.u64() != kCpaMagic)
-    throw StateError(StateError::Kind::BadMagic,
-                     "OnlineCpa::restore_state: not an OnlineCpa snapshot");
-  if (r.u64() != guesses_)
-    geometry_error(
-        "OnlineCpa::restore_state: snapshot was taken with a different "
-        "num_guesses");
-  const std::uint64_t m = r.u64();
-  const std::uint64_t n = r.u64();
-  std::vector<double> s, s2;
-  r.array(s);
-  r.array(s2);
-  if (s.size() != m || s2.size() != m)
-    geometry_error("OnlineCpa::restore_state: inconsistent snapshot geometry");
-  detail::ClassSums classes = classes_.load(r, s.size(), n);
-  r.expect_end();
-  sum_s_ = std::move(s);
-  sum_s2_ = std::move(s2);
-  classes_ = std::move(classes);
-  m_ = sum_s_.size();
-  n_ = n;
-  var_valid_ = false;
 }
 
 // ---- OnlineDpa -------------------------------------------------------------
 
+namespace {
+
+/// The plaintext byte every selection bit reads, or -1 when they are not
+/// all byte-indexed on one byte.
+int common_byte(const std::vector<SelectionFn>& bits) {
+  for (const SelectionFn& d : bits)
+    if (!d.is_byte_indexed() || d.byte() != bits.front().byte()) return -1;
+  return bits.empty() ? -1 : bits.front().byte();
+}
+
+}  // namespace
+
 OnlineDpa::OnlineDpa(std::vector<SelectionFn> bits, unsigned num_guesses)
-    : bits_(std::move(bits)),
+    : bits_(bits.size()),
       guesses_(num_guesses),
-      classes_(bits_.size() * static_cast<std::size_t>(num_guesses)) {
-  assert(!bits_.empty());
+      // Decision rows of {0.0, 1.0} doubles: the fold's rank update adds
+      // a class sum exactly (1.0 * s == s) or skips it (0.0).
+      stream_("OnlineDpa", {kDpaMagic, num_guesses, bits.size()},
+              bits.size() * std::size_t{num_guesses}, /*squares=*/false,
+              common_byte(bits),
+              [bits, num_guesses](std::span<const std::uint8_t> pt,
+                                  double* row) {
+                for (std::size_t b = 0; b < bits.size(); ++b)
+                  for (unsigned g = 0; g < num_guesses; ++g)
+                    row[b * num_guesses + g] = bits[b](pt, g) != 0 ? 1.0 : 0.0;
+              }) {
+  assert(bits_ > 0);
   assert(guesses_ > 0);
-  const std::size_t width = bits_.size() * static_cast<std::size_t>(guesses_);
-  const bool one_byte =
-      std::all_of(bits_.begin(), bits_.end(), [&](const SelectionFn& d) {
-        return d.is_byte_indexed() && d.byte() == bits_.front().byte();
-      });
-  if (one_byte) {
-    // Decision rows of {0.0, 1.0} doubles: the fold's rank update adds
-    // a class sum exactly (1.0 * s == s) or skips it (0.0).
-    std::vector<double> lut(256 * width);
-    for (unsigned v = 0; v < 256; ++v)
-      for (std::size_t b = 0; b < bits_.size(); ++b)
-        for (unsigned g = 0; g < guesses_; ++g)
-          lut[v * width + b * guesses_ + g] =
-              bits_[b].eval_byte(static_cast<std::uint8_t>(v), g) != 0 ? 1.0
-                                                                       : 0.0;
-    classes_.tabulate(lut);
-  } else {
-    scratch_.resize(width);
-  }
-}
-
-void OnlineDpa::ensure_geometry(std::size_t m) {
-  if (!sum_s_.empty() || n_ > 0) {
-    if (m != m_)
-      throw std::invalid_argument(
-          "OnlineDpa: sample count differs from the first trace");
-    return;
-  }
-  m_ = m;
-  sum_s_.assign(m_, 0.0);
-  classes_.set_samples(m_);
-}
-
-void OnlineDpa::ingest(std::span<const std::uint8_t> plaintext,
-                       const double* samples) {
-  kernels_->row_add(sum_s_.data(), samples, m_);
-  std::uint32_t c;
-  if (classes_.fixed()) {
-    c = classes_.byte_class(
-        plaintext[static_cast<std::size_t>(bits_.front().byte())]);
-  } else {
-    for (std::size_t b = 0; b < bits_.size(); ++b)
-      for (unsigned g = 0; g < guesses_; ++g)
-        scratch_[b * guesses_ + g] = bits_[b](plaintext, g) != 0 ? 1.0 : 0.0;
-    c = classes_.class_of(scratch_.data(), *kernels_);
-  }
-  classes_.add(c, samples, *kernels_);
-  ++n_;
-}
-
-void OnlineDpa::add(std::span<const std::uint8_t> plaintext,
-                    std::span<const double> samples) {
-  ensure_geometry(samples.size());
-  ingest(plaintext, samples.data());
-}
-
-void OnlineDpa::add_prefix(const TraceSet& ts, std::size_t lo, std::size_t hi) {
-  hi = std::min(hi, ts.size());
-  if (lo >= hi) return;
-  ensure_geometry(ts.num_samples());
-  for (std::size_t i = lo; i < hi; ++i)
-    ingest(ts.plaintext(i), ts.matrix().row(i).data());
 }
 
 const double* OnlineDpa::read() const {
-  const double* sum1 = classes_.fold(*kernels_).data();
-  classes_.column_sums(n1_, nullptr);
+  const double* sum1 = stream_.classes.fold(*stream_.kernels).data();
+  stream_.classes.column_sums(n1_, nullptr);
   return sum1;
 }
 
 BiasResult OnlineDpa::bias(unsigned guess, std::size_t bit,
                            SampleWindow window) const {
-  assert(guess < guesses_ && bit < bits_.size());
+  assert(guess < guesses_ && bit < bits_);
   const double* sum1 = read();
+  const std::size_t m = stream_.m;
+  const double* sum_s = stream_.sum_s.data();
   BiasResult r;
   const std::size_t idx = bit * static_cast<std::size_t>(guesses_) + guess;
   r.n1 = static_cast<std::size_t>(n1_[idx]);
-  r.n0 = n_ - r.n1;
+  r.n0 = stream_.n - r.n1;
   if (r.n0 == 0 || r.n1 == 0) {
-    r.bias.assign(m_, 0.0);
+    r.bias.assign(m, 0.0);
     return r;
   }
-  const double* s1 = sum1 + idx * m_;
+  const double* s1 = sum1 + idx * m;
   const double inv0 = 1.0 / static_cast<double>(r.n0);
   const double inv1 = 1.0 / static_cast<double>(r.n1);
-  r.bias.resize(m_);
-  for (std::size_t j = 0; j < m_; ++j)
-    r.bias[j] = (sum_s_[j] - s1[j]) * inv0 - s1[j] * inv1;
+  r.bias.resize(m);
+  for (std::size_t j = 0; j < m; ++j)
+    r.bias[j] = (sum_s[j] - s1[j]) * inv0 - s1[j] * inv1;
   window_stats(r, window);
   return r;
 }
@@ -730,102 +708,52 @@ double OnlineDpa::peak_of(const double* sum1, unsigned guess, std::size_t bit,
                           SampleWindow window) const {
   const std::size_t idx = bit * static_cast<std::size_t>(guesses_) + guess;
   const auto c1 = static_cast<std::size_t>(n1_[idx]);
-  const std::size_t c0 = n_ - c1;
+  const std::size_t c0 = stream_.n - c1;
   if (c0 == 0 || c1 == 0) return 0.0;
-  const double* s1 = sum1 + idx * m_;
+  const std::size_t m = stream_.m;
+  const double* sum_s = stream_.sum_s.data();
+  const double* s1 = sum1 + idx * m;
   const double inv0 = 1.0 / static_cast<double>(c0);
   const double inv1 = 1.0 / static_cast<double>(c1);
   double peak = 0.0;
-  for (std::size_t j = 0; j < m_; ++j) {
+  for (std::size_t j = 0; j < m; ++j) {
     if (!window.contains(j)) continue;
-    const double a = std::fabs((sum_s_[j] - s1[j]) * inv0 - s1[j] * inv1);
+    const double a = std::fabs((sum_s[j] - s1[j]) * inv0 - s1[j] * inv1);
     if (a > peak) peak = a;
   }
   return peak;
 }
 
 KeyRecoveryResult OnlineDpa::recover(SampleWindow window) const {
-  const double* sum1 = read();
-  KeyRecoveryResult r;
-  r.guess_peak.assign(guesses_, 0.0);
-  for (unsigned g = 0; g < guesses_; ++g) {
-    double sum = 0.0;
-    for (std::size_t b = 0; b < bits_.size(); ++b)
-      sum += peak_of(sum1, g, b, window);
-    r.guess_peak[g] = sum;
-  }
-  rank_finalize(r, guesses_);
-  return r;
+  return rank(0, bits_, window);
 }
 
 KeyRecoveryResult OnlineDpa::recover_single(std::size_t bit,
                                             SampleWindow window) const {
-  assert(bit < bits_.size());
+  assert(bit < bits_);
+  return rank(bit, bit + 1, window);
+}
+
+KeyRecoveryResult OnlineDpa::rank(std::size_t lo, std::size_t hi,
+                                  SampleWindow window) const {
   const double* sum1 = read();
   KeyRecoveryResult r;
   r.guess_peak.assign(guesses_, 0.0);
-  for (unsigned g = 0; g < guesses_; ++g)
-    r.guess_peak[g] = peak_of(sum1, g, bit, window);
-  rank_finalize(r, guesses_);
-  return r;
-}
-
-void OnlineDpa::reset() noexcept {
-  n_ = 0;
-  std::fill(sum_s_.begin(), sum_s_.end(), 0.0);
-  classes_.reset();
-}
-
-void OnlineDpa::merge(const OnlineDpa& other) {
-  if (other.guesses_ != guesses_ || other.bits_.size() != bits_.size())
-    throw std::invalid_argument(
-        "OnlineDpa::merge: guess or selection-bit counts differ");
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    ensure_geometry(other.m_);
-  } else if (other.m_ != m_) {
-    throw std::invalid_argument(
-        "OnlineDpa::merge: sample geometry differs");
+  for (unsigned g = 0; g < guesses_; ++g) {
+    // A peak is never -0.0, so a one-bit sum is that bit's peak exactly.
+    double sum = 0.0;
+    for (std::size_t b = lo; b < hi; ++b) sum += peak_of(sum1, g, b, window);
+    r.guess_peak[g] = sum;
   }
-  classes_.merge(other.classes_, *kernels_);
-  add_into(sum_s_, other.sum_s_);
-  n_ += other.n_;
-}
-
-std::vector<std::uint8_t> OnlineDpa::serialize_state() const {
-  std::vector<std::uint8_t> out;
-  put_u64(out, kDpaMagic);
-  put_u64(out, guesses_);
-  put_u64(out, bits_.size());
-  put_u64(out, m_);
-  put_u64(out, n_);
-  put_array(out, sum_s_);
-  classes_.save(out);
-  return out;
-}
-
-void OnlineDpa::restore_state(std::span<const std::uint8_t> bytes) {
-  // Same parse-then-commit discipline as OnlineCpa::restore_state.
-  detail::SnapshotReader r(bytes);
-  if (r.u64() != kDpaMagic)
-    throw StateError(StateError::Kind::BadMagic,
-                     "OnlineDpa::restore_state: not an OnlineDpa snapshot");
-  if (r.u64() != guesses_ || r.u64() != bits_.size())
-    geometry_error(
-        "OnlineDpa::restore_state: snapshot was taken with a different "
-        "guess/selection-bit configuration");
-  const std::uint64_t m = r.u64();
-  const std::uint64_t n = r.u64();
-  std::vector<double> s;
-  r.array(s);
-  if (s.size() != m)
-    geometry_error("OnlineDpa::restore_state: inconsistent snapshot geometry");
-  detail::ClassSums classes = classes_.load(r, s.size(), n);
-  r.expect_end();
-  sum_s_ = std::move(s);
-  classes_ = std::move(classes);
-  m_ = sum_s_.size();
-  n_ = n;
+  r.best_guess = static_cast<unsigned>(
+      std::max_element(r.guess_peak.begin(), r.guess_peak.end()) -
+      r.guess_peak.begin());
+  r.best_peak = r.guess_peak[r.best_guess];
+  r.second_peak = 0.0;
+  for (unsigned g = 0; g < guesses_; ++g)
+    if (g != r.best_guess)
+      r.second_peak = std::max(r.second_peak, r.guess_peak[g]);
+  return r;
 }
 
 }  // namespace qdi::dpa

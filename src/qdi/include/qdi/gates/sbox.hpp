@@ -30,7 +30,10 @@ struct LutResult {
 };
 
 /// Build the lookup structure for `table` : [0, 2^in.size()) -> out_bits
-/// wide values. Bit k of the minterm index corresponds to in[k].
+/// wide values. Bit k of the minterm index corresponds to in[k]. Throws
+/// std::invalid_argument naming the LUT (and the bit) for 0 or more than
+/// 16 inputs, out_bits outside 1..16, or an output bit that is constant
+/// over every minterm; the netlist is left unchanged then.
 LutResult build_balanced_lut(Builder& b, std::span<const DualRail> in,
                              int out_bits,
                              const std::function<unsigned(unsigned)>& table,

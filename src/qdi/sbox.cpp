@@ -1,6 +1,10 @@
 #include "qdi/gates/sbox.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "qdi/crypto/aes.hpp"
 #include "qdi/crypto/des.hpp"
@@ -11,8 +15,28 @@ LutResult build_balanced_lut(Builder& b, std::span<const DualRail> in,
                              int out_bits,
                              const std::function<unsigned(unsigned)>& table,
                              const std::string& name) {
-  assert(!in.empty() && in.size() <= 16);
-  assert(out_bits >= 1 && out_bits <= 16);
+  // Every check runs before the first cell is built, so a rejected
+  // table leaves the netlist as it was.
+  const auto reject = [&](const std::string& what) {
+    throw std::invalid_argument("build_balanced_lut '" + name + "': " + what);
+  };
+  if (in.empty() || in.size() > 16)
+    reject(std::to_string(in.size()) + " inputs (1 to 16 supported)");
+  if (out_bits < 1 || out_bits > 16)
+    reject("out_bits " + std::to_string(out_bits) + " (1 to 16 supported)");
+  std::vector<unsigned> values(std::size_t{1} << in.size());
+  for (std::size_t m = 0; m < values.size(); ++m)
+    values[m] = table(static_cast<unsigned>(m));
+  for (int bit = 0; bit < out_bits; ++bit) {
+    // A constant output bit has an empty OR tree for one of its rails:
+    // not a dual-rail function.
+    const auto ones = std::count_if(
+        values.begin(), values.end(),
+        [&](unsigned v) { return ((v >> bit) & 1u) != 0; });
+    if (ones == 0 || static_cast<std::size_t>(ones) == values.size())
+      reject("output bit " + std::to_string(bit) + " is constant " +
+             (ones == 0 ? "0" : "1") + " over every minterm");
+  }
   Builder::HierScope scope(b, name);
 
   LutResult res;
@@ -52,13 +76,11 @@ LutResult build_balanced_lut(Builder& b, std::span<const DualRail> in,
   for (int bit = 0; bit < out_bits; ++bit) {
     std::vector<NetId> ones, zeros;
     for (std::size_t m = 0; m < lines.size(); ++m) {
-      if ((table(static_cast<unsigned>(m)) >> bit) & 1u)
+      if ((values[m] >> bit) & 1u)
         ones.push_back(lines[m]);
       else
         zeros.push_back(lines[m]);
     }
-    assert(!ones.empty() && !zeros.empty() &&
-           "constant output bit: not a valid dual-rail function");
     const std::string bit_name = "out" + std::to_string(bit);
     const bool paired = ones.size() == zeros.size() &&
                         (ones.size() & (ones.size() - 1)) == 0;

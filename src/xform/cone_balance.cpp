@@ -61,6 +61,10 @@
 // cloned cell are both cone members of any channel they affect; foreign
 // clones outside a cone are invisible to its membership tests).
 //
+// A channel with an undriven rail, or whose rails differ in primary-input
+// support, is skipped on its first visit for good: no edit changes
+// either. It drops its cones there and never enters a worklist again.
+//
 // The first walk reads a flat CSR mirror of the netlist. Bitsets span
 // only the id range their cells cover, and a cone keeps the clones that
 // joined it apart from the cells its walk found, so neither pays for the
@@ -286,8 +290,8 @@ struct RailCone {
 };
 
 /// A channel's state across rounds. `rails` stays empty until the first
-/// visit (and for channels with fewer than two rails, which are never
-/// balanced).
+/// visit, for channels with fewer than two rails (never balanced), and
+/// for channels retired on their first visit (never_clones).
 struct ChannelCones {
   std::vector<RailCone> rails;
   /// Every cell the last visit read: its rail cones at the start and at
@@ -375,7 +379,18 @@ class Balancer {
     ChannelCones& st = chans_[id];
     visiting_ = id;
     buckets_built_.assign(rails, 0);
-    if (st.rails.empty()) walk_cones(id, ch);
+    if (st.rails.empty()) {
+      walk_cones(id, ch);
+      if (const char* why = never_clones(st.rails)) {
+        // Edits add neither primary inputs nor drivers, so the verdict
+        // holds for good: keep the note, drop the cones, and leave the
+        // footprint empty so no later worklist holds the channel (nor
+        // does a later catch_up replay the log into it).
+        skip(id, ch, why);
+        st = ChannelCones{};
+        return false;
+      }
+    }
     catch_up(id);
     const std::size_t budget =
         opt_.max_clones_per_channel -
@@ -408,20 +423,25 @@ class Balancer {
     st.synced = log_.size();  // the walk read the live netlist
   }
 
+  /// Why a channel's freshly walked cones can never be balanced, or
+  /// nullptr. An edit rewires a sink pin, never a rail's driver, and its
+  /// clone shares the original's inputs, so no edit changes a rail's
+  /// drivenness or input support.
+  static const char* never_clones(const std::vector<RailCone>& cones) {
+    for (const RailCone& rc : cones)
+      if (!rc.driven) return "undriven rail";
+    // Cloning adds gates, never primary inputs: rails with differing
+    // input support cannot be balanced by this pass.
+    for (const RailCone& rc : cones)
+      if (rc.input_cells != cones[0].input_cells)
+        return "primary-input support differs between rails";
+    return nullptr;
+  }
+
   /// Fills the channel's deficits one clone at a time; returns the
   /// number of clones added.
   std::size_t balance(ChannelId id, const Channel& ch, std::size_t budget) {
     const std::vector<RailCone>& cones = chans_[id].rails;
-    const std::size_t rails = cones.size();
-    for (std::size_t r = 0; r < rails; ++r)
-      if (!cones[r].driven) return skip(id, ch, "undriven rail"), 0;
-    // Cloning adds gates, never primary inputs: rails with differing
-    // input support cannot be balanced by this pass.
-    for (std::size_t r = 1; r < rails; ++r)
-      if (cones[r].input_cells != cones[0].input_cells)
-        return skip(id, ch, "primary-input support differs between rails"),
-               0;
-
     for (std::size_t added = 0;; ++added) {
       std::size_t rail = 0;
       std::size_t slot = 0;

@@ -558,6 +558,80 @@ TEST(WorkerPoolPipeline, CommitBoundPipelineParksFewerThanTwoBlocksPerThread) {
   }
 }
 
+// A block's slot is its buffer: held from the block's claim until its
+// commit returned, or until a failed call gave the block up. Per-slot
+// consumer state (the block-fold partials, the shard fingerprints) relies
+// on two things checked here over several calls on one pool, one of which
+// throws mid-stream: every slot is below slots(), and no two blocks hold
+// one slot between the ingest and the end of the commit. The owner table
+// uses relaxed atomics, which order nothing, so the plain `payload`
+// written at ingest and read at commit is ordered only by the pool's own
+// handoff, and ThreadSanitizer reports a race if the handoff is missing.
+TEST(WorkerPoolPipeline, BlockSlotsStayBelowTheBoundAndAreNeverShared) {
+  FreeSource src;
+  constexpr std::size_t kTraces = 80;
+  constexpr std::size_t kBlock = 2;
+  constexpr std::size_t kFree = 0;
+  for (unsigned threads = 1; threads <= 4; ++threads) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    qc::WorkerPool pool(src, threads);
+    const std::size_t slots = pool.slots();
+    EXPECT_EQ(slots, 2 * std::size_t{threads} + 2);
+    std::vector<std::atomic<std::size_t>> owner(slots);
+    std::vector<std::size_t> payload(slots);
+    std::atomic<std::size_t> violations{0};
+    std::atomic<std::size_t> max_slot{0};
+    for (int call = 0; call < 4; ++call) {
+      // Call 1 throws from an ingest, call 2 from a commit.
+      const std::size_t first = static_cast<std::size_t>(call) * kTraces;
+      const std::size_t bad = first + 14;
+      const auto ingest = [&](unsigned, const qc::WorkerPool::Block& blk) {
+        std::size_t seen = max_slot.load(std::memory_order_relaxed);
+        while (blk.slot > seen &&
+               !max_slot.compare_exchange_weak(seen, blk.slot)) {
+        }
+        if (blk.slot >= slots) {
+          violations.fetch_add(1);
+          return;
+        }
+        if (owner[blk.slot].exchange(blk.first + 1,
+                                     std::memory_order_relaxed) != kFree)
+          violations.fetch_add(1);
+        payload[blk.slot] = blk.first;
+        if (call == 1 && blk.first == bad) throw std::runtime_error("ingest");
+      };
+      std::size_t committed = first;
+      const auto commit = [&](const qc::WorkerPool::Block& blk) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        EXPECT_EQ(blk.first, committed) << "commit out of order";
+        committed += blk.count;
+        if (blk.slot >= slots) return;
+        EXPECT_EQ(payload[blk.slot], blk.first);
+        if (call == 2 && blk.first == bad) throw std::runtime_error("commit");
+        if (owner[blk.slot].exchange(kFree, std::memory_order_relaxed) !=
+            blk.first + 1)
+          violations.fetch_add(1);
+      };
+      qc::AcquisitionStats st;
+      try {
+        pool.run({{first, first + kTraces}}, /*seed=*/3, kBlock, {}, ingest,
+                 commit, st);
+        EXPECT_TRUE(call != 1 && call != 2) << "the exception was swallowed";
+        EXPECT_EQ(committed, first + kTraces);
+      } catch (const std::runtime_error&) {
+        EXPECT_TRUE(call == 1 || call == 2) << "call " << call << " threw";
+        // The pool gave up the blocks it never committed: their slots
+        // are free for the next call.
+        for (std::atomic<std::size_t>& o : owner) o.store(kFree);
+      }
+      for (const std::atomic<std::size_t>& o : owner)
+        EXPECT_EQ(o.load(), kFree);
+    }
+    EXPECT_EQ(violations.load(), 0u);
+    EXPECT_LT(max_slot.load(), slots);
+  }
+}
+
 // ---- end-to-end key recovery -----------------------------------------------
 
 TEST(CampaignEndToEnd, RecoversDesSubkeyOnUnbalancedSlice) {

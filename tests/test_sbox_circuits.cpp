@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "qdi/crypto/aes.hpp"
 #include "qdi/crypto/des.hpp"
 #include "qdi/gates/sbox.hpp"
@@ -193,4 +199,43 @@ TEST(BalancedLut, MintermLinesAreOneHot) {
     sim.run_until_stable();
     for (qn::NetId line : lut.minterm_lines) EXPECT_FALSE(sim.value(line));
   }
+}
+
+TEST(BalancedLut, RejectsInvalidTablesBeforeBuildingAnything) {
+  qn::Netlist nl("bad");
+  qg::Builder b(nl);
+  std::vector<qg::DualRail> in;
+  for (int i = 0; i < 17; ++i)
+    in.push_back(b.dr_input("i" + std::to_string(i)));
+  const std::size_t cells = nl.num_cells();
+  const std::size_t nets = nl.num_nets();
+  const auto three = std::span<const qg::DualRail>(in.data(), 3);
+  const auto expect_rejected = [&](std::span<const qg::DualRail> ins,
+                                   int out_bits,
+                                   const std::function<unsigned(unsigned)>& t,
+                                   const std::string& needle) {
+    try {
+      qg::build_balanced_lut(b, ins, out_bits, t, "lutx");
+      ADD_FAILURE() << "accepted: " << needle;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("lutx"), std::string::npos) << what;
+      EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
+    EXPECT_EQ(nl.num_cells(), cells) << needle;
+    EXPECT_EQ(nl.num_nets(), nets) << needle;
+  };
+  const auto balanced = [](unsigned x) { return x & 3u; };
+  // Bit 1 of x | 2 is 1 on every minterm.
+  expect_rejected(three, 2, [](unsigned x) { return (x & 1u) | 2u; },
+                  "output bit 1");
+  expect_rejected(three, 1, [](unsigned) { return 0u; }, "output bit 0");
+  expect_rejected({}, 1, balanced, "0 inputs");
+  expect_rejected(in, 1, balanced, "17 inputs");
+  expect_rejected(three, 0, balanced, "out_bits 0");
+  expect_rejected(three, 17, balanced, "out_bits 17");
+  // A valid table still builds after the rejections.
+  EXPECT_EQ(qg::build_balanced_lut(b, three, 2, balanced, "ok").outputs.size(),
+            2u);
+  EXPECT_GT(nl.num_cells(), cells);
 }

@@ -409,6 +409,37 @@ TEST(ShardedRun, RepeatRunsAreBitIdenticalAndResumeFromCompleteCheckpoints) {
     EXPECT_FALSE(s.resumed_from.empty());
 }
 
+// fsync_commits adds two fsyncs to each commit and nothing else: the
+// verdict, the stream digests and every checkpoint file (newest and
+// previous generation) match the default rename-only run byte for byte,
+// with serial and with block-fold ingest.
+TEST(ShardedRun, FsyncCommitsWriteTheSameCheckpointsAsRenameOnly) {
+  for (const std::size_t block : {std::size_t{0}, std::size_t{64}}) {
+    SCOPED_TRACE(testing::Message() << "ingest_block_traces " << block);
+    const std::string tag = std::to_string(block);
+    qc::ShardedOptions plain = base_opts(fresh_dir("rename_only_" + tag));
+    plain.ingest_block_traces = block;
+    qc::ShardedOptions synced = base_opts(fresh_dir("fsync_" + tag));
+    synced.ingest_block_traces = block;
+    synced.fsync_commits = true;
+    const qc::ShardedResult a = base_campaign().sharded(plain);
+    const qc::ShardedResult b = base_campaign().sharded(synced);
+    EXPECT_TRUE(a.complete());
+    expect_identical(a, b);
+    EXPECT_EQ(a.attack->best_score, b.attack->best_score);
+    EXPECT_EQ(a.attack->margin, b.attack->margin);
+    for (std::size_t s = 0; s < a.shards.size(); ++s) {
+      for (const auto& path : {qc::checkpoint_path, qc::checkpoint_prev_path}) {
+        const std::vector<std::uint8_t> fa =
+            read_file(path(plain.checkpoint_dir, s));
+        EXPECT_FALSE(fa.empty());
+        EXPECT_EQ(fa, read_file(path(synced.checkpoint_dir, s)))
+            << path(synced.checkpoint_dir, s);
+      }
+    }
+  }
+}
+
 // The reduction structure perfbench's layer-call rebuild of the sharded
 // campaign (perfbench/campaign_bench.cpp, run_rebuilt_sharded) relies
 // on: one OnlineCpa per shard, checkpoint windows cut at
