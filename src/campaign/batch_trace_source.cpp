@@ -1,8 +1,11 @@
 #include "qdi/campaign/batch_trace_source.hpp"
 
 #include <cassert>
+#include <span>
 #include <stdexcept>
 #include <utility>
+
+#include "per_trace.hpp"
 
 namespace qdi::campaign {
 
@@ -22,32 +25,28 @@ std::shared_ptr<const sim::BatchNetlist> make_batch(
 BatchSimTraceSource::BatchSimTraceSource(const netlist::Netlist& nl,
                                          sim::EnvSpec env, StimulusFn stimulus,
                                          SimTraceSourceOptions opt)
-    : nl_(&nl),
-      spec_(std::move(env)),
-      stimulus_(std::move(stimulus)),
-      opt_(opt),
-      batch_(make_batch(nl, opt_)),
-      sim_(batch_),
-      env_(sim_, spec_),
-      acc_(opt_.power, batch_->compiled().cap_ff) {
+    : BatchSimTraceSource(nl, std::move(env), std::move(stimulus), opt,
+                          make_batch(nl, opt)) {
   if (!stimulus_)
     throw std::invalid_argument("BatchSimTraceSource: stimulus is required");
 }
 
-BatchSimTraceSource::BatchSimTraceSource(const BatchSimTraceSource& other,
-                                         WorkerCloneTag)
-    : nl_(other.nl_),
-      spec_(other.spec_),
-      stimulus_(other.stimulus_),
-      opt_(other.opt_),
-      batch_(other.batch_),  // the batch-compiled form is shared read-only
+BatchSimTraceSource::BatchSimTraceSource(
+    const netlist::Netlist& nl, sim::EnvSpec env, StimulusFn stimulus,
+    SimTraceSourceOptions opt, std::shared_ptr<const sim::BatchNetlist> batch)
+    : nl_(&nl),
+      spec_(std::move(env)),
+      stimulus_(std::move(stimulus)),
+      opt_(std::move(opt)),
+      batch_(std::move(batch)),
       sim_(batch_),
       env_(sim_, spec_),
       acc_(opt_.power, batch_->compiled().cap_ff) {}
 
 std::unique_ptr<TraceSource> BatchSimTraceSource::clone() const {
+  // The batch-compiled form is shared read-only.
   return std::unique_ptr<TraceSource>(
-      new BatchSimTraceSource(*this, WorkerCloneTag{}));
+      new BatchSimTraceSource(*nl_, spec_, stimulus_, opt_, batch_));
 }
 
 void BatchSimTraceSource::acquire_into(const TraceRequest& req,
@@ -70,17 +69,15 @@ void BatchSimTraceSource::acquire_block(std::uint64_t seed, std::size_t first,
     epoch_ = sim_.save_epoch();
   }
 
-  // Per-lane randomness: the exact SimTraceSource draw order (stimulus,
-  // then jitter, then noise at finish) from the per-index stream, so
-  // lane l of this block IS trace first+l of the scalar engines.
+  // Per-lane randomness through the shared prelude (noise follows at
+  // finish), so lane l of this block IS trace first+l of the scalar
+  // engines.
   double t0[sim::kBatchLanes];
   const std::vector<int>* vals[sim::kBatchLanes];
   for (std::size_t l = 0; l < count; ++l) {
-    rng_[l] = util::split_stream(seed, first + l);
-    stimulus_(rng_[l], first + l, stim_[l]);
-    const double jitter = opt_.start_jitter_ps > 0.0
-                              ? rng_[l].uniform(0.0, opt_.start_jitter_ps)
-                              : 0.0;
+    const double jitter =
+        detail::trace_prelude(seed, first + l, stimulus_,
+                              opt_.start_jitter_ps, rng_[l], stim_[l]);
     t0[l] = env_.next_cycle_start(l) - jitter;
     vals[l] = &stim_[l].values;
   }
@@ -101,12 +98,10 @@ void BatchSimTraceSource::acquire_block(std::uint64_t seed, std::size_t first,
   for (std::size_t l = 0; l < count; ++l) {
     AcquiredTrace& o = out[l];
     acc_.finish_into_lane(l, o.trace, &rng_[l]);
-    // Decoded output channels packed as "ciphertext" bytes, LSB-first,
-    // exactly like SimTraceSource.
-    o.ciphertext.assign((cyc_.num_outputs + 7) / 8, 0);
-    for (std::size_t b = 0; b < cyc_.num_outputs; ++b)
-      if (cyc_.outputs[l * cyc_.num_outputs + b] == 1)
-        o.ciphertext[b / 8] |= static_cast<std::uint8_t>(1u << (b % 8));
+    detail::pack_outputs(
+        std::span<const int>(cyc_.outputs)
+            .subspan(l * cyc_.num_outputs, cyc_.num_outputs),
+        o.ciphertext);
     o.plaintext.assign(stim_[l].plaintext.begin(), stim_[l].plaintext.end());
     o.transitions = cyc_.transitions[l];
     o.glitches = sim_.glitch_count(l);

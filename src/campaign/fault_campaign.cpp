@@ -6,21 +6,12 @@
 #include <utility>
 
 #include "qdi/util/parallel.hpp"
+#include "per_trace.hpp"
 #include "scalar_engine.hpp"
 
 namespace qdi::campaign {
 
 namespace {
-
-/// First output byte: decoded 1-of-2 channel outputs 0..7 packed
-/// LSB-first (the SimTraceSource ciphertext convention). Invalid
-/// channels (-1) pack as 0 — only the bytes of valid runs are read.
-std::uint8_t first_byte(const std::vector<int>& outputs) noexcept {
-  std::uint8_t v = 0;
-  for (std::size_t b = 0; b < outputs.size() && b < 8; ++b)
-    if (outputs[b] == 1) v |= static_cast<std::uint8_t>(1u << b);
-  return v;
-}
 
 /// Fault runs expect stalls and overruns; strict-mode warnings and the
 /// period throw would turn every deadlock into noise.
@@ -60,41 +51,19 @@ class FaultRunner {
               const FaultPlan& plan,
               const std::shared_ptr<const sim::CompiledNetlist>& compiled,
               const sim::DelayModel& delays)
-      : plan_(&plan),
-        sim_(detail::make_scalar_engine(compiled, nl, delays)),
-        csim_(compiled ? static_cast<sim::CompiledSimulator*>(sim_.get())
-                       : nullptr),
-        env_(*sim_, tolerant(env)) {
-    sim_->set_log_enabled(false);
+      : plan_(&plan), rig_(compiled, nl, delays, tolerant(env)) {
+    rig_.engine().set_log_enabled(false);
   }
 
   /// Classify run `i` of the sweep rooted at `seed`.
   FaultRecord run(std::uint64_t seed, std::size_t i);
 
  private:
-  /// Return to the post-reset state. The epoch fast path is invalid
-  /// after an oscillation abort left events in the queue (reinit_); a
-  /// full reset + reset handshake re-establishes it.
-  void rewind() {
-    if (csim_ != nullptr && epoch_.has_value() && !reinit_) {
-      csim_->restore_epoch(*epoch_);
-      return;
-    }
-    sim_->reset_state();
-    env_.apply_reset();
-    if (csim_ != nullptr) epoch_ = csim_->save_epoch();
-    reinit_ = false;
-  }
-
   const FaultPlan* plan_;
-  std::unique_ptr<sim::SimEngine> sim_;
-  sim::CompiledSimulator* csim_ = nullptr;
-  sim::FourPhaseEnv env_;
+  detail::ScalarRig rig_;
   Stimulus stim_;
   sim::FourPhaseEnv::CycleResult cyc_;
   std::vector<int> golden_;
-  std::optional<sim::CompiledSimulator::Epoch> epoch_;
-  bool reinit_ = false;
 };
 
 FaultRecord FaultRunner::run(std::uint64_t seed, std::size_t i) {
@@ -106,8 +75,8 @@ FaultRecord FaultRunner::run(std::uint64_t seed, std::size_t i) {
   plan_->stimulus(rng, i % plan_->repeats, stim_);
 
   // Golden run: the fault-free cycle under this plaintext.
-  rewind();
-  env_.send_into(stim_.values, cyc_);
+  rig_.rewind();
+  rig_.env().send_into(stim_.values, cyc_);
   if (!cyc_.ok)
     throw std::runtime_error(
         "FaultCampaign: the fault-free cycle failed — the target cannot be "
@@ -115,18 +84,18 @@ FaultRecord FaultRunner::run(std::uint64_t seed, std::size_t i) {
   golden_.assign(cyc_.outputs.begin(), cyc_.outputs.end());
 
   // Faulty run: identical cycle start, identical stimulus, one fault.
-  rewind();
-  sim::FaultInjector injector(*sim_);
+  rig_.rewind();
+  sim::FaultInjector injector(rig_.engine());
   injector.arm({inj.net, inj.kind, inj.t_offset_ps, plan_->glitch_ps},
-               env_.next_cycle_start());
+               rig_.env().next_cycle_start());
   bool oscillated = false;
   try {
-    env_.send_into(stim_.values, cyc_);
+    rig_.env().send_into(stim_.values, cyc_);
   } catch (const std::runtime_error&) {
     // Event-budget exhaustion: the faulted netlist oscillates instead of
     // settling. No stable output exists — a deadlock in the DoS sense.
     oscillated = true;
-    reinit_ = true;
+    rig_.forget_epoch();
   }
   injector.disarm();
 
@@ -135,9 +104,9 @@ FaultRecord FaultRunner::run(std::uint64_t seed, std::size_t i) {
   r.kind = inj.kind;
   r.t_offset_ps = inj.t_offset_ps;
   r.plaintext = stim_.plaintext.empty() ? 0 : stim_.plaintext[0];
-  r.golden = first_byte(golden_);
+  r.golden = detail::packed_output_byte(golden_, 0);
   if (!oscillated) {
-    r.faulty = first_byte(cyc_.outputs);
+    r.faulty = detail::packed_output_byte(cyc_.outputs, 0);
     bool valid = !cyc_.outputs.empty();
     for (int v : cyc_.outputs) valid &= v >= 0;
     if (valid && cyc_.outputs != golden_) {

@@ -5,9 +5,10 @@
 // the BatchAccumulator bins each lane's power straight into that lane's
 // sample row. Per-trace results — power samples, ciphertext, transition
 // and glitch counts — are bit-identical to SimTraceSource over the
-// scalar engines (same canonical event order, same RNG streams, same
-// floating-point accumulation order per lane; asserted over every
-// simulatable registry target in tests/test_batch_sim.cpp).
+// scalar engines (same canonical event order, same per-trace prelude
+// and output packing (src/campaign/per_trace.hpp), same floating-point
+// accumulation order per lane; asserted over every simulatable
+// registry target in tests/test_batch_sim.cpp).
 //
 // Lanes are fully independent, so results are also invariant to how the
 // campaign partitions trace indices into blocks: a 1-lane block, the
@@ -53,8 +54,10 @@ class BatchSimTraceSource final : public TraceSource {
   }
 
  private:
-  struct WorkerCloneTag {};
-  BatchSimTraceSource(const BatchSimTraceSource& other, WorkerCloneTag);
+  /// The common part; clone() shares `batch`.
+  BatchSimTraceSource(const netlist::Netlist& nl, sim::EnvSpec env,
+                      StimulusFn stimulus, SimTraceSourceOptions opt,
+                      std::shared_ptr<const sim::BatchNetlist> batch);
 
   const netlist::Netlist* nl_;
   sim::EnvSpec spec_;

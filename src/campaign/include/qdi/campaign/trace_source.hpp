@@ -9,8 +9,9 @@
 //
 // Determinism contract: every trace draws all of its randomness
 // (stimulus, window jitter, measurement noise) from a private RNG stream
-// keyed by (campaign seed, trace index), and SimTraceSource starts
-// every trace from the post-reset state. Acquisition i is therefore
+// keyed by (campaign seed, trace index) — one prelude for every engine,
+// src/campaign/per_trace.hpp — and starts from the post-reset state
+// (src/campaign/scalar_engine.hpp). Acquisition i is therefore
 // bit-identical whatever thread acquired it and in whatever order — the
 // property test_campaign asserts. The compiled and reference engines
 // are additionally bit-identical to each other (test_compiled_sim).
@@ -51,7 +52,7 @@ struct TraceRequest {
 struct AcquiredTrace {
   power::PowerTrace trace;
   std::vector<std::uint8_t> plaintext;
-  std::vector<std::uint8_t> ciphertext;
+  std::vector<std::uint8_t> ciphertext;  ///< outputs packed LSB-first
   std::size_t transitions = 0;  ///< net transitions in the cycle
   std::size_t glitches = 0;     ///< cancelled events (0 on hazard-free QDI)
 };
@@ -309,6 +310,10 @@ struct SimTraceSourceOptions {
   std::shared_ptr<const sim::CompiledNetlist> precompiled;
 };
 
+namespace detail {
+class ScalarRig;
+}  // namespace detail
+
 /// TraceSource backed by the event-driven simulator and the four-phase
 /// handshake environment — the reproduction's oscilloscope bench.
 ///
@@ -347,8 +352,7 @@ class SimTraceSource final : public TraceSource {
                  StimulusFn stimulus, SimTraceSourceOptions opt = {});
   ~SimTraceSource() override;
 
-  // Non-copyable/movable: env_ holds a pointer into the engine, so a
-  // default copy would drive the source object's simulator. Use clone().
+  // Non-copyable/movable: a worker's copy is made by clone().
   SimTraceSource(const SimTraceSource&) = delete;
   SimTraceSource& operator=(const SimTraceSource&) = delete;
 
@@ -366,8 +370,10 @@ class SimTraceSource final : public TraceSource {
   std::size_t memo_entries() const noexcept;
 
  private:
-  struct WorkerCloneTag {};
-  SimTraceSource(const SimTraceSource& other, WorkerCloneTag);
+  /// The common part; clone() shares `compiled` (null: reference).
+  SimTraceSource(const netlist::Netlist& nl, sim::EnvSpec env,
+                 StimulusFn stimulus, SimTraceSourceOptions opt,
+                 std::shared_ptr<const sim::CompiledNetlist> compiled);
   class Memo;
 
   const netlist::Netlist* nl_;
@@ -377,17 +383,13 @@ class SimTraceSource final : public TraceSource {
   /// Execution form shared read-only by all worker clones (compiled
   /// engine only).
   std::shared_ptr<const sim::CompiledNetlist> compiled_;
-  std::unique_ptr<sim::SimEngine> sim_;
-  /// Kernel view of sim_ for the epoch-snapshot fast path (the only
-  /// engine-specific capability); non-null iff compiled engine.
-  sim::CompiledSimulator* csim_ = nullptr;
-  sim::FourPhaseEnv env_;
+  /// This worker's engine, environment and post-reset rewind.
+  std::unique_ptr<detail::ScalarRig> rig_;
   /// Per-worker scratch reused across trace epochs — all of it
   /// capacity-retaining, so the steady-state loop allocates nothing.
   power::StreamingAccumulator acc_;
   Stimulus stim_;
   sim::FourPhaseEnv::CycleResult cyc_;
-  std::optional<sim::CompiledSimulator::Epoch> epoch_;  ///< post-reset snapshot
   /// Trace memo: applies iff compiled engine and start_jitter_ps == 0;
   /// allocated on the first trace.
   bool memo_applies_ = false;

@@ -15,6 +15,7 @@
 
 #include <sys/mman.h>
 
+#include "per_trace.hpp"
 #include "scalar_engine.hpp"
 
 namespace qdi::campaign {
@@ -28,6 +29,14 @@ const SimTraceSourceOptions& reject_batch(const SimTraceSourceOptions& opt) {
         "campaign::BatchSimTraceSource (Campaign::engine(Batch) builds "
         "it); SimTraceSource drives the scalar engines only");
   return opt;
+}
+
+/// The compiled form a source of `opt` runs: null for the reference
+/// engine, else `precompiled` when given.
+std::shared_ptr<const sim::CompiledNetlist> compiled_form(
+    const netlist::Netlist& nl, const SimTraceSourceOptions& opt) {
+  if (opt.engine != sim::EngineKind::Compiled) return nullptr;
+  return opt.precompiled ? opt.precompiled : sim::compile(nl, opt.delays);
 }
 
 }  // namespace
@@ -207,42 +216,32 @@ class SimTraceSource::Memo {
 
 SimTraceSource::SimTraceSource(const netlist::Netlist& nl, sim::EnvSpec env,
                                StimulusFn stimulus, SimTraceSourceOptions opt)
-    : nl_(&nl),
-      spec_(std::move(env)),
-      stimulus_(std::move(stimulus)),
-      opt_(reject_batch(opt)),
-      compiled_(opt_.engine == sim::EngineKind::Compiled
-                    ? (opt_.precompiled ? opt_.precompiled
-                                        : sim::compile(nl, opt_.delays))
-                    : nullptr),
-      sim_(detail::make_scalar_engine(compiled_, nl, opt_.delays)),
-      csim_(compiled_ ? static_cast<sim::CompiledSimulator*>(sim_.get())
-                      : nullptr),
-      env_(*sim_, spec_),
-      acc_(opt_.power),
-      memo_applies_(csim_ != nullptr && !(opt_.start_jitter_ps > 0.0)) {
+    : SimTraceSource(nl, std::move(env), std::move(stimulus), opt,
+                     compiled_form(nl, reject_batch(opt))) {
   if (!stimulus_)
     throw std::invalid_argument("SimTraceSource: stimulus is required");
 }
 
-SimTraceSource::SimTraceSource(const SimTraceSource& other, WorkerCloneTag)
-    : nl_(other.nl_),
-      spec_(other.spec_),
-      stimulus_(other.stimulus_),
-      opt_(other.opt_),
-      compiled_(other.compiled_),  // the compiled form is shared read-only
-      sim_(detail::make_scalar_engine(compiled_, *nl_, opt_.delays)),
-      csim_(compiled_ ? static_cast<sim::CompiledSimulator*>(sim_.get())
-                      : nullptr),
-      env_(*sim_, spec_),
+SimTraceSource::SimTraceSource(
+    const netlist::Netlist& nl, sim::EnvSpec env, StimulusFn stimulus,
+    SimTraceSourceOptions opt,
+    std::shared_ptr<const sim::CompiledNetlist> compiled)
+    : nl_(&nl),
+      spec_(std::move(env)),
+      stimulus_(std::move(stimulus)),
+      opt_(std::move(opt)),
+      compiled_(std::move(compiled)),
+      rig_(std::make_unique<detail::ScalarRig>(compiled_, nl, opt_.delays,
+                                               spec_)),
       acc_(opt_.power),
-      memo_applies_(other.memo_applies_) {}  // the memo starts empty
+      memo_applies_(compiled_ != nullptr && !(opt_.start_jitter_ps > 0.0)) {}
 
 SimTraceSource::~SimTraceSource() = default;
 
 std::unique_ptr<TraceSource> SimTraceSource::clone() const {
+  // The compiled form is shared read-only; the memo starts empty.
   return std::unique_ptr<TraceSource>(
-      new SimTraceSource(*this, WorkerCloneTag{}));
+      new SimTraceSource(*nl_, spec_, stimulus_, opt_, compiled_));
 }
 
 std::size_t SimTraceSource::memo_entries() const noexcept {
@@ -250,21 +249,15 @@ std::size_t SimTraceSource::memo_entries() const noexcept {
 }
 
 void SimTraceSource::acquire_into(const TraceRequest& req, AcquiredTrace& out) {
-  util::Rng rng = util::split_stream(req.seed, req.index);
-  stimulus_(rng, req.index, stim_);
-  // The window jitter is drawn before the cycle runs — the cycle itself
-  // consumes no randomness, so the stream position is the same as
-  // drawing it afterwards; this lets the streaming path open its window
-  // up front.
-  const double jitter = opt_.start_jitter_ps > 0.0
-                            ? rng.uniform(0.0, opt_.start_jitter_ps)
-                            : 0.0;
+  util::Rng rng;
+  const double jitter = detail::trace_prelude(
+      req.seed, req.index, stimulus_, opt_.start_jitter_ps, rng, stim_);
   // Copy (not move): stim_ is per-worker scratch whose capacity must
   // survive into the next trace.
   out.plaintext.assign(stim_.plaintext.begin(), stim_.plaintext.end());
 
   // A repeated stimulus replays its stored pre-noise trace and skips the
-  // cycle, epoch restore included (the next simulated trace restores).
+  // cycle, epoch restore included (the next simulated trace rewinds).
   std::uint64_t key = 0;
   if (memo_applies_) {
     sim::check_stimulus(*nl_, spec_, stim_.values);
@@ -280,50 +273,35 @@ void SimTraceSource::acquire_into(const TraceRequest& req, AcquiredTrace& out) {
     ++memo_misses_;
   }
 
-  // Every trace starts from the post-reset state in its own epoch:
-  // identical absolute times, hence bit-identical floating point,
-  // whatever trace history the worker carries. The compiled engine pays
-  // the reset handshake once and restores its snapshot afterwards (an
-  // O(activity) dirty-set revert); the reference engine re-simulates it
-  // each trace.
-  if (csim_ != nullptr && epoch_.has_value()) {
-    csim_->restore_epoch(*epoch_);
-  } else {
-    sim_->reset_state();
-    env_.apply_reset();
-    if (csim_ != nullptr) epoch_ = csim_->save_epoch();
-  }
-
+  // Every trace starts from the post-reset state in its own epoch.
+  rig_->rewind();
+  sim::SimEngine& sim = rig_->engine();
+  sim::FourPhaseEnv& env = rig_->env();
   if (opt_.engine == sim::EngineKind::Compiled) {
     // Streaming power: samples are binned at commit time; no transition
     // log is ever materialized, and finish_into ping-pongs the sample
     // buffer with the caller's slot — zero steady-state allocation.
-    acc_.begin_window(env_.next_cycle_start() - jitter, spec_.period_ps);
-    sim_->set_power_sink(&acc_);
-    env_.send_into(stim_.values, cyc_);
-    sim_->set_power_sink(nullptr);
+    acc_.begin_window(env.next_cycle_start() - jitter, spec_.period_ps);
+    sim.set_power_sink(&acc_);
+    env.send_into(stim_.values, cyc_);
+    sim.set_power_sink(nullptr);
     if (!cyc_.ok)
       throw std::runtime_error("SimTraceSource: four-phase protocol failure");
     acc_.finish_into(out.trace);
   } else {
     // Reference path: post-hoc synthesis from the transition log — kept
     // as the oracle that the streaming path is checked against.
-    sim_->clear_log();
-    env_.send_into(stim_.values, cyc_);
+    sim.clear_log();
+    env.send_into(stim_.values, cyc_);
     if (!cyc_.ok)
       throw std::runtime_error("SimTraceSource: four-phase protocol failure");
-    out.trace = power::synthesize(sim_->log(), cyc_.t_start - jitter,
+    out.trace = power::synthesize(sim.log(), cyc_.t_start - jitter,
                                   spec_.period_ps, opt_.power);
   }
 
-  // Pack the decoded output channel values as "ciphertext" bytes
-  // (LSB-first bit packing, 8 channels per byte).
-  out.ciphertext.assign((cyc_.outputs.size() + 7) / 8, 0);
-  for (std::size_t b = 0; b < cyc_.outputs.size(); ++b)
-    if (cyc_.outputs[b] == 1)
-      out.ciphertext[b / 8] |= static_cast<std::uint8_t>(1u << (b % 8));
+  detail::pack_outputs(cyc_.outputs, out.ciphertext);
   out.transitions = cyc_.transitions;
-  out.glitches = sim_->glitch_count();
+  out.glitches = sim.glitch_count();
 
   if (memo_applies_) {
     // A successful cycle decodes every output and fills the same window,

@@ -2,19 +2,14 @@
 //
 // The batch kernel commits one merged (t, net) event for up to 64 lanes
 // at once; this sink bins each lane's triangular charge pulse into that
-// lane's sample row. Bit-identity with the scalar accumulator is the
-// whole point, and it falls out of three facts:
+// lane's sample row, bit-identical to the scalar accumulator: both bin
+// through the rules of src/power/pulse.hpp, and
 //
-//   * per-net charge scale is static: q = weight · C_total(net) · Vdd
-//     and scale = q / dt depend only on the net and the edge direction,
-//     so both are precomputed per net with the exact operation order of
-//     transition_charge_fc() / on_transition();
-//   * per-net slew is static (see BatchNetlist), so the pulse shape —
-//     and hence the telescoped triangle-CDF boundary values — is shared
-//     by every lane of a merged commit. With a shared window start
-//     (jitter 0) the per-bin fractions are computed ONCE and re-used by
-//     all live lanes; with jitter each lane replays the scalar binning
-//     against its own window;
+//   * the charge scale q / dt depends only on the net and the edge
+//     direction, so it is tabulated per net;
+//   * per-net slew is static (see BatchNetlist), so the lanes of a
+//     merged commit that share a window (all of them at jitter 0) share
+//     one addend table per edge direction;
 //   * a lane's pulses arrive in that lane's scalar commit order (the
 //     canonical (t, net) pop order), so each row's floating-point
 //     accumulation order matches the scalar trace exactly.
@@ -61,8 +56,8 @@ class BatchAccumulator final : public sim::BatchPowerSink {
   std::vector<double> scale_rise_;  ///< per net: q_rise / dt (0 skips)
   std::vector<double> scale_fall_;  ///< per net: q_fall / dt
   std::vector<double> rows_;        ///< lane-major: rows_[lane * n_ + j]
-  /// Shared addend table of the aligned path: scale * frac per bin,
-  /// built once per edge direction and replayed by every live lane.
+  /// Addend table (scale * frac per bin) of the lanes that share a
+  /// window, built once per edge direction and replayed by each.
   std::vector<double> frac_;
   double t0_[sim::kBatchLanes] = {};
   double t_end_[sim::kBatchLanes] = {};

@@ -169,7 +169,7 @@ PowerTrace synthesize(const std::vector<sim::Transition>& transitions,
                       util::Rng* noise = nullptr);
 
 /// Charge of one transition as seen on the supply rail (µA·ps = fC):
-/// weight(edge) · C_total · Vdd.
+/// weight(edge) · C_total · Vdd, the edge charge both accumulators bin.
 double transition_charge_fc(const sim::Transition& t,
                             const PowerModelParams& params) noexcept;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <utility>
 
 #include "pulse.hpp"
@@ -35,8 +36,7 @@ double triangle_overlap(double start, double width, double a, double b) noexcept
 
 double transition_charge_fc(const sim::Transition& t,
                             const PowerModelParams& params) noexcept {
-  const double weight = t.rising ? params.rise_weight : params.fall_weight;
-  return weight * params.total_cap_ff(t.cap_ff) * params.vdd;
+  return detail::edge_charge(t.rising, t.cap_ff, params).q;
 }
 
 StreamingAccumulator::StreamingAccumulator(PowerModelParams params)
@@ -125,8 +125,9 @@ StreamingAccumulator::PulseGroup* StreamingAccumulator::recordable(
 /// hold it.
 void StreamingAccumulator::bin_direct(const sim::Transition& t,
                                       std::size_t gi) {
-  const double q = transition_charge_fc(t, params_);
-  if (q == 0.0) return;
+  const detail::EdgeCharge c =
+      detail::edge_charge(t.rising, t.cap_ff, params_);
+  if (c.q == 0.0) return;
   ++misses_;
   PulseGroup* g = recordable(t, gi);
   const auto record = [&](std::size_t j_lo, std::size_t offset,
@@ -138,66 +139,35 @@ void StreamingAccumulator::bin_direct(const sim::Transition& t,
     g->count[s] = static_cast<std::uint8_t>(count);
   };
 
-  const double dt = trace_.dt_ps();
-  const double window_t0_ps = trace_.t0_ps();
-  const std::size_t n = trace_.size();
-  // Charge flows while the output node swings: pulse spans
-  // [t_commit - Δt, t_commit] — the commit time is the end of the swing.
-  const double width = std::max(t.slew_ps, 1e-3);
-  const double start = t.t_ps - width;
-  // Clip to the window quickly.
-  if (start >= t_end_ps_ || start + width <= window_t0_ps) {
+  const std::optional<detail::PulseSpan> ps =
+      detail::pulse_span(t.t_ps, t.slew_ps, trace_.t0_ps(), t_end_ps_,
+                         trace_.dt_ps(), trace_.size());
+  if (!ps) {
     if (g != nullptr) record(0, 0, 0);  // an empty span hits too
     return;
   }
-  const std::size_t j_lo = static_cast<std::size_t>(std::max(
-      0.0, std::floor((start - window_t0_ps) / dt)));
-  const std::size_t j_hi = std::min(
-      n, static_cast<std::size_t>(
-             std::ceil((start + width - window_t0_ps) / dt)) + 1);
-  // Adjacent bins share a boundary: evaluate the pulse CDF once per
-  // boundary and difference it, instead of twice per bin through
-  // triangle_overlap. The telescoped sum is charge-exact by construction.
-  const double inv_width = 1.0 / width;
-  const double scale = q / dt;  // fC/ps·1000 = µA... see below
-  const auto cdf_at = [&](std::size_t j) {
-    return detail::triangle_cdf(
-        (window_t0_ps + static_cast<double>(j) * dt - start) * inv_width);
-  };
-
-  const std::size_t span = j_hi > j_lo ? j_hi - j_lo : 0;
+  const std::size_t j_lo = ps->j_lo;
+  const std::size_t span = ps->j_hi - j_lo;
   const std::size_t offset = pool_.size();
   if (!warm_) {
     warm_bins_ += span;
     ++warm_spans_;
   }
   if (g == nullptr || offset + span > pool_.capacity() ||
-      span > UINT8_MAX || j_hi > UINT16_MAX) {
-    double cdf_lo = cdf_at(j_lo);
-    for (std::size_t j = j_lo; j < j_hi; ++j) {
-      const double cdf_hi = cdf_at(j + 1);
-      const double frac = cdf_hi - cdf_lo;
-      cdf_lo = cdf_hi;
-      if (frac > 0.0) trace_[j] += scale * frac;
-    }
+      span > UINT8_MAX || ps->j_hi > UINT16_MAX) {
+    double* bins = trace_.samples().data();
+    detail::bin_pulse(*ps, c.scale,
+                      [&](std::size_t j, double a) { bins[j] += a; });
     return;
   }
 
-  // Record the addends (0.0 where the direct path adds nothing), trimmed
-  // to the first..last nonzero one, then add them like a hit.
+  // Record the addends, trimmed to the first..last nonzero one, then add
+  // them like a hit.
   pool_.resize(offset + span);
   double* ad = pool_.data() + offset;
-  double cdf_lo = cdf_at(j_lo);
-  for (std::size_t j = j_lo; j < j_hi; ++j) {
-    const double cdf_hi = cdf_at(j + 1);
-    const double frac = cdf_hi - cdf_lo;
-    cdf_lo = cdf_hi;
-    ad[j - j_lo] = frac > 0.0 ? scale * frac : 0.0;
-  }
-  std::size_t lo = 0;
-  std::size_t hi = span;
-  while (lo < hi && ad[lo] == 0.0) ++lo;
-  while (hi > lo && ad[hi - 1] == 0.0) --hi;
+  detail::bin_pulse(*ps, c.scale,
+                    [&](std::size_t j, double a) { ad[j - j_lo] = a; });
+  const auto [lo, hi] = detail::nonzero_range(ad, span);
   if (lo > 0) std::copy(ad + lo, ad + hi, ad);
   pool_.resize(offset + (hi - lo));
   record(j_lo + lo, offset, hi - lo);

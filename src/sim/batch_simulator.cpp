@@ -330,10 +330,7 @@ BatchFourPhaseEnv::BatchFourPhaseEnv(BatchSimulator& sim, EnvSpec spec)
     throw std::invalid_argument(
         "BatchFourPhaseEnv: tolerant handshakes (fault campaigns) are a "
         "scalar-engine feature — the batch environment is strict-only");
-  for (netlist::ChannelId ch : spec_.inputs)
-    assert(ch < sim_->netlist().num_channels());
-  for (netlist::ChannelId ch : spec_.outputs)
-    assert(ch < sim_->netlist().num_channels());
+  check_env(sim_->netlist(), spec_);
 }
 
 void BatchFourPhaseEnv::drive_grouped(NetId net, bool value,
@@ -379,19 +376,6 @@ void BatchFourPhaseEnv::apply_reset(double pulse_ps) {
   sim_->run_until_stable();
 }
 
-int BatchFourPhaseEnv::read_channel(netlist::ChannelId ch,
-                                    std::size_t lane) const {
-  const netlist::Channel& c = sim_->netlist().channel(ch);
-  int value = -1;
-  for (std::size_t r = 0; r < c.rails.size(); ++r) {
-    if (sim_->value(c.rails[r], lane)) {
-      if (value != -1) return -1;  // two rails high: protocol violation
-      value = static_cast<int>(r);
-    }
-  }
-  return value;
-}
-
 void BatchFourPhaseEnv::send_into(
     std::span<const std::vector<int>* const> values, BatchCycleResult& res) {
   const std::size_t lanes = values.size();
@@ -408,8 +392,22 @@ void BatchFourPhaseEnv::send_into(
     assert(values[l] != nullptr);
     check_stimulus(sim_->netlist(), spec_, *values[l]);
   }
-  std::size_t before[kBatchLanes];
+  // Drive `value` on each input channel's stimulus rail, lane l at t[l]:
+  // per channel, the lanes picking the same rail go out as one word.
   double t[kBatchLanes];
+  const auto drive_data = [&](bool value) {
+    for (std::size_t i = 0; i < spec_.inputs.size(); ++i) {
+      const netlist::Channel& ch = sim_->netlist().channel(spec_.inputs[i]);
+      for (std::size_t r = 0; r < ch.rails.size(); ++r) {
+        std::uint64_t m = 0;
+        for (std::size_t l = 0; l < lanes; ++l)
+          if (static_cast<std::size_t>((*values[l])[i]) == r)
+            m |= lane_bit(static_cast<unsigned>(l));
+        if (m != 0) drive_grouped(ch.rails[r], value, t, m);
+      }
+    }
+  };
+  std::size_t before[kBatchLanes];
   for (std::size_t l = 0; l < lanes; ++l) {
     before[l] = sim_->transition_count(l);
     t[l] = next_cycle_start(l);
@@ -417,22 +415,14 @@ void BatchFourPhaseEnv::send_into(
     sim_->advance_to(t[l], lane_bit(static_cast<unsigned>(l)));
   }
 
-  // Phase 1: drive valid data — per channel, the lanes picking the same
-  // rail go out as one masked word.
-  for (std::size_t i = 0; i < spec_.inputs.size(); ++i) {
-    const netlist::Channel& ch = sim_->netlist().channel(spec_.inputs[i]);
-    for (std::size_t r = 0; r < ch.rails.size(); ++r) {
-      std::uint64_t m = 0;
-      for (std::size_t l = 0; l < lanes; ++l)
-        if (static_cast<std::size_t>((*values[l])[i]) == r)
-          m |= lane_bit(static_cast<unsigned>(l));
-      if (m != 0) drive_grouped(ch.rails[r], true, t, m);
-    }
-  }
+  // Phase 1: drive valid data.
+  drive_data(true);
   sim_->run_until_stable();
   for (std::size_t l = 0; l < lanes; ++l) {
     for (std::size_t i = 0; i < res.num_outputs; ++i) {
-      const int v = read_channel(spec_.outputs[i], l);
+      const int v = decode_channel(
+          sim_->netlist().channel(spec_.outputs[i]),
+          [&](NetId rail) { return sim_->value(rail, l); });
       if (v < 0)
         throw std::runtime_error(
             "BatchFourPhaseEnv: outputs did not become valid "
@@ -442,33 +432,18 @@ void BatchFourPhaseEnv::send_into(
     res.t_valid[l] = sim_->now(l);
   }
 
-  // Next phase-drive time per lane — the exact expression of
-  // FourPhaseEnv::send_into's phase_time (a configured tester grid
-  // re-converges the lanes' phase times, turning the RTZ wavefront back
-  // into full-width word drives).
-  const auto phase_time = [&](double now) {
-    const double tt = now + spec_.phase_gap_ps;
-    if (spec_.phase_align_ps <= 0.0) return tt;
-    return std::ceil(tt / spec_.phase_align_ps) * spec_.phase_align_ps;
-  };
-
-  // Phase 2: consumer acknowledges.
-  for (std::size_t l = 0; l < lanes; ++l) t[l] = phase_time(sim_->now(l));
+  // Phase 2: consumer acknowledges. Phases 2-4 drive at each lane's
+  // phase_time (a tester grid re-converges the lanes' phase times,
+  // turning the RTZ wavefront back into full-width word drives).
+  for (std::size_t l = 0; l < lanes; ++l)
+    t[l] = phase_time(sim_->now(l), spec_);
   for (NetId ack : spec_.acks_to_block) drive_grouped(ack, true, t, mask);
   sim_->run_until_stable();
 
   // Phase 3: return to zero.
-  for (std::size_t l = 0; l < lanes; ++l) t[l] = phase_time(sim_->now(l));
-  for (std::size_t i = 0; i < spec_.inputs.size(); ++i) {
-    const netlist::Channel& ch = sim_->netlist().channel(spec_.inputs[i]);
-    for (std::size_t r = 0; r < ch.rails.size(); ++r) {
-      std::uint64_t m = 0;
-      for (std::size_t l = 0; l < lanes; ++l)
-        if (static_cast<std::size_t>((*values[l])[i]) == r)
-          m |= lane_bit(static_cast<unsigned>(l));
-      if (m != 0) drive_grouped(ch.rails[r], false, t, m);
-    }
-  }
+  for (std::size_t l = 0; l < lanes; ++l)
+    t[l] = phase_time(sim_->now(l), spec_);
+  drive_data(false);
   sim_->run_until_stable();
   for (std::size_t l = 0; l < lanes; ++l) {
     for (netlist::ChannelId ch : spec_.outputs)
@@ -481,7 +456,8 @@ void BatchFourPhaseEnv::send_into(
   }
 
   // Phase 4: release acknowledge.
-  for (std::size_t l = 0; l < lanes; ++l) t[l] = phase_time(sim_->now(l));
+  for (std::size_t l = 0; l < lanes; ++l)
+    t[l] = phase_time(sim_->now(l), spec_);
   for (NetId ack : spec_.acks_to_block) drive_grouped(ack, false, t, mask);
   sim_->run_until_stable();
   for (std::size_t l = 0; l < lanes; ++l) {

@@ -1,8 +1,6 @@
 #include "qdi/sim/environment.hpp"
 
-#include <cassert>
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -12,6 +10,29 @@ namespace qdi::sim {
 
 using netlist::ChannelId;
 using netlist::kNoNet;
+
+void check_env(const netlist::Netlist& nl, const EnvSpec& spec) {
+  // `at`: the position in a list field, npos for `reset`.
+  const auto check = [](const char* field, std::size_t at, std::size_t id,
+                        std::size_t count, const char* what) {
+    if (id < count) return;
+    std::string name = field;
+    if (at != std::string::npos) name += "[" + std::to_string(at) + "]";
+    throw std::invalid_argument("EnvSpec: " + name + " = " +
+                                std::to_string(id) + " is not a " + what +
+                                " of the netlist");
+  };
+  const auto each = [&](const char* field, const auto& ids, std::size_t count,
+                        const char* what) {
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      check(field, i, ids[i], count, what);
+  };
+  each("inputs", spec.inputs, nl.num_channels(), "channel");
+  each("outputs", spec.outputs, nl.num_channels(), "channel");
+  each("acks_to_block", spec.acks_to_block, nl.num_nets(), "net");
+  if (spec.reset != kNoNet)
+    check("reset", std::string::npos, spec.reset, nl.num_nets(), "net");
+}
 
 void check_stimulus(const netlist::Netlist& nl, const EnvSpec& spec,
                     std::span<const int> values) {
@@ -36,10 +57,7 @@ void check_stimulus(const netlist::Netlist& nl, const EnvSpec& spec,
 
 FourPhaseEnv::FourPhaseEnv(SimEngine& sim, EnvSpec spec)
     : sim_(&sim), spec_(std::move(spec)) {
-  for (ChannelId ch : spec_.inputs)
-    assert(ch < sim_->netlist().num_channels());
-  for (ChannelId ch : spec_.outputs)
-    assert(ch < sim_->netlist().num_channels());
+  check_env(sim_->netlist(), spec_);
 }
 
 void FourPhaseEnv::apply_reset(double pulse_ps) {
@@ -61,30 +79,16 @@ void FourPhaseEnv::apply_reset(double pulse_ps) {
 }
 
 int FourPhaseEnv::read_channel(ChannelId ch) const {
-  const netlist::Channel& c = sim_->netlist().channel(ch);
-  int value = -1;
-  for (std::size_t r = 0; r < c.rails.size(); ++r) {
-    if (sim_->value(c.rails[r])) {
-      if (value != -1) return -1;  // two rails high: protocol violation
-      value = static_cast<int>(r);
-    }
-  }
-  return value;
+  return decode_channel(sim_->netlist().channel(ch),
+                        [&](netlist::NetId rail) { return sim_->value(rail); });
 }
 
 bool FourPhaseEnv::outputs_valid() const {
-  for (ChannelId ch : spec_.outputs)
-    if (read_channel(ch) < 0) return false;
-  return true;
+  return first_invalid_output() == netlist::Netlist::kNoChannel;
 }
 
 bool FourPhaseEnv::outputs_empty() const {
-  for (ChannelId ch : spec_.outputs) {
-    const netlist::Channel& c = sim_->netlist().channel(ch);
-    for (netlist::NetId rail : c.rails)
-      if (sim_->value(rail)) return false;
-  }
-  return true;
+  return first_occupied_output() == netlist::Netlist::kNoChannel;
 }
 
 ChannelId FourPhaseEnv::first_invalid_output() const {
@@ -112,13 +116,12 @@ FourPhaseEnv::CycleResult FourPhaseEnv::send(std::span<const int> values) {
 
 void FourPhaseEnv::send_into(std::span<const int> values, CycleResult& res) {
   check_stimulus(sim_->netlist(), spec_, values);
-  // Next phase-drive time: the tester waits out the gap, then (when a
-  // grid is configured) fires on its next clock edge. The batch
-  // environment computes the identical expression per lane.
-  const auto phase_time = [&](double now) {
-    const double t = now + spec_.phase_gap_ps;
-    if (spec_.phase_align_ps <= 0.0) return t;
-    return std::ceil(t / spec_.phase_align_ps) * spec_.phase_align_ps;
+  // Drive `value` on each input channel's stimulus rail.
+  const auto drive_data = [&](bool value, double at_ps) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const netlist::Channel& ch = sim_->netlist().channel(spec_.inputs[i]);
+      sim_->drive(ch.rails[static_cast<std::size_t>(values[i])], value, at_ps);
+    }
   };
 
   // Reset in place; `outputs` keeps its capacity across reuses.
@@ -135,17 +138,13 @@ void FourPhaseEnv::send_into(std::span<const int> values, CycleResult& res) {
   res.t_start = t0;
 
   // Phase 1: drive valid data.
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const netlist::Channel& ch = sim_->netlist().channel(spec_.inputs[i]);
-    sim_->drive(ch.rails[static_cast<std::size_t>(values[i])], true, t0);
-  }
+  drive_data(true, t0);
   sim_->run_until_stable();
-  if (!outputs_valid()) {
+  res.handshake.stalling_channel = first_invalid_output();
+  if (res.handshake.stalling_channel != netlist::Netlist::kNoChannel) {
     if (spec_.strict)
       util::log_warn("FourPhaseEnv: outputs did not become valid");
     res.handshake.stalled_phase = HandshakePhase::DataValid;
-    res.handshake.stalling_channel = first_invalid_output();
-    res.ok = false;
     return;
   }
   res.t_valid = sim_->now();
@@ -153,30 +152,26 @@ void FourPhaseEnv::send_into(std::span<const int> values, CycleResult& res) {
   for (ChannelId ch : spec_.outputs) res.outputs.push_back(read_channel(ch));
 
   // Phase 2: consumer acknowledges.
-  drive_acks(true, phase_time(sim_->now()));
+  drive_acks(true, phase_time(sim_->now(), spec_));
   sim_->run_until_stable();
 
   // Phase 3: return to zero.
-  const double t3 = phase_time(sim_->now());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const netlist::Channel& ch = sim_->netlist().channel(spec_.inputs[i]);
-    sim_->drive(ch.rails[static_cast<std::size_t>(values[i])], false, t3);
-  }
+  drive_data(false, phase_time(sim_->now(), spec_));
   sim_->run_until_stable();
-  if (!outputs_empty()) {
+  res.handshake.stalling_channel = first_occupied_output();
+  if (res.handshake.stalling_channel != netlist::Netlist::kNoChannel) {
     if (spec_.strict)
       util::log_warn("FourPhaseEnv: outputs did not return to zero");
     res.handshake.stalled_phase = HandshakePhase::ReturnToZero;
-    res.handshake.stalling_channel = first_occupied_output();
-    res.ok = false;
     return;
   }
   res.t_empty = sim_->now();
 
   // Phase 4: release acknowledge.
-  drive_acks(false, phase_time(sim_->now()));
+  drive_acks(false, phase_time(sim_->now(), spec_));
   sim_->run_until_stable();
   res.t_end = sim_->now();
+  res.transitions = sim_->transition_count() - before;
 
   if (res.t_end - res.t_start >= spec_.period_ps) {
     if (spec_.strict)
@@ -186,12 +181,9 @@ void FourPhaseEnv::send_into(std::span<const int> values, CycleResult& res) {
     // Tolerant mode: a fault stretched the handshake past the trace
     // window — report it as an overrun, not a completed cycle.
     res.handshake.period_overrun = true;
-    res.ok = false;
-    res.transitions = sim_->transition_count() - before;
     return;
   }
 
-  res.transitions = sim_->transition_count() - before;
   res.ok = true;
   res.handshake.completed = true;
 }

@@ -27,7 +27,6 @@
 // back.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -185,14 +184,16 @@ class BatchSimulator {
   std::uint64_t lane_commits_ = 0;
 };
 
-/// Four-phase handshake environment over the batch kernel: the exact
-/// per-lane replica of sim::FourPhaseEnv::send_into, with drives grouped
-/// into masked words and the four run_until_stable barriers shared (the
-/// lanes are independent, so a global drain preserves each lane's event
-/// subsequence). Strict-mode only — acquisition is its sole client; a
-/// protocol failure or period overrun in ANY lane throws.
+/// Four-phase handshake environment over the batch kernel: per lane, the
+/// cycle of sim::FourPhaseEnv::send_into under the same handshake rules
+/// (environment.hpp), with drives grouped into masked words and the four
+/// run_until_stable barriers shared (the lanes are independent, so a
+/// global drain preserves each lane's event subsequence). Strict-mode
+/// only — acquisition is its sole client; a protocol failure or period
+/// overrun in ANY lane throws.
 class BatchFourPhaseEnv {
  public:
+  /// Throws std::invalid_argument for a tolerant spec or via check_env.
   BatchFourPhaseEnv(BatchSimulator& sim, EnvSpec spec);
 
   /// Reset handshake across all 64 lanes (they are identical during
@@ -200,8 +201,7 @@ class BatchFourPhaseEnv {
   void apply_reset(double pulse_ps = 200.0);
 
   double next_cycle_start(std::size_t lane) const noexcept {
-    return std::ceil((sim_->now(lane) + 1e-9) / spec_.period_ps) *
-           spec_.period_ps;
+    return cycle_start(sim_->now(lane), spec_);
   }
 
   struct BatchCycleResult {
@@ -223,7 +223,6 @@ class BatchFourPhaseEnv {
                  BatchCycleResult& res);
 
  private:
-  int read_channel(netlist::ChannelId ch, std::size_t lane) const;
   /// Masked drive with a per-lane time array: lanes of `mask` sharing
   /// the same time are driven as one word.
   void drive_grouped(netlist::NetId net, bool value, const double* t_ps,

@@ -84,28 +84,62 @@ struct HandshakeOutcome {
   bool period_overrun = false;
 };
 
+// The handshake rules FourPhaseEnv and BatchFourPhaseEnv share.
+
+/// Throws std::invalid_argument, naming the field and the id, unless
+/// each of `inputs` and `outputs` is a channel of `nl` and each of
+/// `acks_to_block` and `reset` (unless kNoNet) a net.
+void check_env(const netlist::Netlist& nl, const EnvSpec& spec);
+
 /// Throws std::invalid_argument unless `values` holds exactly one 1-of-N
 /// index per input channel of `spec`, each in [0, rails) of its channel.
-/// The message names the first offending input index. Both four-phase
-/// environments (FourPhaseEnv, BatchFourPhaseEnv) check every stimulus
-/// through it before driving a rail.
+/// The message names the first offending input index. Both environments
+/// check every stimulus through it before driving a rail.
 void check_stimulus(const netlist::Netlist& nl, const EnvSpec& spec,
                     std::span<const int> values);
+
+/// Start of the next cycle after time `now`: the next period-grid point,
+/// which keeps the traces of different codewords sample-aligned.
+inline double cycle_start(double now, const EnvSpec& spec) noexcept {
+  return std::ceil((now + 1e-9) / spec.period_ps) * spec.period_ps;
+}
+
+/// Drive time of phase 2, 3 or 4 once the block settled at `now`: after
+/// phase_gap_ps, on the next phase_align_ps tester edge if one is set.
+inline double phase_time(double now, const EnvSpec& spec) noexcept {
+  const double t = now + spec.phase_gap_ps;
+  if (spec.phase_align_ps <= 0.0) return t;
+  return std::ceil(t / spec.phase_align_ps) * spec.phase_align_ps;
+}
+
+/// 1-of-N decode of channel `c`, `high(rail)` reading one rail: the
+/// index of its single high rail, -1 if none or several are high.
+template <class RailHigh>
+int decode_channel(const netlist::Channel& c, RailHigh&& high) {
+  int value = -1;
+  for (std::size_t r = 0; r < c.rails.size(); ++r) {
+    if (high(c.rails[r])) {
+      if (value != -1) return -1;  // two rails high: protocol violation
+      value = static_cast<int>(r);
+    }
+  }
+  return value;
+}
 
 /// Drives any SimEngine (the reference Simulator or the compiled kernel)
 /// through four-phase cycles; the engine choice never changes the
 /// environment's behaviour.
 class FourPhaseEnv {
  public:
+  /// Throws std::invalid_argument via check_env.
   FourPhaseEnv(SimEngine& sim, EnvSpec spec);
 
   const EnvSpec& spec() const noexcept { return spec_; }
 
-  /// Start time of the next cycle: the period-grid point send() will
-  /// align on. Exposed so streaming acquisition can open its power
-  /// window before the cycle runs.
+  /// Start time of the next cycle (cycle_start), exposed so streaming
+  /// acquisition can open its power window before the cycle runs.
   double next_cycle_start() const noexcept {
-    return std::ceil((sim_->now() + 1e-9) / spec_.period_ps) * spec_.period_ps;
+    return cycle_start(sim_->now(), spec_);
   }
 
   /// Pulse reset: assert, settle, release, settle. Leaves the block empty.

@@ -19,6 +19,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qdi/campaign/batch_trace_source.hpp"
@@ -329,6 +330,34 @@ TEST(BatchGuards, TolerantEnvironmentIsRejected) {
   qs::EnvSpec spec = inst.env;
   spec.strict = false;
   EXPECT_THROW(qs::BatchFourPhaseEnv(sim, spec), std::invalid_argument);
+}
+
+TEST(BatchGuards, OutOfRangeSpecIdsThrowNamingFieldAndId) {
+  const qc::TargetInstance inst = qc::xor_stage().build(0);
+  auto batch = qs::compile_batch(inst.nl);
+  const auto channels = static_cast<qn::ChannelId>(inst.nl.num_channels());
+  const auto nets = static_cast<qn::NetId>(inst.nl.num_nets());
+  // (expected message part, spec with one id the netlist lacks)
+  std::vector<std::pair<std::string, qs::EnvSpec>> bad(4, {"", inst.env});
+  bad[0].second.inputs[0] = channels;
+  bad[0].first = "inputs[0] = " + std::to_string(channels);
+  bad[1].second.outputs[0] = channels + 5;
+  bad[1].first = "outputs[0] = " + std::to_string(channels + 5);
+  bad[2].second.acks_to_block[0] = nets;
+  bad[2].first = "acks_to_block[0] = " + std::to_string(nets);
+  bad[3].second.reset = nets + 1;
+  bad[3].first = "reset = " + std::to_string(nets + 1);
+  for (const auto& [want, spec] : bad) {
+    SCOPED_TRACE(want);
+    qs::BatchSimulator sim(batch);
+    try {
+      qs::BatchFourPhaseEnv env(sim, spec);
+      ADD_FAILURE() << "accepted an out-of-range id";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- precompiled reuse ------------------------------------------------------

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "qdi/gates/testbench.hpp"
 #include "qdi/sim/environment.hpp"
@@ -7,6 +11,7 @@
 
 namespace qs = qdi::sim;
 namespace qg = qdi::gates;
+namespace qn = qdi::netlist;
 
 namespace {
 struct XorFixture {
@@ -131,4 +136,38 @@ TEST(FourPhaseEnv, PeriodOverflowThrows) {
   env.apply_reset();
   const std::vector<int> v{1, 0};
   EXPECT_THROW(env.send(v), std::runtime_error);
+}
+
+// ---- EnvSpec ids ------------------------------------------------------------
+
+TEST(FourPhaseEnv, OutOfRangeSpecIdsThrowNamingFieldAndId) {
+  const qg::XorStage x = qg::build_xor_stage();
+  const auto channels = static_cast<qn::ChannelId>(x.nl.num_channels());
+  const auto nets = static_cast<qn::NetId>(x.nl.num_nets());
+  // (expected message part, spec with one id the netlist lacks)
+  std::vector<std::pair<std::string, qs::EnvSpec>> bad(4, {"", x.env});
+  bad[0].second.inputs[1] = channels + 3;
+  bad[0].first = "inputs[1] = " + std::to_string(channels + 3);
+  bad[1].second.outputs[0] = channels;
+  bad[1].first = "outputs[0] = " + std::to_string(channels);
+  bad[2].second.acks_to_block[0] = nets + 7;
+  bad[2].first = "acks_to_block[0] = " + std::to_string(nets + 7);
+  bad[3].second.reset = nets;
+  bad[3].first = "reset = " + std::to_string(nets);
+  for (const auto& [want, spec] : bad) {
+    SCOPED_TRACE(want);
+    qs::Simulator sim(x.nl);
+    try {
+      qs::FourPhaseEnv env(sim, spec);
+      ADD_FAILURE() << "accepted an out-of-range id";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+  // No reset net is a valid spec.
+  qs::EnvSpec spec = x.env;
+  spec.reset = qn::kNoNet;
+  qs::Simulator sim(x.nl);
+  EXPECT_NO_THROW(qs::FourPhaseEnv(sim, spec));
 }

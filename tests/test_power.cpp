@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -445,6 +448,125 @@ TEST(PulseCache, DesRoundHitRateAfter64Traces) {
   const auto misses = static_cast<double>(h.acc().pulse_misses() - misses0);
   EXPECT_GE(hits / (hits + misses), 0.95)
       << hits << " hits, " << misses << " misses";
+}
+
+// ---- scalar vs 64-lane accumulator ------------------------------------------
+//
+// Both accumulators bin through the same pulse rules. Fed one random
+// stream of merged commits — lane l of the batch accumulator sees the
+// commits whose live mask holds l, a scalar accumulator per lane sees
+// the same subsequence — they must agree bit for bit over several
+// windows, and both must conserve each pulse's charge in the window.
+
+namespace {
+
+/// One merged commit of the batch kernel.
+struct Commit {
+  double t_ps;
+  std::uint32_t net;
+  std::uint64_t live;
+  std::uint64_t rising;
+};
+
+void expect_accumulators_agree(const qp::PowerModelParams& pm, bool jittered,
+                               std::uint64_t seed) {
+  constexpr std::size_t kNets = 48;
+  constexpr std::size_t kLanes = qs::kBatchLanes;
+  constexpr double kT0 = 10000.0;
+  constexpr double kWindowPs = 3000.0;  // 300 bins of 10 ps
+  qu::Rng rng(seed);
+  std::vector<double> caps(kNets);
+  std::vector<double> slews(kNets);
+  for (std::size_t net = 0; net < kNets; ++net) {
+    caps[net] = rng.uniform(1.0, 20.0);
+    // Every 8th net swings over more than 255 bins: its spans are never
+    // stored in the pulse cache. Net 1 has a sub-femtosecond slew, which
+    // binning widens to 1 fs.
+    slews[net] = net % 8 == 0 ? rng.uniform(2600.0, 4000.0)
+                 : net == 1   ? 0.0
+                              : rng.uniform(5.0, 120.0);
+  }
+  // Commit times reach from well before the window (long pulses
+  // straddle its start) to past its end (pulses straddle it or miss).
+  const auto random_commit = [&] {
+    return Commit{kT0 + rng.uniform(-4500.0, kWindowPs + 600.0),
+                  static_cast<std::uint32_t>(rng.below(kNets)), rng.next(),
+                  rng.next()};
+  };
+  // A stream shared by every window, so the scalar accumulators replay
+  // stored spans once warm; each window adds fresh commits.
+  std::vector<Commit> shared(160);
+  for (Commit& c : shared) c = random_commit();
+
+  qp::BatchAccumulator batch(pm, caps);
+  std::vector<qp::StreamingAccumulator> scalar(kLanes,
+                                               qp::StreamingAccumulator(pm));
+  for (int w = 0; w < 4; ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    double t0[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      t0[l] = jittered ? kT0 + rng.uniform(0.0, 400.0) : kT0;
+      scalar[l].begin_window(t0[l], kWindowPs);
+    }
+    batch.begin_windows(t0, ~std::uint64_t{0}, kWindowPs);
+    std::vector<Commit> commits = shared;
+    for (int k = 0; k < 80; ++k) commits.push_back(random_commit());
+
+    std::vector<double> charge(kLanes, 0.0);  // fC expected in the window
+    for (const Commit& c : commits) {
+      batch.on_batch_transition(c.t_ps, c.net, c.live, c.rising & c.live,
+                                slews[c.net]);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        if (((c.live >> l) & 1u) == 0) continue;
+        const qs::Transition t{c.t_ps, c.net, ((c.rising >> l) & 1u) != 0,
+                               caps[c.net], slews[c.net]};
+        scalar[l].on_transition(t);
+        const double width = std::max(t.slew_ps, 1e-3);
+        charge[l] += qp::transition_charge_fc(t, pm) *
+                     qp::triangle_overlap(t.t_ps - width, width, t0[l],
+                                          t0[l] + kWindowPs);
+      }
+    }
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      SCOPED_TRACE("lane " + std::to_string(l));
+      qp::PowerTrace got;
+      qp::PowerTrace want;
+      batch.finish_into_lane(l, got);
+      scalar[l].finish_into(want);
+      ASSERT_EQ(got.t0_ps(), want.t0_ps());
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t j = 0; j < want.size(); ++j)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]),
+                  std::bit_cast<std::uint64_t>(want[j]))
+            << "sample " << j;
+      // µA·ps of the trace against the fC of the pulses' overlaps.
+      const double q = 1000.0 * charge[l];
+      EXPECT_NEAR(want.total_charge_fc(), q, 1e-12 * std::abs(q));
+    }
+  }
+  if (!jittered) {
+    std::uint64_t hits = 0;
+    for (const qp::StreamingAccumulator& a : scalar) hits += a.pulse_hits();
+    EXPECT_GT(hits, 0u) << "no stored span was replayed";
+  }
+}
+
+}  // namespace
+
+TEST(AccumulatorDifferential, AlignedWindowsBitIdentical) {
+  expect_accumulators_agree(qp::PowerModelParams{}, false, 1);
+}
+
+TEST(AccumulatorDifferential, JitteredWindowsBitIdentical) {
+  expect_accumulators_agree(qp::PowerModelParams{}, true, 2);
+}
+
+TEST(AccumulatorDifferential, ZeroChargeFallingEdgesBitIdentical) {
+  // fall_weight = 0: every falling pulse carries q == 0 and adds nothing.
+  qp::PowerModelParams pm;
+  pm.fall_weight = 0.0;
+  expect_accumulators_agree(pm, false, 3);
+  expect_accumulators_agree(pm, true, 4);
 }
 
 // ---- sample-grid precondition ----------------------------------------------
