@@ -30,16 +30,19 @@ namespace {
 std::vector<double> measured_bias(qg::XorStage& x, const qs::DelayModel& dm) {
   qs::Simulator sim(x.nl, dm);
   qs::FourPhaseEnv env(sim, x.env);
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   env.apply_reset();
   qp::PowerModelParams pm;
   qu::VectorMean m0, m1;
   for (int a = 0; a < 2; ++a) {
     for (int b = 0; b < 2; ++b) {
-      sim.clear_log();
+      log.transitions.clear();
       const std::vector<int> v{a, b};
       const auto cyc = env.send(v);
       const qp::PowerTrace t =
-          qp::synthesize(sim.log(), cyc.t_start, x.env.period_ps, pm, nullptr);
+          qp::synthesize(log.transitions, cyc.t_start, x.env.period_ps, pm,
+                         nullptr);
       ((a ^ b) == 0 ? m0 : m1).add(t.samples());
     }
   }

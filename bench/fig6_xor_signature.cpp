@@ -33,17 +33,20 @@ struct Signature {
 Signature xor_signature(qg::XorStage& x) {
   qs::Simulator sim(x.nl);
   qs::FourPhaseEnv env(sim, x.env);
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   env.apply_reset();
   qp::PowerModelParams pm;
   qu::VectorMean m0, m1;
   Signature sig;
   for (int a = 0; a < 2; ++a) {
     for (int b = 0; b < 2; ++b) {
-      sim.clear_log();
+      log.transitions.clear();
       const std::vector<int> v{a, b};
       const auto cyc = env.send(v);
       const qp::PowerTrace t =
-          qp::synthesize(sim.log(), cyc.t_start, x.env.period_ps, pm, nullptr);
+          qp::synthesize(log.transitions, cyc.t_start, x.env.period_ps, pm,
+                         nullptr);
       ((a ^ b) == 0 ? m0 : m1).add(t.samples());
       sig.t_valid = cyc.t_valid - cyc.t_start;
       sig.t_empty = cyc.t_empty - cyc.t_start;

@@ -17,13 +17,15 @@ namespace qc = qdi::core;
 static void BM_XorStageCycle(benchmark::State& state) {
   qg::XorStage x = qg::build_xor_stage();
   qs::Simulator sim(x.nl);
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   qs::FourPhaseEnv env(sim, x.env);
   env.apply_reset();
   int v = 0;
   for (auto _ : state) {
     const std::vector<int> values{v & 1, (v >> 1) & 1};
     benchmark::DoNotOptimize(env.send(values));
-    sim.clear_log();
+    log.transitions.clear();
     ++v;
   }
   state.SetItemsProcessed(state.iterations());
@@ -33,6 +35,8 @@ BENCHMARK(BM_XorStageCycle);
 static void BM_AesSliceCycle(benchmark::State& state) {
   qg::AesByteSlice slice = qg::build_aes_byte_slice();
   qs::Simulator sim(slice.nl);
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   qs::FourPhaseEnv env(sim, slice.env);
   env.apply_reset();
   unsigned p = 0;
@@ -41,7 +45,7 @@ static void BM_AesSliceCycle(benchmark::State& state) {
     for (int b = 0; b < 8; ++b) values.push_back((p >> b) & 1);
     for (int b = 0; b < 8; ++b) values.push_back(0);
     benchmark::DoNotOptimize(env.send(values));
-    sim.clear_log();
+    log.transitions.clear();
     ++p;
   }
   state.SetItemsProcessed(state.iterations());
@@ -51,6 +55,8 @@ BENCHMARK(BM_AesSliceCycle);
 static void BM_TraceSynthesis(benchmark::State& state) {
   qg::AesByteSlice slice = qg::build_aes_byte_slice();
   qs::Simulator sim(slice.nl);
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   qs::FourPhaseEnv env(sim, slice.env);
   env.apply_reset();
   std::vector<int> values(16, 0);
@@ -59,7 +65,8 @@ static void BM_TraceSynthesis(benchmark::State& state) {
   const qp::PowerModelParams pm;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        qp::synthesize(sim.log(), cyc.t_start, slice.env.period_ps, pm, nullptr));
+        qp::synthesize(log.transitions, cyc.t_start, slice.env.period_ps, pm,
+                       nullptr));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -616,22 +623,21 @@ BENCHMARK(BM_ShardedCampaign)->Unit(benchmark::kMillisecond);
 // other engine ratios.
 static void BM_FaultSweep(benchmark::State& state) {
   // Target build and netlist compilation hoisted out of the timed loop
-  // (FaultCampaignOptions::precompiled): every iteration sweeps the same
-  // victim, so the rows measure injection + classification throughput,
-  // not repeated target construction.
+  // (SimTraceSourceOptions::precompiled): every iteration sweeps the
+  // same victim, so the rows measure injection + classification
+  // throughput, not repeated target construction.
   static const qdi::campaign::TargetInstance inst =
       qdi::campaign::des_sbox_slice().build(0x2b);
-  static const std::shared_ptr<const qdi::sim::CompiledNetlist> cn =
-      qdi::sim::compile(inst.nl);
+  qdi::campaign::SimTraceSourceOptions engine;
+  engine.precompiled = qdi::sim::compile(inst.nl);
   qdi::campaign::FaultCampaignOptions opt;
   opt.max_sites = 12;
   opt.repeats = 2;
   opt.run_dfa = false;
-  opt.precompiled = cn;
   std::size_t runs = 0;
   for (auto _ : state) {
     const qdi::campaign::FaultCampaignResult r =
-        qdi::campaign::run_fault_campaign(inst, 0x2b, opt, 1, 1);
+        qdi::campaign::run_fault_campaign(inst, 0x2b, opt, engine, 1, 1);
     runs = r.summary.runs;
     benchmark::DoNotOptimize(r.summary.deadlock);
   }

@@ -43,28 +43,36 @@ int main(int argc, char** argv) {
               "(stuck-at-0/1, %zu sites max per victim)\n",
               key, max_sites);
 
-  // The QDI victim: every gate-driven net is a candidate site.
-  const campaign::FaultCampaignResult qdi_r = campaign::FaultCampaign()
-                                                  .target(campaign::des_sbox_slice())
-                                                  .key(key)
-                                                  .seed(31337)
-                                                  .max_sites(max_sites)
-                                                  .repeats(4)
-                                                  .threads(4)
-                                                  .run();
+  // The QDI victim: every gate-driven net is a candidate site. A
+  // campaign with faults() and no traces is a fault sweep alone.
+  campaign::FaultCampaignOptions qdi_opt;
+  qdi_opt.max_sites = max_sites;
+  qdi_opt.repeats = 4;
+  const campaign::CampaignResult qdi_run =
+      campaign::Campaign()
+          .target(campaign::des_sbox_slice())
+          .key(key)
+          .seed(31337)
+          .threads(4)
+          .faults(qdi_opt)
+          .run();
+  const campaign::FaultCampaignResult& qdi_r = *qdi_run.faults;
   print_summary("QDI dual-rail slice", qdi_r);
 
   // The synchronous-style counterexample, faulted in its key-mixing
   // stage (where DFA differentials carry key information).
-  const campaign::FaultCampaignResult sync_r =
-      campaign::FaultCampaign()
+  campaign::FaultCampaignOptions sync_opt;
+  sync_opt.site_filters = {"addkey0"};
+  sync_opt.repeats = 16;
+  const campaign::CampaignResult sync_run =
+      campaign::Campaign()
           .target(campaign::des_sbox_sync())
           .key(key)
           .seed(31337)
-          .sites_matching("addkey0")
-          .repeats(16)
           .threads(4)
+          .faults(sync_opt)
           .run();
+  const campaign::FaultCampaignResult& sync_r = *sync_run.faults;
   print_summary("sync-style counterexample", sync_r);
 
   if (sync_r.dfa) {

@@ -1,8 +1,8 @@
 #include "qdi/campaign/batch_trace_source.hpp"
 
-#include <cassert>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "per_trace.hpp"
@@ -57,7 +57,10 @@ void BatchSimTraceSource::acquire_into(const TraceRequest& req,
 void BatchSimTraceSource::acquire_block(std::uint64_t seed, std::size_t first,
                                         std::size_t count,
                                         AcquiredTrace* out) {
-  assert(count >= 1 && count <= sim::kBatchLanes);
+  if (count < 1 || count > sim::kBatchLanes)
+    throw std::invalid_argument(
+        "BatchSimTraceSource::acquire_block: count " + std::to_string(count) +
+        " outside [1, " + std::to_string(sim::kBatchLanes) + "]");
   // Shared post-reset epoch: reset is lane-uniform, so it runs once per
   // worker and every block restores the snapshot — O(nets) per block of
   // up to 64 traces.

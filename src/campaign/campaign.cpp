@@ -143,6 +143,11 @@ void Campaign::validate(const TargetInstance& inst) const {
   if (attacking && inst.num_guesses == 0)
     throw std::invalid_argument("Campaign: target '" + inst.name +
                                 "' has no keyed intermediate to attack");
+  if (attacking && inst.true_guess >= inst.num_guesses)
+    throw std::invalid_argument(
+        "Campaign: target '" + inst.name + "' has true_guess " +
+        std::to_string(inst.true_guess) + ", outside its " +
+        std::to_string(inst.num_guesses) + " guesses");
   if (std::holds_alternative<Cpa>(attack_) && !inst.leakage)
     throw std::invalid_argument("Campaign: target '" + inst.name +
                                 "' has no leakage model for CPA");
@@ -304,13 +309,9 @@ CampaignResult Campaign::run() const {
   // Runs on the as-attacked netlist (post-flow, post-prepare,
   // post-recipe) and must precede the move below — the probe's
   // simulators point into inst.nl.
-  if (faults_) {
-    FaultCampaignOptions fo = *faults_;
-    fo.delays = opt_.delays;
-    fo.engine = opt_.engine;
-    res.faults =
-        run_fault_campaign(inst, key_, fo, seed_, threads_ == 0 ? 1 : threads_);
-  }
+  if (faults_)
+    res.faults = run_fault_campaign(inst, key_, *faults_, opt_, seed_,
+                                    threads_ == 0 ? 1 : threads_);
 
   res.nl = std::move(inst.nl);
   res.total_wall_ms = ms_since(t_run);
@@ -406,6 +407,14 @@ ShardedResult Campaign::sharded(ShardedOptions opt) const {
     throw std::invalid_argument(
         "Campaign: sharded() probes the rank trajectory at shard merge "
         "boundaries; drop rank_trajectory()");
+  if (fused_chunk_ > 0)
+    throw std::invalid_argument(
+        "Campaign: sharded() always streams fused and ignores fused(); set "
+        "ShardedOptions::chunk_traces instead");
+  if (sharded_ingest_ > 0)
+    throw std::invalid_argument(
+        "Campaign: sharded() ignores sharded_ingest(); set "
+        "ShardedOptions::ingest_block_traces instead");
   TargetInstance inst = target_.build(key_);
   validate(inst);
 

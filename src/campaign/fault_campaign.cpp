@@ -51,9 +51,7 @@ class FaultRunner {
               const FaultPlan& plan,
               const std::shared_ptr<const sim::CompiledNetlist>& compiled,
               const sim::DelayModel& delays)
-      : plan_(&plan), rig_(compiled, nl, delays, tolerant(env)) {
-    rig_.engine().set_log_enabled(false);
-  }
+      : plan_(&plan), rig_(compiled, nl, delays, tolerant(env)) {}
 
   /// Classify run `i` of the sweep rooted at `seed`.
   FaultRecord run(std::uint64_t seed, std::size_t i);
@@ -79,8 +77,8 @@ FaultRecord FaultRunner::run(std::uint64_t seed, std::size_t i) {
   rig_.env().send_into(stim_.values, cyc_);
   if (!cyc_.ok)
     throw std::runtime_error(
-        "FaultCampaign: the fault-free cycle failed — the target cannot be "
-        "classified against itself");
+        "run_fault_campaign: the fault-free cycle failed — the target cannot "
+        "be classified against itself");
   golden_.assign(cyc_.outputs.begin(), cyc_.outputs.end());
 
   // Faulty run: identical cycle start, identical stimulus, one fault.
@@ -127,26 +125,28 @@ FaultRecord FaultRunner::run(std::uint64_t seed, std::size_t i) {
 FaultCampaignResult run_fault_campaign(const TargetInstance& inst,
                                        std::uint64_t key,
                                        const FaultCampaignOptions& opt,
+                                       const SimTraceSourceOptions& sim_opt,
                                        std::uint64_t seed, unsigned threads) {
   if (!inst.simulatable)
-    throw std::invalid_argument("FaultCampaign: target '" + inst.name +
+    throw std::invalid_argument("run_fault_campaign: target '" + inst.name +
                                 "' is flow-only and cannot be simulated");
-  if (opt.engine == sim::EngineKind::Batch)
+  if (sim_opt.engine == sim::EngineKind::Batch)
     throw std::invalid_argument(
-        "FaultCampaign: EngineKind::Batch cannot inject forces — fault "
+        "run_fault_campaign: EngineKind::Batch cannot inject forces — fault "
         "sweeps need the compiled or reference engine");
   if (!inst.stimulus)
-    throw std::invalid_argument("FaultCampaign: target '" + inst.name +
+    throw std::invalid_argument("run_fault_campaign: target '" + inst.name +
                                 "' provides no stimulus");
   if (inst.env.outputs.empty())
-    throw std::invalid_argument("FaultCampaign: target '" + inst.name +
+    throw std::invalid_argument("run_fault_campaign: target '" + inst.name +
                                 "' exposes no output channels to classify");
   if (opt.kinds.empty())
-    throw std::invalid_argument("FaultCampaign: empty fault-kind list");
+    throw std::invalid_argument("run_fault_campaign: empty fault-kind list");
   if (opt.times_ps.empty())
-    throw std::invalid_argument("FaultCampaign: empty injection-time list");
+    throw std::invalid_argument(
+        "run_fault_campaign: empty injection-time list");
   if (opt.repeats == 0)
-    throw std::invalid_argument("FaultCampaign: repeats must be > 0");
+    throw std::invalid_argument("run_fault_campaign: repeats must be > 0");
 
   std::vector<netlist::NetId> sites = opt.sites;
   if (sites.empty()) {
@@ -155,11 +155,11 @@ FaultCampaignResult run_fault_campaign(const TargetInstance& inst,
     for (netlist::NetId n : sites)
       if (n >= inst.nl.num_nets())
         throw std::invalid_argument(
-            "FaultCampaign: explicit site is not a net of the target");
+            "run_fault_campaign: explicit site is not a net of the target");
   }
   if (sites.empty())
     throw std::invalid_argument(
-        "FaultCampaign: no injection sites (filters matched nothing?)");
+        "run_fault_campaign: no injection sites (filters matched nothing?)");
   if (opt.max_sites > 0 && sites.size() > opt.max_sites) {
     // Deterministic subsample: partial Fisher-Yates from the campaign's
     // domain stream, then re-sorted so run order stays site-ordered.
@@ -193,15 +193,13 @@ FaultCampaignResult run_fault_campaign(const TargetInstance& inst,
   // One runner per worker over a contiguous slab of runs, each run
   // writing its own record slot, so the records are independent of the
   // thread count. The compiled form is flattened once and shared.
-  std::shared_ptr<const sim::CompiledNetlist> compiled;
-  if (opt.engine == sim::EngineKind::Compiled)
-    compiled = opt.precompiled ? opt.precompiled
-                               : sim::compile(inst.nl, opt.delays);
+  const std::shared_ptr<const sim::CompiledNetlist> compiled =
+      detail::compiled_form(inst.nl, sim_opt);
   res.records.resize(res.injections * opt.repeats);
   util::parallel_for_slabs(
       threads, res.records.size(),
       [&](unsigned, std::size_t begin, std::size_t end) {
-        FaultRunner runner(inst.nl, inst.env, plan, compiled, opt.delays);
+        FaultRunner runner(inst.nl, inst.env, plan, compiled, sim_opt.delays);
         for (std::size_t i = begin; i < end; ++i)
           res.records[i] = runner.run(seed, i);
       });
@@ -223,13 +221,6 @@ FaultCampaignResult run_fault_campaign(const TargetInstance& inst,
   if (opt.run_dfa && inst.dfa && inst.num_guesses > 0 && !res.pairs.empty())
     res.dfa = dpa::dfa_attack(inst.dfa, res.pairs, inst.num_guesses);
   return res;
-}
-
-FaultCampaignResult FaultCampaign::run() const {
-  if (!target_.valid())
-    throw std::invalid_argument("FaultCampaign: no target set");
-  TargetInstance inst = target_.build(key_);
-  return run_fault_campaign(inst, key_, opt_, seed_, threads_);
 }
 
 util::Table FaultCampaignResult::table() const {

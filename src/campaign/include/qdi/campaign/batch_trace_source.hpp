@@ -42,6 +42,8 @@ class BatchSimTraceSource final : public TraceSource {
 
   void acquire_into(const TraceRequest& req, AcquiredTrace& out) override;
   std::size_t batch_width() const override { return sim::kBatchLanes; }
+  /// Throws std::invalid_argument when `count` is outside
+  /// [1, kBatchLanes].
   void acquire_block(std::uint64_t seed, std::size_t first, std::size_t count,
                      AcquiredTrace* out) override;
   std::unique_ptr<TraceSource> clone() const override;

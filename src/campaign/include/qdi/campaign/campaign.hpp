@@ -70,8 +70,7 @@ struct CampaignResult {
   std::vector<RankPoint> rank_trajectory;
 
   /// Fault-resilience probe (Campaign::faults()): the full classified
-  /// sweep over the as-attacked netlist, run through the same
-  /// run_fault_campaign core as a standalone FaultCampaign.
+  /// sweep over the as-attacked netlist (run_fault_campaign).
   std::optional<FaultCampaignResult> faults;
 
   double total_wall_ms = 0.0;
@@ -220,9 +219,11 @@ class Campaign {
   /// (site x kind x time) fault injections over the as-attacked netlist
   /// (post-flow, post-prepare, post-recipe) and classify every run as
   /// deadlock / masked / exploitable (see fault_campaign.hpp). The probe
-  /// inherits the campaign's delay model and engine so it exercises
+  /// runs with the campaign's delay model and engine so it exercises
   /// exactly the simulated victim; results land in
-  /// CampaignResult::faults and in the sweep comparison table.
+  /// CampaignResult::faults and in the sweep comparison table. With
+  /// traces(0) and no attack the run is a fault sweep alone, over the
+  /// victim the flow, prepare and recipe stages produce.
   /// Incompatible with source(): the probe injects into the simulated
   /// netlist, which a custom source bypasses — validate() throws.
   Campaign& faults(FaultCampaignOptions opt = {}) {
@@ -257,7 +258,9 @@ class Campaign {
   /// per-shard coverage instead of throwing. Requires attack(),
   /// traces(n > 0), and a checkpoint_dir; incompatible with faults()
   /// and rank_trajectory() (the sharded trajectory is probed at shard
-  /// boundaries instead). Throws std::invalid_argument otherwise.
+  /// boundaries instead), and with fused() and sharded_ingest(), whose
+  /// sharded counterparts are ShardedOptions::chunk_traces and
+  /// ::ingest_block_traces. Throws std::invalid_argument otherwise.
   ShardedResult sharded(ShardedOptions opt) const;
 
   /// Run the same campaign once per countermeasure recipe and compare.

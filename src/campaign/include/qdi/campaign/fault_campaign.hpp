@@ -1,12 +1,14 @@
-// FaultCampaign — the fault-injection counterpart of the power-analysis
-// Campaign: sweep (site x kind x time) injections over a registry
-// target, classify every run, and feed the exploitable differentials to
-// DFA.
+// Fault sweeps — the fault-injection counterpart of the power-analysis
+// campaign: sweep (site x kind x time) injections over a prepared
+// victim, classify every run, and feed the exploitable differentials to
+// DFA. Campaign::faults() runs one on the as-attacked netlist (after
+// the flow, prepare and recipe stages), with the campaign's delay model
+// and engine; run_fault_campaign() is the core it calls.
 //
 // The paper's DFA argument (sections V-VI) is that QDI dual-rail logic
 // converts faults into *denial of service* instead of faulty
 // ciphertexts: a stuck rail starves the completion tree, the four-phase
-// handshake stalls, and the attacker collects nothing. This campaign
+// handshake stalls, and the attacker collects nothing. The sweep
 // measures that claim end to end. Every injection lands in exactly one
 // class:
 //
@@ -32,13 +34,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "qdi/campaign/target.hpp"
-#include "qdi/sim/compiled_netlist.hpp"
+#include "qdi/campaign/trace_source.hpp"
 #include "qdi/sim/fault.hpp"
 #include "qdi/util/table.hpp"
 
@@ -81,16 +82,6 @@ struct FaultCampaignOptions {
   /// Run dfa_attack over the exploitable pairs (needs the target to
   /// carry a DfaModel).
   bool run_dfa = true;
-
-  sim::DelayModel delays{};
-  /// Compiled or Reference; the batch kernel cannot inject forces, so
-  /// EngineKind::Batch is rejected by run_fault_campaign.
-  sim::EngineKind engine = sim::EngineKind::Compiled;
-  /// Reuse an existing compiled form of the (post-flow) target netlist
-  /// instead of flattening it once per sweep — what lets benches hoist
-  /// compilation out of their timed loops. Must match the instance's
-  /// netlist and `delays`. Compiled engine only.
-  std::shared_ptr<const sim::CompiledNetlist> precompiled;
 };
 
 /// One classified injection run.
@@ -141,69 +132,20 @@ struct FaultCampaignResult {
   util::Table table() const;
 };
 
-/// Shared campaign core: sweep + classify + DFA over an already-built
-/// (and possibly flow/recipe-processed) instance. Campaign::faults()
-/// routes through this too, so standalone and sweep-embedded fault runs
-/// agree bit for bit. Throws std::invalid_argument on a non-simulatable
-/// instance, an empty kinds/times list, repeats == 0, or an empty
+/// The sweep core: sweep + classify + DFA over an already-built (and
+/// possibly flow/recipe-processed) instance — what Campaign::faults()
+/// runs on its prepared victim. The engine config comes from `sim_opt`:
+/// its delay model, its engine (Compiled or Reference; the batch kernel
+/// cannot inject forces) and, for the compiled engine, its
+/// `precompiled` form, which must match `inst.nl` and the delay model
+/// (as for SimTraceSource); its power and jitter fields are unused.
+/// Throws std::invalid_argument on a non-simulatable instance, the
+/// batch engine, an empty kinds/times list, repeats == 0, or an empty
 /// resolved site list.
 FaultCampaignResult run_fault_campaign(const TargetInstance& inst,
                                        std::uint64_t key,
                                        const FaultCampaignOptions& opt,
+                                       const SimTraceSourceOptions& sim_opt,
                                        std::uint64_t seed, unsigned threads);
-
-/// Fluent front end mirroring Campaign:
-///
-///   auto r = FaultCampaign()
-///                .target(des_sbox_slice())
-///                .key(0x2b)
-///                .sites_matching("addkey0")
-///                .repeats(8)
-///                .threads(4)
-///                .run();
-class FaultCampaign {
- public:
-  FaultCampaign& target(CircuitTarget t) { target_ = std::move(t); return *this; }
-  FaultCampaign& key(std::uint64_t k) { key_ = k; return *this; }
-  FaultCampaign& seed(std::uint64_t s) { seed_ = s; return *this; }
-  FaultCampaign& threads(unsigned n) { threads_ = n; return *this; }
-
-  FaultCampaign& sites(std::vector<netlist::NetId> s) {
-    opt_.sites = std::move(s);
-    return *this;
-  }
-  FaultCampaign& sites_matching(std::string filter) {
-    opt_.site_filters.push_back(std::move(filter));
-    return *this;
-  }
-  FaultCampaign& max_sites(std::size_t n) { opt_.max_sites = n; return *this; }
-  FaultCampaign& kinds(std::vector<sim::FaultKind> k) {
-    opt_.kinds = std::move(k);
-    return *this;
-  }
-  FaultCampaign& times(std::vector<double> t_ps) {
-    opt_.times_ps = std::move(t_ps);
-    return *this;
-  }
-  FaultCampaign& repeats(std::size_t n) { opt_.repeats = n; return *this; }
-  FaultCampaign& glitch_width(double ps) { opt_.glitch_ps = ps; return *this; }
-  FaultCampaign& dfa(bool enabled) { opt_.run_dfa = enabled; return *this; }
-  FaultCampaign& delays(sim::DelayModel d) { opt_.delays = d; return *this; }
-  FaultCampaign& engine(sim::EngineKind k) { opt_.engine = k; return *this; }
-
-  const FaultCampaignOptions& options() const noexcept { return opt_; }
-
-  /// Build the target under the key and run the sweep. Throws
-  /// std::invalid_argument on an inconsistent configuration (no target,
-  /// non-simulatable target, empty kind/time/site lists, repeats == 0).
-  FaultCampaignResult run() const;
-
- private:
-  CircuitTarget target_;
-  std::uint64_t key_ = 0;
-  std::uint64_t seed_ = 1;
-  unsigned threads_ = 1;
-  FaultCampaignOptions opt_;
-};
 
 }  // namespace qdi::campaign

@@ -298,7 +298,8 @@ struct SimTraceSourceOptions {
   /// samples stream into the accumulator at commit time (no transition
   /// log), and after the first trace each epoch restores the post-reset
   /// snapshot instead of re-simulating reset. Reference: the
-  /// construction-form interpreter with a post-hoc log walk. Batch: the
+  /// construction-form interpreter, its commits recorded by a
+  /// sim::TransitionLog and synthesized post hoc. Batch: the
   /// 64-lane bit-parallel kernel — handled by BatchSimTraceSource, which
   /// Campaign::engine(Batch) builds; constructing a SimTraceSource with
   /// it throws. All engines produce bit-identical traces.
@@ -388,6 +389,7 @@ class SimTraceSource final : public TraceSource {
   /// Per-worker scratch reused across trace epochs — all of it
   /// capacity-retaining, so the steady-state loop allocates nothing.
   power::StreamingAccumulator acc_;
+  sim::TransitionLog log_;  ///< the reference engine's commits
   Stimulus stim_;
   sim::FourPhaseEnv::CycleResult cyc_;
   /// Trace memo: applies iff compiled engine and start_jitter_ps == 0;

@@ -1,17 +1,26 @@
 // Private campaign-internal header (not installed): the scalar
 // simulation rig behind SimTraceSource (trace_source.cpp) and the fault
-// campaign's FaultRunner (fault_campaign.cpp).
+// sweep's FaultRunner (fault_campaign.cpp).
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <utility>
 
+#include "qdi/campaign/trace_source.hpp"
 #include "qdi/sim/compiled_simulator.hpp"
 #include "qdi/sim/environment.hpp"
 #include "qdi/sim/simulator.hpp"
 
 namespace qdi::campaign::detail {
+
+/// The compiled form a scalar rig over `opt` runs: null for the
+/// reference engine, else `opt.precompiled` when given.
+inline std::shared_ptr<const sim::CompiledNetlist> compiled_form(
+    const netlist::Netlist& nl, const SimTraceSourceOptions& opt) {
+  if (opt.engine != sim::EngineKind::Compiled) return nullptr;
+  return opt.precompiled ? opt.precompiled : sim::compile(nl, opt.delays);
+}
 
 /// One worker's scalar engine — the compiled kernel over `compiled` when
 /// it is non-null, else the reference interpreter over `nl` with

@@ -31,14 +31,6 @@ const SimTraceSourceOptions& reject_batch(const SimTraceSourceOptions& opt) {
   return opt;
 }
 
-/// The compiled form a source of `opt` runs: null for the reference
-/// engine, else `precompiled` when given.
-std::shared_ptr<const sim::CompiledNetlist> compiled_form(
-    const netlist::Netlist& nl, const SimTraceSourceOptions& opt) {
-  if (opt.engine != sim::EngineKind::Compiled) return nullptr;
-  return opt.precompiled ? opt.precompiled : sim::compile(nl, opt.delays);
-}
-
 }  // namespace
 
 /// One worker's trace memo (see SimTraceSource). All of its storage —
@@ -217,7 +209,7 @@ class SimTraceSource::Memo {
 SimTraceSource::SimTraceSource(const netlist::Netlist& nl, sim::EnvSpec env,
                                StimulusFn stimulus, SimTraceSourceOptions opt)
     : SimTraceSource(nl, std::move(env), std::move(stimulus), opt,
-                     compiled_form(nl, reject_batch(opt))) {
+                     detail::compiled_form(nl, reject_batch(opt))) {
   if (!stimulus_)
     throw std::invalid_argument("SimTraceSource: stimulus is required");
 }
@@ -289,13 +281,15 @@ void SimTraceSource::acquire_into(const TraceRequest& req, AcquiredTrace& out) {
       throw std::runtime_error("SimTraceSource: four-phase protocol failure");
     acc_.finish_into(out.trace);
   } else {
-    // Reference path: post-hoc synthesis from the transition log — kept
-    // as the oracle that the streaming path is checked against.
-    sim.clear_log();
+    // Reference path: post-hoc synthesis from the recorded commits —
+    // kept as the oracle that the streaming path is checked against.
+    log_.transitions.clear();
+    sim.set_power_sink(&log_);
     env.send_into(stim_.values, cyc_);
+    sim.set_power_sink(nullptr);
     if (!cyc_.ok)
       throw std::runtime_error("SimTraceSource: four-phase protocol failure");
-    out.trace = power::synthesize(sim.log(), cyc_.t_start - jitter,
+    out.trace = power::synthesize(log_.transitions, cyc_.t_start - jitter,
                                   spec_.period_ps, opt_.power);
   }
 

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "qdi/crypto/aes.hpp"
 #include "qdi/crypto/des.hpp"
@@ -35,7 +36,10 @@ LeakageModel des_sbox_hw_model(int box) {
 }
 
 std::size_t CpaResult::rank_of(unsigned key) const {
-  assert(key < correlation.size());
+  if (key >= correlation.size())
+    throw std::invalid_argument("CpaResult::rank_of: key " +
+                                std::to_string(key) + " outside [0, " +
+                                std::to_string(correlation.size()) + ")");
   const double ref = correlation[key];
   std::size_t rank = 0;
   for (double r : correlation)

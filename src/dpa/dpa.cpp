@@ -1,7 +1,8 @@
 #include "qdi/dpa/dpa.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "qdi/dpa/online.hpp"
 
@@ -15,7 +16,10 @@ BiasResult dpa_bias(const TraceSet& ts, const SelectionFn& d, unsigned guess,
 }
 
 std::size_t KeyRecoveryResult::rank_of(unsigned key) const {
-  assert(key < guess_peak.size());
+  if (key >= guess_peak.size())
+    throw std::invalid_argument("KeyRecoveryResult::rank_of: key " +
+                                std::to_string(key) + " outside [0, " +
+                                std::to_string(guess_peak.size()) + ")");
   const double ref = guess_peak[key];
   std::size_t rank = 0;
   for (double p : guess_peak)

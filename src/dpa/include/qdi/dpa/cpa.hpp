@@ -54,7 +54,8 @@ struct CpaResult {
   /// greater correlation. Ties rank below the reference — guesses whose
   /// model columns are numerically identical (e.g. ghost keys of a
   /// degenerate model) never push the true key down, independent of
-  /// float comparison order.
+  /// float comparison order. Throws std::invalid_argument when `key` is
+  /// not a guess.
   std::size_t rank_of(unsigned key) const;
 };
 

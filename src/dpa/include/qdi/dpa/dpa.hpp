@@ -53,7 +53,8 @@ struct KeyRecoveryResult {
   /// Rank of a reference key (0 = recovered exactly): the number of
   /// guesses with STRICTLY greater peak. Ties rank below the reference,
   /// so numerically identical guess columns never demote the true key,
-  /// independent of float comparison order.
+  /// independent of float comparison order. Throws
+  /// std::invalid_argument when `key` is not a guess.
   std::size_t rank_of(unsigned key) const;
 };
 

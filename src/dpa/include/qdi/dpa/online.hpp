@@ -295,6 +295,7 @@ class OnlineCpa {
   /// Full correlation trace rho[j] of one guess at the current prefix.
   /// All +0.0 when the guess's hypothesis variance is not > 0.0 (a NaN
   /// one included): the same gate under which finalize() scores it 0.
+  /// Throws std::invalid_argument when `guess` >= num_guesses().
   std::vector<double> correlation_trace(unsigned guess) const;
 
   /// Fold another accumulator's traces into this one. Every statistic is
@@ -381,7 +382,8 @@ class OnlineDpa {
   std::size_t num_bits() const noexcept { return bits_; }
 
   /// Bias signal T[j] = A0[j] - A1[j] of one (guess, bit) at the current
-  /// prefix, with peak statistics restricted to `window`.
+  /// prefix, with peak statistics restricted to `window`. Throws
+  /// std::invalid_argument on a guess or bit out of range.
   BiasResult bias(unsigned guess, std::size_t bit = 0,
                   SampleWindow window = {}) const;
 
@@ -390,7 +392,8 @@ class OnlineDpa {
   KeyRecoveryResult recover(SampleWindow window = {}) const;
 
   /// Rank all guesses by the bias peak of ONE bit — what the MTD scan
-  /// uses (the paper's historical single-bit D-function attack).
+  /// uses (the paper's historical single-bit D-function attack). Throws
+  /// std::invalid_argument when `bit` >= num_bits().
   KeyRecoveryResult recover_single(std::size_t bit,
                                    SampleWindow window = {}) const;
 

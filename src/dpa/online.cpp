@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 namespace qdi::dpa {
@@ -15,6 +16,14 @@ namespace {
 /// Classes per rank-B kernel invocation of a fold. Small enough that a
 /// block of class sums stays cache-resident while every guess sweeps it.
 constexpr std::size_t kBlock = 16;
+
+/// Range check on a caller's index, kept in Release builds: `what` names
+/// the entry point and the index.
+void check_index(const char* what, std::size_t i, std::size_t n) {
+  if (i >= n)
+    throw std::invalid_argument(std::string(what) + " " + std::to_string(i) +
+                                " outside [0, " + std::to_string(n) + ")");
+}
 
 void window_stats(BiasResult& r, SampleWindow window) {
   r.peak = 0.0;
@@ -625,7 +634,7 @@ CpaResult OnlineCpa::finalize(std::size_t window_lo,
 }
 
 std::vector<double> OnlineCpa::correlation_trace(unsigned guess) const {
-  assert(guess < guesses_);
+  check_index("OnlineCpa::correlation_trace: guess", guess, guesses_);
   const std::size_t m = stream_.m;
   std::vector<double> rho(m, 0.0);
   if (stream_.n == 0) return rho;
@@ -682,7 +691,8 @@ const double* OnlineDpa::read() const {
 
 BiasResult OnlineDpa::bias(unsigned guess, std::size_t bit,
                            SampleWindow window) const {
-  assert(guess < guesses_ && bit < bits_);
+  check_index("OnlineDpa::bias: guess", guess, guesses_);
+  check_index("OnlineDpa::bias: bit", bit, bits_);
   const double* sum1 = read();
   const std::size_t m = stream_.m;
   const double* sum_s = stream_.sum_s.data();
@@ -730,7 +740,7 @@ KeyRecoveryResult OnlineDpa::recover(SampleWindow window) const {
 
 KeyRecoveryResult OnlineDpa::recover_single(std::size_t bit,
                                             SampleWindow window) const {
-  assert(bit < bits_);
+  check_index("OnlineDpa::recover_single: bit", bit, bits_);
   return rank(bit, bit + 1, window);
 }
 

@@ -60,7 +60,6 @@ void CompiledSimulator::reset_state() {
   baseline_epoch_ = 0;
   next_seq_ = 1;
   now_ = 0.0;
-  log_.clear();
   glitches_ = 0;
   total_transitions_ = 0;
 }
@@ -118,7 +117,6 @@ void CompiledSimulator::restore_epoch(const Epoch& e) {
   forces_.clear();
   next_seq_ = e.next_seq;
   now_ = e.now;
-  log_.clear();
   glitches_ = e.glitches;
   total_transitions_ = e.total_transitions;
 }
@@ -263,12 +261,9 @@ void CompiledSimulator::commit(const Event& ev) {
   mark_dirty(ev.net);
   now_ = ev.t_ps;
   ++total_transitions_;
-  if (sink_ != nullptr || log_enabled_) {
-    const Transition tr{ev.t_ps, ev.net, ev.value, cn.cap_ff[ev.net],
-                        pending_slew_[ev.net]};
-    if (sink_ != nullptr) sink_->on_transition(tr);
-    if (log_enabled_) log_.push_back(tr);
-  }
+  if (sink_ != nullptr)
+    sink_->on_transition(
+        {ev.t_ps, ev.net, ev.value, cn.cap_ff[ev.net], pending_slew_[ev.net]});
   // Every pin the net drives reads its new value before any fanout cell
   // evaluates: a cell listening on the net through two pins must see
   // both move, as the reference engine's values_ walk does.

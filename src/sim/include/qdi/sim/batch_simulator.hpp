@@ -21,10 +21,10 @@
 // CompiledSimulator and the reference interpreter
 // (tests/test_batch_sim.cpp, tests/test_property_fuzz.cpp).
 //
-// Scope: acquisition only. Forces/fault injection and transition logs
-// are scalar-engine features; Campaign::engine(Batch) guards the
-// unsupported combinations with explicit errors instead of falling
-// back.
+// Scope: acquisition only. Forces/fault injection and per-transition
+// PowerSinks (a sim::TransitionLog) are scalar-engine features;
+// Campaign::engine(Batch) guards the unsupported combinations with
+// explicit errors instead of falling back.
 #pragma once
 
 #include <cstdint>

@@ -19,8 +19,8 @@
 //     keyed by the exact (t_ps, net, seq) total order of the reference
 //     engine's priority queue, which is the oracle it is checked
 //     against (tests/test_compiled_sim.cpp, the FuzzEpochs suite);
-//   * the transition log is OFF by default — acquisition streams power
-//     samples through a PowerSink at commit time instead;
+//   * commits are reported only through the attached PowerSink, like
+//     the reference engine's — acquisition bins power samples there;
 //   * reset_state() is a capacity-retaining memset, and save_epoch() /
 //     restore_epoch() snapshot the post-reset state. Restoring tracks a
 //     dirty set: only nets committed since the last save/restore are
@@ -91,16 +91,7 @@ class CompiledSimulator final : public SimEngine {
   /// plus one purge hysteresis — see the tombstone purge).
   std::size_t tombstone_count() const noexcept { return tombstones_; }
 
-  // ---- streaming power / optional log -----------------------------------
-
   void set_power_sink(PowerSink* sink) noexcept override { sink_ = sink; }
-
-  /// The transition log is disabled by default in the kernel; enable it
-  /// for debugging or log-level equivalence checks.
-  void set_log_enabled(bool enabled) override { log_enabled_ = enabled; }
-  bool log_enabled() const noexcept override { return log_enabled_; }
-  const std::vector<Transition>& log() const noexcept override { return log_; }
-  void clear_log() override { log_.clear(); }
 
   // ---- trace epochs ------------------------------------------------------
 
@@ -126,7 +117,7 @@ class CompiledSimulator final : public SimEngine {
   /// corrupt every epoch restored from it.
   Epoch save_epoch();
 
-  /// Epoch bump: revert to `e` and clear the log. The queue must be
+  /// Epoch bump: revert to `e`. The queue must be
   /// drained and `e` must come from a simulator of identical geometry
   /// (both hard errors in release builds). When `e` is the epoch the
   /// current state diverged from, only the nets committed since then are
@@ -187,8 +178,6 @@ class CompiledSimulator final : public SimEngine {
 
   double now_ = 0.0;
   PowerSink* sink_ = nullptr;
-  bool log_enabled_ = false;
-  std::vector<Transition> log_;
   std::size_t glitches_ = 0;
   std::size_t total_transitions_ = 0;
 };

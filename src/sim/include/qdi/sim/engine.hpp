@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "qdi/netlist/netlist.hpp"
 #include "qdi/sim/force.hpp"
@@ -44,7 +43,7 @@ class SimEngine {
   /// name queries; never consulted in the event loop by the kernel).
   virtual const netlist::Netlist& netlist() const noexcept = 0;
 
-  /// Forget all state: all nets low, time zero, logs cleared.
+  /// Forget all state: all nets low, time zero, counters cleared.
   virtual void reset_state() = 0;
 
   /// Evaluate every gate once at the current time (see Simulator).
@@ -81,16 +80,10 @@ class SimEngine {
   virtual std::size_t glitch_count() const noexcept = 0;
   virtual std::size_t transition_count() const noexcept = 0;
 
-  /// Streaming transition consumer (nullptr detaches); sees every commit
-  /// in commit order while attached, independent of the log.
+  /// Transition consumer (nullptr detaches): sees every commit in
+  /// commit order while attached — the engine's only transition report
+  /// (a TransitionLog records them, see transition.hpp).
   virtual void set_power_sink(PowerSink* sink) noexcept = 0;
-
-  /// Transition log control. Default differs by engine: ON for the
-  /// inspectable reference interpreter, OFF for the kernel.
-  virtual void set_log_enabled(bool enabled) = 0;
-  virtual bool log_enabled() const noexcept = 0;
-  virtual const std::vector<Transition>& log() const noexcept = 0;
-  virtual void clear_log() = 0;
 };
 
 }  // namespace qdi::sim

@@ -13,10 +13,10 @@
 // reset pins are ordinary inputs (the qdi generators wire them to a reset
 // net driven by the environment).
 //
-// Every committed transition is appended to the transition log together
+// Every committed transition goes to the attached PowerSink together
 // with the switched net's capacitance — exactly the (C, Δt, t) triples the
-// power model of section III needs. The log can be disabled and a
-// streaming PowerSink attached instead (see transition.hpp).
+// power model of section III needs (a sim::TransitionLog records them,
+// see transition.hpp).
 #pragma once
 
 #include <cassert>
@@ -38,7 +38,7 @@ class Simulator final : public SimEngine {
   const netlist::Netlist& netlist() const noexcept override { return *nl_; }
   const DelayModel& delay_model() const noexcept { return model_; }
 
-  /// Forget all state: all nets low, time zero, logs cleared. Containers
+  /// Forget all state: all nets low, time zero, counters cleared. Containers
   /// retain their capacity — no reallocation after the first call.
   void reset_state() override;
 
@@ -52,11 +52,6 @@ class Simulator final : public SimEngine {
     assert(net < values_.size());
     return values_[net] != 0;
   }
-
-  /// Fresh simulator against the same netlist and delay model — the cheap
-  /// per-worker copy path of the parallel acquisition pool. The netlist is
-  /// shared (const), all per-run state starts from reset.
-  Simulator clone() const { return Simulator(*nl_, model_); }
 
   /// Externally drive a net (must be the output of an Input pseudo-cell).
   /// The change commits at `at_ps` with zero slew attributed to the
@@ -84,13 +79,6 @@ class Simulator final : public SimEngine {
   }
 
   void set_power_sink(PowerSink* sink) noexcept override { sink_ = sink; }
-
-  /// The transition log is ON by default here (the reference engine is
-  /// the inspectable one); disable it when only streaming power is needed.
-  void set_log_enabled(bool enabled) override { log_enabled_ = enabled; }
-  bool log_enabled() const noexcept override { return log_enabled_; }
-  const std::vector<Transition>& log() const noexcept override { return log_; }
-  void clear_log() override { log_.clear(); }
 
   /// Count of cancelled pending events (potential glitches). Zero on any
   /// hazard-free QDI block.
@@ -146,8 +134,6 @@ class Simulator final : public SimEngine {
 
   double now_ = 0.0;
   PowerSink* sink_ = nullptr;
-  bool log_enabled_ = true;
-  std::vector<Transition> log_;
   std::size_t glitches_ = 0;
   std::size_t total_transitions_ = 0;
 };

@@ -2,11 +2,15 @@
 //
 // A Transition is exactly the (C, Δt, t) triple the power model of
 // section III consumes. Both simulation engines (the reference
-// `Simulator` and the compiled kernel) can either append these records
-// to a transition log for post-hoc analysis, or push them into a
-// `PowerSink` as they commit — the streaming path that lets acquisition
-// bin power samples without ever materializing the log.
+// `Simulator` and the compiled kernel) report every commit through one
+// channel: the `PowerSink` attached to them. Acquisition attaches an
+// accumulator that bins power samples as transitions commit; a
+// `TransitionLog` records them instead, for post-hoc analysis (the
+// reference synthesis path, the activity reports, the engine
+// equivalence tests).
 #pragma once
+
+#include <vector>
 
 #include "qdi/netlist/netlist.hpp"
 
@@ -21,13 +25,23 @@ struct Transition {
 };
 
 /// Streaming consumer of committed transitions. Attached to a simulation
-/// engine, it observes every commit in commit order — the same order a
-/// post-hoc walk of the transition log would see, so a streaming
-/// accumulator is bit-identical to the log-walking one by construction.
+/// engine, it observes every commit in commit order — the order a
+/// TransitionLog records, so a streaming accumulator is bit-identical to
+/// a walk of the recorded log by construction.
 class PowerSink {
  public:
   virtual ~PowerSink() = default;
   virtual void on_transition(const Transition& t) = 0;
+};
+
+/// PowerSink that records every commit while attached. Clear
+/// `transitions` to start a new window.
+struct TransitionLog final : PowerSink {
+  std::vector<Transition> transitions;
+
+  void on_transition(const Transition& t) override {
+    transitions.push_back(t);
+  }
 };
 
 }  // namespace qdi::sim

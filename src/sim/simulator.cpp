@@ -27,7 +27,6 @@ void Simulator::reset_state() {
   queue_.clear();
   forces_.clear();
   now_ = 0.0;
-  log_.clear();
   glitches_ = 0;
   total_transitions_ = 0;
 }
@@ -143,12 +142,9 @@ void Simulator::commit(const Event& ev) {
   values_[ev.net] = static_cast<char>(ev.value);
   now_ = ev.t_ps;
   ++total_transitions_;
-  if (sink_ != nullptr || log_enabled_) {
-    const Transition tr{ev.t_ps, ev.net, ev.value, nl_->net(ev.net).cap_ff,
-                        pending_slew_[ev.net]};
-    if (sink_ != nullptr) sink_->on_transition(tr);
-    if (log_enabled_) log_.push_back(tr);
-  }
+  if (sink_ != nullptr)
+    sink_->on_transition({ev.t_ps, ev.net, ev.value, nl_->net(ev.net).cap_ff,
+                          pending_slew_[ev.net]});
   for (const netlist::Pin& p : nl_->net(ev.net).sinks)
     evaluate_cell(p.cell, ev.t_ps);
 }

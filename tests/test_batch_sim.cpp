@@ -299,10 +299,11 @@ TEST(BatchGuards, MullerCutPointsMakeTheSameConeLevelizable) {
 }
 
 TEST(BatchGuards, FaultCampaignRejectsBatchEngine) {
-  qc::FaultCampaignOptions opt;
-  opt.engine = qs::EngineKind::Batch;
+  qc::SimTraceSourceOptions engine;
+  engine.engine = qs::EngineKind::Batch;
   const qc::TargetInstance inst = qc::des_sbox_slice().build(0x15);
-  EXPECT_THROW(qc::run_fault_campaign(inst, 0x15, opt, 1, 1),
+  EXPECT_THROW(qc::run_fault_campaign(inst, 0x15, qc::FaultCampaignOptions{},
+                                      engine, 1, 1),
                std::invalid_argument);
   // The campaign front end rejects the combination up front too.
   EXPECT_THROW(qc::Campaign()
@@ -313,6 +314,28 @@ TEST(BatchGuards, FaultCampaignRejectsBatchEngine) {
                    .faults(qc::FaultCampaignOptions{})
                    .run(),
                std::invalid_argument);
+}
+
+TEST(BatchGuards, AcquireBlockRejectsCountOutsideOneBlock) {
+  // A block is 1..64 lanes; any other count would overrun the source's
+  // per-lane arrays.
+  const qc::TargetInstance inst = qc::xor_stage().build(0);
+  qc::SimTraceSourceOptions opt;
+  opt.engine = qs::EngineKind::Batch;
+  qc::BatchSimTraceSource src(inst.nl, inst.env, inst.stimulus, opt);
+  std::vector<qc::AcquiredTrace> out(qs::kBatchLanes + 1);
+  for (const std::size_t count : {std::size_t{0}, qs::kBatchLanes + 1}) {
+    SCOPED_TRACE(count);
+    try {
+      src.acquire_block(1, 0, count, out.data());
+      ADD_FAILURE() << "accepted a block of " << count << " traces";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("count " + std::to_string(count) +
+                                            " outside [1, 64]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(BatchGuards, ScalarSourceRejectsBatchEngineKind) {

@@ -91,6 +91,31 @@ TEST(CampaignValidation, DpaOnTargetWithoutSelectionBitsThrows) {
                std::invalid_argument);
 }
 
+TEST(CampaignValidation, TrueGuessOutsideTheGuessSpaceThrows) {
+  // The outcome ranks the true guess among the scores; a custom target
+  // whose true guess lies outside its guess space must be rejected up
+  // front, not read past the score vector.
+  qc::TargetInstance inst = qc::des_sbox_slice().build(0x15);
+  inst.true_guess = inst.num_guesses;
+  const std::string want = "true_guess " + std::to_string(inst.num_guesses);
+  for (const bool cpa : {false, true}) {
+    SCOPED_TRACE(cpa ? "cpa" : "dpa");
+    qc::Campaign c;
+    c.target(qc::prebuilt(inst)).traces(4);
+    if (cpa)
+      c.attack(qc::Cpa{});
+    else
+      c.attack(qc::Dpa{});
+    try {
+      (void)c.run();
+      ADD_FAILURE() << "accepted a true guess outside the guess space";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CampaignValidation, NonPositiveSamplePeriodThrows) {
   // A zero period used to acquire empty traces and attack them.
   for (const double dt : {0.0, -10.0}) {
@@ -218,27 +243,6 @@ TEST(CampaignRegistry, EveryListedTargetResolves) {
     EXPECT_EQ(t.name(), name);
   }
   EXPECT_THROW(qc::find_target("no_such_circuit"), std::invalid_argument);
-}
-
-// ---- worker-pool simulator clone path --------------------------------------
-
-TEST(CampaignSimClone, SimulatorCloneIsFreshAndIndependent) {
-  const qdi::gates::XorStage x = qdi::gates::build_xor_stage();
-  qdi::sim::Simulator a(x.nl);
-  qdi::sim::FourPhaseEnv env(a, x.env);
-  env.apply_reset();
-  const std::vector<int> v{1, 0};
-  (void)env.send(v);
-  ASSERT_GT(a.transition_count(), 0u);
-
-  // A clone shares netlist and delay model but starts from reset state;
-  // driving the original must not affect it.
-  qdi::sim::Simulator b = a.clone();
-  EXPECT_EQ(&b.netlist(), &a.netlist());
-  EXPECT_EQ(b.transition_count(), 0u);
-  EXPECT_EQ(b.now(), 0.0);
-  (void)env.send(v);
-  EXPECT_EQ(b.transition_count(), 0u);
 }
 
 // ---- deterministic stream split --------------------------------------------

@@ -1,7 +1,7 @@
 // Compiled-kernel equivalence and unit tests.
 //
 // The CompiledSimulator must be indistinguishable from the reference
-// Simulator at every observable level: per-transition (log records),
+// Simulator at every observable level: per-transition (recorded commits),
 // per-trace (power samples, ciphertext, transition/glitch counts), and
 // per-campaign (any thread count). These tests pin all three, for every
 // simulatable CircuitTarget in the registry.
@@ -155,25 +155,28 @@ TEST(CompiledKernel, TransitionLogMatchesReferenceExactly) {
   qs::Simulator ref(x.nl);
   qs::FourPhaseEnv ref_env(ref, x.env);
   ref_env.apply_reset();
+  qs::TransitionLog ref_log;
+  ref.set_power_sink(&ref_log);
 
   qs::CompiledSimulator comp(qs::compile(x.nl));
-  comp.set_log_enabled(true);
   qs::FourPhaseEnv comp_env(comp, x.env);
   comp_env.apply_reset();
+  qs::TransitionLog comp_log;
+  comp.set_power_sink(&comp_log);
 
   for (int v = 0; v < 4; ++v) {
     const std::vector<int> values{v & 1, (v >> 1) & 1};
-    ref.clear_log();
-    comp.clear_log();
+    ref_log.transitions.clear();
+    comp_log.transitions.clear();
     const auto rc = ref_env.send(values);
     const auto cc = comp_env.send(values);
     ASSERT_TRUE(rc.ok);
     ASSERT_TRUE(cc.ok);
     EXPECT_EQ(rc.outputs, cc.outputs);
-    ASSERT_EQ(ref.log().size(), comp.log().size());
-    for (std::size_t i = 0; i < ref.log().size(); ++i) {
-      const qs::Transition& a = ref.log()[i];
-      const qs::Transition& b = comp.log()[i];
+    ASSERT_EQ(ref_log.transitions.size(), comp_log.transitions.size());
+    for (std::size_t i = 0; i < ref_log.transitions.size(); ++i) {
+      const qs::Transition& a = ref_log.transitions[i];
+      const qs::Transition& b = comp_log.transitions[i];
       EXPECT_EQ(a.t_ps, b.t_ps) << "transition " << i;
       EXPECT_EQ(a.net, b.net) << "transition " << i;
       EXPECT_EQ(a.rising, b.rising) << "transition " << i;
@@ -190,29 +193,30 @@ TEST(CompiledKernel, TransitionLogMatchesReferenceExactly) {
 TEST(CompiledKernel, EpochRestoreReplaysIdenticalCycles) {
   const qdi::gates::XorStage x = qdi::gates::build_xor_stage();
   qs::CompiledSimulator sim(qs::compile(x.nl));
-  sim.set_log_enabled(true);
   qs::FourPhaseEnv env(sim, x.env);
   env.apply_reset();
   const auto epoch = sim.save_epoch();
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
 
   const std::vector<int> values{1, 0};
-  sim.clear_log();
   auto first = env.send(values);
   ASSERT_TRUE(first.ok);
-  const std::vector<qs::Transition> first_log = sim.log();
+  const std::vector<qs::Transition> first_log = log.transitions;
 
   // Restoring the epoch must replay the cycle bit-identically — same
   // absolute times, same transition sequence.
   sim.restore_epoch(epoch);
+  log.transitions.clear();
   auto second = env.send(values);
   ASSERT_TRUE(second.ok);
   EXPECT_EQ(first.t_start, second.t_start);
   EXPECT_EQ(first.transitions, second.transitions);
-  ASSERT_EQ(first_log.size(), sim.log().size());
+  ASSERT_EQ(first_log.size(), log.transitions.size());
   for (std::size_t i = 0; i < first_log.size(); ++i) {
-    EXPECT_EQ(first_log[i].t_ps, sim.log()[i].t_ps);
-    EXPECT_EQ(first_log[i].net, sim.log()[i].net);
-    EXPECT_EQ(first_log[i].rising, sim.log()[i].rising);
+    EXPECT_EQ(first_log[i].t_ps, log.transitions[i].t_ps);
+    EXPECT_EQ(first_log[i].net, log.transitions[i].net);
+    EXPECT_EQ(first_log[i].rising, log.transitions[i].rising);
   }
 }
 
@@ -223,34 +227,38 @@ TEST(CompiledKernel, EpochRestoreMatchesResetPerCodewordReference) {
   const qdi::gates::XorStage x = qdi::gates::build_xor_stage();
 
   qs::CompiledSimulator sim(qs::compile(x.nl));
-  sim.set_log_enabled(true);
   qs::FourPhaseEnv env(sim, x.env);
   env.apply_reset();
   const auto epoch = sim.save_epoch();
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
 
   qs::Simulator ref(x.nl);
   qs::FourPhaseEnv ref_env(ref, x.env);
+  qs::TransitionLog ref_log;
+  ref.set_power_sink(&ref_log);
 
   for (int v = 0; v < 4; ++v) {
     SCOPED_TRACE(v);
     sim.restore_epoch(epoch);
+    log.transitions.clear();
     ref.reset_state();
     ref_env.apply_reset();
-    ref.clear_log();
+    ref_log.transitions.clear();
     const std::vector<int> values{v & 1, (v >> 1) & 1};
     const auto cc = env.send(values);
     const auto rc = ref_env.send(values);
     ASSERT_TRUE(cc.ok);
     ASSERT_TRUE(rc.ok);
     EXPECT_EQ(cc.outputs, rc.outputs);
-    ASSERT_EQ(sim.log().size(), ref.log().size());
-    for (std::size_t i = 0; i < sim.log().size(); ++i) {
-      EXPECT_EQ(sim.log()[i].t_ps, ref.log()[i].t_ps) << "transition " << i;
-      EXPECT_EQ(sim.log()[i].net, ref.log()[i].net) << "transition " << i;
-      EXPECT_EQ(sim.log()[i].rising, ref.log()[i].rising)
-          << "transition " << i;
-      EXPECT_EQ(sim.log()[i].slew_ps, ref.log()[i].slew_ps)
-          << "transition " << i;
+    const std::vector<qs::Transition>& got = log.transitions;
+    const std::vector<qs::Transition>& want = ref_log.transitions;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].t_ps, want[i].t_ps) << "transition " << i;
+      EXPECT_EQ(got[i].net, want[i].net) << "transition " << i;
+      EXPECT_EQ(got[i].rising, want[i].rising) << "transition " << i;
+      EXPECT_EQ(got[i].slew_ps, want[i].slew_ps) << "transition " << i;
     }
     EXPECT_EQ(sim.transition_count(), ref.transition_count());
     EXPECT_EQ(sim.glitch_count(), ref.glitch_count());
@@ -264,7 +272,8 @@ TEST(CompiledKernel, RestoringAnOlderEpochFallsBackToFullCopyCorrectly) {
   // copy), and re-restoring it afterwards takes the dirty fast path.
   const qdi::gates::XorStage x = qdi::gates::build_xor_stage();
   qs::CompiledSimulator sim(qs::compile(x.nl));
-  sim.set_log_enabled(true);
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   qs::FourPhaseEnv env(sim, x.env);
   env.apply_reset();
   const auto e1 = sim.save_epoch();
@@ -276,20 +285,22 @@ TEST(CompiledKernel, RestoringAnOlderEpochFallsBackToFullCopyCorrectly) {
 
   // Full-copy path: baseline is e2, restoring e1.
   sim.restore_epoch(e1);
+  log.transitions.clear();
   const auto first = env.send(std::vector<int>{1, 1});
   ASSERT_TRUE(first.ok);
-  const std::vector<qs::Transition> first_log = sim.log();
+  const std::vector<qs::Transition> first_log = log.transitions;
 
   // Dirty path: baseline is now e1.
   sim.restore_epoch(e1);
+  log.transitions.clear();
   const auto second = env.send(std::vector<int>{1, 1});
   ASSERT_TRUE(second.ok);
   EXPECT_EQ(first.t_start, second.t_start);
-  ASSERT_EQ(first_log.size(), sim.log().size());
+  ASSERT_EQ(first_log.size(), log.transitions.size());
   for (std::size_t i = 0; i < first_log.size(); ++i) {
-    EXPECT_EQ(first_log[i].t_ps, sim.log()[i].t_ps);
-    EXPECT_EQ(first_log[i].net, sim.log()[i].net);
-    EXPECT_EQ(first_log[i].rising, sim.log()[i].rising);
+    EXPECT_EQ(first_log[i].t_ps, log.transitions[i].t_ps);
+    EXPECT_EQ(first_log[i].net, log.transitions[i].net);
+    EXPECT_EQ(first_log[i].rising, log.transitions[i].rising);
   }
 
   // And e2 still restores exactly (full copy again).
@@ -676,13 +687,18 @@ void play(qs::SimEngine& sim, const Steps& steps) {
   }
 }
 
-void expect_same_log(const qs::SimEngine& ref, const qs::SimEngine& got) {
-  ASSERT_EQ(ref.log().size(), got.log().size());
-  for (std::size_t i = 0; i < ref.log().size(); ++i) {
-    EXPECT_EQ(ref.log()[i].t_ps, got.log()[i].t_ps) << "transition " << i;
-    EXPECT_EQ(ref.log()[i].net, got.log()[i].net) << "transition " << i;
-    EXPECT_EQ(ref.log()[i].rising, got.log()[i].rising) << "transition " << i;
-    EXPECT_EQ(ref.log()[i].slew_ps, got.log()[i].slew_ps) << "transition " << i;
+/// Both engines' recorded commits and glitch counts agree.
+void expect_same_log(const qs::SimEngine& ref,
+                     const qs::TransitionLog& ref_log, const qs::SimEngine& got,
+                     const qs::TransitionLog& got_log) {
+  const std::vector<qs::Transition>& a = ref_log.transitions;
+  const std::vector<qs::Transition>& b = got_log.transitions;
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].t_ps, b[i].t_ps) << "transition " << i;
+    EXPECT_EQ(a[i].net, b[i].net) << "transition " << i;
+    EXPECT_EQ(a[i].rising, b[i].rising) << "transition " << i;
+    EXPECT_EQ(a[i].slew_ps, b[i].slew_ps) << "transition " << i;
   }
   EXPECT_EQ(ref.glitch_count(), got.glitch_count());
 }
@@ -698,51 +714,59 @@ TEST(CompiledKernel, NetDrivingTwoPinsOfACellMatchesReference) {
   const Steps s4{{f.b, false}, {f.a, false}, {f.a, true}};
 
   qs::CompiledSimulator comp(qs::compile(f.nl));
-  comp.set_log_enabled(true);
+  qs::TransitionLog comp_log;
+  comp.set_power_sink(&comp_log);
   comp.initialize();
   comp.run_until_stable();
   const auto e0 = comp.save_epoch();
+  // The kernel restores `e`, then records from there on.
+  const auto restore = [&](const qs::CompiledSimulator::Epoch& e) {
+    comp.restore_epoch(e);
+    comp_log.transitions.clear();
+  };
 
   qs::Simulator ref(f.nl);
-  // The reference replays `prefix` from reset, then logs `steps`.
+  qs::TransitionLog ref_log;
+  ref.set_power_sink(&ref_log);
+  // The reference replays `prefix` from reset, then records `steps`.
   const auto ref_run = [&](const Steps& prefix, const Steps& steps) {
     ref.reset_state();
     ref.initialize();
     ref.run_until_stable();
     play(ref, prefix);
-    ref.clear_log();
+    ref_log.transitions.clear();
     play(ref, steps);
   };
 
   {
     SCOPED_TRACE("from reset");
-    comp.clear_log();
+    comp_log.transitions.clear();
     play(comp, s1);
     ref_run({}, s1);
-    expect_same_log(ref, comp);
+    expect_same_log(ref, ref_log, comp, comp_log);
   }
   const auto e1 = comp.save_epoch();  // a is high: x, y, z hold 1
   play(comp, s2);
   {
     SCOPED_TRACE("older epoch: full copy");
-    comp.restore_epoch(e0);  // baseline is e1
+    restore(e0);  // baseline is e1
     play(comp, s3);
     ref_run({}, s3);
-    expect_same_log(ref, comp);
+    expect_same_log(ref, ref_log, comp, comp_log);
   }
   play(comp, s1);  // leave a state that differs from e0 again
   {
     SCOPED_TRACE("dirty-set restore");
-    comp.restore_epoch(e0);
+    restore(e0);
     play(comp, s3);
-    expect_same_log(ref, comp);
+    expect_same_log(ref, ref_log, comp, comp_log);
   }
   {
     SCOPED_TRACE("full copy into a mid-run epoch");
-    comp.restore_epoch(e1);
+    restore(e1);
     play(comp, s4);
     ref_run(s1, s4);
-    expect_same_log(ref, comp);
+    expect_same_log(ref, ref_log, comp, comp_log);
   }
 }
 

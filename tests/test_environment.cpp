@@ -75,12 +75,13 @@ TEST(FourPhaseEnv, EvaluationPhaseHasNtEqualNcEqual4) {
   // Fig. 5 reading: Nt = Nc = 4 — four gates fire between data arrival
   // and output validity (M, O, Cr, NOR).
   XorFixture f;
-  f.sim.clear_log();
+  qs::TransitionLog log;
+  f.sim.set_power_sink(&log);
   const std::vector<int> values{1, 0};
   const auto cyc = f.env.send(values);
   ASSERT_TRUE(cyc.ok);
   std::size_t eval_transitions = 0;
-  for (const auto& t : f.sim.log()) {
+  for (const auto& t : log.transitions) {
     if (t.t_ps >= cyc.t_start && t.t_ps <= cyc.t_valid) {
       // Only block-internal nets (skip env-driven input rails).
       const auto& net = f.x.nl.net(t.net);

@@ -1,6 +1,6 @@
 // Fault-injection subsystem tests: forced-value semantics in both
 // engines, engine equivalence under an armed fault, the
-// HandshakeOutcome deadlock primitive, fault-campaign classification and
+// HandshakeOutcome deadlock primitive, fault-sweep classification and
 // its determinism contract, DFA key recovery, the golden-path
 // equivalence of every simulatable registry target, and the
 // configuration guards.
@@ -57,6 +57,22 @@ constexpr EngineCase kEngines[] = {
     {"reference", qs::EngineKind::Reference},
     {"compiled", qs::EngineKind::Compiled},
 };
+
+/// A fault sweep alone: a campaign with faults(opt) and no traces.
+qc::FaultCampaignResult fault_sweep(
+    qc::CircuitTarget target, std::uint64_t key, std::uint64_t seed,
+    unsigned threads, const qc::FaultCampaignOptions& opt,
+    qs::EngineKind engine = qs::EngineKind::Compiled) {
+  qc::CampaignResult r = qc::Campaign()
+                             .target(std::move(target))
+                             .key(key)
+                             .seed(seed)
+                             .threads(threads)
+                             .engine(engine)
+                             .faults(opt)
+                             .run();
+  return std::move(*r.faults);
+}
 
 }  // namespace
 
@@ -174,8 +190,8 @@ TEST(ForceEquivalence, EnginesBitIdenticalUnderArmedFault) {
     qs::FourPhaseEnv env(*sim, spec);
     sim->reset_state();
     env.apply_reset();
-    sim->set_log_enabled(true);
-    sim->clear_log();
+    qs::TransitionLog log;
+    sim->set_power_sink(&log);
     qu::Rng rng = qu::split_stream(7, 0, qu::kFaultDomain);
     qc::Stimulus stim;
     inst.stimulus(rng, 0, stim);
@@ -183,7 +199,8 @@ TEST(ForceEquivalence, EnginesBitIdenticalUnderArmedFault) {
     inj.arm({site, kind, 500.0, 200.0}, env.next_cycle_start());
     qs::FourPhaseEnv::CycleResult cyc;
     env.send_into(stim.values, cyc);
-    return sim->log();
+    sim->set_power_sink(nullptr);
+    return log.transitions;
   };
 
   for (std::size_t i : {std::size_t{0}, sites.size() / 2, sites.size() - 1}) {
@@ -247,18 +264,14 @@ TEST(HandshakeOutcome, StuckOutputRailStallsDataValidWithChannel) {
   EXPECT_EQ(cyc.handshake.stalling_channel, out_ch);
 }
 
-// ---- fault campaign: classification and determinism ------------------------
+// ---- fault sweep: classification and determinism --------------------------
 
 TEST(FaultCampaign, ClassificationDeterministicAcrossThreads) {
-  const auto sweep = [](unsigned threads) {
-    return qc::FaultCampaign()
-        .target(qc::des_sbox_slice())
-        .key(0x2b)
-        .seed(99)
-        .max_sites(10)
-        .repeats(3)
-        .threads(threads)
-        .run();
+  qc::FaultCampaignOptions opt;
+  opt.max_sites = 10;
+  opt.repeats = 3;
+  const auto sweep = [&](unsigned threads) {
+    return fault_sweep(qc::des_sbox_slice(), 0x2b, 99, threads, opt);
   };
   const qc::FaultCampaignResult ref = sweep(1);
   EXPECT_EQ(ref.summary.runs, ref.records.size());
@@ -285,18 +298,14 @@ TEST(FaultCampaign, StimulusErrorIsRethrownAtAnyThreadCount) {
   const qc::TargetInstance base = qc::des_sbox_slice().build(0x2b);
   const qdi::netlist::NetId site =
       qs::fault_sites(base.nl, std::vector<std::string>{"addkey0"}).front();
+  qc::FaultCampaignOptions opt;
+  opt.sites = {site};
+  opt.kinds = {qs::FaultKind::StuckAt1};
+  opt.repeats = 16;
   const auto sweep = [&](qc::StimulusFn stimulus, unsigned threads) {
     qc::TargetInstance inst = base;
     inst.stimulus = std::move(stimulus);
-    return qc::FaultCampaign()
-        .target(qc::prebuilt(std::move(inst)))
-        .key(0x2b)
-        .seed(7)
-        .sites({site})
-        .kinds({qs::FaultKind::StuckAt1})
-        .repeats(16)
-        .threads(threads)
-        .run();
+    return fault_sweep(qc::prebuilt(std::move(inst)), 0x2b, 7, threads, opt);
   };
   const qc::StimulusFn throwing = [clean = base.stimulus](
                                       qu::Rng& rng, std::size_t index,
@@ -330,15 +339,11 @@ TEST(FaultCampaign, StimulusErrorIsRethrownAtAnyThreadCount) {
 }
 
 TEST(FaultCampaign, ReferenceEngineAgreesWithCompiled) {
-  const auto sweep = [](qs::EngineKind kind) {
-    return qc::FaultCampaign()
-        .target(qc::des_sbox_slice())
-        .key(0x15)
-        .seed(5)
-        .max_sites(6)
-        .repeats(2)
-        .engine(kind)
-        .run();
+  qc::FaultCampaignOptions opt;
+  opt.max_sites = 6;
+  opt.repeats = 2;
+  const auto sweep = [&](qs::EngineKind kind) {
+    return fault_sweep(qc::des_sbox_slice(), 0x15, 5, 1, opt, kind);
   };
   const qc::FaultCampaignResult a = sweep(qs::EngineKind::Compiled);
   const qc::FaultCampaignResult b = sweep(qs::EngineKind::Reference);
@@ -353,16 +358,13 @@ TEST(FaultCampaign, QdiDualRailYieldsNoExploitableFaults) {
   // The paper's security claim: stuck rails on a QDI dual-rail victim
   // starve completion (deadlock) or are absorbed (masked) — they never
   // emit a valid-looking wrong ciphertext.
+  qc::FaultCampaignOptions opt;
+  opt.max_sites = 16;
+  opt.repeats = 3;
   for (const char* target : {"des_sbox_slice", "aes_byte_slice"}) {
     SCOPED_TRACE(target);
-    const qc::FaultCampaignResult r = qc::FaultCampaign()
-                                          .target(qc::find_target(target))
-                                          .key(0x2b)
-                                          .seed(31337)
-                                          .max_sites(16)
-                                          .repeats(3)
-                                          .threads(2)
-                                          .run();
+    const qc::FaultCampaignResult r =
+        fault_sweep(qc::find_target(target), 0x2b, 31337, 2, opt);
     EXPECT_EQ(r.summary.exploitable, 0u)
         << "QDI target leaked DFA material";
     EXPECT_GT(r.summary.deadlock, 0u)
@@ -373,14 +375,11 @@ TEST(FaultCampaign, QdiDualRailYieldsNoExploitableFaults) {
 
 TEST(FaultCampaign, SyncCounterexampleIsExploitableAndDfaRecoversKey) {
   const std::uint8_t key = 0x2b;
-  const qc::FaultCampaignResult r = qc::FaultCampaign()
-                                        .target(qc::des_sbox_sync())
-                                        .key(key)
-                                        .seed(31337)
-                                        .sites_matching("addkey0")
-                                        .repeats(16)
-                                        .threads(2)
-                                        .run();
+  qc::FaultCampaignOptions opt;
+  opt.site_filters = {"addkey0"};
+  opt.repeats = 16;
+  const qc::FaultCampaignResult r =
+      fault_sweep(qc::des_sbox_sync(), key, 31337, 2, opt);
   EXPECT_GT(r.summary.exploitable, 0u)
       << "the sync-style victim must emit wrong ciphertexts";
   EXPECT_EQ(r.summary.deadlock, 0u)
@@ -392,17 +391,14 @@ TEST(FaultCampaign, SyncCounterexampleIsExploitableAndDfaRecoversKey) {
 }
 
 TEST(FaultCampaign, TransientGlitchesAreClassifiedToo) {
+  qc::FaultCampaignOptions opt;
+  opt.max_sites = 8;
+  opt.kinds = {qs::FaultKind::Glitch0, qs::FaultKind::Glitch1};
+  opt.times_ps = {0.0, 1000.0};
+  opt.glitch_ps = 400.0;
+  opt.repeats = 2;
   const qc::FaultCampaignResult r =
-      qc::FaultCampaign()
-          .target(qc::des_sbox_slice())
-          .key(0x07)
-          .seed(11)
-          .max_sites(8)
-          .kinds({qs::FaultKind::Glitch0, qs::FaultKind::Glitch1})
-          .times({0.0, 1000.0})
-          .glitch_width(400.0)
-          .repeats(2)
-          .run();
+      fault_sweep(qc::des_sbox_slice(), 0x07, 11, 1, opt);
   EXPECT_EQ(r.summary.runs, r.injections * 2);
   EXPECT_EQ(r.summary.runs,
             r.summary.deadlock + r.summary.masked + r.summary.exploitable);
@@ -423,14 +419,9 @@ TEST(CampaignFaults, ProbeMatchesStandaloneFaultCampaign) {
                                               .faults(opt)
                                               .run();
   ASSERT_TRUE(via_campaign.faults.has_value());
-  const qc::FaultCampaignResult standalone = qc::FaultCampaign()
-                                                 .target(qc::des_sbox_slice())
-                                                 .key(0x2b)
-                                                 .seed(123)
-                                                 .threads(2)
-                                                 .max_sites(8)
-                                                 .repeats(2)
-                                                 .run();
+  const qc::TargetInstance inst = qc::des_sbox_slice().build(0x2b);
+  const qc::FaultCampaignResult standalone = qc::run_fault_campaign(
+      inst, 0x2b, opt, qc::SimTraceSourceOptions{}, 123, 2);
   ASSERT_EQ(via_campaign.faults->records.size(), standalone.records.size());
   for (std::size_t i = 0; i < standalone.records.size(); ++i) {
     EXPECT_EQ(via_campaign.faults->records[i].net, standalone.records[i].net);
@@ -440,13 +431,34 @@ TEST(CampaignFaults, ProbeMatchesStandaloneFaultCampaign) {
             standalone.summary.deadlock);
 }
 
+TEST(CampaignFaults, SweepSeesThePreparedVictim) {
+  // The recipe adds cells, so the prepared victim has more gate-driven
+  // nets than the registry build: the sweep must enumerate the former.
+  qc::FaultCampaignOptions opt;
+  opt.kinds = {qs::FaultKind::StuckAt0};
+  opt.repeats = 1;
+  opt.run_dfa = false;
+  const qc::CampaignResult r = qc::Campaign()
+                                   .target(qc::aes_byte_slice())
+                                   .key(0x4f)
+                                   .threads(2)
+                                   .recipe(qdi::xform::balanced())
+                                   .faults(opt)
+                                   .run();
+  ASSERT_TRUE(r.faults.has_value());
+  ASSERT_TRUE(r.xform.has_value());
+  ASSERT_GT(r.xform->cells_added(), 0u);
+  EXPECT_EQ(r.faults->sites, qs::fault_sites(r.nl).size());
+  const qc::TargetInstance raw = qc::aes_byte_slice().build(0x4f);
+  EXPECT_NE(r.faults->sites, qs::fault_sites(raw.nl).size());
+}
+
 TEST(CampaignFaults, TablesRenderFaultColumns) {
-  const qc::FaultCampaignResult r = qc::FaultCampaign()
-                                        .target(qc::dual_rail_pair())
-                                        .key(0)
-                                        .max_sites(4)
-                                        .repeats(1)
-                                        .run();
+  qc::FaultCampaignOptions opt;
+  opt.max_sites = 4;
+  opt.repeats = 1;
+  const qc::FaultCampaignResult r =
+      fault_sweep(qc::dual_rail_pair(), 0, 1, 1, opt);
   const std::string text = r.table().to_string();
   EXPECT_NE(text.find("deadlock"), std::string::npos);
   EXPECT_NE(text.find("exploitable"), std::string::npos);
@@ -475,38 +487,39 @@ TEST(FaultGuards, FlowOnlyTargetThrows) {
     inst.nl = qn::Netlist("flow_only");
     inst.simulatable = false;
     inst.name = "flow_only";
-    return qc::prebuilt(std::move(inst));
+    return inst;
   };
   EXPECT_THROW(qc::Campaign()
-                   .target(flow_only())
+                   .target(qc::prebuilt(flow_only()))
                    .faults(qc::FaultCampaignOptions{})
                    .run(),
                std::invalid_argument);
-  EXPECT_THROW(qc::FaultCampaign().target(flow_only()).run(),
+  EXPECT_THROW(qc::run_fault_campaign(flow_only(), 0, {}, {}, 1, 1),
                std::invalid_argument);
 }
 
 TEST(FaultGuards, DegenerateSweepGridsThrow) {
-  EXPECT_THROW(qc::FaultCampaign().run(), std::invalid_argument);  // no target
-  EXPECT_THROW(
-      qc::FaultCampaign().target(qc::des_sbox_slice()).kinds({}).run(),
-      std::invalid_argument);
-  EXPECT_THROW(
-      qc::FaultCampaign().target(qc::des_sbox_slice()).times({}).run(),
-      std::invalid_argument);
-  EXPECT_THROW(
-      qc::FaultCampaign().target(qc::des_sbox_slice()).repeats(0).run(),
-      std::invalid_argument);
-  EXPECT_THROW(qc::FaultCampaign()
-                   .target(qc::des_sbox_slice())
-                   .sites_matching("no_such_net_name")
-                   .run(),
-               std::invalid_argument);
-  EXPECT_THROW(qc::FaultCampaign()
-                   .target(qc::des_sbox_slice())
-                   .sites({qn::NetId{1u << 30}})
-                   .run(),
-               std::invalid_argument);
+  const auto sweep = [](const qc::FaultCampaignOptions& opt) {
+    return fault_sweep(qc::des_sbox_slice(), 0, 1, 1, opt);
+  };
+  const qc::FaultCampaignOptions base;
+  EXPECT_THROW(qc::Campaign().faults(base).run(),
+               std::invalid_argument);  // no target
+  qc::FaultCampaignOptions opt = base;
+  opt.kinds = {};
+  EXPECT_THROW(sweep(opt), std::invalid_argument);
+  opt = base;
+  opt.times_ps = {};
+  EXPECT_THROW(sweep(opt), std::invalid_argument);
+  opt = base;
+  opt.repeats = 0;
+  EXPECT_THROW(sweep(opt), std::invalid_argument);
+  opt = base;
+  opt.site_filters = {"no_such_net_name"};
+  EXPECT_THROW(sweep(opt), std::invalid_argument);
+  opt = base;
+  opt.sites = {qn::NetId{1u << 30}};
+  EXPECT_THROW(sweep(opt), std::invalid_argument);
 }
 
 // ---- DFA analysis unit tests -----------------------------------------------

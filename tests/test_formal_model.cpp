@@ -31,14 +31,15 @@ TEST(MeasureActivity, EvaluationPhaseOfXor) {
   qs::Simulator sim(x.nl);
   qs::FourPhaseEnv env(sim, x.env);
   env.apply_reset();
-  sim.clear_log();
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   const std::vector<int> v{1, 1};
   const auto cyc = env.send(v);
   ASSERT_TRUE(cyc.ok);
 
   const qn::Graph g(x.nl);
   const qc::MeasuredActivity a =
-      qc::measure_activity(g, sim.log(), cyc.t_start, cyc.t_valid + 1.0);
+      qc::measure_activity(g, log.transitions, cyc.t_start, cyc.t_valid + 1.0);
   EXPECT_EQ(a.nt, 4u);
   ASSERT_EQ(a.nij.size(), 5u);
   EXPECT_EQ(a.nij[1], 1u);
@@ -52,13 +53,14 @@ TEST(MeasureActivity, FullCycleIsTenTransitions) {
   qs::Simulator sim(x.nl);
   qs::FourPhaseEnv env(sim, x.env);
   env.apply_reset();
-  sim.clear_log();
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   const std::vector<int> v{0, 1};
   const auto cyc = env.send(v);
   ASSERT_TRUE(cyc.ok);
   const qn::Graph g(x.nl);
   const qc::MeasuredActivity a =
-      qc::measure_activity(g, sim.log(), cyc.t_start, cyc.t_end + 1.0);
+      qc::measure_activity(g, log.transitions, cyc.t_start, cyc.t_end + 1.0);
   // 4 eval + 4 RTZ + 2 ack-inverter transitions.
   EXPECT_EQ(a.nt, 10u);
 }
@@ -201,15 +203,18 @@ TEST(ModelVsSimulation, BiasAgreesOnPeakLocationSign) {
   qs::Simulator sim(x.nl, dm);
   qs::FourPhaseEnv env(sim, x.env);
   env.apply_reset();
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
 
   // Measure: average eval-phase trace for xor=0 (inputs 0,0) minus xor=1
   // (inputs 1,0).
   auto trace_for = [&](int a, int b) {
-    sim.clear_log();
+    log.transitions.clear();
     const std::vector<int> v{a, b};
     const auto cyc = env.send(v);
     EXPECT_TRUE(cyc.ok);
-    return qp::synthesize(sim.log(), cyc.t_start, x.env.period_ps, pm, nullptr);
+    return qp::synthesize(log.transitions, cyc.t_start, x.env.period_ps, pm,
+                          nullptr);
   };
   const qp::PowerTrace t0 = trace_for(0, 0);
   const qp::PowerTrace t1 = trace_for(1, 0);

@@ -558,6 +558,68 @@ TEST(RankOf, DuplicatedModelColumnsTieExactly) {
   EXPECT_EQ(ghost_rank, r.rank_of(r.best_guess));
 }
 
+// ---- range checks on public indices ----------------------------------------
+//
+// Each entry point throws naming the index and its bound, in every
+// build mode, instead of reading past its arrays.
+
+namespace {
+
+/// Runs `f`, which must throw std::invalid_argument whose message
+/// contains `want`.
+template <typename F>
+void expect_range_error(F&& f, const std::string& want) {
+  try {
+    f();
+    ADD_FAILURE() << "accepted an index outside its range: " << want;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+}  // namespace
+
+TEST(RangeChecks, CpaRankOfRejectsKeyOutsideTheGuesses) {
+  qd::CpaResult cpa;
+  cpa.correlation = {0.7, 0.2, 0.9};
+  expect_range_error([&] { (void)cpa.rank_of(3); }, "key 3 outside [0, 3)");
+}
+
+TEST(RangeChecks, DpaRankOfRejectsKeyOutsideTheGuesses) {
+  qd::KeyRecoveryResult dpa;
+  dpa.guess_peak = {1.5, 2.5};
+  expect_range_error([&] { (void)dpa.rank_of(7); }, "key 7 outside [0, 2)");
+}
+
+TEST(RangeChecks, CorrelationTraceRejectsGuessOutsideTheGuesses) {
+  qu::Rng rng(21);
+  const qd::TraceSet ts = random_traces(16, 4, rng);
+  qd::OnlineCpa acc(qd::aes_xor_hw_model(0), 8);
+  acc.add_prefix(ts, 0, ts.size());
+  expect_range_error([&] { (void)acc.correlation_trace(8); },
+                     "guess 8 outside [0, 8)");
+}
+
+TEST(RangeChecks, BiasRejectsGuessOrBitOutsideItsRange) {
+  qu::Rng rng(22);
+  const qd::TraceSet ts = random_traces(16, 4, rng);
+  qd::OnlineDpa acc(
+      {qd::aes_sbox_selection(0, 0), qd::aes_sbox_selection(0, 1)}, 8);
+  acc.add_prefix(ts, 0, ts.size());
+  expect_range_error([&] { (void)acc.bias(8, 0); }, "guess 8 outside [0, 8)");
+  expect_range_error([&] { (void)acc.bias(0, 2); }, "bit 2 outside [0, 2)");
+}
+
+TEST(RangeChecks, RecoverSingleRejectsBitOutsideTheSelectionBits) {
+  qu::Rng rng(23);
+  const qd::TraceSet ts = random_traces(16, 4, rng);
+  qd::OnlineDpa acc({qd::aes_sbox_selection(0, 0)}, 8);
+  acc.add_prefix(ts, 0, ts.size());
+  expect_range_error([&] { (void)acc.recover_single(1); },
+                     "bit 1 outside [0, 1)");
+}
+
 // ---- CPA measurements-to-disclosure ----------------------------------------
 
 TEST(CpaMtd, StreamingScanMatchesRepeatedAttacks) {

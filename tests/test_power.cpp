@@ -184,13 +184,14 @@ TEST(Synthesize, XorCycleTraceHasBothPhases) {
   qs::Simulator sim(x.nl);
   qs::FourPhaseEnv env(sim, x.env);
   env.apply_reset();
-  sim.clear_log();
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   const std::vector<int> v{1, 0};
   const auto cyc = env.send(v);
   ASSERT_TRUE(cyc.ok);
   qp::PowerModelParams pm;
-  const qp::PowerTrace trace =
-      qp::synthesize(sim.log(), cyc.t_start, x.env.period_ps, pm, nullptr);
+  const qp::PowerTrace trace = qp::synthesize(log.transitions, cyc.t_start,
+                                              x.env.period_ps, pm, nullptr);
   // Charge in the evaluation window and in the RTZ window must both be
   // strictly positive.
   double q_eval = 0.0, q_rtz = 0.0;
@@ -249,13 +250,15 @@ class CacheHarness {
 
     ref_.reset_state();
     ref_env_.apply_reset();
-    ref_.clear_log();
+    ref_log_.transitions.clear();
     ASSERT_EQ(ref_env_.next_cycle_start(), t_start);
     if (arm) arm(ref_, t_start);
+    ref_.set_power_sink(&ref_log_);
     ref_env_.send_into(stim_.values, cyc_);
-    log_ = ref_.log();
-    const qp::PowerTrace want = qp::synthesize(
-        log_, t_start - early_ps, window_ps, acc_.params(), nullptr);
+    ref_.set_power_sink(nullptr);
+    const qp::PowerTrace want =
+        qp::synthesize(ref_log_.transitions, t_start - early_ps, window_ps,
+                       acc_.params(), nullptr);
 
     ASSERT_EQ(got.t0_ps(), want.t0_ps());
     ASSERT_EQ(got.size(), want.size());
@@ -264,8 +267,10 @@ class CacheHarness {
   }
 
   const qp::StreamingAccumulator& acc() const { return acc_; }
-  /// The reference log of the last trace.
-  const std::vector<qs::Transition>& log() const { return log_; }
+  /// The reference engine's commits in the last trace.
+  const std::vector<qs::Transition>& log() const {
+    return ref_log_.transitions;
+  }
 
  private:
   static qs::EnvSpec relaxed(qs::EnvSpec spec) {
@@ -283,7 +288,7 @@ class CacheHarness {
   qp::StreamingAccumulator acc_;
   qc::Stimulus stim_;
   qs::FourPhaseEnv::CycleResult cyc_;
-  std::vector<qs::Transition> log_;
+  qs::TransitionLog ref_log_;
 };
 
 }  // namespace

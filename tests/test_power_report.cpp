@@ -17,13 +17,14 @@ std::vector<qc::BlockPower> slice_cycle_power() {
   qs::Simulator sim(slice.nl);
   qs::FourPhaseEnv env(sim, slice.env);
   env.apply_reset();
-  sim.clear_log();
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   std::vector<int> values(16, 0);
   values[0] = 1;
   values[9] = 1;
   const auto cyc = env.send(values);
   EXPECT_TRUE(cyc.ok);
-  return qc::block_power(slice.nl, sim.log(), qp::PowerModelParams{});
+  return qc::block_power(slice.nl, log.transitions, qp::PowerModelParams{});
 }
 }  // namespace
 

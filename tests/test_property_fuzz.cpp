@@ -209,15 +209,18 @@ INSTANTIATE_TEST_SUITE_P(RandomDags, FuzzSymmetry,
 
 namespace {
 
-/// Reference engine driven from reset through `prefix`, one cycle each.
+/// Reference engine driven from reset through `prefix`, one cycle each,
+/// recording its commits into `log`.
 struct ReferenceRun {
   qs::Simulator sim;
   qs::FourPhaseEnv env;
+  qs::TransitionLog log;
 
   ReferenceRun(const qn::Netlist& nl, const qs::DelayModel& dm,
                const qs::EnvSpec& spec,
                const std::vector<std::vector<int>>& prefix)
       : sim(nl, dm), env(sim, spec) {
+    sim.set_power_sink(&log);
     env.apply_reset();
     for (const std::vector<int>& values : prefix)
       if (!env.send(values).ok)
@@ -230,13 +233,13 @@ struct FaultedCycle {
   std::vector<int> outputs;
 };
 
-/// One cycle with `fs` armed, from the engine's current state; the log is
-/// left in the engine.
-FaultedCycle send_faulted(qs::SimEngine& sim, const qs::EnvSpec& spec,
-                          const qs::FaultSpec& fs,
+/// One cycle with `fs` armed, from the engine's current state; its
+/// commits are left in `log`, the engine's attached recorder.
+FaultedCycle send_faulted(qs::SimEngine& sim, qs::TransitionLog& log,
+                          const qs::EnvSpec& spec, const qs::FaultSpec& fs,
                           const std::vector<int>& values) {
   qs::FourPhaseEnv env(sim, spec);
-  sim.clear_log();
+  log.transitions.clear();
   qs::FaultInjector inj(sim);
   inj.arm(fs, env.next_cycle_start());
   FaultedCycle r;
@@ -249,18 +252,20 @@ FaultedCycle send_faulted(qs::SimEngine& sim, const qs::EnvSpec& spec,
   return r;
 }
 
-void expect_logs_equal(const qs::SimEngine& a, const qs::SimEngine& b,
-                       std::uint64_t seed, int cycle) {
-  ASSERT_EQ(a.log().size(), b.log().size())
-      << "seed " << seed << " cycle " << cycle;
-  for (std::size_t i = 0; i < a.log().size(); ++i) {
-    ASSERT_EQ(a.log()[i].t_ps, b.log()[i].t_ps)
+void expect_logs_equal(const qs::TransitionLog& log_a,
+                       const qs::TransitionLog& log_b, std::uint64_t seed,
+                       int cycle) {
+  const std::vector<qs::Transition>& a = log_a.transitions;
+  const std::vector<qs::Transition>& b = log_b.transitions;
+  ASSERT_EQ(a.size(), b.size()) << "seed " << seed << " cycle " << cycle;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].t_ps, b[i].t_ps)
         << "seed " << seed << " cycle " << cycle << " transition " << i;
-    ASSERT_EQ(a.log()[i].net, b.log()[i].net)
+    ASSERT_EQ(a[i].net, b[i].net)
         << "seed " << seed << " cycle " << cycle << " transition " << i;
-    ASSERT_EQ(a.log()[i].rising, b.log()[i].rising)
+    ASSERT_EQ(a[i].rising, b[i].rising)
         << "seed " << seed << " cycle " << cycle << " transition " << i;
-    ASSERT_EQ(a.log()[i].slew_ps, b.log()[i].slew_ps)
+    ASSERT_EQ(a[i].slew_ps, b[i].slew_ps)
         << "seed " << seed << " cycle " << cycle << " transition " << i;
   }
 }
@@ -289,7 +294,8 @@ TEST_P(FuzzEpochs, CompiledMatchesReferenceAcrossRewinds) {
 
   qs::CompiledSimulator sim(qs::compile(hw.nl, dm));
   qs::FourPhaseEnv env(sim, hw.spec);
-  sim.set_log_enabled(true);
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   env.apply_reset();
 
   // Faulted cycles stall by design; they run under a tolerant environment.
@@ -322,13 +328,14 @@ TEST_P(FuzzEpochs, CompiledMatchesReferenceAcrossRewinds) {
         std::vector<int> values(static_cast<std::size_t>(num_inputs));
         for (int i = 0; i < num_inputs; ++i)
           values[static_cast<std::size_t>(i)] = static_cast<int>(rng.below(2));
-        const FaultedCycle got = send_faulted(sim, tolerant, fs, values);
-        const FaultedCycle want = send_faulted(ref->sim, tolerant, fs, values);
+        const FaultedCycle got = send_faulted(sim, log, tolerant, fs, values);
+        const FaultedCycle want =
+            send_faulted(ref->sim, ref->log, tolerant, fs, values);
         ASSERT_EQ(got.threw, want.threw)
             << "seed " << GetParam() << " cycle " << cycle;
         ASSERT_EQ(got.outputs, want.outputs)
             << "seed " << GetParam() << " cycle " << cycle;
-        expect_logs_equal(sim, ref->sim, GetParam(), cycle);
+        expect_logs_equal(log, ref->log, GetParam(), cycle);
         // An oscillation abort leaves events queued; only a full reset
         // drains them (the fault campaign's re-initialization path).
         if (got.threw) {
@@ -347,8 +354,8 @@ TEST_P(FuzzEpochs, CompiledMatchesReferenceAcrossRewinds) {
       values[static_cast<std::size_t>(i)] = static_cast<int>(rng.below(2));
     history.push_back(values);
 
-    sim.clear_log();
-    ref->sim.clear_log();
+    log.transitions.clear();
+    ref->log.transitions.clear();
     const auto cc = env.send(values);
     const auto rc = ref->env.send(values);
     ASSERT_TRUE(cc.ok) << "seed " << GetParam() << " cycle " << cycle;
@@ -357,7 +364,7 @@ TEST_P(FuzzEpochs, CompiledMatchesReferenceAcrossRewinds) {
         << "seed " << GetParam() << " cycle " << cycle;
     ASSERT_EQ(cc.transitions, rc.transitions)
         << "seed " << GetParam() << " cycle " << cycle;
-    expect_logs_equal(sim, ref->sim, GetParam(), cycle);
+    expect_logs_equal(log, ref->log, GetParam(), cycle);
     ASSERT_EQ(sim.glitch_count(), ref->sim.glitch_count())
         << "seed " << GetParam() << " cycle " << cycle;
     ASSERT_EQ(sim.transition_count(), ref->sim.transition_count())
@@ -403,8 +410,8 @@ TEST_P(FuzzFaultInjection, EnginesAgreeUnderRandomFaults) {
     qs::FourPhaseEnv env(sim, spec);
     sim.reset_state();
     env.apply_reset();
-    sim.set_log_enabled(true);
-    sim.clear_log();
+    qs::TransitionLog log;
+    sim.set_power_sink(&log);
     qs::FaultInjector inj(sim);
     inj.arm(fs, env.next_cycle_start());
     Run r;
@@ -415,7 +422,8 @@ TEST_P(FuzzFaultInjection, EnginesAgreeUnderRandomFaults) {
     } catch (const std::runtime_error&) {
       r.threw = true;
     }
-    r.log = sim.log();
+    sim.set_power_sink(nullptr);
+    r.log = std::move(log.transitions);
     return r;
   };
 

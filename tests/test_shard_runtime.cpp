@@ -342,6 +342,24 @@ TEST(ShardedValidation, InconsistentConfigurationsThrow) {
   EXPECT_THROW(base_campaign().faults().sharded(opt), std::invalid_argument);
   EXPECT_THROW(base_campaign().rank_trajectory(8).sharded(opt),
                std::invalid_argument);
+  // fused() and sharded_ingest() configure run(); sharded() reads their
+  // ShardedOptions counterparts, and the message names the field to set.
+  const auto message = [&](const qc::Campaign& c) {
+    try {
+      (void)c.sharded(opt);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_NE(message(base_campaign().fused(16)).find("chunk_traces"),
+            std::string::npos);
+  EXPECT_NE(message(base_campaign().sharded_ingest(16))
+                .find("ingest_block_traces"),
+            std::string::npos);
+  EXPECT_NE(message(base_campaign().fused(16).sharded_ingest(16))
+                .find("ShardedOptions::"),
+            std::string::npos);
 }
 
 // ---- sharded campaign: clean runs ------------------------------------------

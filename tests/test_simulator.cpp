@@ -70,11 +70,12 @@ TEST(Simulator, TransitionLogRecordsCapAndSlew) {
   qs::Simulator sim(f.nl);
   sim.initialize();
   sim.run_until_stable();
-  sim.clear_log();
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   sim.drive(f.a, true, 10.0);
   sim.run_until_stable();
   bool saw_b = false;
-  for (const auto& t : sim.log()) {
+  for (const auto& t : log.transitions) {
     if (t.net == f.b) {
       saw_b = true;
       EXPECT_FALSE(t.rising);  // b falls when a rises
@@ -167,9 +168,11 @@ TEST(Simulator, ResetStateClearsEverything) {
   sim.run_until_stable();
   sim.drive(f.a, true, 50.0);
   sim.run_until_stable();
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   sim.reset_state();
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
-  EXPECT_TRUE(sim.log().empty());
+  EXPECT_TRUE(log.transitions.empty());  // a reset commits nothing
   EXPECT_FALSE(sim.value(f.a));
   EXPECT_FALSE(sim.value(f.b));
   EXPECT_EQ(sim.transition_count(), 0u);
@@ -179,12 +182,14 @@ TEST(Simulator, DeterministicAcrossRuns) {
   InvChain f;
   auto run = [&] {
     qs::Simulator sim(f.nl);
+    qs::TransitionLog log;
+    sim.set_power_sink(&log);
     sim.initialize();
     sim.run_until_stable();
     sim.drive(f.a, true, 10.0);
     sim.drive(f.a, false, 500.0);
     sim.run_until_stable();
-    return std::make_pair(sim.now(), sim.log().size());
+    return std::make_pair(sim.now(), log.transitions.size());
   };
   const auto r1 = run();
   const auto r2 = run();
@@ -197,12 +202,15 @@ TEST(Simulator, ResetWithPendingEventsReplaysIdentically) {
   // state behind — a rerun from reset is bit-identical to a fresh run.
   InvChain f;
   qs::Simulator sim(f.nl);
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   auto run = [&] {
+    log.transitions.clear();
     sim.initialize();
     sim.run_until_stable();
     sim.drive(f.a, true, 10.0);
     sim.run_until_stable();
-    return std::make_pair(sim.now(), sim.log().size());
+    return std::make_pair(sim.now(), log.transitions.size());
   };
   const auto fresh = run();
   sim.drive(f.a, false, sim.now() + 5.0);  // leave an event in the queue
@@ -211,7 +219,7 @@ TEST(Simulator, ResetWithPendingEventsReplaysIdentically) {
   EXPECT_EQ(fresh, again);
 }
 
-TEST(Simulator, PowerSinkSeesEveryCommitAndLogCanBeDisabled) {
+TEST(Simulator, PowerSinkSeesEveryCommit) {
   struct Counter final : qs::PowerSink {
     std::size_t seen = 0;
     void on_transition(const qs::Transition&) override { ++seen; }
@@ -220,13 +228,11 @@ TEST(Simulator, PowerSinkSeesEveryCommitAndLogCanBeDisabled) {
   qs::Simulator sim(f.nl);
   Counter sink;
   sim.set_power_sink(&sink);
-  sim.set_log_enabled(false);
   sim.initialize();
   sim.run_until_stable();
   sim.drive(f.a, true, 50.0);
   sim.run_until_stable();
   EXPECT_EQ(sink.seen, sim.transition_count());
-  EXPECT_TRUE(sim.log().empty());  // log off: nothing materialized
 }
 
 TEST(Simulator, LoadInsensitiveModelHasConstantDelay) {

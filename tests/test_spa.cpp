@@ -14,12 +14,15 @@ namespace qs = qdi::sim;
 namespace {
 qp::PowerTrace xor_cycle_trace(qg::XorStage& x, qs::Simulator& sim,
                                qs::FourPhaseEnv& env, int a, int b) {
-  sim.clear_log();
+  qs::TransitionLog log;
+  sim.set_power_sink(&log);
   const std::vector<int> v{a, b};
   const auto cyc = env.send(v);
+  sim.set_power_sink(nullptr);
   EXPECT_TRUE(cyc.ok);
   qp::PowerModelParams pm;
-  return qp::synthesize(sim.log(), cyc.t_start, x.env.period_ps, pm, nullptr);
+  return qp::synthesize(log.transitions, cyc.t_start, x.env.period_ps, pm,
+                        nullptr);
 }
 }  // namespace
 

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "qdi/campaign/batch_trace_source.hpp"
+#include "qdi/campaign/campaign.hpp"
 #include "qdi/campaign/fault_campaign.hpp"
 #include "qdi/campaign/target.hpp"
 #include "qdi/campaign/trace_source.hpp"
@@ -133,20 +134,23 @@ TEST(TraceDigests, FaultSweepReproducesThePinnedRecords) {
   for (const qs::EngineKind engine :
        {qs::EngineKind::Compiled, qs::EngineKind::Reference}) {
     SCOPED_TRACE(label(engine));
-    const qc::FaultCampaignResult res = qc::FaultCampaign()
-                                            .target(qc::des_sbox_slice())
-                                            .key(kKey)
-                                            .seed(99)
-                                            .max_sites(10)
-                                            .kinds({qs::FaultKind::StuckAt0,
-                                                    qs::FaultKind::StuckAt1,
-                                                    qs::FaultKind::Glitch1})
-                                            .times({0.0, 600.0})
-                                            .repeats(3)
-                                            .dfa(false)
-                                            .engine(engine)
-                                            .threads(1)
-                                            .run();
+    qc::FaultCampaignOptions opt;
+    opt.max_sites = 10;
+    opt.kinds = {qs::FaultKind::StuckAt0, qs::FaultKind::StuckAt1,
+                 qs::FaultKind::Glitch1};
+    opt.times_ps = {0.0, 600.0};
+    opt.repeats = 3;
+    opt.run_dfa = false;
+    const qc::CampaignResult run = qc::Campaign()
+                                       .target(qc::des_sbox_slice())
+                                       .key(kKey)
+                                       .seed(99)
+                                       .engine(engine)
+                                       .threads(1)
+                                       .faults(opt)
+                                       .run();
+    ASSERT_TRUE(run.faults.has_value());
+    const qc::FaultCampaignResult& res = *run.faults;
     ASSERT_FALSE(res.records.empty());
     qu::Sha256 h;
     for (const qc::FaultRecord& r : res.records) {
