@@ -49,8 +49,9 @@ int main() {
         .flow(flow)
         .attack(dpa);
     if (repaired)
-      campaign.prepare(
-          [](qdi::netlist::Netlist& nl) { qc::repair_rail_caps(nl, 0.0); });
+      campaign.prepare([](qdi::netlist::Netlist& nl) {
+        qdi::xform::CapEqualizePass().run(nl);
+      });
 
     const qm::CampaignResult r = campaign.run();
     t.add_row({repaired ? "flat + repair" : "flat extracted",

@@ -250,7 +250,7 @@ static void batch_acquire_bench(benchmark::State& state,
                                 std::size_t traces) {
   qdi::campaign::SimTraceSourceOptions opt;
   opt.engine = qdi::sim::EngineKind::Batch;
-  // Source (batch compilation, lane state, epoch) constructed once
+  // Source (compile, slew table, lane state, epoch) constructed once
   // outside the timed loop, mirroring acquire_engine_bench.
   qdi::campaign::BatchSimTraceSource src(inst.nl, inst.env, inst.stimulus,
                                          opt);

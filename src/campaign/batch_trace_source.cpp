@@ -6,18 +6,20 @@
 #include <utility>
 
 #include "per_trace.hpp"
+#include "scalar_engine.hpp"
 
 namespace qdi::campaign {
 
 namespace {
 
-std::shared_ptr<const sim::BatchNetlist> make_batch(
-    const netlist::Netlist& nl, const SimTraceSourceOptions& opt) {
-  // `precompiled` must have been compiled from this netlist with these
-  // delays (the sweep/bench reuse contract); batch-compile validates the
-  // structure either way.
-  if (opt.precompiled) return sim::compile_batch(opt.precompiled);
-  return sim::compile_batch(nl, opt.delays);
+const SimTraceSourceOptions& reject_reference(
+    const SimTraceSourceOptions& opt) {
+  if (opt.engine == sim::EngineKind::Reference)
+    throw std::invalid_argument(
+        "BatchSimTraceSource: EngineKind::Reference runs through "
+        "campaign::SimTraceSource; BatchSimTraceSource drives the batch "
+        "kernel only");
+  return opt;
 }
 
 }  // namespace
@@ -26,27 +28,28 @@ BatchSimTraceSource::BatchSimTraceSource(const netlist::Netlist& nl,
                                          sim::EnvSpec env, StimulusFn stimulus,
                                          SimTraceSourceOptions opt)
     : BatchSimTraceSource(nl, std::move(env), std::move(stimulus), opt,
-                          make_batch(nl, opt)) {
+                          detail::compiled_form(nl, reject_reference(opt))) {
   if (!stimulus_)
     throw std::invalid_argument("BatchSimTraceSource: stimulus is required");
 }
 
 BatchSimTraceSource::BatchSimTraceSource(
     const netlist::Netlist& nl, sim::EnvSpec env, StimulusFn stimulus,
-    SimTraceSourceOptions opt, std::shared_ptr<const sim::BatchNetlist> batch)
+    SimTraceSourceOptions opt,
+    std::shared_ptr<const sim::CompiledNetlist> compiled)
     : nl_(&nl),
       spec_(std::move(env)),
       stimulus_(std::move(stimulus)),
       opt_(std::move(opt)),
-      batch_(std::move(batch)),
-      sim_(batch_),
+      compiled_(std::move(compiled)),
+      sim_(compiled_),
       env_(sim_, spec_),
-      acc_(opt_.power, batch_->compiled().cap_ff) {}
+      acc_(opt_.power, compiled_->cap_ff) {}
 
 std::unique_ptr<TraceSource> BatchSimTraceSource::clone() const {
-  // The batch-compiled form is shared read-only.
+  // The compiled form is shared read-only.
   return std::unique_ptr<TraceSource>(
-      new BatchSimTraceSource(*nl_, spec_, stimulus_, opt_, batch_));
+      new BatchSimTraceSource(*nl_, spec_, stimulus_, opt_, compiled_));
 }
 
 void BatchSimTraceSource::acquire_into(const TraceRequest& req,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "qdi/util/parallel.hpp"
@@ -147,6 +148,11 @@ FaultCampaignResult run_fault_campaign(const TargetInstance& inst,
         "run_fault_campaign: empty injection-time list");
   if (opt.repeats == 0)
     throw std::invalid_argument("run_fault_campaign: repeats must be > 0");
+  if (inst.dfa && inst.true_guess >= inst.num_guesses)
+    throw std::invalid_argument(
+        "run_fault_campaign: target '" + inst.name + "' has true_guess " +
+        std::to_string(inst.true_guess) + ", outside its " +
+        std::to_string(inst.num_guesses) + " guesses");
 
   std::vector<netlist::NetId> sites = opt.sites;
   if (sites.empty()) {

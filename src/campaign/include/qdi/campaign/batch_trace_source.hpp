@@ -26,12 +26,12 @@
 
 namespace qdi::campaign {
 
-/// TraceSource running sim::BatchSimulator, 64 trace lanes per block.
-/// Construction throws std::invalid_argument when the netlist cannot be
-/// batch-compiled (non-levelizable combinational cone — see
-/// BatchNetlist) and std::invalid_argument via BatchFourPhaseEnv when
-/// the environment is not strict. Options: `engine` must be Batch;
-/// `precompiled` is reused when provided.
+/// TraceSource running sim::BatchSimulator, 64 trace lanes per block,
+/// over the same CompiledNetlist the compiled engine runs: `precompiled`
+/// when provided, else one sim::compile() shared by every clone.
+/// Construction throws std::invalid_argument for the reference engine,
+/// when a combinational cone has a cycle (see BatchSimulator) and via
+/// BatchFourPhaseEnv when the environment is not strict.
 class BatchSimTraceSource final : public TraceSource {
  public:
   BatchSimTraceSource(const netlist::Netlist& nl, sim::EnvSpec env,
@@ -56,17 +56,17 @@ class BatchSimTraceSource final : public TraceSource {
   }
 
  private:
-  /// The common part; clone() shares `batch`.
+  /// The common part; clone() shares `compiled`.
   BatchSimTraceSource(const netlist::Netlist& nl, sim::EnvSpec env,
                       StimulusFn stimulus, SimTraceSourceOptions opt,
-                      std::shared_ptr<const sim::BatchNetlist> batch);
+                      std::shared_ptr<const sim::CompiledNetlist> compiled);
 
   const netlist::Netlist* nl_;
   sim::EnvSpec spec_;
   StimulusFn stimulus_;
   SimTraceSourceOptions opt_;
-  /// Shared read-only by all worker clones.
-  std::shared_ptr<const sim::BatchNetlist> batch_;
+  /// Execution form shared read-only by all worker clones.
+  std::shared_ptr<const sim::CompiledNetlist> compiled_;
   sim::BatchSimulator sim_;
   sim::BatchFourPhaseEnv env_;
   power::BatchAccumulator acc_;

@@ -158,9 +158,11 @@ class Campaign {
   /// Simulation engine for the default trace source: the compiled SoA
   /// kernel (default), the construction-form reference interpreter, or
   /// the bit-parallel 64-lane batch kernel (Batch builds a
-  /// BatchSimTraceSource — fault-free acquisition only, and the netlist
-  /// must batch-compile; unsupported combinations throw with the
-  /// offending cell/option named instead of silently falling back).
+  /// BatchSimTraceSource — fault-free acquisition only, and every
+  /// combinational cone must be acyclic; unsupported combinations throw
+  /// with the offending cell/option named instead of silently falling
+  /// back). The compiled and batch kernels run the same
+  /// sim::CompiledNetlist form of the prepared victim.
   /// Traces are bit-identical across all engines
   /// (tests/test_compiled_sim.cpp, tests/test_batch_sim.cpp).
   Campaign& engine(sim::EngineKind k) {

@@ -140,7 +140,8 @@ struct FaultCampaignResult {
 /// `precompiled` form, which must match `inst.nl` and the delay model
 /// (as for SimTraceSource); its power and jitter fields are unused.
 /// Throws std::invalid_argument on a non-simulatable instance, the
-/// batch engine, an empty kinds/times list, repeats == 0, or an empty
+/// batch engine, an empty kinds/times list, repeats == 0, a DFA-bearing
+/// target whose true_guess lies outside its guess space, or an empty
 /// resolved site list.
 FaultCampaignResult run_fault_campaign(const TargetInstance& inst,
                                        std::uint64_t key,

@@ -305,7 +305,9 @@ struct SimTraceSourceOptions {
   /// it throws. All engines produce bit-identical traces.
   sim::EngineKind engine = sim::EngineKind::Compiled;
   /// Reuse an existing compiled form instead of flattening the netlist
-  /// again (benches that build several sources over one victim). Must
+  /// again: Campaign::run hands the one it built of the prepared victim
+  /// to its source and its fault probe, and benches share one across
+  /// several sources. The compiled and batch engines both run it. Must
   /// have been compiled from the SAME netlist with the SAME delay model
   /// — the source trusts it. Ignored by the reference engine.
   std::shared_ptr<const sim::CompiledNetlist> precompiled;

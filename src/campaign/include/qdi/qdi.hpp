@@ -35,8 +35,7 @@
 #include "qdi/gates/sbox.hpp"
 #include "qdi/gates/testbench.hpp"
 
-// simulation (reference interpreter + compiled kernel)
-#include "qdi/sim/batch_netlist.hpp"
+// simulation (reference interpreter, compiled and batch kernels)
 #include "qdi/sim/batch_simulator.hpp"
 #include "qdi/sim/compiled_netlist.hpp"
 #include "qdi/sim/compiled_simulator.hpp"

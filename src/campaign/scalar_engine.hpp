@@ -1,6 +1,7 @@
 // Private campaign-internal header (not installed): the scalar
 // simulation rig behind SimTraceSource (trace_source.cpp) and the fault
-// sweep's FaultRunner (fault_campaign.cpp).
+// sweep's FaultRunner (fault_campaign.cpp), and the one rule that picks
+// the compiled form every engine and the fault sweep run.
 #pragma once
 
 #include <memory>
@@ -14,11 +15,13 @@
 
 namespace qdi::campaign::detail {
 
-/// The compiled form a scalar rig over `opt` runs: null for the
-/// reference engine, else `opt.precompiled` when given.
+/// The compiled form an engine over `opt` runs: null for the reference
+/// engine, else `opt.precompiled` when given, else a fresh compile of
+/// `nl` with `opt.delays`. The compiled and batch kernels run the same
+/// form.
 inline std::shared_ptr<const sim::CompiledNetlist> compiled_form(
     const netlist::Netlist& nl, const SimTraceSourceOptions& opt) {
-  if (opt.engine != sim::EngineKind::Compiled) return nullptr;
+  if (opt.engine == sim::EngineKind::Reference) return nullptr;
   return opt.precompiled ? opt.precompiled : sim::compile(nl, opt.delays);
 }
 

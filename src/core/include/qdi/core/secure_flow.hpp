@@ -10,11 +10,11 @@
 //   4. accept the layout if max dA is below the threshold, else iterate
 //      with a new seed (the flat flow rarely converges; the hierarchical
 //      flow does — that asymmetry *is* the paper's result),
-//   5. optionally run the rail-capacitance repair pass (an extension the
+//   5. optionally run the rail-capacitance repair (an extension the
 //      paper's conclusion points to: controlling net capacitances
-//      directly), which pads the lighter rail of each offending channel
-//      up to its sibling (modelling post-route capacitive trimming /
-//      dummy-metal fill).
+//      directly): xform::CapEqualizePass at repair_target_da, which pads
+//      the lighter rails of each offending channel toward its heaviest
+//      (modelling post-route capacitive trimming / dummy-metal fill).
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,7 @@ struct FlowOptions {
   pnr::ExtractionParams extraction{};
   double max_da_threshold = 0.15;  ///< acceptance bound on the criterion
   int max_iterations = 1;          ///< re-place with seed+1 on rejection
-  bool repair = false;             ///< run the rail-cap repair pass
+  bool repair = false;             ///< pad rail caps (CapEqualizePass)
   double repair_target_da = 0.05;  ///< repair until every channel <= this
 };
 
@@ -51,11 +51,5 @@ struct FlowResult {
 
 /// Run the flow on `nl` (net caps are back-annotated in place).
 FlowResult run_secure_flow(netlist::Netlist& nl, const FlowOptions& opt);
-
-/// Repair pass: for every channel with dA above `target_da`, pad the
-/// lighter rail's capacitance so the pair meets the target exactly.
-/// Returns (channels touched, total added capacitance).
-std::pair<std::size_t, double> repair_rail_caps(netlist::Netlist& nl,
-                                                double target_da);
 
 }  // namespace qdi::core

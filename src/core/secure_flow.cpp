@@ -3,34 +3,9 @@
 #include <algorithm>
 
 #include "qdi/util/log.hpp"
+#include "qdi/xform/passes.hpp"
 
 namespace qdi::core {
-
-std::pair<std::size_t, double> repair_rail_caps(netlist::Netlist& nl,
-                                                double target_da) {
-  std::size_t touched = 0;
-  double added = 0.0;
-  for (netlist::ChannelId ch = 0; ch < nl.num_channels(); ++ch) {
-    const netlist::Channel& c = nl.channel(ch);
-    // Pad every rail up to C_max / (1 + target): after padding,
-    // dA = (C_max - C_min') / C_min' <= target for all pairs.
-    double cap_max = 0.0;
-    for (netlist::NetId r : c.rails)
-      cap_max = std::max(cap_max, nl.net(r).cap_ff);
-    const double floor_cap = cap_max / (1.0 + target_da);
-    bool channel_touched = false;
-    for (netlist::NetId r : c.rails) {
-      netlist::Net& net = nl.net(r);
-      if (net.cap_ff < floor_cap) {
-        added += floor_cap - net.cap_ff;
-        net.cap_ff = floor_cap;
-        channel_touched = true;
-      }
-    }
-    if (channel_touched) ++touched;
-  }
-  return {touched, added};
-}
 
 FlowResult run_secure_flow(netlist::Netlist& nl, const FlowOptions& opt) {
   FlowResult result;
@@ -51,9 +26,10 @@ FlowResult run_secure_flow(netlist::Netlist& nl, const FlowOptions& opt) {
   }
 
   if (opt.repair && !result.accepted) {
-    auto [touched, added] = repair_rail_caps(nl, opt.repair_target_da);
-    result.repaired_channels = touched;
-    result.repair_added_cap_ff = added;
+    const xform::PassReport rep =
+        xform::CapEqualizePass({.tolerance_da = opt.repair_target_da}).run(nl);
+    result.repaired_channels = rep.channels_touched;
+    result.repair_added_cap_ff = rep.cap_added_ff;
     result.criteria = evaluate_criterion(nl);
     result.max_da = max_dA(result.criteria);
     result.mean_da = mean_dA(result.criteria);

@@ -1,5 +1,8 @@
 #include "qdi/dpa/dfa.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "qdi/crypto/aes.hpp"
 #include "qdi/crypto/des.hpp"
 
@@ -36,7 +39,10 @@ DfaModel aes_sbox_dfa_model() {
 }
 
 std::size_t DfaResult::rank_of(unsigned key) const {
-  if (key >= votes.size()) return votes.size();
+  if (key >= votes.size())
+    throw std::invalid_argument("DfaResult::rank_of: key " +
+                                std::to_string(key) + " outside [0, " +
+                                std::to_string(votes.size()) + ")");
   std::size_t rank = 0;
   for (std::size_t g = 0; g < votes.size(); ++g)
     if (votes[g] > votes[key]) ++rank;

@@ -62,7 +62,8 @@ struct DfaResult {
 
   /// Rank of a reference guess: the number of guesses with STRICTLY
   /// more votes (ties rank below the reference, mirroring
-  /// CpaResult::rank_of).
+  /// CpaResult::rank_of). Throws std::invalid_argument when `key` is not
+  /// a guess.
   std::size_t rank_of(unsigned key) const;
 };
 

@@ -57,10 +57,6 @@ class IndexedFn {
   }
   bool is_byte_indexed() const noexcept { return static_cast<bool>(byte_fn_); }
   int byte() const noexcept { return byte_; }
-  /// Direct byte-indexed evaluation (valid iff is_byte_indexed()).
-  R eval_byte(std::uint8_t value, unsigned guess) const {
-    return byte_fn_(value, guess);
-  }
 
   /// Restrict to one fixed guess: the result answers every guess index
   /// with this predictor's value at `guess` (callers use index 0). The

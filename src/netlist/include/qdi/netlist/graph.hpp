@@ -25,8 +25,6 @@ class Graph {
 
   const Netlist& netlist() const noexcept { return *nl_; }
 
-  std::size_t num_vertices() const noexcept { return succ_.size(); }
-
   const std::vector<CellId>& successors(CellId c) const { return succ_.at(c); }
   const std::vector<CellId>& predecessors(CellId c) const { return pred_.at(c); }
 
@@ -46,11 +44,6 @@ class Graph {
 
   /// Nc: the number of logic levels = max level over real gates.
   int num_levels() const noexcept { return nc_; }
-
-  /// Cells at each level (index 0 holds the Input pseudo-cells).
-  const std::vector<std::vector<CellId>>& cells_by_level() const noexcept {
-    return by_level_;
-  }
 
   /// Static level occupancy |{cells at level i}| for i in 1..Nc. This is
   /// the upper bound of the paper's Nij (all gates at the level switching).

@@ -7,7 +7,7 @@
 //
 //   * the charge scale q / dt depends only on the net and the edge
 //     direction, so it is tabulated per net;
-//   * per-net slew is static (see BatchNetlist), so the lanes of a
+//   * per-net slew is static (see BatchSimulator), so the lanes of a
 //     merged commit that share a window (all of them at jitter 0) share
 //     one addend table per edge direction;
 //   * a lane's pulses arrive in that lane's scalar commit order (the

@@ -4,6 +4,9 @@
 #include <bit>
 #include <cassert>
 #include <stdexcept>
+#include <string>
+
+#include "qdi/netlist/cell_kind.hpp"
 
 namespace qdi::sim {
 
@@ -19,10 +22,79 @@ inline std::uint64_t lane_bit(unsigned lane) noexcept {
   return std::uint64_t{1} << lane;
 }
 
+bool combinational(CellKind k) noexcept {
+  return !netlist::is_muller(k) && !netlist::is_pseudo(k);
+}
+
+/// The kernel's static per-net slew, after Kahn's algorithm has checked
+/// that the combinational cells form no cycle. Edges run between
+/// combinational cells only: Muller latches, environment-driven nets and
+/// undriven nets are cut points.
+std::vector<double> static_net_slew(const CompiledNetlist& c) {
+  const std::uint32_t num_cells = c.num_cells();
+  const std::uint32_t num_nets = c.num_nets();
+
+  // One driver per net (add_cell enforces it); num_cells means none.
+  std::vector<std::uint32_t> driver(num_nets, num_cells);
+  for (std::uint32_t cell = 0; cell < num_cells; ++cell)
+    if (c.output[cell] != kNoNet) driver[c.output[cell]] = cell;
+
+  std::vector<std::uint32_t> indegree(num_cells, 0);
+  std::vector<std::uint32_t> worklist;
+  std::size_t comb_cells = 0;
+  for (std::uint32_t cell = 0; cell < num_cells; ++cell) {
+    if (!combinational(c.kind[cell])) continue;
+    ++comb_cells;
+    for (std::uint32_t i = c.fanin_offset[cell]; i < c.fanin_offset[cell + 1];
+         ++i) {
+      const std::uint32_t d = driver[c.fanin_net[i]];
+      if (d != num_cells && combinational(c.kind[d])) ++indegree[cell];
+    }
+    if (indegree[cell] == 0) worklist.push_back(cell);
+  }
+  std::size_t processed = 0;
+  while (!worklist.empty()) {
+    const std::uint32_t cell = worklist.back();
+    worklist.pop_back();
+    ++processed;
+    const std::uint32_t out = c.output[cell];
+    if (out == kNoNet) continue;
+    for (std::uint32_t i = c.fanout_offset[out]; i < c.fanout_offset[out + 1];
+         ++i) {
+      const std::uint32_t sink = c.fanout_cell[i];
+      if (combinational(c.kind[sink]) && --indegree[sink] == 0)
+        worklist.push_back(sink);
+    }
+  }
+  if (processed != comb_cells) {
+    // Name the lowest-id cell stuck on the cycle — deterministic, and
+    // the source netlist still carries the human-readable names.
+    for (std::uint32_t cell = 0; cell < num_cells; ++cell) {
+      if (!combinational(c.kind[cell]) || indegree[cell] == 0) continue;
+      const netlist::Cell& src = c.source().cell(cell);
+      const std::string net_name = src.output != kNoNet
+                                       ? c.source().net(src.output).name
+                                       : std::string("<none>");
+      throw std::invalid_argument(
+          "BatchSimulator: combinational cone cannot be levelized — cell '" +
+          src.name + "' (net '" + net_name +
+          "') sits on a combinational cycle; the batch engine needs "
+          "Muller-latch cut points between cones (use the compiled or "
+          "reference engine for this netlist)");
+    }
+  }
+
+  std::vector<double> slew(num_nets, 0.0);
+  for (std::uint32_t net = 0; net < num_nets; ++net)
+    if (!c.driven_by_input[net] && driver[net] != num_cells)
+      slew[net] = c.slew_ps[driver[net]];
+  return slew;
+}
+
 }  // namespace
 
-BatchSimulator::BatchSimulator(std::shared_ptr<const BatchNetlist> bn)
-    : bn_(std::move(bn)), cn_(&bn_->compiled()), wheel_(*cn_) {
+BatchSimulator::BatchSimulator(std::shared_ptr<const CompiledNetlist> cn)
+    : cn_(std::move(cn)), net_slew_ps_(static_net_slew(*cn_)), wheel_(*cn_) {
   const std::uint32_t nn = cn_->num_nets();
   cur_.resize(nn);
   pend_.resize(nn);
@@ -274,7 +346,7 @@ void BatchSimulator::commit(double t_ps, std::uint32_t net,
   }
   if (sink_ != nullptr)
     sink_->on_batch_transition(t_ps, net, live, val & live,
-                               bn_->net_slew_ps()[net]);
+                               net_slew_ps_[net]);
   const std::uint32_t lo = cn.fanout_offset[net];
   const std::uint32_t hi = cn.fanout_offset[net + 1];
   for (std::uint32_t i = lo; i < hi; ++i)

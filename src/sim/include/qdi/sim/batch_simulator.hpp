@@ -21,6 +21,23 @@
 // CompiledSimulator and the reference interpreter
 // (tests/test_batch_sim.cpp, tests/test_property_fuzz.cpp).
 //
+// The kernel runs the CompiledNetlist the scalar compiled engine runs
+// and relies on two structural facts scalar simulation never needed
+// spelled out, both established once by the constructor:
+//
+//   * every combinational cone between handshake latches is acyclic.
+//     Muller C-elements (the QDI latches) and environment-driven nets
+//     are the cut points. A cone with a cycle (e.g. a cross-coupled NAND
+//     latch built from "combinational" cells) would make word-parallel
+//     evaluation order-sensitive, so the constructor REFUSES it with an
+//     error naming the offending cell and net rather than silently
+//     falling back to scalar runs;
+//   * per-net slew is static: a net has exactly one driver, and the
+//     per-cell slew depends only on the cell kind and its static output
+//     load, so the kernel looks slew up per net instead of carrying
+//     per-lane pending-slew state. Environment-driven nets use slew 0,
+//     exactly like SimEngine::drive().
+//
 // Scope: acquisition only. Forces/fault injection and per-transition
 // PowerSinks (a sim::TransitionLog) are scalar-engine features;
 // Campaign::engine(Batch) guards the unsupported combinations with
@@ -32,7 +49,7 @@
 #include <span>
 #include <vector>
 
-#include "qdi/sim/batch_netlist.hpp"
+#include "qdi/sim/compiled_netlist.hpp"
 #include "qdi/sim/environment.hpp"
 #include "qdi/sim/time_wheel.hpp"
 
@@ -43,7 +60,7 @@ inline constexpr std::size_t kBatchLanes = 64;
 /// Streaming power sink of the batch kernel: one callback per merged
 /// (t, net) commit. `live` marks the lanes that committed, `rising`
 /// (a subset of live) the lanes whose new value is 1. Per-lane slew is
-/// not needed — slew is static per net (see BatchNetlist).
+/// not needed — slew is static per net (see above).
 class BatchPowerSink {
  public:
   virtual ~BatchPowerSink() = default;
@@ -54,12 +71,12 @@ class BatchPowerSink {
 
 class BatchSimulator {
  public:
-  explicit BatchSimulator(std::shared_ptr<const BatchNetlist> bn);
+  /// Shares `cn` read-only (worker kernels over one victim share one
+  /// compiled form). Throws std::invalid_argument, naming the cell and
+  /// its output net, when a combinational cone has a cycle.
+  explicit BatchSimulator(std::shared_ptr<const CompiledNetlist> cn);
 
-  const BatchNetlist& batch_netlist() const noexcept { return *bn_; }
-  const netlist::Netlist& netlist() const noexcept {
-    return bn_->compiled().source();
-  }
+  const netlist::Netlist& netlist() const noexcept { return cn_->source(); }
 
   /// All-lane return to the power-on state (t = 0, all nets low).
   void reset_state();
@@ -136,8 +153,10 @@ class BatchSimulator {
   void evaluate_cell(std::uint32_t cell, double t_ps, std::uint64_t mask);
   void commit(double t_ps, std::uint32_t net, std::uint64_t live);
 
-  std::shared_ptr<const BatchNetlist> bn_;
-  const CompiledNetlist* cn_;
+  std::shared_ptr<const CompiledNetlist> cn_;
+  /// Static slew per net: 0 for environment-driven nets, the driving
+  /// cell's slew_ps otherwise.
+  std::vector<double> net_slew_ps_;
 
   // Word-packed per-net state: lane l's value is bit l. Committed values
   // stay in their own dense array — the gate-evaluation word loops read

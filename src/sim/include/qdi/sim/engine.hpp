@@ -7,6 +7,10 @@
 //   * `CompiledSimulator` — the execution kernel, running against the
 //     flattened SoA `CompiledNetlist` with a time-wheel event queue.
 //
+// The 64-lane `BatchSimulator` (batch_simulator.hpp) runs the same
+// `CompiledNetlist` word-parallel; it is an acquisition kernel with its
+// own environment, not a SimEngine.
+//
 // `Simulator` is the oracle: the kernel produces bit-identical event
 // sequences (asserted over every registry target in
 // tests/test_compiled_sim.cpp, and across epoch rewinds by the
@@ -29,9 +33,10 @@ enum class EngineKind {
   Reference,  ///< construction-form interpreter
   /// Bit-parallel 64-lane kernel (sim::BatchSimulator): fault-free power
   /// acquisition only. Campaign::engine(Batch) builds a
-  /// campaign::BatchSimTraceSource; combinations the kernel cannot honor
-  /// (fault injection, non-levelizable netlists) throw instead of
-  /// silently falling back to a scalar engine.
+  /// campaign::BatchSimTraceSource over the compiled engine's
+  /// CompiledNetlist; combinations the kernel cannot honor (fault
+  /// injection, combinational cycles) throw instead of silently falling
+  /// back to a scalar engine.
   Batch,
 };
 

@@ -87,9 +87,6 @@ class Rng {
     return mean + stddev * gaussian();
   }
 
-  /// Random boolean with probability p of being true.
-  constexpr bool bernoulli(double p) noexcept { return uniform() < p; }
-
   /// Random byte.
   constexpr std::uint8_t byte() noexcept {
     return static_cast<std::uint8_t>(next() & 0xff);

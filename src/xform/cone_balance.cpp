@@ -100,6 +100,9 @@ using netlist::Netlist;
 using netlist::NetId;
 using netlist::Pin;
 
+/// Per-channel safety valve on inserted duplicate cells.
+constexpr std::size_t kMaxClonesPerChannel = 512;
+
 /// Dense mirror of the netlist fields the cone walk touches. Cell and
 /// Net carry strings and sink vectors the walk never reads; at aes_core
 /// scale (~65M member visits per round) the pointer-chasing through
@@ -393,8 +396,7 @@ class Balancer {
     }
     catch_up(id);
     const std::size_t budget =
-        opt_.max_clones_per_channel -
-        std::min(opt_.max_clones_per_channel, st.clones);
+        kMaxClonesPerChannel - std::min(kMaxClonesPerChannel, st.clones);
 
     st.footprint.clear();
     for (const RailCone& rc : st.rails) rc.add_to(st.footprint);

@@ -23,8 +23,6 @@ struct ConeBalanceOptions {
   /// channels of an S-Box merge tree). When the last allowed round still
   /// adds clones, the report carries a "fixpoint not reached" note.
   int max_rounds = 8;
-  /// Per-channel safety valve on inserted duplicate cells.
-  std::size_t max_clones_per_channel = 512;
   /// Re-verify every touched channel against netlist::check_rail_symmetry
   /// after the transform and count the asymmetric channels before/after
   /// (metric_before / metric_after). Costs one full symmetry scan.
@@ -46,8 +44,9 @@ struct ConeBalanceOptions {
 /// distinct-ancestor counts) becomes fully symmetric. Channels whose
 /// asymmetry is not fixable this way (differing primary-input support,
 /// non-isomorphic signatures, no valid clone site) are reported as
-/// skipped and left untouched. Idempotent: a balanced channel yields no
-/// further clones.
+/// skipped and left untouched. A channel takes at most 512 clones (a
+/// safety valve); one that needs more keeps them and is reported as
+/// skipped too. Idempotent: a balanced channel yields no further clones.
 class ConeBalancePass final : public Pass {
  public:
   explicit ConeBalancePass(ConeBalanceOptions opt = {}) : opt_(opt) {}

@@ -262,11 +262,10 @@ TEST(BatchGuards, FlowOnlyTargetIsRejectedByValidate) {
                std::invalid_argument);
 }
 
-TEST(BatchGuards, NonLevelizableConeIsRefusedNamingTheCell) {
-  // A cross-coupled NAND latch smuggled in as combinational cells: the
-  // batch compile must refuse it (word-parallel evaluation would be
-  // order-sensitive) and name the offending cell instead of silently
-  // falling back to a scalar engine.
+namespace {
+
+/// A cross-coupled NAND latch smuggled in as combinational cells.
+qn::Netlist nand_latch() {
   qn::Netlist nl("sr_latch");
   const qn::NetId s = nl.add_input("s");
   const qn::NetId r = nl.add_input("r");
@@ -274,9 +273,19 @@ TEST(BatchGuards, NonLevelizableConeIsRefusedNamingTheCell) {
   const qn::NetId qb = nl.add_net("qb");
   nl.add_cell(qn::CellKind::Nand2, "nand_q", {s, qb}, q);
   nl.add_cell(qn::CellKind::Nand2, "nand_qb", {r, q}, qb);
+  return nl;
+}
+
+}  // namespace
+
+TEST(BatchGuards, NonLevelizableConeIsRefusedNamingTheCell) {
+  // The batch kernel must refuse the NAND latch (word-parallel
+  // evaluation would be order-sensitive) and name the offending cell
+  // instead of silently falling back to a scalar engine.
+  const qn::Netlist nl = nand_latch();
   try {
-    qs::compile_batch(nl);
-    FAIL() << "compile_batch accepted a combinational cycle";
+    qs::BatchSimulator sim(qs::compile(nl));
+    FAIL() << "BatchSimulator accepted a combinational cycle";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("nand_q"), std::string::npos) << msg;
@@ -284,9 +293,33 @@ TEST(BatchGuards, NonLevelizableConeIsRefusedNamingTheCell) {
   }
 }
 
+TEST(BatchGuards, CampaignOnANonLevelizableConeThrowsNamingTheCell) {
+  // Campaign::engine(Batch) reaches the same refusal through the one
+  // compiled form it builds of the victim.
+  qc::TargetInstance inst;
+  inst.nl = nand_latch();
+  inst.name = "sr_latch";
+  inst.stimulus = [](qdi::util::Rng&, std::size_t, qc::Stimulus& out) {
+    out.values.clear();
+    out.plaintext.clear();
+  };
+  try {
+    qc::Campaign()
+        .target(qc::prebuilt(std::move(inst)))
+        .key(0)
+        .traces(8)
+        .engine(qs::EngineKind::Batch)
+        .run();
+    FAIL() << "Campaign ran the batch engine on a combinational cycle";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("nand_q"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(BatchGuards, MullerCutPointsMakeTheSameConeLevelizable) {
   // The same cross-coupling through a Muller cell is a legal QDI cone:
-  // state-holding cells are cut points, so batch compilation accepts it.
+  // state-holding cells are cut points, so the batch kernel accepts it.
   qn::Netlist nl("c_loop");
   const qn::NetId a = nl.add_input("a");
   const qn::NetId b = nl.add_input("b");
@@ -295,7 +328,7 @@ TEST(BatchGuards, MullerCutPointsMakeTheSameConeLevelizable) {
   nl.add_cell(qn::CellKind::Muller2, "c_el", {a, inv}, q);
   nl.add_cell(qn::CellKind::Inv, "fb", {q}, inv);
   (void)b;
-  EXPECT_NO_THROW(qs::compile_batch(nl));
+  EXPECT_NO_THROW(qs::BatchSimulator(qs::compile(nl)));
 }
 
 TEST(BatchGuards, FaultCampaignRejectsBatchEngine) {
@@ -346,10 +379,17 @@ TEST(BatchGuards, ScalarSourceRejectsBatchEngineKind) {
                std::invalid_argument);
 }
 
+TEST(BatchGuards, BatchSourceRejectsReferenceEngineKind) {
+  const qc::TargetInstance inst = qc::xor_stage().build(0);
+  qc::SimTraceSourceOptions opt;
+  opt.engine = qs::EngineKind::Reference;
+  EXPECT_THROW(qc::BatchSimTraceSource(inst.nl, inst.env, inst.stimulus, opt),
+               std::invalid_argument);
+}
+
 TEST(BatchGuards, TolerantEnvironmentIsRejected) {
   const qc::TargetInstance inst = qc::xor_stage().build(0);
-  auto batch = qs::compile_batch(inst.nl);
-  qs::BatchSimulator sim(batch);
+  qs::BatchSimulator sim(qs::compile(inst.nl));
   qs::EnvSpec spec = inst.env;
   spec.strict = false;
   EXPECT_THROW(qs::BatchFourPhaseEnv(sim, spec), std::invalid_argument);
@@ -357,7 +397,7 @@ TEST(BatchGuards, TolerantEnvironmentIsRejected) {
 
 TEST(BatchGuards, OutOfRangeSpecIdsThrowNamingFieldAndId) {
   const qc::TargetInstance inst = qc::xor_stage().build(0);
-  auto batch = qs::compile_batch(inst.nl);
+  const auto cn = qs::compile(inst.nl);
   const auto channels = static_cast<qn::ChannelId>(inst.nl.num_channels());
   const auto nets = static_cast<qn::NetId>(inst.nl.num_nets());
   // (expected message part, spec with one id the netlist lacks)
@@ -372,7 +412,7 @@ TEST(BatchGuards, OutOfRangeSpecIdsThrowNamingFieldAndId) {
   bad[3].first = "reset = " + std::to_string(nets + 1);
   for (const auto& [want, spec] : bad) {
     SCOPED_TRACE(want);
-    qs::BatchSimulator sim(batch);
+    qs::BatchSimulator sim(cn);
     try {
       qs::BatchFourPhaseEnv env(sim, spec);
       ADD_FAILURE() << "accepted an out-of-range id";

@@ -188,7 +188,7 @@ TEST(StimulusValidation, EveryEngineRejectsWithTheSameMessage) {
               msg);
 
     // The bad stimulus in lane 1 of a two-lane block.
-    qdi::sim::BatchSimulator batch(qdi::sim::compile_batch(inst.nl));
+    qdi::sim::BatchSimulator batch(qdi::sim::compile(inst.nl));
     qdi::sim::BatchFourPhaseEnv batch_env(batch, inst.env);
     batch_env.apply_reset();
     const std::vector<int> good = {0, 1};

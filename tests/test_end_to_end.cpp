@@ -6,8 +6,8 @@
 
 #include "qdi/campaign/target.hpp"
 #include "qdi/core/criterion.hpp"
-#include "qdi/core/secure_flow.hpp"
 #include "qdi/dpa/dpa.hpp"
+#include "qdi/xform/passes.hpp"
 
 namespace qc = qdi::campaign;
 namespace qd = qdi::dpa;
@@ -95,9 +95,10 @@ TEST(EndToEnd, RepairPassKillsTheLeak) {
   const auto before = qd::recover_key_multibit(leaky, sbox_bits(), 256);
   ASSERT_EQ(before.best_guess, key);
 
-  const auto [touched, added] = qo::repair_rail_caps(inst.nl, 0.0);
-  EXPECT_GT(touched, 0u);
-  EXPECT_GT(added, 0.0);
+  const qdi::xform::PassReport rep =
+      qdi::xform::CapEqualizePass().run(inst.nl);
+  EXPECT_GT(rep.channels_touched, 0u);
+  EXPECT_GT(rep.cap_added_ff, 0.0);
   const auto criteria = qo::evaluate_criterion(inst.nl);
   EXPECT_NEAR(qo::max_dA(criteria), 0.0, 1e-9);
 

@@ -522,7 +522,49 @@ TEST(FaultGuards, DegenerateSweepGridsThrow) {
   EXPECT_THROW(sweep(opt), std::invalid_argument);
 }
 
+TEST(FaultGuards, DfaTargetWithTrueGuessOutsideTheGuessesThrows) {
+  // A fault-only campaign sets no attack, so Campaign::validate does not
+  // check true_guess; the sweep itself must, before a DFA verdict is
+  // ranked against it.
+  qc::TargetInstance inst = qc::des_sbox_sync().build(0x2b);
+  ASSERT_TRUE(static_cast<bool>(inst.dfa));
+  inst.true_guess = inst.num_guesses;
+  qc::FaultCampaignOptions opt;
+  opt.site_filters = {"addkey0"};
+  const std::string want = "true_guess " + std::to_string(inst.num_guesses) +
+                           ", outside its " +
+                           std::to_string(inst.num_guesses) + " guesses";
+  try {
+    qc::run_fault_campaign(inst, 0x2b, opt, {}, 1, 1);
+    ADD_FAILURE() << "run_fault_campaign accepted the true_guess";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(qc::Campaign()
+                   .target(qc::prebuilt(std::move(inst)))
+                   .key(0x2b)
+                   .faults(opt)
+                   .run(),
+               std::invalid_argument);
+}
+
 // ---- DFA analysis unit tests -----------------------------------------------
+
+TEST(Dfa, RankOfRejectsKeyOutsideTheGuesses) {
+  const std::vector<qdi::dpa::DfaPair> pairs = {{0x11, 0x22, 0x23}};
+  const qdi::dpa::DfaResult r =
+      qdi::dpa::dfa_attack(qdi::dpa::des_sbox_dfa_model(0), pairs, 64);
+  EXPECT_NO_THROW(r.rank_of(63));
+  try {
+    (void)r.rank_of(64);
+    ADD_FAILURE() << "rank_of accepted key 64 of 64 guesses";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("key 64 outside [0, 64)"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(Dfa, AesModelRecoversKeyFromSyntheticSingleBitFaults) {
   const std::uint8_t key = 0x4f;

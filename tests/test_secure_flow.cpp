@@ -85,44 +85,6 @@ TEST(SecureFlow, RepairForcesAcceptance) {
   EXPECT_LE(r.max_da, 0.05);
 }
 
-TEST(RepairRailCaps, MeetsTargetExactly) {
-  qn::Netlist nl("r");
-  const qn::NetId a0 = nl.add_input("a_0");
-  const qn::NetId a1 = nl.add_input("a_1");
-  nl.net(a0).cap_ff = 10.0;
-  nl.net(a1).cap_ff = 30.0;
-  nl.add_channel("a", {a0, a1});
-  const auto [touched, added] = qc::repair_rail_caps(nl, 0.2);
-  EXPECT_EQ(touched, 1u);
-  EXPECT_NEAR(added, 30.0 / 1.2 - 10.0, 1e-9);
-  EXPECT_NEAR(qc::dissymmetry(nl.net(a0).cap_ff, nl.net(a1).cap_ff), 0.2, 1e-9);
-}
-
-TEST(RepairRailCaps, NoOpOnBalancedChannels) {
-  qn::Netlist nl("r");
-  const qn::NetId a0 = nl.add_input("a_0");
-  const qn::NetId a1 = nl.add_input("a_1");
-  nl.add_channel("a", {a0, a1});
-  const auto [touched, added] = qc::repair_rail_caps(nl, 0.1);
-  EXPECT_EQ(touched, 0u);
-  EXPECT_DOUBLE_EQ(added, 0.0);
-}
-
-TEST(RepairRailCaps, OneOfFourChannels) {
-  qn::Netlist nl("q");
-  std::vector<qn::NetId> rails;
-  for (int i = 0; i < 4; ++i)
-    rails.push_back(nl.add_input("q_" + std::to_string(i)));
-  nl.net(rails[0]).cap_ff = 8.0;
-  nl.net(rails[1]).cap_ff = 9.0;
-  nl.net(rails[2]).cap_ff = 10.0;
-  nl.net(rails[3]).cap_ff = 20.0;
-  nl.add_channel("q", rails);
-  qc::repair_rail_caps(nl, 0.1);
-  const auto crit = qc::evaluate_criterion(nl);
-  EXPECT_LE(qc::max_dA(crit), 0.1 + 1e-9);
-}
-
 TEST(SecureFlow, FlatSeedsMoveTheCriticalChannel) {
   // Section VI: "the most sensitive channels are never the same from one
   // place and route to another". Across seeds, the identity of the worst

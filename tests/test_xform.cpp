@@ -110,6 +110,45 @@ TEST(CapEqualize, ToleranceBoundsResidualDissymmetry) {
   EXPECT_GT(rep.metric_after, 0.0);  // tolerance means it stops short
 }
 
+TEST(CapEqualize, TwoRailChannelMeetsToleranceExactly) {
+  qn::Netlist nl("r");
+  const qn::NetId a0 = nl.add_input("a_0");
+  const qn::NetId a1 = nl.add_input("a_1");
+  nl.net(a0).cap_ff = 10.0;
+  nl.net(a1).cap_ff = 30.0;
+  nl.add_channel("a", {a0, a1});
+  const qx::PassReport rep = qx::CapEqualizePass({.tolerance_da = 0.2}).run(nl);
+  EXPECT_EQ(rep.channels_touched, 1u);
+  EXPECT_NEAR(rep.cap_added_ff, 30.0 / 1.2 - 10.0, 1e-9);
+  EXPECT_NEAR(qdi::core::dissymmetry(nl.net(a0).cap_ff, nl.net(a1).cap_ff),
+              0.2, 1e-9);
+}
+
+TEST(CapEqualize, NoOpOnBalancedChannels) {
+  qn::Netlist nl("r");
+  const qn::NetId a0 = nl.add_input("a_0");
+  const qn::NetId a1 = nl.add_input("a_1");
+  nl.add_channel("a", {a0, a1});
+  const qx::PassReport rep = qx::CapEqualizePass({.tolerance_da = 0.1}).run(nl);
+  EXPECT_EQ(rep.channels_touched, 0u);
+  EXPECT_DOUBLE_EQ(rep.cap_added_ff, 0.0);
+}
+
+TEST(CapEqualize, OneOfFourChannelMeetsTolerance) {
+  qn::Netlist nl("q");
+  std::vector<qn::NetId> rails;
+  for (int i = 0; i < 4; ++i)
+    rails.push_back(nl.add_input("q_" + std::to_string(i)));
+  nl.net(rails[0]).cap_ff = 8.0;
+  nl.net(rails[1]).cap_ff = 9.0;
+  nl.net(rails[2]).cap_ff = 10.0;
+  nl.net(rails[3]).cap_ff = 20.0;
+  nl.add_channel("q", rails);
+  qx::CapEqualizePass({.tolerance_da = 0.1}).run(nl);
+  const auto crit = qdi::core::evaluate_criterion(nl);
+  EXPECT_LE(qdi::core::max_dA(crit), 0.1 + 1e-9);
+}
+
 TEST(CapEqualize, OverlappingChannelsConvergeToAFixpoint) {
   // Channels sharing rails: padding B's shared rail must not leave A
   // violating the tolerance, and the pass must stay idempotent.
