@@ -7,7 +7,10 @@
 // itself fixed: each engine must reproduce the same 64 traces — sample
 // bits, window start, plaintext, ciphertext, transition and glitch
 // counts — byte for byte. Noise stays 0 (gaussian draws depend on libm).
-// The fault sweep's records are pinned the same way.
+// The fault sweep's records are pinned the same way, and so are the
+// analysis results: the attack outcome and rank trajectory of every
+// ingest mode of run() and sharded(), each shard's stream digest and
+// its final checkpoint bytes.
 //
 // A deliberate change of the model or of a target moves these digests;
 // re-pin them only together with the change that explains why.
@@ -15,6 +18,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -22,7 +28,9 @@
 
 #include "qdi/campaign/batch_trace_source.hpp"
 #include "qdi/campaign/campaign.hpp"
+#include "qdi/campaign/checkpoint.hpp"
 #include "qdi/campaign/fault_campaign.hpp"
+#include "qdi/campaign/shard.hpp"
 #include "qdi/campaign/target.hpp"
 #include "qdi/campaign/trace_source.hpp"
 #include "qdi/util/sha256.hpp"
@@ -115,6 +123,146 @@ const char* label(qs::EngineKind k) {
 constexpr const char* kFaultRecordsSha256 =
     "d77051b8b900ce6f7b1fb6dfd6b6271567686ecd47c54e79b42e6840f87eff65";
 
+// ---- analysis outcome pins --------------------------------------------------
+
+void feed(qu::Sha256& h, double v) {
+  h.update_u64(std::bit_cast<std::uint64_t>(v));
+}
+
+void feed(qu::Sha256& h, const qc::AttackOutcome& a) {
+  h.update_u64(a.kind.size());
+  h.update(a.kind.data(), a.kind.size());
+  h.update_u64(a.guess_scores.size());
+  for (const double s : a.guess_scores) feed(h, s);
+  h.update_u64(a.best_guess);
+  feed(h, a.best_score);
+  feed(h, a.second_score);
+  h.update_u64(a.true_key_rank);
+  h.update_u64(a.mtd);
+}
+
+void feed(qu::Sha256& h, const std::vector<qc::RankPoint>& trajectory) {
+  h.update_u64(trajectory.size());
+  for (const qc::RankPoint& p : trajectory) {
+    h.update_u64(p.traces);
+    h.update_u64(p.rank);
+  }
+}
+
+/// The pinned campaign: des_sbox_slice with its S-box output rails
+/// unbalanced (so the key discloses and the MTD scan has a value to
+/// pin: CPA discloses at 32 traces; the single-bit DPA scan never
+/// settles on this slice, so its MTD stays 0), 192 traces at 3 threads.
+qc::Campaign outcome_campaign(bool cpa) {
+  qc::Campaign c = qc::Campaign()
+                       .target(qc::des_sbox_slice())
+                       .key(kKey)
+                       .seed(kSeed)
+                       .traces(192)
+                       .threads(3)
+                       .prepare([](qdi::netlist::Netlist& nl) {
+                         for (qdi::netlist::ChannelId ch = 0;
+                              ch < nl.num_channels(); ++ch) {
+                           const qdi::netlist::Channel& c = nl.channel(ch);
+                           if (c.name.find("sbox/out") != std::string::npos)
+                             nl.net(c.rails[1]).cap_ff *= 1.8;
+                         }
+                       });
+  if (cpa)
+    c.attack(qc::Cpa{.compute_mtd = true, .mtd_start = 32, .mtd_step = 32});
+  else
+    c.attack(qc::Dpa{.compute_mtd = true, .mtd_start = 32, .mtd_step = 32});
+  return c;
+}
+
+/// How a pinned outcome is produced: run() materialized, fused() with
+/// `block` = 0 (serial feed) or fused().sharded_ingest(block), or a
+/// 2-shard sharded() run with ingest_block_traces = block.
+enum class Driver { Materialized, Fused, Sharded };
+
+struct OutcomeCase {
+  bool cpa;
+  Driver driver;
+  std::size_t block;
+  const char* sha256;
+};
+
+/// Outcome + rank trajectory of a run() case.
+std::string run_digest(const OutcomeCase& c) {
+  qc::Campaign campaign = outcome_campaign(c.cpa);
+  campaign.rank_trajectory(32);
+  if (c.driver == Driver::Fused) campaign.fused(64);
+  if (c.block > 0) campaign.sharded_ingest(c.block);
+  const qc::CampaignResult res = campaign.run();
+  EXPECT_TRUE(res.attack.has_value());
+  qu::Sha256 h;
+  if (res.attack) feed(h, *res.attack);
+  feed(h, res.rank_trajectory);
+  return h.hex();
+}
+
+/// Outcome, shard-boundary rank trajectory, per-shard stream digests
+/// and final checkpoint bytes of a sharded() case.
+std::string sharded_digest(const OutcomeCase& c) {
+  const std::string dir = "trace_digest_ckpt/" +
+                          std::string(c.cpa ? "cpa" : "dpa") + "_" +
+                          std::to_string(c.block);
+  for (std::size_t s = 0; s < 2; ++s) {
+    std::remove(qc::checkpoint_path(dir, s).c_str());
+    std::remove(qc::checkpoint_prev_path(dir, s).c_str());
+  }
+  qc::ShardedOptions opt;
+  opt.shards = 2;
+  opt.checkpoint_interval = 64;
+  opt.chunk_traces = 16;
+  opt.ingest_block_traces = c.block;
+  opt.checkpoint_dir = dir;
+  opt.backoff_ms = 0;
+  const qc::ShardedResult res = outcome_campaign(c.cpa).sharded(opt);
+  EXPECT_TRUE(res.complete());
+  EXPECT_TRUE(res.attack.has_value());
+  qu::Sha256 h;
+  if (res.attack) feed(h, *res.attack);
+  feed(h, res.rank_trajectory);
+  h.update_u64(res.shards.size());
+  for (const qc::ShardReport& s : res.shards) {
+    h.update_u64(s.digest_hex.size());
+    h.update(s.digest_hex.data(), s.digest_hex.size());
+    std::ifstream in(qc::checkpoint_path(dir, s.shard), std::ios::binary);
+    EXPECT_TRUE(in.good()) << qc::checkpoint_path(dir, s.shard);
+    const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
+                                          std::istreambuf_iterator<char>()};
+    feed(h, bytes);
+  }
+  return h.hex();
+}
+
+// Pinned from the campaign drivers as they stood before run() and
+// sharded() were made to share one ingest rule; both must still match.
+// Materialized and serial fused runs agree by construction.
+constexpr OutcomeCase kOutcomeCases[] = {
+    {false, Driver::Materialized, 0,
+     "438ccfac54591628847416126415fdece773090cdc58c068ebec578dcbc7455c"},
+    {false, Driver::Fused, 0,
+     "438ccfac54591628847416126415fdece773090cdc58c068ebec578dcbc7455c"},
+    {false, Driver::Fused, 32,
+     "e3138397e130622f401a8b37aef0c599f4ac17b20c4f3c7ecdeb6d2eeb230439"},
+    {false, Driver::Sharded, 0,
+     "d7223c909844ae8bad622e87b0f2b96625b36b6871ba8b4ad0093739e3126e89"},
+    {false, Driver::Sharded, 32,
+     "dcdc4123e03e27f5ca9178f1f9cff294b188773f5df29b33ab8f0aa069210f13"},
+    {true, Driver::Materialized, 0,
+     "56712dc61f6032d2849b868930c72a74725b7084f701f44862b1c6e98fdbd0a3"},
+    {true, Driver::Fused, 0,
+     "56712dc61f6032d2849b868930c72a74725b7084f701f44862b1c6e98fdbd0a3"},
+    {true, Driver::Fused, 32,
+     "eb002b18400b693b1111545ba1ca2ca36a90bbe4abd626db43c0a1b900efdafa"},
+    {true, Driver::Sharded, 0,
+     "67671bae435060f72ea9ea7a9c88fbd0478471145b6b817cbd68a2ea163b12b6"},
+    {true, Driver::Sharded, 32,
+     "882681525305205030838509ccc8e526a6f36b38a57fdd0014a546153ad0a3fe"},
+};
+
 }  // namespace
 
 TEST(TraceDigests, EveryEngineReproducesThePinnedTraces) {
@@ -164,5 +312,15 @@ TEST(TraceDigests, FaultSweepReproducesThePinnedRecords) {
       h.update_u64(static_cast<std::uint64_t>(r.stalled_phase));
     }
     EXPECT_EQ(h.hex(), kFaultRecordsSha256);
+  }
+}
+
+TEST(TraceDigests, EveryIngestModeReproducesThePinnedOutcomes) {
+  for (const OutcomeCase& c : kOutcomeCases) {
+    SCOPED_TRACE(testing::Message()
+                 << (c.cpa ? "cpa" : "dpa") << " driver "
+                 << static_cast<int>(c.driver) << " block " << c.block);
+    EXPECT_EQ(c.driver == Driver::Sharded ? sharded_digest(c) : run_digest(c),
+              c.sha256);
   }
 }
