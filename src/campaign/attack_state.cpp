@@ -5,6 +5,10 @@
 
 namespace qdi::campaign::detail {
 
+namespace {
+
+/// The Dpa bit list resolved against the target's selection functions.
+/// Throws std::invalid_argument on an out-of-range index.
 std::vector<dpa::SelectionFn> resolve_bits(const Dpa& cfg,
                                            const TargetInstance& inst) {
   std::vector<dpa::SelectionFn> bits;
@@ -21,6 +25,8 @@ std::vector<dpa::SelectionFn> resolve_bits(const Dpa& cfg,
   }
   return bits;
 }
+
+}  // namespace
 
 AttackState::AttackState(const AttackConfig& attack, const TargetInstance& inst)
     : inst_(&inst) {
@@ -40,13 +46,11 @@ bool AttackState::mtd_enabled() const noexcept {
   return dpa_cfg_ ? dpa_cfg_->compute_mtd : cpa_cfg_->compute_mtd;
 }
 
-void AttackState::add_rows(const dpa::TraceSet& segment, std::size_t lo,
-                           std::size_t hi) {
-  if (lo >= hi) return;
+void AttackState::add(const WorkerPool::Block& blk) {
   if (dpa_)
-    dpa_->add_prefix(segment, lo, hi);
+    dpa_->add_prefix(blk.segment, 0, blk.count);
   else
-    cpa_->add_prefix(segment, lo, hi);
+    cpa_->add_prefix(blk.segment, 0, blk.count);
 }
 
 std::size_t AttackState::rank_now() const {
@@ -59,16 +63,13 @@ std::size_t AttackState::rank_now() const {
   return r.rank_of(inst_->true_guess);
 }
 
-bool AttackState::mtd_success_now() const {
-  if (dpa_) {
-    // The MTD scan uses the single-bit D-function (the paper's
-    // historical attack), exactly like dpa::measurements_to_disclosure.
-    const dpa::KeyRecoveryResult r = dpa_->recover_single(0, dpa_cfg_->window);
-    return (r.best_guess == inst_->true_guess) && r.best_peak > 0.0;
-  }
-  const dpa::CpaResult r =
-      cpa_->finalize(cpa_cfg_->window_lo, cpa_cfg_->window_hi);
-  return (r.best_guess == inst_->true_guess) && r.best_rho > 0.0;
+void AttackState::probe_mtd(dpa::MtdScan& scan, std::size_t prefix) const {
+  if (dpa_)
+    scan.probe(dpa_->recover_single(0, dpa_cfg_->window), inst_->true_guess,
+               prefix);
+  else
+    scan.probe(cpa_->finalize(cpa_cfg_->window_lo, cpa_cfg_->window_hi),
+               inst_->true_guess, prefix);
 }
 
 AttackOutcome AttackState::outcome() const {
@@ -125,13 +126,31 @@ void AttackState::reset() noexcept {
     cpa_->reset();
 }
 
-void BlockMerge::ingest(const WorkerPool::Block& blk) {
+Ingest::Ingest(const AttackConfig& attack, const TargetInstance& inst,
+               const WorkerPool& pool, std::size_t chunk_budget,
+               std::size_t fold_width)
+    : attack_(&attack),
+      inst_(&inst),
+      block_traces_(fold_width > 0 ? fold_width
+                                   : pool.block_traces(chunk_budget)) {
+  if (fold_width > 0) partials_.resize(pool.slots());
+}
+
+void Ingest::fold(const WorkerPool::Block& blk) {
+  if (partials_.empty()) return;
   std::optional<AttackState>& st = partials_[blk.slot];
   if (st)
     st->reset();
   else
     st.emplace(*attack_, *inst_);
-  st->add_rows(blk.segment, 0, blk.count);
+  st->add(blk);
+}
+
+void Ingest::commit(const WorkerPool::Block& blk, AttackState& into) const {
+  if (partials_.empty())
+    into.add(blk);
+  else
+    into.merge(*partials_[blk.slot]);
 }
 
 }  // namespace qdi::campaign::detail

@@ -1,10 +1,11 @@
 // Private campaign-internal header (not installed): the attack
-// accumulator pair behind both the fused in-process analysis driver
-// (campaign.cpp's StreamingAnalysis) and the sharded runtime's
-// Coordinator (shard.cpp). Keeping probe rules (true-key rank, the
-// single-bit MTD success test, outcome emission) in ONE place
-// is what guarantees a sharded campaign and a fused campaign cannot
-// drift in how they read the same running sums.
+// accumulator pair and the ingest rule behind both campaign drivers, the
+// streaming analysis of run() (campaign.cpp's StreamingAnalysis) and the
+// sharded runtime (shard.cpp). Keeping the probe rules (true-key rank,
+// the MTD probe, outcome emission) and the choice between serial and
+// block-fold ingest in ONE place is what guarantees a sharded campaign
+// and a fused campaign cannot drift in how they fold and read the same
+// running sums.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +20,6 @@
 
 namespace qdi::campaign::detail {
 
-/// Resolve the Dpa bit list against the target's selection functions.
-/// Throws std::invalid_argument on an out-of-range index.
-std::vector<dpa::SelectionFn> resolve_bits(const Dpa& cfg,
-                                           const TargetInstance& inst);
-
 /// One OnlineCpa or OnlineDpa accumulator plus the probe/emission rules
 /// of the campaign layer. `inst` must outlive the state (it holds the
 /// selection metadata the probes rank against).
@@ -32,23 +28,20 @@ class AttackState {
   /// `attack` must hold Dpa or Cpa (the caller validates monostate out).
   AttackState(const AttackConfig& attack, const TargetInstance& inst);
 
-  bool is_dpa() const noexcept { return dpa_.has_value(); }
-  std::size_t count() const noexcept {
-    return dpa_ ? dpa_->count() : cpa_->count();
-  }
   bool mtd_enabled() const noexcept;
 
-  /// Feed rows [lo, hi) of a segment (accumulation is trace-ordered;
-  /// see OnlineCpa/OnlineDpa).
-  void add_rows(const dpa::TraceSet& segment, std::size_t lo, std::size_t hi);
+  /// Feed all of a block's rows in trace order.
+  void add(const WorkerPool::Block& blk);
 
   /// True-key rank at the current prefix (the rank-trajectory probe).
   std::size_t rank_now() const;
 
-  /// The MTD success test at the current prefix: DPA uses the paper's
-  /// single-bit D-function (selection bit 0), CPA the windowed best
-  /// correlation — exactly dpa::measurements_to_disclosure's rule.
-  bool mtd_success_now() const;
+  /// Feed the MTD scan the attack at the current prefix, `prefix`
+  /// traces: DPA reads the paper's single-bit D-function (selection bit
+  /// 0), CPA the windowed best correlation — exactly what
+  /// dpa::measurements_to_disclosure and
+  /// dpa::cpa_measurements_to_disclosure read.
+  void probe_mtd(dpa::MtdScan& scan, std::size_t prefix) const;
 
   /// Final attack emission from the current sums. Fills everything
   /// except `mtd` and `wall_ms` (the caller owns the MTD grid and the
@@ -77,36 +70,45 @@ class AttackState {
   std::optional<dpa::OnlineCpa> cpa_;
 };
 
-/// Per-block partial accumulators of the block-fold ingest, one per
-/// WorkerPool buffer slot: the worker that acquired a block folds it into
-/// its slot's AttackState (ingest), and the in-order commit merges that
-/// partial into the master accumulator (merge_into). The pool hands a
-/// slot from the block's ingest to its commit, and to the next block only
-/// after that commit returned (WorkerPool::Block), so a slot's partial
-/// needs no lock. Because merge_into is called in ascending block order
-/// — the pool's commit contract — the master's final state depends only
-/// on the block partition, never on the thread count or scheduling.
-class BlockMerge {
+/// The ingest rule of both campaign drivers: serial feed or block fold,
+/// and the block width that follows. Both cut their pipeline call at
+/// block_traces(), run fold() as its worker ingest and commit() on its
+/// commit chain, and never look at the mode.
+///
+/// Serial feed (`fold_width` 0): blocks of pool.block_traces(
+/// `chunk_budget`) traces, whose rows commit() adds in trace order — the
+/// sums of one serial pass, whatever the width or thread count.
+///
+/// Block fold (`fold_width` > 0): blocks of `fold_width` traces, which
+/// the acquiring worker folds into a partial AttackState of the block's
+/// pool slot, and commit() merges. The pool hands a slot from a block's
+/// ingest to its commit and on only after that commit returned
+/// (WorkerPool::Block), so a partial needs no lock; commits run in
+/// ascending block order, so the sums depend only on the block
+/// partition, never on the thread count or scheduling.
+class Ingest {
  public:
   /// `attack`/`inst` must outlive this object (they parameterize the
-  /// partials); `slots` is the pool's WorkerPool::slots().
-  BlockMerge(const AttackConfig& attack, const TargetInstance& inst,
-             std::size_t slots)
-      : attack_(&attack), inst_(&inst), partials_(slots) {}
+  /// partials); with `fold_width` 0 the attack may be monostate.
+  Ingest(const AttackConfig& attack, const TargetInstance& inst,
+         const WorkerPool& pool, std::size_t chunk_budget,
+         std::size_t fold_width);
 
-  /// Worker side: fold all of `blk` into its slot's partial, built on the
-  /// slot's first use and reset on every later one.
-  void ingest(const WorkerPool::Block& blk);
+  std::size_t block_traces() const noexcept { return block_traces_; }
 
-  /// Commit side (ascending block order, serialized by the pool): merge
-  /// `blk`'s partial into `into`.
-  void merge_into(const WorkerPool::Block& blk, AttackState& into) const {
-    into.merge(*partials_[blk.slot]);
-  }
+  /// Worker side: fold `blk` into its slot's partial (built on first
+  /// use, reset after). Nothing with the serial feed.
+  void fold(const WorkerPool::Block& blk);
+
+  /// Commit side (ascending block order, serialized by the pool): fold
+  /// `blk` into `into` — its rows, or the partial fold() left for it.
+  void commit(const WorkerPool::Block& blk, AttackState& into) const;
 
  private:
   const AttackConfig* attack_;
   const TargetInstance* inst_;
+  std::size_t block_traces_;
+  /// One per pool slot with the block fold; empty with the serial feed.
   std::vector<std::optional<AttackState>> partials_;
 };
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "attack_state.hpp"
+#include "shard_runtime.hpp"
 #include "qdi/campaign/batch_trace_source.hpp"
 #include "qdi/dpa/online.hpp"
 #include "qdi/netlist/graph.hpp"
@@ -25,6 +26,13 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Acquisition workers of a campaign over `traces` traces: threads(0)
+/// runs one, and no more run than there are traces.
+unsigned pool_threads(unsigned threads, std::size_t traces) {
+  return static_cast<unsigned>(
+      std::min<std::size_t>(threads == 0 ? 1 : threads, traces));
+}
+
 /// Single-pass streaming analysis of run(): the pipeline's commit hands it
 /// every block in ascending trace order, and at each precomputed
 /// checkpoint the running sums are finalized in place to emit a
@@ -34,9 +42,10 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 /// exactly its trace count; prefix-0 probes fire at construction. A
 /// serial feed adds the rows in trace order whatever the block width, so
 /// materialized and fused runs read the same sums at the same points and
-/// are bit-identical by construction. The accumulator pair and the probe
-/// rules live in detail::AttackState, shared with the sharded runtime
-/// (shard.cpp) so the two paths cannot drift.
+/// are bit-identical by construction. The accumulator pair, the probe
+/// rules and the ingest rule live in detail::AttackState and
+/// detail::Ingest, shared with the sharded runtime (shard.cpp) so the
+/// two paths cannot drift.
 class StreamingAnalysis {
  public:
   StreamingAnalysis(const AttackConfig& attack, const TargetInstance& inst,
@@ -80,15 +89,11 @@ class StreamingAnalysis {
     return cuts;
   }
 
-  /// Fold block `blk` — its rows in trace order, or, with the
-  /// block-fold ingest, the partial `blocks` holds for it — and fire
-  /// every checkpoint at its end. Must be called in ascending block
-  /// order (the pipeline's commit order).
-  void commit(const WorkerPool::Block& blk, const detail::BlockMerge* blocks) {
-    if (blocks != nullptr)
-      blocks->merge_into(blk, state_);
-    else
-      state_.add_rows(blk.segment, 0, blk.count);
+  /// Fold block `blk` through `ingest` and fire every checkpoint at its
+  /// end. Must be called in ascending block order (the pipeline's commit
+  /// order).
+  void commit(const WorkerPool::Block& blk, const detail::Ingest& ingest) {
+    ingest.commit(blk, state_);
     fire_through(blk.first + blk.count);
   }
 
@@ -120,7 +125,7 @@ class StreamingAnalysis {
          ++next_cp_) {
       const Checkpoint& cp = checkpoints_[next_cp_];
       if (cp.rank) trajectory_.push_back({cp.n, state_.rank_now()});
-      if (cp.mtd) mtd_.probe(state_.mtd_success_now(), cp.n);
+      if (cp.mtd) state_.probe_mtd(mtd_, cp.n);
     }
   }
 
@@ -249,44 +254,35 @@ CampaignResult Campaign::run() const {
   // ---- acquisition + analysis ----------------------------------------------
   if (num_traces_ > 0) {
     const std::unique_ptr<TraceSource> src = make_source(inst);
-    const auto threads = static_cast<unsigned>(
-        std::min<std::size_t>(threads_ == 0 ? 1 : threads_, num_traces_));
-    WorkerPool pool(*src, threads);
+    WorkerPool pool(*src, pool_threads(threads_, num_traces_));
     // One pipeline call for every mode. The commit appends each block to
-    // res.traces unless fused(), then streams it into the attack
-    // accumulators in trace order — the other workers keep acquiring
-    // meanwhile — or, with the block-fold ingest, merges the partial
-    // the acquiring worker folded it into. Either way the probes fire at
-    // exactly their trace counts (checkpoint prefixes are block cuts).
+    // res.traces unless fused(), then folds it into the attack
+    // accumulators through the ingest rule while the other workers keep
+    // acquiring; the probes fire at exactly their trace counts
+    // (checkpoint prefixes are block cuts).
+    detail::Ingest ingest(
+        attack_, inst, pool,
+        fused_chunk_ > 0 ? fused_chunk_ : WorkerPool::kMaterializeBudget,
+        sharded_ingest_);
     std::optional<StreamingAnalysis> analysis;
     std::vector<std::size_t> cuts;
     if (attacking) {
       analysis.emplace(attack_, inst, rank_step_, num_traces_);
       cuts = analysis->checkpoint_cuts();
     }
-    std::optional<detail::BlockMerge> blocks;
-    WorkerPool::BlockIngest ingest;
-    std::size_t block_traces = pool.block_traces(
-        fused_chunk_ > 0 ? fused_chunk_ : WorkerPool::kMaterializeBudget);
-    if (sharded_ingest_ > 0) {
-      blocks.emplace(attack_, inst, pool.slots());
-      block_traces = sharded_ingest_;
-      ingest = [&](unsigned, const WorkerPool::Block& blk) {
-        blocks->ingest(blk);
-      };
-    }
     // The pipeline's wall clock covers acquisition + commits; only the
     // analysis share of the commits is subtracted back out, so
     // acquisition.wall_ms and attack->wall_ms partition the stage.
     double feed_ms = 0.0;
-    pool.run({{0, num_traces_}}, seed_, block_traces, cuts, ingest,
+    pool.run({{0, num_traces_}}, seed_, ingest.block_traces(), cuts,
+             [&](unsigned, const WorkerPool::Block& blk) { ingest.fold(blk); },
              [&](const WorkerPool::Block& blk) {
                if (fused_chunk_ == 0)
                  WorkerPool::append_block(blk, res.traces, res.acquisition,
                                           num_traces_);
                if (!analysis) return;
                const auto t_feed = std::chrono::steady_clock::now();
-               analysis->commit(blk, blocks ? &*blocks : nullptr);
+               analysis->commit(blk, ingest);
                feed_ms += ms_since(t_feed);
              },
              res.acquisition);
@@ -321,12 +317,14 @@ CampaignResult Campaign::run() const {
 namespace {
 
 /// Campaign-configuration fingerprint: ties a shard checkpoint to one
-/// (target, key, seed, budget, shard geometry, attack, trace physics)
-/// tuple. Engine, thread count, and checkpoint interval are deliberately
-/// excluded — none of them changes a single trace value (the
-/// determinism contract of trace_source.hpp), so a campaign may resume
-/// on a different engine or commit cadence; the shard stream digest
-/// remains the arbiter of trace identity.
+/// (target name, key, seed, budget, shard geometry, attack, trace
+/// physics) tuple. Engine, thread count, and checkpoint interval are
+/// deliberately excluded — none of them changes a single trace value
+/// (the determinism contract of trace_source.hpp), so a campaign may
+/// resume on a different engine or commit cadence; the shard stream
+/// digest remains the arbiter of trace identity. So, for now, is the
+/// netlist: victims that flow(), prepare() or recipe() made different
+/// share a fingerprint (ROADMAP open item 2).
 /// `ingest_block` is ShardedOptions::ingest_block_traces. It enters the
 /// fingerprint ONLY when non-zero: the block-fold changes the
 /// accumulator's FP reduction order, so its checkpoints must never be
@@ -423,21 +421,13 @@ ShardedResult Campaign::sharded(ShardedOptions opt) const {
   prepare_victim(inst, nullptr);
   const std::unique_ptr<TraceSource> src = make_source(inst);
 
-  const std::size_t shards =
-      plan_shards(num_traces_, opt.shards).size();  // after clamping
-  CoordinatorConfig cfg;
-  cfg.inst = &inst;
-  cfg.attack = &attack_;
-  cfg.primary = src.get();
-  cfg.fingerprint = config_fingerprint(inst, key_, seed_, num_traces_, shards,
-                                       attack_, opt_, opt.ingest_block_traces);
-  cfg.seed = seed_;
-  cfg.num_traces = num_traces_;
-  cfg.threads = static_cast<unsigned>(
-      std::min<std::size_t>(threads_ == 0 ? 1 : threads_, num_traces_));
-  opt.shards = shards;
-  Coordinator coordinator(cfg, std::move(opt));
-  ShardedResult res = coordinator.run();
+  opt.shards = plan_shards(num_traces_, opt.shards).size();  // after clamping
+  const std::uint64_t fingerprint =
+      config_fingerprint(inst, key_, seed_, num_traces_, opt.shards, attack_,
+                         opt_, opt.ingest_block_traces);
+  ShardedResult res = detail::run_shards(
+      inst, attack_, *src, fingerprint, seed_, num_traces_,
+      pool_threads(threads_, num_traces_), std::move(opt));
   res.key = key_;
   res.total_wall_ms = ms_since(t_run);
   return res;

@@ -1,7 +1,7 @@
 // Attack configuration and outcome types of the campaign API, split out
 // of campaign.hpp so every consumer of "which attack, what result" —
 // the fluent Campaign builder, the fused streaming analysis, and the
-// sharded Coordinator runtime — shares one definition
+// sharded runtime — shares one definition
 // without pulling in the whole builder.
 #pragma once
 

@@ -6,7 +6,7 @@
 // per-sample sums and per-class sums), the first unacquired trace
 // index, and the mid-state of the shard's running SHA-256 trace-stream
 // digest, all under a config fingerprint that ties the record to one
-// campaign configuration (CoordinatorConfig::fingerprint: target name,
+// campaign configuration (Campaign::sharded()'s fingerprint: target name,
 // key, seed, budget, geometry, attack and trace physics — not the
 // netlist, ROADMAP open item 2). The record is versioned,
 // length-prefixed, and sealed by the SHA-256 of its payload:
@@ -36,8 +36,8 @@
 
 namespace qdi::campaign {
 
-/// Named checkpoint rejection. The kind is what the coordinator's
-/// recovery report surfaces: a degraded run says WHY a shard restarted.
+/// Named checkpoint rejection. The kind is what a shard's recovery
+/// report (ShardReport::recovery) surfaces: a degraded run says WHY a shard restarted.
 class CheckpointError : public std::runtime_error {
  public:
   enum class Kind {
@@ -93,8 +93,8 @@ std::string checkpoint_path(const std::string& dir, std::size_t shard);
 std::string checkpoint_prev_path(const std::string& dir, std::size_t shard);
 
 /// mkdir -p for the checkpoint directory (POSIX, EEXIST is success).
-/// commit_checkpoint calls this itself; the coordinator also calls it
-/// up front so a run fails fast on an uncreatable directory instead of
+/// commit_checkpoint calls this itself; Campaign::sharded() also calls
+/// it up front so a run fails fast on an uncreatable directory instead of
 /// at the first commit.
 void ensure_checkpoint_dir(const std::string& dir);
 

@@ -17,7 +17,7 @@
 // uninterrupted run of the same sharded configuration (asserted in
 // tests/test_shard_runtime.cpp).
 //
-// The Coordinator runs every shard's remaining range through one
+// Campaign::sharded() runs every shard's remaining range through one
 // WorkerPool pipeline call in ascending trace order: the workers are
 // shared by all shards, and a checkpoint is an event on the pipeline's
 // commit chain, sealed and published while the workers keep acquiring.
@@ -40,8 +40,6 @@
 
 #include "qdi/campaign/attack.hpp"
 #include "qdi/campaign/checkpoint.hpp"
-#include "qdi/campaign/target.hpp"
-#include "qdi/campaign/trace_source.hpp"
 #include "qdi/sim/environment.hpp"
 #include "qdi/util/table.hpp"
 
@@ -50,7 +48,7 @@ namespace qdi::campaign {
 /// A shard attempt aborted because progress stalled. Carries the PR 6
 /// four-phase diagnostics when the stall localized to a handshake
 /// (fault-injection harnesses throw it with the stalled phase and
-/// channel); the coordinator's watchdog throws it with phase None.
+/// channel); the runtime's stall watchdog throws it with phase None.
 class ShardStall : public std::runtime_error {
  public:
   explicit ShardStall(const std::string& what,
@@ -98,7 +96,7 @@ struct ShardedOptions {
   /// the thread count either way. 0 = serial in-order feeding (the
   /// default).
   std::size_t ingest_block_traces = 0;
-  /// Dispatch attempts per shard (>= 1) before the coordinator gives up
+  /// Dispatch attempts per shard (>= 1) before the runtime gives up
   /// and falls back to the shard's last durable checkpoint.
   unsigned max_attempts = 3;
   /// Exponential re-dispatch backoff: attempt k sleeps
@@ -177,29 +175,6 @@ struct ShardedResult {
   util::Table table() const;
 };
 
-/// Everything the runtime needs about the campaign being sharded. The
-/// instance and primary source are borrowed and must outlive the run.
-struct CoordinatorConfig {
-  const TargetInstance* inst = nullptr;
-  const AttackConfig* attack = nullptr;
-  /// Cloned once per worker, and again for every worker after a failed
-  /// pipeline call (a source that threw may be left unusable).
-  const TraceSource* primary = nullptr;
-  /// Configuration identity that ties checkpoints to this campaign:
-  /// Campaign::sharded() hashes the target NAME, key, seed, budget,
-  /// shard geometry, attack, the hand-listed delay/power/jitter fields
-  /// and the block-fold width. The engine, thread count and checkpoint
-  /// interval are deliberately left out (none changes a trace value).
-  /// So is the netlist itself: two victims of one target name that
-  /// flow(), prepare() or recipe() made different share a fingerprint
-  /// (ROADMAP open item 2).
-  std::uint64_t fingerprint = 0;
-  std::uint64_t seed = 1;
-  std::size_t num_traces = 0;
-  /// Acquisition threads, shared by every shard.
-  unsigned threads = 1;
-};
-
 /// The contiguous trace range of one shard.
 struct ShardSpec {
   std::size_t shard = 0;
@@ -210,23 +185,5 @@ struct ShardSpec {
 /// Deterministic balanced partition of [0, num_traces) into `shards`
 /// contiguous ranges (first `num_traces % shards` ranges one longer).
 std::vector<ShardSpec> plan_shards(std::size_t num_traces, std::size_t shards);
-
-/// Recovery, the one-pipeline run, supervision, and merge. One-shot:
-/// construct, run(), read.
-class Coordinator {
- public:
-  Coordinator(CoordinatorConfig cfg, ShardedOptions opt);
-
-  /// Recover every shard from the checkpoints already on disk, run all
-  /// remaining ranges through one pipeline call (another call per
-  /// failure, for the ranges still open), and merge. Throws
-  /// std::invalid_argument on an inconsistent configuration; shard
-  /// failures degrade the result instead of throwing.
-  ShardedResult run();
-
- private:
-  CoordinatorConfig cfg_;
-  ShardedOptions opt_;
-};
 
 }  // namespace qdi::campaign

@@ -305,11 +305,12 @@ struct SimTraceSourceOptions {
   /// it throws. All engines produce bit-identical traces.
   sim::EngineKind engine = sim::EngineKind::Compiled;
   /// Reuse an existing compiled form instead of flattening the netlist
-  /// again: Campaign::run hands the one it built of the prepared victim
-  /// to its source and its fault probe, and benches share one across
-  /// several sources. The compiled and batch engines both run it. Must
-  /// have been compiled from the SAME netlist with the SAME delay model
-  /// — the source trusts it. Ignored by the reference engine.
+  /// again. Without it each source (and each fault sweep) compiles its
+  /// own and shares it with its worker clones; Campaign never sets it,
+  /// while the benches share one form across several sources. The
+  /// compiled and batch engines both run it. Must have been compiled
+  /// from the SAME netlist with the SAME delay model — the source trusts
+  /// it. Ignored by the reference engine.
   std::shared_ptr<const sim::CompiledNetlist> precompiled;
 };
 

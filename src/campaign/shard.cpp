@@ -14,6 +14,7 @@
 
 #include "attack_state.hpp"
 #include "qdi/util/sha256.hpp"
+#include "shard_runtime.hpp"
 
 namespace qdi::campaign {
 
@@ -105,7 +106,7 @@ std::vector<ShardSpec> plan_shards(std::size_t num_traces,
   return out;
 }
 
-// ---- Coordinator ------------------------------------------------------------
+// ---- the runtime ------------------------------------------------------------
 
 namespace {
 
@@ -127,32 +128,20 @@ struct Slot {
 
 }  // namespace
 
-Coordinator::Coordinator(CoordinatorConfig cfg, ShardedOptions opt)
-    : cfg_(std::move(cfg)), opt_(std::move(opt)) {}
+namespace detail {
 
-ShardedResult Coordinator::run() {
+ShardedResult run_shards(const TargetInstance& inst, const AttackConfig& attack,
+                         const TraceSource& primary, std::uint64_t fingerprint,
+                         std::uint64_t seed, std::size_t num_traces,
+                         unsigned threads, ShardedOptions opt) {
   const auto t0 = std::chrono::steady_clock::now();
-  if (cfg_.inst == nullptr || cfg_.attack == nullptr ||
-      cfg_.primary == nullptr)
-    throw std::invalid_argument(
-        "Coordinator: instance, attack, and primary source are required");
-  if (std::holds_alternative<std::monostate>(*cfg_.attack))
-    throw std::invalid_argument(
-        "Coordinator: a sharded campaign needs an attack to accumulate");
-  if (cfg_.num_traces == 0)
-    throw std::invalid_argument("Coordinator: num_traces must be > 0");
-  if (opt_.checkpoint_dir.empty())
-    throw std::invalid_argument(
-        "Coordinator: checkpoint_dir is required (a sharded campaign "
-        "without durable state is just a slower fused run)");
-  if (opt_.max_attempts == 0) opt_.max_attempts = 1;
-  if (opt_.chunk_traces == 0) opt_.chunk_traces = 1;
-  ensure_checkpoint_dir(opt_.checkpoint_dir);
+  if (opt.max_attempts == 0) opt.max_attempts = 1;
+  if (opt.chunk_traces == 0) opt.chunk_traces = 1;
+  ensure_checkpoint_dir(opt.checkpoint_dir);
   const std::uint64_t interval =
-      opt_.checkpoint_interval == 0 ? 1 : opt_.checkpoint_interval;
+      opt.checkpoint_interval == 0 ? 1 : opt.checkpoint_interval;
 
-  const std::vector<ShardSpec> specs =
-      plan_shards(cfg_.num_traces, opt_.shards);
+  const std::vector<ShardSpec> specs = plan_shards(num_traces, opt.shards);
   std::vector<Slot> slots(specs.size());
   // Shard owning absolute trace `index` (blocks never straddle shards).
   const auto owner = [&](std::uint64_t index) -> Slot& {
@@ -168,12 +157,12 @@ ShardedResult Coordinator::run() {
   // touching the accumulator), so a corrupt-but-well-framed record falls
   // through to the previous generation.
   const auto recover = [&](Slot& s) {
-    s.acc.emplace(*cfg_.attack, *cfg_.inst);
+    s.acc.emplace(attack, inst);
     s.stream = util::Sha256();
     s.next = s.spec.lo;
     s.report.recovery.clear();
     const auto rec = recover_checkpoint(
-        opt_.checkpoint_dir, s.spec.shard, cfg_.fingerprint, s.spec.lo,
+        opt.checkpoint_dir, s.spec.shard, fingerprint, s.spec.lo,
         s.spec.hi,
         [&](const ShardCheckpoint& c) {
           s.acc->restore(c.acc_state);
@@ -211,16 +200,14 @@ ShardedResult Coordinator::run() {
   std::optional<WorkerPool> pool;
   const auto fresh_pool = [&] {
     pool.reset();
-    src = cfg_.primary->clone();
-    pool.emplace(*src, cfg_.threads == 0 ? 1 : cfg_.threads);
+    src = primary.clone();
+    pool.emplace(*src, threads);
   };
   fresh_pool();
-  std::optional<detail::BlockMerge> blocks;
-  if (opt_.ingest_block_traces > 0)
-    blocks.emplace(*cfg_.attack, *cfg_.inst, pool->slots());
-  const std::size_t block_traces = blocks
-                                       ? opt_.ingest_block_traces
-                                       : pool->block_traces(opt_.chunk_traces);
+  // Every fresh pool has the same thread count and source, so the same
+  // slots and block width: one ingest rule serves every call.
+  Ingest ingest(attack, inst, *pool, opt.chunk_traces,
+                opt.ingest_block_traces);
   std::vector<WorkerPool::Range> ranges;
 
   // Watchdog observables: commits advance `progress`; `frontier` is the
@@ -239,13 +226,13 @@ ShardedResult Coordinator::run() {
   // hands the slot from one to the other; see WorkerPool::Block).
   std::vector<std::vector<std::uint64_t>> fingerprints(pool->slots());
 
-  const auto ingest = [&](unsigned, const WorkerPool::Block& blk) {
+  const auto worker_ingest = [&](unsigned, const WorkerPool::Block& blk) {
     check_cancel(owner(blk.first));
     std::vector<std::uint64_t>& fp = fingerprints[blk.slot];
     fp.resize(blk.count);
     for (std::size_t i = 0; i < blk.count; ++i)
       fp[i] = sample_fingerprint(blk.segment.trace(i).samples());
-    if (blocks) blocks->ingest(blk);
+    ingest.fold(blk);
   };
 
   const auto commit = [&](const WorkerPool::Block& blk) {
@@ -253,24 +240,21 @@ ShardedResult Coordinator::run() {
     check_cancel(s);
     feed_stream_digest(s.stream, blk.segment, blk.first,
                        fingerprints[blk.slot]);
-    if (blocks)
-      blocks->merge_into(blk, *s.acc);
-    else
-      s.acc->add_rows(blk.segment, 0, blk.count);
+    ingest.commit(blk, *s.acc);
     s.next = blk.first + blk.count;
     progress.fetch_add(blk.count, std::memory_order_relaxed);
-    if (opt_.on_progress) opt_.on_progress(s.spec.shard, s.next);
+    if (opt.on_progress) opt.on_progress(s.spec.shard, s.next);
     if ((s.next - s.spec.lo) % interval == 0 || s.next == s.spec.hi) {
-      const ShardCheckpoint c{cfg_.fingerprint, s.spec.shard, s.spec.lo,
+      const ShardCheckpoint c{fingerprint, s.spec.shard, s.spec.lo,
                               s.spec.hi,        s.next,       s.stream.save(),
                               s.acc->serialize()};
-      commit_checkpoint(opt_.checkpoint_dir, c,
-                        opt_.fsync_commits ? util::Durability::Fsync
+      commit_checkpoint(opt.checkpoint_dir, c,
+                        opt.fsync_commits ? util::Durability::Fsync
                                            : util::Durability::RenameOnly);
       // The hook fires after the durable commit: a throw here models a
       // crash between commit and the next window — the retried shard
       // must pick up at exactly `next`.
-      if (opt_.on_commit) opt_.on_commit(s.spec.shard, s.next);
+      if (opt.on_commit) opt.on_commit(s.spec.shard, s.next);
       if (s.next == s.spec.hi) {
         s.report.done = true;
         s.report.error.clear();
@@ -290,12 +274,12 @@ ShardedResult Coordinator::run() {
   // A commit frontier that does not move for stall_timeout_ms cancels
   // the shard owning the frontier block.
   std::jthread watchdog;
-  if (opt_.stall_timeout_ms > 0) {
+  if (opt.stall_timeout_ms > 0) {
     watchdog = std::jthread([&](const std::stop_token& stop) {
       std::uint64_t last = 0;
       auto since = std::chrono::steady_clock::now();
       const auto poll = std::chrono::milliseconds(
-          opt_.watchdog_poll_ms == 0 ? 1 : opt_.watchdog_poll_ms);
+          opt.watchdog_poll_ms == 0 ? 1 : opt.watchdog_poll_ms);
       while (!stop.stop_requested()) {
         std::this_thread::sleep_for(poll);
         const auto now = std::chrono::steady_clock::now();
@@ -304,7 +288,7 @@ ShardedResult Coordinator::run() {
           last = p;
           since = now;
         } else if (now - since >
-                   std::chrono::milliseconds(opt_.stall_timeout_ms)) {
+                   std::chrono::milliseconds(opt.stall_timeout_ms)) {
           Slot& s = owner(frontier.load(std::memory_order_relaxed));
           if (!s.cancel.exchange(true, std::memory_order_relaxed))
             s.wedged.store(true, std::memory_order_relaxed);
@@ -341,8 +325,8 @@ ShardedResult Coordinator::run() {
     std::string error;
     try {
       AcquisitionStats st;
-      pool->run(ranges, cfg_.seed, block_traces, cuts, ingest, commit, st,
-                &failed_at);
+      pool->run(ranges, seed, ingest.block_traces(), cuts, worker_ingest,
+                commit, st, &failed_at);
     } catch (const std::exception& e) {
       if (failed_at == kNoBlock) throw;  // not a shard's failure
       if (const auto* stall = dynamic_cast<const ShardStall*>(&e)) {
@@ -362,14 +346,14 @@ ShardedResult Coordinator::run() {
     // An exhausted shard falls back to its last durable checkpoint, so
     // the partial sums it DID commit still count — the result reports
     // honest partial coverage instead of discarding paid-for traces.
-    if (s.report.attempts >= opt_.max_attempts) {
+    if (s.report.attempts >= opt.max_attempts) {
       s.exhausted = true;
     } else {
       ++s.report.attempts;
-      if (opt_.backoff_ms > 0) {
+      if (opt.backoff_ms > 0) {
         const unsigned shift = std::min(s.report.attempts - 2, 10u);
         std::this_thread::sleep_for(
-            std::chrono::milliseconds(opt_.backoff_ms << shift));
+            std::chrono::milliseconds(opt.backoff_ms << shift));
       }
     }
     recover(s);
@@ -384,9 +368,9 @@ ShardedResult Coordinator::run() {
   // the final outcome() instead.
   const auto t_merge = std::chrono::steady_clock::now();
   ShardedResult res;
-  res.target = cfg_.inst->name;
-  res.total_traces = cfg_.num_traces;
-  detail::AttackState verdict(*cfg_.attack, *cfg_.inst);
+  res.target = inst.name;
+  res.total_traces = num_traces;
+  AttackState verdict(attack, inst);
   dpa::MtdScan mtd;
   for (Slot& s : slots) {
     ShardReport rep = std::move(s.report);
@@ -398,9 +382,9 @@ ShardedResult Coordinator::run() {
     if (s.next > s.spec.lo) {
       rep.digest_hex = s.stream.hex();
       if (res.covered > 0) {
-        const detail::AttackState view = verdict;
+        const AttackState view = verdict;
         res.rank_trajectory.push_back({res.covered, view.rank_now()});
-        if (view.mtd_enabled()) mtd.probe(view.mtd_success_now(), res.covered);
+        if (view.mtd_enabled()) view.probe_mtd(mtd, res.covered);
       }
       verdict.merge(*s.acc);
       res.covered += static_cast<std::size_t>(s.next - s.spec.lo);
@@ -412,7 +396,7 @@ ShardedResult Coordinator::run() {
     // The last trajectory point reads the outcome's own fold.
     res.rank_trajectory.push_back({res.covered, out.true_key_rank});
     if (verdict.mtd_enabled()) {
-      mtd.probe(verdict.mtd_success_now(), res.covered);
+      verdict.probe_mtd(mtd, res.covered);
       if (out.true_key_rank == 0) out.mtd = mtd.value();
     }
     out.wall_ms = ms_since(t_merge);
@@ -421,6 +405,8 @@ ShardedResult Coordinator::run() {
   res.total_wall_ms = ms_since(t0);
   return res;
 }
+
+}  // namespace detail
 
 // ---- report -----------------------------------------------------------------
 

@@ -74,8 +74,7 @@ std::size_t cpa_measurements_to_disclosure(
   MtdScan scan;
   for (std::size_t n = start; n <= ts.size(); n += step) {
     acc.add_prefix(ts, acc.count(), n);
-    const CpaResult r = acc.finalize(window_lo, window_hi);
-    scan.probe((r.best_guess == correct_key) && r.best_rho > 0.0, n);
+    scan.probe(acc.finalize(window_lo, window_hi), correct_key, n);
   }
   return scan.value();
 }

@@ -56,8 +56,7 @@ std::size_t measurements_to_disclosure(const TraceSet& ts, const SelectionFn& d,
   MtdScan scan;
   for (std::size_t n = start; n <= ts.size(); n += step) {
     acc.add_prefix(ts, acc.count(), n);
-    const KeyRecoveryResult r = acc.recover(window);
-    scan.probe((r.best_guess == correct_key) && r.best_peak > 0.0, n);
+    scan.probe(acc.recover(window), correct_key, n);
   }
   return scan.value();
 }

@@ -112,20 +112,30 @@ class StateError : public std::runtime_error {
 };
 
 /// Stability accumulator of a measurements-to-disclosure scan: feed the
-/// (success, prefix) outcome of each probe in increasing prefix order;
-/// value() is the earliest prefix from which EVERY probe so far
-/// succeeded (0 if the tail is not all-success). Shared by the batch
-/// MTD functions and the fused campaign so the stability rule cannot
-/// drift between them.
+/// attack read at each probed prefix, in increasing prefix order. A
+/// probe succeeds when the best guess is the correct key with a positive
+/// best score; value() is the earliest prefix from which EVERY probe so
+/// far succeeded (0 if the tail is not all-success). Shared by the batch
+/// MTD functions, the fused campaign and the sharded runtime, so neither
+/// the success test nor the stability rule can drift between them.
 class MtdScan {
  public:
-  void probe(bool success, std::size_t prefix) noexcept {
-    if (success && candidate_ == 0) candidate_ = prefix;
-    if (!success) candidate_ = 0;
+  void probe(const KeyRecoveryResult& r, unsigned correct_key,
+             std::size_t prefix) noexcept {
+    probe(r.best_guess == correct_key && r.best_peak > 0.0, prefix);
+  }
+  void probe(const CpaResult& r, unsigned correct_key,
+             std::size_t prefix) noexcept {
+    probe(r.best_guess == correct_key && r.best_rho > 0.0, prefix);
   }
   std::size_t value() const noexcept { return candidate_; }
 
  private:
+  void probe(bool success, std::size_t prefix) noexcept {
+    if (success && candidate_ == 0) candidate_ = prefix;
+    if (!success) candidate_ = 0;
+  }
+
   std::size_t candidate_ = 0;
 };
 

@@ -536,7 +536,7 @@ void BatchFourPhaseEnv::send_into(
     res.t_end[l] = sim_->now(l);
     if (res.t_end[l] - res.t_start[l] >= spec_.period_ps)
       throw std::runtime_error(
-          "FourPhaseEnv: cycle exceeded the period; increase "
+          "BatchFourPhaseEnv: cycle exceeded the period; increase "
           "EnvSpec::period_ps");
     res.transitions[l] = sim_->transition_count(l) - before[l];
   }

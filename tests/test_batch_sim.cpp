@@ -371,6 +371,25 @@ TEST(BatchGuards, AcquireBlockRejectsCountOutsideOneBlock) {
   }
 }
 
+TEST(BatchGuards, OverlongCycleNamesTheBatchEnvironment) {
+  // A 200 ps period is shorter than one xor_stage handshake cycle.
+  const qc::TargetInstance inst = qc::xor_stage(200.0).build(0);
+  qc::SimTraceSourceOptions opt;
+  opt.engine = qs::EngineKind::Batch;
+  qc::BatchSimTraceSource src(inst.nl, inst.env, inst.stimulus, opt);
+  std::vector<qc::AcquiredTrace> out(4);
+  try {
+    src.acquire_block(1, 0, out.size(), out.data());
+    ADD_FAILURE() << "accepted a cycle longer than the period";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("BatchFourPhaseEnv: cycle exceeded "
+                                          "the period",
+                                          0),
+              0u)
+        << e.what();
+  }
+}
+
 TEST(BatchGuards, ScalarSourceRejectsBatchEngineKind) {
   const qc::TargetInstance inst = qc::xor_stage().build(0);
   qc::SimTraceSourceOptions opt;

@@ -387,14 +387,26 @@ TEST(ShardedRun, CompletesAndAgreesWithFusedCampaign) {
   // A SINGLE-shard sharded run is the fused loop with commits sprinkled
   // in — window boundaries only decide where checkpoints land, never
   // the accumulation order — so its scores are BIT-identical to the
-  // fused campaign's.
-  qc::ShardedOptions one = base_opts(fresh_dir("clean_one"));
-  one.shards = 1;
-  const qc::ShardedResult res1 = base_campaign().sharded(one);
-  ASSERT_TRUE(res1.attack.has_value());
-  EXPECT_EQ(res1.attack->guess_scores, fused.attack->guess_scores);
-  EXPECT_EQ(res1.attack->best_guess, fused.attack->best_guess);
-  EXPECT_EQ(res1.attack->true_key_rank, fused.attack->true_key_rank);
+  // fused campaign's. So is a block-fold run whose window ends are all
+  // block edges (base_opts' interval 16 is a multiple of the width 8):
+  // both drivers then fold the same blocks through one ingest rule.
+  for (const std::size_t block : {std::size_t{0}, std::size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << "ingest_block_traces " << block);
+    qc::ShardedOptions one =
+        base_opts(fresh_dir("clean_one_" + std::to_string(block)));
+    one.shards = 1;
+    one.ingest_block_traces = block;
+    const qc::ShardedResult res1 = base_campaign().sharded(one);
+    qc::Campaign fused_campaign = base_campaign();
+    fused_campaign.fused(16);
+    if (block > 0) fused_campaign.sharded_ingest(block);
+    const qc::CampaignResult fused1 = fused_campaign.run();
+    ASSERT_TRUE(res1.attack.has_value());
+    ASSERT_TRUE(fused1.attack.has_value());
+    EXPECT_EQ(res1.attack->guess_scores, fused1.attack->guess_scores);
+    EXPECT_EQ(res1.attack->best_guess, fused1.attack->best_guess);
+    EXPECT_EQ(res1.attack->true_key_rank, fused1.attack->true_key_rank);
+  }
 
   // A MULTI-shard run folds per-shard partial sums together, which
   // re-associates the floating-point additions. On a balanced QDI
